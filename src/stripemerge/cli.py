@@ -36,11 +36,43 @@ EXIT_VERIFY = 3
 EXIT_INFEASIBLE = 4
 
 
+# request keys whose values must be integers or lists of integers; null
+# leaves an optional list at its default
+_INT_KEYS = frozenset({"p", "s", "k", "t", "lprime", "delta", "subgroup_order", "a",
+                       "tprime", "k_init"})
+_LIST_KEYS = frozenset({"modulus", "per_initial_dims", "n_init", "elements"})
+_OPTIONAL_KEYS = frozenset({"modulus", "per_initial_dims", "elements"})
+
+
 def _read_json(path: str) -> dict:
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(sys.stdin)
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_ints(obj, what: str) -> dict:
+    """Reject a request section whose integer or list-of-integer values are malformed."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key, value in obj.items():
+        if value is None and key in _OPTIONAL_KEYS:
+            continue
+        if key in _INT_KEYS and not _is_int(value):
+            raise ValueError(f"{what}.{key} must be an integer, got {value!r}")
+        if key in _LIST_KEYS and not (
+            isinstance(value, list) and all(_is_int(v) for v in value)
+        ):
+            raise ValueError(f"{what}.{key} must be a list of integers, got {value!r}")
+    return obj
 
 
 def _out_path(path: str) -> str:
@@ -62,8 +94,8 @@ def _emit(obj: dict, out: Optional[str]) -> None:
 
 def _construct(request: dict) -> ConvertibleCode:
     kind = request["kind"]
-    field = FieldCtx.from_obj(request["field"])
-    params = request.get("params", {})
+    field = FieldCtx.from_obj(_require_ints(request["field"], "field"))
+    params = _require_ints(request.get("params", {}), "params")
     if kind == "mds_merge":
         group = build_group(field, request["group"])
         return build_mds_merge(

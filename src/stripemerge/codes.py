@@ -138,19 +138,6 @@ class LinearCode:
         return LinearCode(self.field, generator=self.parity,
                           parity=self.generator, labels=self.labels)
 
-    def puncture(self, coords: Sequence[int]) -> LinearCode:
-        """Restriction to the listed coordinates, kept in label order."""
-        cols = sorted(set(coords))
-        if cols and not (0 <= cols[0] and cols[-1] < self.n):
-            raise ValueError("coordinate out of range")
-        sub = self.generator.submatrix_cols(cols)
-        R, rank, _ = sub.rref()
-        return LinearCode(
-            self.field,
-            generator=MatQ(self.field, R.data[:rank]),
-            labels=[self.labels[c] for c in cols],
-        )
-
     def restricted_dim(self, gamma: Sequence[int]) -> int:
         cols = sorted(set(gamma))
         return self.generator.submatrix_cols(cols).rank()

@@ -7,13 +7,16 @@ final code, and a ConversionPlan: which initial symbols survive verbatim
 (matched by coordinate label), which are read, and how each written
 symbol is a linear combination of read symbols.
 
-The evaluation builders materialize final-code matrices by pushing unit
-messages through the evaluation pipeline, so plain and pole-modified
-evaluation share one code path; written-symbol coefficients are probed
-from the same pipeline and the probe asserts exact linearity across the
-whole message basis.  The parity-check builder fuses the syndrome
-transfer and the inverse of the written-column block into one matrix per
-initial stripe, so the executor cannot mis-sign the solve.
+compile_plan turns a plan into the one form every consumer uses, a
+CompiledPlan: the storage coordinates read from each stripe and a sparse
+linear map from them to the final word, with the locality schedule's
+recipes folded in.  Its apply method converts codewords in execute; the
+builders apply it to the initial generator rows to obtain the final
+generator, blockdiag(G_i) * P, and the verifier checks the rank and
+membership of those same rows.  The evaluation builders also evaluate
+each rational-function term directly at every final place, read the
+written-symbol coefficients from those values, and assert that the
+direct values equal the plan-applied generator.
 """
 
 from __future__ import annotations
@@ -115,18 +118,6 @@ class ConversionPlan:
                     raise ValueError("term uses a coordinate outside the read set")
                 if coeff == 0:
                     raise ValueError("zero coefficient stored in plan")
-        if self.schedule is not None:
-            if len(self.schedule) != t:
-                raise ValueError("schedule shape mismatch")
-            for i, sched in enumerate(self.schedule):
-                known = set(sched.storage)
-                recon_map = dict(sched.recon)
-                for c in self.reads[i]:
-                    if c not in known and c not in recon_map:
-                        raise ValueError(f"read coordinate {c} of stripe {i} unreachable")
-                for c, parts in sched.recon:
-                    if any(src not in known for src, _ in parts):
-                        raise ValueError("recipe uses an unread source")
 
     def to_obj(self) -> dict:
         return {
@@ -148,6 +139,93 @@ class ConversionPlan:
             if obj.get("schedule")
             else None,
         )
+
+
+@dataclass(frozen=True)
+class CompiledPlan:
+    """A plan as one sparse linear map from storage reads to the final word.
+
+    storage[i] lists the coordinates read from stripe i; unchanged[i]
+    pairs (initial coordinate, final coordinate) copied verbatim; writes
+    maps each written final coordinate to (stripe, storage coordinate,
+    coefficient encoding) triples with every locality recipe folded in.
+    """
+
+    field: FieldCtx
+    n: int
+    storage: tuple[tuple[int, ...], ...]
+    unchanged: tuple[tuple[tuple[int, int], ...], ...]
+    writes: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
+
+    def apply(self, words: Sequence[Sequence[FieldElem]]) -> list[FieldElem]:
+        """The final word from one word per stripe."""
+        f = self.field
+        out = [f.zero] * self.n
+        for word, pairs in zip(words, self.unchanged):
+            for src, dst in pairs:
+                out[dst] = word[src]
+        for dst, triples in self.writes:
+            acc = 0
+            for i, coord, coeff in triples:
+                acc = f.add_enc(acc, f.mul_enc(coeff, words[i][coord].enc))
+            out[dst] = f.element(acc)
+        return out
+
+    def generator_rows(self, initials: Sequence[LinearCode]) -> list[list[int]]:
+        """blockdiag(G_i) * P in encodings: the map applied to every
+        initial generator row."""
+        f = self.field
+        zeros = [[f.zero] * code.n for code in initials]
+        rows = []
+        for i, code in enumerate(initials):
+            for row in code.generator.data:
+                words = zeros[:i] + [[f.element(e) for e in row]] + zeros[i + 1 :]
+                rows.append([e.enc for e in self.apply(words)])
+        return rows
+
+
+def compile_plan(field: FieldCtx, plan: ConversionPlan) -> CompiledPlan:
+    """Fold the plan's locality schedule, if any, into its terms.
+
+    A read coordinate that its stripe's schedule does not take from
+    storage is replaced by its recipe over storage coordinates;
+    coefficients landing on one storage coordinate are summed and zero
+    sums dropped.  Without a schedule every read coordinate is a storage
+    read.  Raises ValueError when a read coordinate has neither a storage
+    read nor a recipe, or a recipe uses a coordinate that is not read.
+    """
+    t = len(plan.reads)
+    if plan.schedule is None:
+        storage = plan.reads
+        recipes: list[dict] = [{} for _ in range(t)]
+    else:
+        if len(plan.schedule) != t:
+            raise ValueError("schedule shape mismatch")
+        storage = tuple(sched.storage for sched in plan.schedule)
+        recipes = [dict(sched.recon) for sched in plan.schedule]
+    known = [set(coords) for coords in storage]
+    for i, recipe in enumerate(recipes):
+        for c in plan.reads[i]:
+            if c not in known[i] and c not in recipe:
+                raise ValueError(f"read coordinate {c} of stripe {i} unreachable")
+        if any(src not in known[i] for parts in recipe.values() for src, _ in parts):
+            raise ValueError("recipe uses an unread source")
+    writes = []
+    for w, triples in plan.terms:
+        folded: dict[tuple[int, int], int] = {}
+        for i, coord, coeff in triples:
+            parts = ((coord, 1),) if coord in known[i] else recipes[i][coord]
+            for src, e in parts:
+                key = (i, src)
+                folded[key] = field.add_enc(folded.get(key, 0), field.mul_enc(coeff, e))
+        writes.append((w, tuple((i, src, e) for (i, src), e in folded.items() if e)))
+    return CompiledPlan(
+        field=field,
+        n=len(plan.written) + sum(len(pairs) for pairs in plan.unchanged),
+        storage=storage,
+        unchanged=plan.unchanged,
+        writes=tuple(writes),
+    )
 
 
 @dataclass(frozen=True)
@@ -177,19 +255,17 @@ class ConvertibleCode:
     initial_cert: Optional[LocalityCertificate] = None
     final_cert: Optional[LocalityCertificate] = None
     provenance: dict = dc_field(default_factory=dict)
+    compiled: CompiledPlan = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if sum(c.k for c in self.initials) != self.final.k:
             raise ValueError("initial dimensions must sum to the final dimension")
         self.plan.validate(self.initials, self.final)
+        self.compiled = compile_plan(self.field, self.plan)
 
     def static_access(self) -> AccessReport:
-        if self.plan.schedule is not None:
-            reads = sum(len(s.storage) for s in self.plan.schedule)
-        else:
-            reads = sum(len(r) for r in self.plan.reads)
         return AccessReport(
-            read_cost=reads,
+            read_cost=sum(len(coords) for coords in self.compiled.storage),
             write_cost=len(self.plan.written),
             per_symbol_read=sum(len(tr) for _, tr in self.plan.terms),
             unchanged_counts=tuple(len(p) for p in self.plan.unchanged),
@@ -258,6 +334,78 @@ def _term_coefficient(field: FieldCtx, wvals: Sequence[int], rvals: Sequence[int
     return coeff
 
 
+def _merge_by_evaluation(
+    field: FieldCtx,
+    init_codes: Sequence[LinearCode],
+    moves: Sequence[Mobius],
+    factors: Sequence[RationalFunction],
+    bases: Sequence[Sequence[RationalFunction]],
+    kept: Sequence[Sequence[ProjPoint]],
+    written: Sequence[ProjPoint],
+    read_base: Sequence[int],
+    pole_budget: int,
+    schedule: Optional[tuple[StripeSchedule, ...]] = None,
+) -> tuple[ConversionPlan, list[list[int]]]:
+    """Plan and final generator rows of a merge of evaluation codes.
+
+    Basis function f of stripe j (row f of its generator) becomes the
+    term factors[j] * (f moved by moves[j]).  The final code keeps stripe
+    j's symbols at the places kept[j], stripe after stripe, then writes
+    one symbol per place of `written`, evaluated with pole_budget at
+    infinity.  A term divided by its own stripe's factor must give back
+    the stored symbols on its kept places and must vanish on every other
+    stripe's.  Written place P reads stripe j at read_base[j] plus the
+    index of moves[j]^-1(P) in `written`, with the coefficient probed
+    across the basis.  The final generator is the compiled plan applied
+    to the initial generator rows; it must equal the direct evaluation.
+    """
+    units = [f.eval_at(p, 0).inverse() for f, places in zip(factors, kept) for p in places]
+    kept_places = [p for places in kept for p in places]
+    budgets = [pole_budget if p.is_infinity else 0 for p in written]
+    direct = []  # per stripe, the terms evaluated at every final place
+    for move, factor, basis in zip(moves, factors, bases):
+        rows = []
+        for f in basis:
+            term = factor * apply_to_function(move, f)
+            rows.append(
+                [(u * term.eval_at(p, 0)).enc for u, p in zip(units, kept_places)]
+                + [term.eval_at(p, b).enc for p, b in zip(written, budgets)]
+            )
+        direct.append(rows)
+
+    base = len(kept_places)
+    index = {p.sort_key(): idx for idx, p in enumerate(written)}
+    terms = []
+    for w_idx, pt in enumerate(written):
+        triples = []
+        for j, (move, code) in enumerate(zip(moves, init_codes)):
+            src = read_base[j] + index[move.inverse().place_action(pt).sort_key()]
+            coeff = _term_coefficient(
+                field,
+                [row[base + w_idx] for row in direct[j]],
+                [row[src] for row in code.generator.data],
+            )
+            if coeff:
+                triples.append((j, src, coeff))
+        terms.append((base + w_idx, tuple(triples)))
+
+    offsets = [sum(len(places) for places in kept[:j]) for j in range(len(kept))]
+    plan = ConversionPlan(
+        unchanged=tuple(
+            tuple((idx, off + idx) for idx in range(len(places)))
+            for off, places in zip(offsets, kept)
+        ),
+        reads=tuple(tuple(range(rb, rb + len(written))) for rb in read_base),
+        written=tuple(range(base, base + len(written))),
+        terms=tuple(terms),
+        schedule=schedule,
+    )
+    gen_rows = compile_plan(field, plan).generator_rows(init_codes)
+    if gen_rows != [row for rows in direct for row in rows]:
+        raise AssertionError("direct evaluation disagrees with the plan-applied generator")
+    return plan, gen_rows
+
+
 # -- MDS merge ----------------------------------------------------------------
 
 
@@ -324,7 +472,6 @@ def build_mds_merge(
     a_eff = [
         [a_orbits[row][j] for row in range(k - dims[j], k)] for j in range(t)
     ]
-    union_eff = [p for places in a_eff for p in places]
 
     x = Poly.x(field)
     one = Poly.one(field)
@@ -352,77 +499,28 @@ def build_mds_merge(
         init_codes.append(LinearCode(field, generator=gen, labels=labels))
 
     # final code: unchanged segments per stripe, then the written block
-    final_places = union_eff + b_places
     final_labels = [
         f"s{j + 1}:p{a1_places[j][idx].label()}"
         for j in range(t)
         for idx in range(dims[j])
     ] + [f"w:p{pt.label()}" for pt in b_places]
-    final_budget = total_k - 1
-
-    offsets = [sum(dims[:j]) for j in range(t)]
-    n_final = len(final_places)
-    gen_rows: list[list[int]] = []
-    unchanged_base = sum(dims)
-    for j in range(t):
-        sig = sigmas[j]
-        for basis_row in range(dims[j]):
-            mono = RationalFunction.from_poly(x ** basis_row)
-            term = factors[j] * apply_to_function(sig, mono)
-            row = [0] * n_final
-            # unchanged values: stripe j's own stored symbols
-            for idx in range(dims[j]):
-                row[offsets[j] + idx] = init_codes[j].generator.data[basis_row][idx]
-            # cross-check against the direct pipeline value
-            for jj in range(t):
-                for idx, pt in enumerate(a_eff[jj]):
-                    direct = term.eval_at(pt, 0)
-                    u = factors[jj].eval_at(pt, 0).inverse()
-                    val = (u * direct).enc
-                    if val != row[offsets[jj] + idx]:
-                        raise AssertionError("unchanged-value identity failed in builder")
-            for idx, pt in enumerate(b_places):
-                row[unchanged_base + idx] = term.eval_at(
-                    pt, final_budget if pt.is_infinity else 0
-                ).enc
-            gen_rows.append(row)
+    plan, gen_rows = _merge_by_evaluation(
+        field,
+        init_codes,
+        moves=sigmas[:t],
+        factors=factors,
+        bases=[[RationalFunction.from_poly(x ** row) for row in range(d)] for d in dims],
+        kept=a_eff,
+        written=b_places,
+        read_base=dims,
+        pole_budget=total_k - 1,
+    )
     final_code = LinearCode(field, generator=MatQ(field, gen_rows), labels=final_labels)
 
-    # plan: written block reads one orbit symbol per stripe per slot
-    unchanged = tuple(
-        tuple((idx, offsets[j] + idx) for idx in range(dims[j])) for j in range(t)
-    )
-    reads = tuple(tuple(range(dims[j], dims[j] + el)) for j in range(t))
-    b_index = {pt.sort_key(): idx for idx, pt in enumerate(b_places)}
-    terms = []
-    for w_idx, pt in enumerate(b_places):
-        budget = final_budget if pt.is_infinity else 0
-        triples = []
-        for j in range(t):
-            src_pt = sigmas[j].inverse().place_action(pt)
-            src_slot = b_index[src_pt.sort_key()]
-            src_coord = dims[j] + src_slot
-            wvals, rvals = [], []
-            for basis_row in range(dims[j]):
-                mono = RationalFunction.from_poly(x ** basis_row)
-                term = factors[j] * apply_to_function(sigmas[j], mono)
-                wvals.append(term.eval_at(pt, budget).enc)
-                rvals.append(init_codes[j].generator.data[basis_row][src_coord])
-            coeff = _term_coefficient(field, wvals, rvals)
-            if coeff:
-                triples.append((j, src_coord, coeff))
-        terms.append((unchanged_base + w_idx, tuple(triples)))
-
-    plan = ConversionPlan(
-        unchanged=unchanged,
-        reads=reads,
-        written=tuple(range(unchanged_base, n_final)),
-        terms=tuple(terms),
-    )
     params = MergeParams(
         k_initial=dims,
         n_initial=tuple(d + lprime for d in dims),
-        n_final=n_final,
+        n_final=final_code.n,
         k_final=total_k,
         d_final=el + 1,
         r=total_k,
@@ -579,71 +677,8 @@ def build_lrc_merge(
         ),
     )
 
-    # final code: stripe blocks then the written orbit
-    final_places = [
-        p for j in range(t) for i in range(k) for p in a_blocks[i][j]
-    ] + [p for bl in b_blocks for p in bl]
-    final_labels = [
-        f"s{j + 1}:p{a_blocks[i][0][s].label()}"
-        for j in range(t)
-        for i in range(k)
-        for s in range(gs)
-    ] + [f"w:p{p.label()}" for bl in b_blocks for p in bl]
-    seg = k * gs  # per-stripe unchanged segment length
-    unchanged_base = t * seg
-    n_final = unchanged_base + el * gs
-
-    gen_rows: list[list[int]] = []
-    for j in range(t):
-        for bidx, f in enumerate(basis):
-            term = factors[j] * apply_to_function(reps[j], f)
-            row = [0] * n_final
-            for idx in range(seg):
-                row[j * seg + idx] = init_gen.data[bidx][idx]
-            for jj in range(t):
-                for i in range(k):
-                    for s in range(gs):
-                        pt = a_blocks[i][jj][s]
-                        u = factors[jj].eval_at(pt, 0).inverse()
-                        val = (u * term.eval_at(pt, 0)).enc
-                        if val != row[jj * seg + i * gs + s]:
-                            raise AssertionError("unchanged-value identity failed in builder")
-            for idx, pt in enumerate(p for bl in b_blocks for p in bl):
-                row[unchanged_base + idx] = term.eval_at(pt, 0).enc
-            gen_rows.append(row)
-    final_code = LinearCode(field, generator=MatQ(field, gen_rows), labels=final_labels)
-    final_cert = LocalityCertificate(
-        r=r,
-        delta=delta,
-        groups=tuple(tuple(range(b * gs, (b + 1) * gs)) for b in range(t * k + el)),
-    )
-
-    unchanged = tuple(
-        tuple((idx, j * seg + idx) for idx in range(seg)) for j in range(t)
-    )
-    b_segment = k * gs  # offset of the B orbit inside each initial stripe
-    flat_b = [p for bl in b_blocks for p in bl]
-    b_index = {p.sort_key(): idx for idx, p in enumerate(flat_b)}
-    reads = tuple(
-        tuple(range(b_segment, b_segment + el * gs)) for _ in range(t)
-    )
-    terms = []
-    for w_idx, pt in enumerate(flat_b):
-        triples = []
-        for j in range(t):
-            src_pt = reps[j].inverse().place_action(pt)
-            src_coord = b_segment + b_index[src_pt.sort_key()]
-            wvals, rvals = [], []
-            for bidx, f in enumerate(basis):
-                term = factors[j] * apply_to_function(reps[j], f)
-                wvals.append(term.eval_at(pt, 0).enc)
-                rvals.append(init_gen.data[bidx][src_coord])
-            coeff = _term_coefficient(field, wvals, rvals)
-            if coeff:
-                triples.append((j, src_coord, coeff))
-        terms.append((unchanged_base + w_idx, tuple(triples)))
-
     # locality-aware schedule: read r symbols per block, rebuild the rest
+    b_segment = k * gs  # offset of the B orbit inside each initial stripe
     recon: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     storage: list[int] = []
     cols = [[init_gen.data[i][j] for i in range(init_gen.rows)] for j in range(init_gen.cols)]
@@ -662,17 +697,37 @@ def build_lrc_merge(
             )
     sched = StripeSchedule(storage=tuple(storage), recon=tuple(recon))
 
-    plan = ConversionPlan(
-        unchanged=unchanged,
-        reads=reads,
-        written=tuple(range(unchanged_base, n_final)),
-        terms=tuple(terms),
+    # final code: stripe blocks then the written orbit
+    flat_b = [p for bl in b_blocks for p in bl]
+    final_labels = [
+        f"s{j + 1}:p{a_blocks[i][0][s].label()}"
+        for j in range(t)
+        for i in range(k)
+        for s in range(gs)
+    ] + [f"w:p{p.label()}" for p in flat_b]
+    plan, gen_rows = _merge_by_evaluation(
+        field,
+        init_codes,
+        moves=reps[:t],
+        factors=factors,
+        bases=[basis] * t,
+        kept=[[p for i in range(k) for p in a_blocks[i][j]] for j in range(t)],
+        written=flat_b,
+        read_base=[b_segment] * t,
+        pole_budget=0,
         schedule=tuple(sched for _ in range(t)),
     )
+    final_code = LinearCode(field, generator=MatQ(field, gen_rows), labels=final_labels)
+    final_cert = LocalityCertificate(
+        r=r,
+        delta=delta,
+        groups=tuple(tuple(range(b * gs, (b + 1) * gs)) for b in range(t * k + el)),
+    )
+
     params = MergeParams(
         k_initial=(k_init,) * t,
         n_initial=((k + lprime) * gs,) * t,
-        n_final=n_final,
+        n_final=final_code.n,
         k_final=t * k_init,
         d_final=el * gs + delta,
         r=r,
@@ -806,7 +861,6 @@ def build_mds_to_lrc(
 
     # initial GRS stripes with prescribed parity on the unchanged part
     init_codes: list[LinearCode] = []
-    xi_all: list[list[FieldElem]] = []
     fused: list[MatQ] = []
     for i in range(t):
         alpha_set = {al.enc for al in alphas[i]}
@@ -816,7 +870,6 @@ def build_mds_to_lrc(
                 break
             if e.enc not in alpha_set:
                 xi.append(e)
-        xi_all.append(xi)
         head = list(alphas[i]) + xi[: d_final - 1]
         w_i = grs_dual_prescribed(field, head, k_init)
         mults = list(w_i) + [field.one] * (n_init[i] - len(head))
@@ -860,21 +913,7 @@ def build_mds_to_lrc(
         terms=terms,
     )
 
-    # materialize the final generator by pushing unit messages through the plan
-    gen_rows = []
-    for i in range(t):
-        for basis_row in range(k_init):
-            word = [field.element(e) for e in init_codes[i].generator.data[basis_row]]
-            row = [0] * n_final
-            for src, dst in unchanged[i]:
-                row[dst] = word[src].enc
-            for w, triples in terms:
-                acc = 0
-                for ii, coord, coeff in triples:
-                    if ii == i:
-                        acc = field.add_enc(acc, field.mul_enc(coeff, word[coord].enc))
-                row[w] = acc
-            gen_rows.append(row)
+    gen_rows = compile_plan(field, plan).generator_rows(init_codes)
     final_code = LinearCode(
         field, generator=MatQ(field, gen_rows), parity=parity, labels=labels
     )
@@ -923,39 +962,16 @@ def execute(
 ) -> tuple[tuple[FieldElem, ...], AccessReport]:
     """Run the conversion on one codeword per initial stripe.
 
-    Inputs are membership-checked against their stripes, values consumed
-    by written symbols flow through the locality-aware schedule when one
-    is present, and the assembled final word is membership-checked before
-    it is returned.  Costs count coordinates touched, not values.
+    Inputs are membership-checked against their stripes, the compiled plan
+    maps them to the final word, and that word is membership-checked
+    before it is returned.  Costs count coordinates touched, not values.
     """
-    field = cc.field
     if len(words) != len(cc.initials):
         raise ValueError("need one codeword per initial stripe")
     for i, (code, word) in enumerate(zip(cc.initials, words)):
         if len(word) != code.n or not code.contains(word):
             raise ValueError(f"input {i} is not a codeword of its stripe")
-
-    def value(i: int, coord: int) -> FieldElem:
-        if cc.plan.schedule is not None:
-            sched = cc.plan.schedule[i]
-            if coord not in sched.storage:
-                parts = dict(sched.recon)[coord]
-                acc = 0
-                for src, coeff in parts:
-                    acc = field.add_enc(acc, field.mul_enc(coeff, words[i][src].enc))
-                return field.element(acc)
-        return words[i][coord]
-
-    out = [field.zero] * cc.final.n
-    for i, pairs in enumerate(cc.plan.unchanged):
-        for src, dst in pairs:
-            out[dst] = words[i][src]
-    for w, triples in cc.plan.terms:
-        acc = 0
-        for i, coord, coeff in triples:
-            acc = field.add_enc(acc, field.mul_enc(coeff, value(i, coord).enc))
-        out[w] = field.element(acc)
-    final_word = tuple(out)
+    final_word = tuple(cc.compiled.apply(words))
     if not cc.final.contains(final_word):
         raise AssertionError("converted word violates the final parity")
     return final_word, cc.static_access()
@@ -1015,26 +1031,12 @@ def verify_convertible(
     field = cc.field
     rng = random.Random(seed)
 
-    # bijectivity: the plan applied to all unit messages has full rank
-    bijective = True
-    membership_ok = True
+    # the plan applied to the initial generator rows: full rank is
+    # bijectivity, and each row must be a codeword of the final code
+    rows = cc.compiled.generator_rows(cc.initials)
+    bijective = MatQ(field, rows).rank() == cc.final.k
+    membership_ok = all(cc.final.contains([field.element(e) for e in row]) for row in rows)
     unchanged_ok = True
-    rows = []
-    try:
-        for i, code in enumerate(cc.initials):
-            for basis_row in range(code.k):
-                words = [
-                    tuple(field.zero for _ in range(c.n)) if j != i else tuple(
-                        field.element(e) for e in code.generator.data[basis_row]
-                    )
-                    for j, c in enumerate(cc.initials)
-                ]
-                final_word, _ = execute(cc, words)
-                rows.append([e.enc for e in final_word])
-        bijective = MatQ(field, rows).rank() == cc.final.k
-    except AssertionError:
-        bijective = False
-        membership_ok = False
 
     for _ in range(trials if membership_ok else 0):
         words = []

@@ -61,17 +61,6 @@ def _pnorm(a: list[int]) -> list[int]:
     return a
 
 
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pnorm(out)
-
-
 def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
     a = list(a)
     dm = len(m) - 1
@@ -247,14 +236,6 @@ class FieldCtx:
         enc = int(enc)
         if not 0 <= enc < self.q:
             raise ValueError(f"encoding {enc} out of range for GF({self.q})")
-        return FieldElem(self, enc)
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> FieldElem:
-        if len(coeffs) > self.s:
-            raise ValueError("too many coefficients")
-        enc = 0
-        for i, c in enumerate(coeffs):
-            enc += (int(c) % self.p) * self.p ** i
         return FieldElem(self, enc)
 
     @property

@@ -33,25 +33,12 @@ class MatQ:
                     raise ValueError(f"entry {e} out of range for GF({field.q})")
 
     @classmethod
-    def from_elems(cls, field: FieldCtx, rows: Sequence[Sequence[FieldElem]]) -> MatQ:
-        return cls(field, [[e.enc for e in row] for row in rows])
-
-    @classmethod
     def zeros(cls, field: FieldCtx, rows: int, cols: int) -> MatQ:
         return cls(field, [[0] * cols for _ in range(rows)])
 
     @classmethod
     def identity(cls, field: FieldCtx, n: int) -> MatQ:
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def entry(self, i: int, j: int) -> FieldElem:
-        return self.field.element(self.data[i][j])
-
-    def row(self, i: int) -> list[int]:
-        return list(self.data[i])
-
-    def copy(self) -> MatQ:
-        return MatQ(self.field, self.data)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -87,11 +74,6 @@ class MatQ:
 
     def submatrix_cols(self, cols: Sequence[int]) -> MatQ:
         return MatQ(self.field, [[row[j] for j in cols] for row in self.data])
-
-    def stack(self, other: MatQ) -> MatQ:
-        if self.cols != other.cols or self.field != other.field:
-            raise ValueError("stack shape mismatch")
-        return MatQ(self.field, self.data + other.data)
 
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.data for e in row)

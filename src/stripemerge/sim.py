@@ -1,10 +1,12 @@
 """Replay a conversion plan against a cluster layout.
 
-The simulator is trace-driven from the plan — the same coordinates the
-executor touches are charged to the nodes that hold them — so there is a
-single source of truth for access accounting.  Unchanged symbols are
-keyed by their coordinate label, which the final stripe shares with the
-originating initial stripe; they generate no I/O and stay on their node.
+The simulator is trace-driven from the compiled plan
+(ConvertibleCode.compiled), the same map execute applies: its storage
+reads and written coordinates are charged to the nodes that hold them,
+so one map is the single source of truth for access accounting.
+Unchanged symbols are keyed by their coordinate label, which the final
+stripe shares with the originating initial stripe; they generate no I/O
+and stay on their node.
 """
 
 from __future__ import annotations
@@ -93,11 +95,7 @@ def simulate(
     if words is not None:
         execute(cc, words)
     per_node: dict = {n: {"reads": 0, "writes": 0} for n in layout.nodes}
-    for i, code in enumerate(cc.initials):
-        if cc.plan.schedule is not None:
-            coords = cc.plan.schedule[i].storage
-        else:
-            coords = cc.plan.reads[i]
+    for code, coords in zip(cc.initials, cc.compiled.storage):
         for c in coords:
             per_node[layout.node_of(code.labels[c])]["reads"] += 1
     for w in cc.plan.written:

@@ -197,3 +197,23 @@ def test_cli_convert_with_messages(tmp_path, capsys):
     ]
     final_word, _ = execute(cc, words_lib)
     assert out["final_codeword"] == [e.enc for e in final_word]
+
+
+MALFORMED = [
+    ("construct", dict(VI_REQUEST, params=dict(VI_REQUEST["params"], s="2"))),
+    ("construct", dict(VI_REQUEST, params=dict(VI_REQUEST["params"], n_init=9))),
+    ("construct", dict(VI_REQUEST, field={"p": 23, "s": True})),
+    ("construct", [VI_REQUEST]),
+    ("verify", [VI_REQUEST]),
+]
+
+
+@pytest.mark.parametrize("command, payload", MALFORMED,
+                         ids=["str_int", "int_for_list", "bool_int", "list_request",
+                              "list_bundle"])
+def test_cli_malformed_json_is_a_validation_error(tmp_path, capsys, command, payload):
+    path = write_json(tmp_path / "input.json", payload)
+    flag = "--request" if command == "construct" else "--bundle"
+    assert main([command, flag, path]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert set(err) == {"error"}

@@ -61,14 +61,6 @@ def test_dual_involution():
     assert code.generator.rref()[0].to_obj() == double.generator.rref()[0].to_obj()
 
 
-def test_puncture_keeps_dimension():
-    F = field_create(7, 1)
-    code = grs_code(F, GrsSpec(locators=tuple(elems(F, 0, 1, 2, 3, 4)), k=2))
-    short = code.puncture([0, 2, 3, 4])
-    assert (short.n, short.k) == (4, 2)
-    assert short.labels == tuple(code.labels[i] for i in (0, 2, 3, 4))
-
-
 def test_min_distance_enumerate_grs():
     F = field_create(5, 1)
     code = grs_code(F, GrsSpec(locators=tuple(elems(F, 0, 1, 2, 3, 4)), k=2))

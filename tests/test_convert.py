@@ -1,11 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
+from stripemerge import convert
 from stripemerge.bounds import read_lower, total_lower, unchanged_upper
 from stripemerge.codes import check_locality, is_mds, is_optimal_lrc, min_distance
 from stripemerge.convert import (
-    ConversionPlan,
     ConvertibleCode,
     build_lrc_merge,
     build_mds_merge,
@@ -384,31 +385,81 @@ def test_execute_rejects_non_codeword(cc_vi):
         execute(cc_vi, [tuple(w) for w in words])
 
 
-def test_execute_detects_corrupt_plan(cc_vi):
-    plan = cc_vi.plan
-    w, triples = plan.terms[0]
+def with_plan(cc, **changes):
+    """The same conversion with some plan fields replaced."""
+    return ConvertibleCode(
+        field=cc.field,
+        kind=cc.kind,
+        initials=cc.initials,
+        final=cc.final,
+        plan=dataclasses.replace(cc.plan, **changes),
+        params=cc.params,
+        initial_cert=cc.initial_cert,
+        final_cert=cc.final_cert,
+    )
+
+
+def corrupt_first_term(cc):
+    w, triples = cc.plan.terms[0]
     i, coord, coeff = triples[0]
-    bad_triples = ((i, coord, coeff % (cc_vi.field.q - 1) + 1),) + triples[1:]
+    bad_triples = ((i, coord, coeff % (cc.field.q - 1) + 1),) + triples[1:]
     if bad_triples[0][2] == coeff:
-        bad_triples = ((i, coord, (coeff + 1) % cc_vi.field.q or 1),) + triples[1:]
-    bad_plan = ConversionPlan(
-        unchanged=plan.unchanged,
-        reads=plan.reads,
-        written=plan.written,
-        terms=((w, bad_triples),) + plan.terms[1:],
-        schedule=plan.schedule,
-    )
-    bad_cc = ConvertibleCode(
-        field=cc_vi.field,
-        kind=cc_vi.kind,
-        initials=cc_vi.initials,
-        final=cc_vi.final,
-        plan=bad_plan,
-        params=cc_vi.params,
-        final_cert=cc_vi.final_cert,
-    )
+        bad_triples = ((i, coord, (coeff + 1) % cc.field.q or 1),) + triples[1:]
+    return with_plan(cc, terms=((w, bad_triples),) + cc.plan.terms[1:])
+
+
+def test_execute_detects_corrupt_plan(cc_vi):
+    bad_cc = corrupt_first_term(cc_vi)
     with pytest.raises(AssertionError):
         execute(bad_cc, random_words(bad_cc, random.Random(6)))
+
+
+def test_verify_reports_membership_apart_from_bijectivity(cc_vi):
+    # a wrong coefficient keeps the map injective but leaves the final code
+    report = verify_convertible(corrupt_first_term(cc_vi), trials=5, check_components=False)
+    assert report.bijective and not report.membership_ok and not report.ok
+
+
+def test_compiled_plan_folds_the_schedule(cc_q32):
+    compiled = cc_q32.compiled
+    assert compiled.storage == tuple(s.storage for s in cc_q32.plan.schedule)
+    # 6 written symbols from 2 reads each; the rebuilt reads expand to storage
+    assert cc_q32.static_access().per_symbol_read == 12
+    assert sum(len(tr) for _, tr in compiled.writes) == 16
+    assert all(c in compiled.storage[i] for _, tr in compiled.writes for i, c, _ in tr)
+
+
+def test_compile_rejects_unreachable_reads(cc_q32):
+    sched = cc_q32.plan.schedule[0]
+    no_recipe = dataclasses.replace(sched, recon=sched.recon[1:])
+    with pytest.raises(ValueError, match="unreachable"):
+        with_plan(cc_q32, schedule=(no_recipe, sched))
+    target, parts = sched.recon[0]
+    unread = dataclasses.replace(sched, recon=((target, parts + ((0, 1),)),) + sched.recon[1:])
+    with pytest.raises(ValueError, match="unread source"):
+        with_plan(cc_q32, schedule=(sched, unread))
+    with pytest.raises(ValueError, match="shape"):
+        with_plan(cc_q32, schedule=(sched,))
+
+
+def test_builders_check_the_plan_against_direct_evaluation(monkeypatch):
+    # a plan whose first coefficient is off by one must not reach the final code
+    real = convert.compile_plan
+
+    def skewed(field, plan):
+        compiled = real(field, plan)
+        (w, ((i, coord, coeff), *more)), *rest = compiled.writes
+        bad = (w, ((i, coord, field.add_enc(coeff, 1)), *more))
+        return dataclasses.replace(compiled, writes=(bad, *rest))
+
+    monkeypatch.setattr(convert, "compile_plan", skewed)
+    F32 = field_create(2, 5)
+    dihedral = subgroup_dihedral(F32, 3, "q_plus")
+    with pytest.raises(AssertionError, match="direct evaluation"):
+        build_mds_merge(F23, group23(4), k=4, t=2, lprime=4)
+    with pytest.raises(AssertionError, match="direct evaluation"):
+        build_lrc_merge(F32, dihedral, cyclic_subgroup_of_order(dihedral, 3),
+                        k=2, t=2, lprime=2)
 
 
 def test_bundle_roundtrip(cc_q32):
