@@ -183,12 +183,7 @@ def _cmd_convert(args) -> int:
 
 def _cmd_verify(args) -> int:
     cc = ConvertibleCode.from_obj(_read_json(args.bundle))
-    report = verify_convertible(
-        cc,
-        trials=args.trials,
-        seed=args.seed,
-        check_components=not args.skip_distance,
-    )
+    report = verify_convertible(cc, check_components=not args.skip_distance)
     _emit(report.to_obj(), args.out)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
@@ -246,7 +241,7 @@ def _cmd_demo_q23(args) -> int:
         field, group, k=5, t=4, lprime=4,
         evaluate_at_pole=True, per_initial_dims=(5, 5, 5, 4),
     )
-    report = verify_convertible(cc, trials=args.trials, seed=args.seed)
+    report = verify_convertible(cc)
     measured = report.measured
     for name, got, want in (
         ("write_cost", measured.write_cost, 4),
@@ -288,8 +283,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p = sub.add_parser("verify", help="verify a bundle end to end")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--skip-distance", action="store_true",
                    help="skip exact component-distance checks")
     p.add_argument("--out")
@@ -311,8 +304,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p = sub.add_parser("demo-q23",
                        help="reproduce the q=23 four-stripe merge and diff recorded values")
-    p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_demo_q23)
 

@@ -163,34 +163,29 @@ class LinearCode:
 # -- distance ----------------------------------------------------------------
 
 
-def _parity_columns(code: LinearCode) -> list[list[int]]:
-    h = code.parity
-    return [[h.data[i][j] for i in range(h.rows)] for j in range(code.n)]
-
-
 def distance_at_least(code: LinearCode, d: int, budget: int = SUBSET_BUDGET) -> bool:
     """True iff no nonzero codeword has weight < d.
 
-    Checks that every (d-1)-column subset of the parity matrix has full
-    column rank; a weight-w codeword exists exactly when some w columns
-    are dependent.
+    A codeword of weight w < d exists exactly when some w parity columns
+    are dependent, and then so is every (d-1)-column set containing them;
+    so it checks that every (d-1)-column subset has full column rank.
+    Raises InfeasibleCheck when d-1 <= n-k and C(n, d-1) exceeds budget.
     """
     if d <= 1:
         return True
-    cols = _parity_columns(code)
-    nrows = code.parity.rows
-    f = code.field
-    for w in range(1, d):
-        if w > nrows:
-            return False  # any nrows+1 columns are dependent
-        if comb(code.n, w) > budget:
-            raise InfeasibleCheck(
-                f"C({code.n},{w}) = {comb(code.n, w)} rank checks exceed budget {budget}"
-            )
-        for combo in itertools.combinations(range(code.n), w):
-            if rank_of_rows(f, [cols[j] for j in combo]) < w:
-                return False
-    return True
+    w = d - 1
+    h = code.parity
+    if w > h.rows:
+        return False  # any rows+1 columns are dependent
+    if comb(code.n, w) > budget:
+        raise InfeasibleCheck(
+            f"C({code.n},{w}) = {comb(code.n, w)} rank checks exceed budget {budget}"
+        )
+    cols = [[h.data[i][j] for i in range(h.rows)] for j in range(code.n)]
+    return all(
+        rank_of_rows(code.field, [cols[j] for j in combo]) == w
+        for combo in itertools.combinations(range(code.n), w)
+    )
 
 
 def min_distance(code: LinearCode, strategy: str = "parity_subsets") -> int:
@@ -222,20 +217,8 @@ def min_distance(code: LinearCode, strategy: str = "parity_subsets") -> int:
                 return 1
         return best
     if strategy == "parity_subsets":
-        cols = _parity_columns(code)
-        nrows = code.parity.rows
-        f = code.field
-        for w in range(1, code.n + 1):
-            if w > nrows:
-                return w
-            if comb(code.n, w) > SUBSET_BUDGET:
-                raise InfeasibleCheck(
-                    f"C({code.n},{w}) rank checks exceed budget {SUBSET_BUDGET}"
-                )
-            for combo in itertools.combinations(range(code.n), w):
-                if rank_of_rows(f, [cols[j] for j in combo]) < w:
-                    return w
-        raise AssertionError("unreachable: zero parity with k < n")
+        # w = n-k+1 always ends the search (Singleton bound)
+        return next(w for w in range(1, code.n + 1) if not distance_at_least(code, w + 1))
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

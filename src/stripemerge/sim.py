@@ -101,8 +101,10 @@ def simulate(
     for w in cc.plan.written:
         per_node[layout.node_of(cc.final.labels[w])]["writes"] += 1
     totals = cc.static_access()
-    assert sum(io["reads"] for io in per_node.values()) == totals.read_cost
-    assert sum(io["writes"] for io in per_node.values()) == totals.write_cost
+    if sum(io["reads"] for io in per_node.values()) != totals.read_cost:
+        raise AssertionError("per-node reads do not sum to the read cost")
+    if sum(io["writes"] for io in per_node.values()) != totals.write_cost:
+        raise AssertionError("per-node writes do not sum to the write cost")
     in_place = True
     for i, pairs in enumerate(cc.plan.unchanged):
         for src, dst in pairs:

@@ -96,7 +96,7 @@ def test_criterion_1_q23_reproduction(group23):
     assert measured.write_cost == 4
     assert measured.read_cost == 16
     assert all(len(triples) == 4 for _, triples in cc.plan.terms)  # 4 reads per symbol
-    report = verify_convertible(cc, trials=50, check_components=False)
+    report = verify_convertible(cc, check_components=False)
     assert report.ok and report.access_optimal
 
     budget.done("criterion 1: q=23 four-stripe reproduction")
@@ -113,7 +113,7 @@ def test_criterion_2_mds_merge_family(group23):
         assert all(len(triples) == t for _, triples in cc.plan.terms)
         floor = mds_merge_lower(cc.params)
         assert (floor.min_read, floor.min_write) == (4 * t, 4)
-        report = verify_convertible(cc, trials=20, check_components=False)
+        report = verify_convertible(cc, check_components=False)
         assert report.ok and report.access_optimal
     budget.done("criterion 2: MDS merge family t in {2,3,4}")
 
@@ -135,7 +135,7 @@ def test_criterion_3_lrc_merge_desk_instance():
 
     measured = cc.static_access()
     assert (measured.read_cost, measured.write_cost) == (8, 6)  # (t r l, l(r+d-1))
-    report = verify_convertible(cc, trials=50, check_components=False)
+    report = verify_convertible(cc, check_components=False)
     assert report.ok and report.access_optimal
     assert (report.reference.min_read, report.reference.min_write) == (8, 6)
     budget.done("criterion 3: q=32 locally-repairable merge")
@@ -160,7 +160,7 @@ def test_criterion_4_mds_to_lrc_desk_instance():
         assert len(cc.plan.reads[i]) == 3 == read_lower(p, i, 4)
     measured = cc.static_access()
     assert (measured.read_cost, measured.write_cost) == (12, 4)
-    report = verify_convertible(cc, trials=50, check_components=False)
+    report = verify_convertible(cc, check_components=False)
     assert report.ok and report.access_optimal
     budget.done("criterion 4: q=23 MDS-to-LRC desk instance")
 

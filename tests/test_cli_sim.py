@@ -1,12 +1,19 @@
+import copy
 import json
 import random
 
 import pytest
 
 from stripemerge.cli import main
-from stripemerge.convert import ConvertibleCode, build_mds_merge, execute
+from stripemerge.convert import (
+    ConvertibleCode,
+    build_lrc_merge,
+    build_mds_merge,
+    build_mds_to_lrc,
+    execute,
+)
 from stripemerge.field import field_create
-from stripemerge.pgl import subgroup_cyclic_qplus1
+from stripemerge.pgl import cyclic_subgroup_of_order, subgroup_cyclic_qplus1, subgroup_dihedral
 from stripemerge.sim import (
     ClusterLayout,
     layout_one_per_symbol,
@@ -165,7 +172,7 @@ def test_cli_verify_detects_corruption(tmp_path, capsys):
 
 def test_cli_demo(tmp_path, capsys):
     out = str(tmp_path / "demo.json")
-    assert main(["demo-q23", "--trials", "5", "--out", out]) == 0
+    assert main(["demo-q23", "--out", out]) == 0
     capsys.readouterr()
     report = json.loads((tmp_path / "demo.json").read_text())
     assert report["diffs"] == []
@@ -199,21 +206,53 @@ def test_cli_convert_with_messages(tmp_path, capsys):
     assert out["final_codeword"] == [e.enc for e in final_word]
 
 
+def _bundles():
+    F23, F32 = field_create(23, 1), field_create(2, 5)
+    dihedral = subgroup_dihedral(F32, 3, "q_plus")
+    q32 = build_lrc_merge(F32, dihedral, cyclic_subgroup_of_order(dihedral, 3),
+                          k=2, t=2, lprime=2)
+    vi = build_mds_to_lrc(F23, s=2, a=1, tprime=2, delta=2, k_init=4, n_init=(9, 9, 9, 9))
+    return q32.to_obj(), vi.to_obj()
+
+
+Q32_BUNDLE, VI_BUNDLE = _bundles()
+
+
+def edited(bundle, edit):
+    obj = copy.deepcopy(bundle)
+    edit(obj["plan"])
+    return obj
+
+
+# a storage read past the end of stripe 0, through the schedule (q32) and,
+# without one, through the plan's reads (vi)
+STORAGE_99 = edited(Q32_BUNDLE, lambda plan: plan["schedule"][0]["storage"].append(99))
+READS_50 = edited(VI_BUNDLE, lambda plan: plan["reads"][0].append(50))
+
 MALFORMED = [
     ("construct", dict(VI_REQUEST, params=dict(VI_REQUEST["params"], s="2"))),
     ("construct", dict(VI_REQUEST, params=dict(VI_REQUEST["params"], n_init=9))),
     ("construct", dict(VI_REQUEST, field={"p": 23, "s": True})),
     ("construct", [VI_REQUEST]),
     ("verify", [VI_REQUEST]),
+    ("verify", edited(Q32_BUNDLE, lambda plan: plan.update(unchanged=5))),
+    ("simulate", STORAGE_99),
+    ("verify", STORAGE_99),
+    ("simulate", READS_50),
+    ("verify", READS_50),
+    ("convert", READS_50),
 ]
 
 
 @pytest.mark.parametrize("command, payload", MALFORMED,
                          ids=["str_int", "int_for_list", "bool_int", "list_request",
-                              "list_bundle"])
+                              "list_bundle", "int_for_plan_list", "storage_99_simulate",
+                              "storage_99_verify", "reads_50_simulate", "reads_50_verify",
+                              "reads_50_convert"])
 def test_cli_malformed_json_is_a_validation_error(tmp_path, capsys, command, payload):
     path = write_json(tmp_path / "input.json", payload)
     flag = "--request" if command == "construct" else "--bundle"
-    assert main([command, flag, path]) == 2
+    extra = ["--skip-distance"] if command == "verify" else []
+    assert main([command, flag, path, *extra]) == 2
     err = json.loads(capsys.readouterr().out)
     assert set(err) == {"error"}

@@ -78,8 +78,9 @@ def test_min_distance_repetition():
 
 def test_min_distance_strategies_agree_random():
     rng = random.Random(99)
-    for q in (5, 7):
-        F = field_create(q, 1)
+    for p, s in ((5, 1), (7, 1), (2, 3), (3, 2)):
+        F = field_create(p, s)
+        q = F.q
         done = 0
         while done < 30:
             n = rng.randrange(3, 9)
@@ -88,7 +89,9 @@ def test_min_distance_strategies_agree_random():
             if g.rank() < k:
                 continue
             code = LinearCode(F, generator=g)
-            assert min_distance(code, "enumerate") == min_distance(code, "parity_subsets")
+            d = min_distance(code, "enumerate")
+            assert min_distance(code, "parity_subsets") == d
+            assert distance_at_least(code, d) and not distance_at_least(code, d + 1)
             done += 1
 
 
@@ -210,6 +213,16 @@ def test_distance_at_least_budget():
     code = LinearCode(F, generator=gen)
     with pytest.raises(InfeasibleCheck):
         distance_at_least(code, 25, budget=1000)
+
+
+def test_distance_at_least_checks_only_the_widest_subsets():
+    # GRS [24, 2] over GF(25) has d = 23: C(24, 22) = 276 subsets fit the
+    # budget although C(24, 3) = 2024 do not, and 23 columns of 22-row
+    # parity are always dependent
+    F = field_create(5, 2)
+    code = grs_code(F, GrsSpec(locators=tuple(elems(F, *range(24))), k=2))
+    assert distance_at_least(code, 23, budget=1000)
+    assert not distance_at_least(code, 24, budget=1000)
 
 
 def test_labels_roundtrip_and_errors():

@@ -72,7 +72,7 @@ def test_mds_merge_q23_shapes_and_costs(cc_q23):
 
 
 def test_mds_merge_q23_verify(cc_q23):
-    report = verify_convertible(cc_q23, trials=20, check_components=False)
+    report = verify_convertible(cc_q23, check_components=False)
     assert report.ok and report.access_optimal
     assert (report.floors.min_read, report.floors.min_write) == (16, 4)
     assert (report.default_read, report.default_write) == (19, 4)
@@ -88,7 +88,7 @@ def test_mds_merge_t1_trivial():
     rep = cc.static_access()
     assert (rep.read_cost, rep.write_cost) == (4, 4)
     assert (cc.final.n, cc.final.k) == (8, 4)
-    report = verify_convertible(cc, trials=10, check_components=True)
+    report = verify_convertible(cc, check_components=True)
     assert report.ok and not report.bounds_applicable
 
 
@@ -96,7 +96,7 @@ def test_mds_merge_pole_free_route():
     # k + 1 = 5 orbits avoid infinity, so the plain route fits q = 23, l = 4
     cc = build_mds_merge(F23, group23(4), k=4, t=2, lprime=4)
     assert all(not lab.endswith("pinf") for lab in cc.final.labels)
-    report = verify_convertible(cc, trials=10, check_components=True)
+    report = verify_convertible(cc, check_components=True)
     assert report.ok and report.access_optimal
 
 
@@ -110,7 +110,7 @@ def test_mds_merge_affine_group_fixed_infinity():
     assert (cc.final.n, cc.final.k) == (8, 6)
     rep = cc.static_access()
     assert (rep.read_cost, rep.write_cost) == (4, 2)
-    report = verify_convertible(cc, trials=10, check_components=True)
+    report = verify_convertible(cc, check_components=True)
     assert report.ok and report.access_optimal
 
 
@@ -160,7 +160,7 @@ def test_lrc_merge_q32_shapes_and_costs(cc_q32):
 
 
 def test_lrc_merge_q32_verify(cc_q32):
-    report = verify_convertible(cc_q32, trials=20, check_components=False)
+    report = verify_convertible(cc_q32, check_components=False)
     assert report.ok and report.access_optimal
     assert (report.floors.min_read, report.floors.min_write) == (8, 6)
     assert (report.reference.min_read, report.reference.min_write) == (8, 6)
@@ -194,7 +194,7 @@ def test_lrc_merge_degenerate_single_coset():
     cc = build_lrc_merge(F32, sub, sub, k=2, t=1, lprime=1)
     rep = cc.static_access()
     assert rep.write_cost == 3  # one block of r + delta - 1
-    report = verify_convertible(cc, trials=5, check_components=False)
+    report = verify_convertible(cc, check_components=False)
     assert report.ok and not report.bounds_applicable
 
 
@@ -207,7 +207,7 @@ def test_lrc_merge_affine_translations():
     assert cc.provenance["degenerate_locality"]  # r = 1
     rep = cc.static_access()
     assert (rep.read_cost, rep.write_cost) == (4, 4)
-    report = verify_convertible(cc, trials=10, check_components=True)
+    report = verify_convertible(cc, check_components=True)
     assert report.ok and report.access_optimal
 
 
@@ -225,7 +225,7 @@ def test_lrc_merge_delta3_translation_pair():
     rep = cc.static_access()
     assert (rep.read_cost, rep.write_cost) == (8, 8)  # 2 of 4 read per block
     assert rep.per_symbol_read == 16
-    report = verify_convertible(cc, trials=10, check_components=False)
+    report = verify_convertible(cc, check_components=False)
     assert report.ok and report.access_optimal
     assert check_locality(cc.final, cc.final_cert)
     assert is_optimal_lrc(cc.initials[0], cc.initial_cert)  # [16,4] with d = 11
@@ -239,7 +239,7 @@ def test_lrc_merge_nested_cyclic_odd_characteristic():
     assert (cc.final.n, cc.final.k) == (18, 8)
     rep = cc.static_access()
     assert (rep.read_cost, rep.write_cost) == (8, 6)
-    report = verify_convertible(cc, trials=10, check_components=False)
+    report = verify_convertible(cc, check_components=False)
     assert report.ok and report.access_optimal
     assert is_optimal_lrc(cc.final, cc.final_cert)  # d = 8 again
 
@@ -273,7 +273,7 @@ def test_mds_to_lrc_vi_bounds(cc_vi):
     for i in range(4):
         assert len(cc_vi.plan.unchanged[i]) == unchanged_upper(p, i) == 4
         assert len(cc_vi.plan.reads[i]) == read_lower(p, i, 4) == 3
-    report = verify_convertible(cc_vi, trials=20, check_components=False)
+    report = verify_convertible(cc_vi, check_components=False)
     assert report.ok and report.access_optimal
     assert (report.floors.min_read, report.floors.min_write) == (12, 4)
 
@@ -302,14 +302,14 @@ def test_mds_to_lrc_larger_instance():
     w = list(cc.plan.written)
     assert len(w) == 6
     cc.final.parity.submatrix_cols(w).invert()
-    assert verify_convertible(cc, trials=10, check_components=False).ok
+    assert verify_convertible(cc, check_components=False).ok
 
 
 def test_mds_to_lrc_supplied_elements():
     # reversed locator assignment: still optimal, different plan
     cc = build_mds_to_lrc(F23, s=2, a=1, tprime=2, delta=2, k_init=4,
                           n_init=(9, 9, 9, 9), elements=list(range(19, 0, -1)))
-    assert verify_convertible(cc, trials=10, check_components=False).ok
+    assert verify_convertible(cc, check_components=False).ok
     with pytest.raises(ValueError):
         build_mds_to_lrc(F23, s=2, a=1, tprime=2, delta=2, k_init=4,
                          n_init=(9, 9, 9, 9), elements=[1, 1] + list(range(17)))
@@ -322,7 +322,7 @@ def test_mds_to_lrc_single_group():
     cc = build_mds_to_lrc(F23, s=2, a=1, tprime=1, delta=2, k_init=4,
                           n_init=(9, 9))
     assert cc.params.n_final == 10 and cc.params.k_final == 8
-    assert verify_convertible(cc, trials=10, check_components=True).ok
+    assert verify_convertible(cc, check_components=True).ok
 
 
 def test_mds_to_lrc_validation_errors():
@@ -347,7 +347,7 @@ def test_mds_merge_smallest_full_length_fields():
         cc = build_mds_merge(F, group, k=k, t=2, lprime=2, evaluate_at_pole=True)
         assert cc.final.n == min(2 * k + 2, q + 1)
         assert is_mds(cc.final) and all(is_mds(c) for c in cc.initials)
-        report = verify_convertible(cc, trials=10, check_components=False)
+        report = verify_convertible(cc, check_components=False)
         assert report.ok and report.access_optimal
 
 
@@ -416,8 +416,36 @@ def test_execute_detects_corrupt_plan(cc_vi):
 
 def test_verify_reports_membership_apart_from_bijectivity(cc_vi):
     # a wrong coefficient keeps the map injective but leaves the final code
-    report = verify_convertible(corrupt_first_term(cc_vi), trials=5, check_components=False)
+    report = verify_convertible(corrupt_first_term(cc_vi), check_components=False)
     assert report.bijective and not report.membership_ok and not report.ok
+
+
+def test_verify_checks_unchanged_columns_exactly(cc_vi):
+    # two unchanged symbols of stripe 0 swapped in the compiled map: the
+    # verdict comes from the applied generator rows, not from trial runs
+    bad = with_plan(cc_vi)
+    (a, da), (b, db), *rest = bad.compiled.unchanged[0]
+    swapped = ((a, db), (b, da), *rest)
+    bad.compiled = dataclasses.replace(
+        bad.compiled, unchanged=(swapped,) + bad.compiled.unchanged[1:]
+    )
+    report = verify_convertible(bad, check_components=False)
+    assert not report.unchanged_ok and not report.ok
+
+
+def test_verify_executes_once_when_membership_holds(cc_vi, monkeypatch):
+    calls = []
+    real = convert.execute
+
+    def counted(cc, words):
+        calls.append(words)
+        return real(cc, words)
+
+    monkeypatch.setattr(convert, "execute", counted)
+    assert verify_convertible(cc_vi, check_components=False).ok
+    assert len(calls) == 1
+    verify_convertible(corrupt_first_term(cc_vi), check_components=False)
+    assert len(calls) == 1
 
 
 def test_compiled_plan_folds_the_schedule(cc_q32):

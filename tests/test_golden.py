@@ -53,5 +53,5 @@ def test_bundle_matches_golden_and_converts(name, tmp_path, capsys):
             for src, dst in pairs:
                 assert final_word[dst] == words[i][src]
 
-    report = verify_convertible(cc, trials=5, check_components=False)
+    report = verify_convertible(cc, check_components=False)
     assert report.ok and report.access_optimal
