@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .codes import LinearCode, LocalityCertificate
 from .matrix import rank_of_rows
+from .schema import as_int, as_ints, as_object
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -77,14 +78,11 @@ class MergeParams:
 
     @classmethod
     def from_obj(cls, obj: dict) -> MergeParams:
+        as_object(obj, "params")
         return cls(
-            tuple(obj["k_initial"]),
-            tuple(obj["n_initial"]),
-            obj["n_final"],
-            obj["k_final"],
-            obj["d_final"],
-            obj["r"],
-            obj["delta"],
+            as_ints(obj["k_initial"], "k_initial"),
+            as_ints(obj["n_initial"], "n_initial"),
+            *(as_int(obj[key], key) for key in ("n_final", "k_final", "d_final", "r", "delta")),
         )
 
 

@@ -17,7 +17,7 @@ import sys
 from typing import Optional, Sequence
 
 from .bounds import MergeParams, total_lower
-from .codes import InfeasibleCheck, min_distance
+from .codes import InfeasibleCheck
 from .convert import (
     ConvertibleCode,
     build_lrc_merge,
@@ -28,6 +28,7 @@ from .convert import (
 )
 from .field import FieldCtx
 from .pgl import build_group, cyclic_subgroup_of_order, split_structure, fixed_field_generator
+from .schema import as_int, as_ints, as_object
 from .sim import ClusterLayout, layout_one_per_symbol, layout_single_node, simulate
 
 EXIT_OK = 0
@@ -55,23 +56,15 @@ def _read_json(path: str) -> dict:
     return obj
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _require_ints(obj, what: str) -> dict:
     """Reject a request section whose integer or list-of-integer values are malformed."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    for key, value in obj.items():
+    for key, value in as_object(obj, what).items():
         if value is None and key in _OPTIONAL_KEYS:
             continue
-        if key in _INT_KEYS and not _is_int(value):
-            raise ValueError(f"{what}.{key} must be an integer, got {value!r}")
-        if key in _LIST_KEYS and not (
-            isinstance(value, list) and all(_is_int(v) for v in value)
-        ):
-            raise ValueError(f"{what}.{key} must be a list of integers, got {value!r}")
+        if key in _INT_KEYS:
+            as_int(value, f"{what}.{key}")
+        if key in _LIST_KEYS:
+            as_ints(value, f"{what}.{key}")
     return obj
 
 
@@ -254,7 +247,8 @@ def _cmd_demo_q23(args) -> int:
     ):
         if got != want:
             diffs.append(f"{name}: got {got}, want {want}")
-    d_final = min_distance(cc.final, "parity_subsets")
+    # components_ok includes is_mds(cc.final), so the distance is n - k + 1
+    d_final = cc.final.n - cc.final.k + 1
     if d_final != 5:
         diffs.append(f"final distance: got {d_final}, want 5")
 

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .field import FieldCtx, FieldElem
 from .matrix import MatQ, rank_of_rows
+from .schema import as_int, as_ints, as_list, as_object, within
 
 ENUM_BUDGET = 10 ** 7
 SUBSET_BUDGET = 5 * 10 ** 6
@@ -51,7 +52,12 @@ class LocalityCertificate:
 
     @classmethod
     def from_obj(cls, obj: dict) -> LocalityCertificate:
-        return cls(obj["r"], obj["delta"], tuple(tuple(g) for g in obj["groups"]))
+        as_object(obj, "certificate")
+        return cls(
+            as_int(obj["r"], "r"),
+            as_int(obj["delta"], "delta"),
+            tuple(as_ints(g, "groups") for g in as_list(obj["groups"], "groups")),
+        )
 
 
 class LinearCode:
@@ -152,9 +158,15 @@ class LinearCode:
 
     @classmethod
     def from_obj(cls, field: FieldCtx, obj: dict) -> LinearCode:
-        gen = MatQ.from_obj(field, obj["generator"]) if "generator" in obj else None
-        par = MatQ.from_obj(field, obj["parity"]) if "parity" in obj else None
-        return cls(field, generator=gen, parity=par, labels=obj.get("labels"))
+        as_object(obj, "code")
+        gen, par = (
+            within(key, MatQ.from_obj, field, obj[key]) if key in obj else None
+            for key in ("generator", "parity")
+        )
+        labels = obj.get("labels")
+        if labels is not None and not all(isinstance(x, str) for x in as_list(labels, "labels")):
+            raise ValueError(f"labels must be strings, got {labels!r}")
+        return cls(field, generator=gen, parity=par, labels=labels)
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}] over GF({self.field.q}))"
@@ -170,6 +182,14 @@ def distance_at_least(code: LinearCode, d: int, budget: int = SUBSET_BUDGET) -> 
     are dependent, and then so is every (d-1)-column set containing them;
     so it checks that every (d-1)-column subset has full column rank.
     Raises InfeasibleCheck when d-1 <= n-k and C(n, d-1) exceeds budget.
+
+    The subsets are walked depth first in lexicographic order.  Each
+    chosen column is eliminated once from the residues of the later
+    columns, modulo the span of the chosen prefix, so subsets sharing a
+    prefix share its elimination; a zero residue refutes every subset
+    through that prefix at once.  Each subset is settled by one
+    rank_of_rows call on the residue of its last column, so the budget
+    still counts rank checks.
     """
     if d <= 1:
         return True
@@ -181,11 +201,31 @@ def distance_at_least(code: LinearCode, d: int, budget: int = SUBSET_BUDGET) -> 
         raise InfeasibleCheck(
             f"C({code.n},{w}) = {comb(code.n, w)} rank checks exceed budget {budget}"
         )
-    cols = [[h.data[i][j] for i in range(h.rows)] for j in range(code.n)]
-    return all(
-        rank_of_rows(code.field, [cols[j] for j in combo]) == w
-        for combo in itertools.combinations(range(code.n), w)
-    )
+    f = code.field
+    n = code.n
+
+    def walk(residues: list[list[int]], start: int, left: int) -> bool:
+        # residues[i] is column start + i modulo the span of the chosen prefix
+        if left == 1:
+            return all(rank_of_rows(f, [r]) == 1 for r in residues)
+        for i in range(n - left + 1 - start):
+            chosen = residues[i]
+            p = next((row for row, e in enumerate(chosen) if e), None)
+            if p is None:
+                return False
+            inv = f.inv_enc(chosen[p])
+            later = []
+            for r in residues[i + 1:]:
+                if r[p]:
+                    factor = f.mul_enc(r[p], inv)
+                    r = [f.sub_enc(e, f.mul_enc(factor, c)) if c else e
+                         for e, c in zip(r, chosen)]
+                later.append(r)
+            if not walk(later, start + i + 1, left - 1):
+                return False
+        return True
+
+    return walk([[h.data[i][j] for i in range(h.rows)] for j in range(n)], 0, w)
 
 
 def min_distance(code: LinearCode, strategy: str = "parity_subsets") -> int:

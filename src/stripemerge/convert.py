@@ -45,28 +45,13 @@ from .pgl import (
     split_structure,
 )
 from .poly import Poly, poly_from_roots
-
-
-def _list(value, what: str, size: Optional[int] = None) -> list:
-    """A bundle field that must be a JSON list, of `size` items if given."""
-    if not isinstance(value, list) or size is not None and len(value) != size:
-        shape = f"a list of {size} items" if size is not None else "a list"
-        raise ValueError(f"{what} must be {shape}, got {value!r}")
-    return value
-
-
-def _ints(value, what: str, size: Optional[int] = None) -> tuple[int, ...]:
-    """A bundle field that must be a JSON list of integers."""
-    items = _list(value, what, size)
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in items):
-        raise ValueError(f"{what} must hold integers, got {value!r}")
-    return tuple(items)
+from .schema import as_int, as_ints, as_list, as_object, within
 
 
 def _keyed(value, what: str, size: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """A [coordinate, [[int x size], ...]] entry of terms or recon."""
-    key, items = _list(value, what, 2)
-    return _ints([key], what)[0], tuple(_ints(x, what, size) for x in _list(items, what))
+    key, items = as_list(value, what, 2)
+    return as_int(key, what), tuple(as_ints(x, what, size) for x in as_list(items, what))
 
 
 @dataclass(frozen=True)
@@ -85,13 +70,12 @@ class StripeSchedule:
 
     @classmethod
     def from_obj(cls, obj: dict) -> StripeSchedule:
-        if not isinstance(obj, dict):
-            raise ValueError(f"plan.schedule entries must be objects, got {obj!r}")
+        as_object(obj, "plan.schedule entry")
         return cls(
-            _ints(obj["storage"], "plan.schedule.storage"),
+            as_ints(obj["storage"], "plan.schedule.storage"),
             tuple(
                 _keyed(r, "plan.schedule.recon", 2)
-                for r in _list(obj["recon"], "plan.schedule.recon")
+                for r in as_list(obj["recon"], "plan.schedule.recon")
             ),
         )
 
@@ -156,17 +140,16 @@ class ConversionPlan:
 
     @classmethod
     def from_obj(cls, obj: dict) -> ConversionPlan:
-        if not isinstance(obj, dict):
-            raise ValueError(f"plan must be an object, got {obj!r}")
+        as_object(obj, "plan")
         return cls(
             tuple(
-                tuple(_ints(p, "plan.unchanged", 2) for p in _list(pairs, "plan.unchanged"))
-                for pairs in _list(obj["unchanged"], "plan.unchanged")
+                tuple(as_ints(p, "plan.unchanged", 2) for p in as_list(pairs, "plan.unchanged"))
+                for pairs in as_list(obj["unchanged"], "plan.unchanged")
             ),
-            tuple(_ints(r, "plan.reads") for r in _list(obj["reads"], "plan.reads")),
-            _ints(obj["written"], "plan.written"),
-            tuple(_keyed(t, "plan.terms", 3) for t in _list(obj["terms"], "plan.terms")),
-            tuple(StripeSchedule.from_obj(s) for s in _list(obj["schedule"], "plan.schedule"))
+            tuple(as_ints(r, "plan.reads") for r in as_list(obj["reads"], "plan.reads")),
+            as_ints(obj["written"], "plan.written"),
+            tuple(_keyed(t, "plan.terms", 3) for t in as_list(obj["terms"], "plan.terms")),
+            tuple(StripeSchedule.from_obj(s) for s in as_list(obj["schedule"], "plan.schedule"))
             if obj.get("schedule")
             else None,
         )
@@ -320,18 +303,21 @@ class ConvertibleCode:
 
     @classmethod
     def from_obj(cls, obj: dict) -> ConvertibleCode:
-        field = FieldCtx.from_obj(obj["field"])
+        field = within("field", FieldCtx.from_obj, obj["field"])
         return cls(
             field=field,
             kind=obj["kind"],
-            initials=tuple(LinearCode.from_obj(field, c) for c in obj["initials"]),
-            final=LinearCode.from_obj(field, obj["final"]),
+            initials=tuple(
+                within(f"initials[{i}]", LinearCode.from_obj, field, c)
+                for i, c in enumerate(as_list(obj["initials"], "initials"))
+            ),
+            final=within("final", LinearCode.from_obj, field, obj["final"]),
             plan=ConversionPlan.from_obj(obj["plan"]),
-            params=MergeParams.from_obj(obj["params"]),
-            initial_cert=LocalityCertificate.from_obj(obj["initial_cert"])
+            params=within("params", MergeParams.from_obj, obj["params"]),
+            initial_cert=within("initial_cert", LocalityCertificate.from_obj, obj["initial_cert"])
             if obj.get("initial_cert")
             else None,
-            final_cert=LocalityCertificate.from_obj(obj["final_cert"])
+            final_cert=within("final_cert", LocalityCertificate.from_obj, obj["final_cert"])
             if obj.get("final_cert")
             else None,
             provenance=obj.get("provenance", {}),

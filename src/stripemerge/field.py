@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
+from .schema import as_int, as_ints, as_object
+
 MAX_Q = 1 << 16
 
 
@@ -269,7 +271,12 @@ class FieldCtx:
 
     @classmethod
     def from_obj(cls, obj: dict) -> FieldCtx:
-        return cls(obj["p"], obj["s"], obj.get("modulus") if obj["s"] > 1 else None)
+        as_object(obj, "field")
+        s = as_int(obj["s"], "s")
+        modulus = obj.get("modulus") if s > 1 else None
+        if modulus is not None:
+            modulus = as_ints(modulus, "modulus")
+        return cls(as_int(obj["p"], "p"), s, modulus)
 
 
 class FieldElem:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .field import FieldCtx, FieldElem
+from .schema import as_ints, as_list
 
 
 class MatQ:
@@ -155,8 +156,8 @@ class MatQ:
         return [list(row) for row in self.data]
 
     @classmethod
-    def from_obj(cls, field: FieldCtx, obj: Sequence[Sequence[int]]) -> MatQ:
-        return cls(field, obj)
+    def from_obj(cls, field: FieldCtx, obj: list[list[int]]) -> MatQ:
+        return cls(field, [as_ints(row, "matrix rows") for row in as_list(obj, "matrix")])
 
     def __repr__(self) -> str:
         return f"MatQ({self.rows}x{self.cols} over GF({self.field.q}))"
@@ -167,20 +168,24 @@ def rank_of_rows(field: FieldCtx, rows: Sequence[Sequence[int]]) -> int:
     m = [list(r) for r in rows]
     if not m:
         return 0
-    ncols = len(m[0])
+    nrows, ncols = len(m), len(m[0])
     rank = 0
     for col in range(ncols):
-        sel = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if sel is None:
-            continue
+        for sel in range(rank, nrows):
+            if m[sel][col]:
+                break
+        else:
+            continue  # no pivot in this column
         m[rank], m[sel] = m[sel], m[rank]
+        if rank + 1 == nrows:
+            return rank + 1  # no row below the last pivot left to eliminate
         inv = field.inv_enc(m[rank][col])
         src = m[rank]
         if inv != 1:
             for j in range(col, ncols):
                 if src[j]:
                     src[j] = field.mul_enc(inv, src[j])
-        for r in range(rank + 1, len(m)):
+        for r in range(rank + 1, nrows):
             factor = m[r][col]
             if factor:
                 dst = m[r]
@@ -188,8 +193,6 @@ def rank_of_rows(field: FieldCtx, rows: Sequence[Sequence[int]]) -> int:
                     if src[j]:
                         dst[j] = field.sub_enc(dst[j], field.mul_enc(factor, src[j]))
         rank += 1
-        if rank == len(m):
-            break
     return rank
 
 

@@ -220,14 +220,23 @@ Q32_BUNDLE, VI_BUNDLE = _bundles()
 
 def edited(bundle, edit):
     obj = copy.deepcopy(bundle)
-    edit(obj["plan"])
+    edit(obj)
     return obj
+
+
+def q32_with(path, value):
+    """The q=32 bundle with the field at `path` (keys and indices) set to value."""
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return edited(Q32_BUNDLE, edit)
 
 
 # a storage read past the end of stripe 0, through the schedule (q32) and,
 # without one, through the plan's reads (vi)
-STORAGE_99 = edited(Q32_BUNDLE, lambda plan: plan["schedule"][0]["storage"].append(99))
-READS_50 = edited(VI_BUNDLE, lambda plan: plan["reads"][0].append(50))
+STORAGE_99 = edited(Q32_BUNDLE, lambda b: b["plan"]["schedule"][0]["storage"].append(99))
+READS_50 = edited(VI_BUNDLE, lambda b: b["plan"]["reads"][0].append(50))
 
 MALFORMED = [
     ("construct", dict(VI_REQUEST, params=dict(VI_REQUEST["params"], s="2"))),
@@ -235,12 +244,22 @@ MALFORMED = [
     ("construct", dict(VI_REQUEST, field={"p": 23, "s": True})),
     ("construct", [VI_REQUEST]),
     ("verify", [VI_REQUEST]),
-    ("verify", edited(Q32_BUNDLE, lambda plan: plan.update(unchanged=5))),
+    ("verify", edited(Q32_BUNDLE, lambda b: b["plan"].update(unchanged=5))),
     ("simulate", STORAGE_99),
     ("verify", STORAGE_99),
     ("simulate", READS_50),
     ("verify", READS_50),
     ("convert", READS_50),
+    ("verify", q32_with(["initials"], 5)),
+    ("verify", q32_with(["initials", 0, "generator"], 5)),
+    ("verify", q32_with(["initials", 0, "labels"], 5)),
+    ("verify", q32_with(["params", "k_initial"], 5)),
+    ("verify", q32_with(["final_cert", "groups"], 5)),
+    ("verify", q32_with(["final_cert", "r"], "2")),
+    ("verify", q32_with(["field", "p"], "2")),
+    # read as 1 by int() before, so verify judged a code not in the file
+    ("verify", q32_with(["initials", 0, "generator", 0, 0], 1.9)),
+    ("verify", q32_with(["initials", 0, "generator", 0, 0], True)),
 ]
 
 
@@ -248,7 +267,10 @@ MALFORMED = [
                          ids=["str_int", "int_for_list", "bool_int", "list_request",
                               "list_bundle", "int_for_plan_list", "storage_99_simulate",
                               "storage_99_verify", "reads_50_simulate", "reads_50_verify",
-                              "reads_50_convert"])
+                              "reads_50_convert", "int_for_initials", "int_for_generator",
+                              "int_for_labels", "int_for_k_initial", "int_for_cert_groups",
+                              "str_for_cert_r", "str_for_field_p", "float_entry",
+                              "bool_entry"])
 def test_cli_malformed_json_is_a_validation_error(tmp_path, capsys, command, payload):
     path = write_json(tmp_path / "input.json", payload)
     flag = "--request" if command == "construct" else "--bundle"

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from stripemerge import codes
 from stripemerge.codes import (
     InfeasibleCheck,
     LinearCode,
@@ -16,7 +17,7 @@ from stripemerge.codes import (
 )
 from stripemerge.field import field_create
 from stripemerge.grs import GrsSpec, grs_code
-from stripemerge.matrix import MatQ, vandermonde
+from stripemerge.matrix import MatQ, rank_of_rows, vandermonde
 
 
 def elems(F, *encs):
@@ -78,20 +79,30 @@ def test_min_distance_repetition():
 
 def test_min_distance_strategies_agree_random():
     rng = random.Random(99)
-    for p, s in ((5, 1), (7, 1), (2, 3), (3, 2)):
+    # GF(32) and GF(49) keep k <= 2 so that enumeration stays cheap; with n
+    # up to 10 their walks go 3 or more columns deep
+    for p, s, k_max, n_max in ((5, 1, 3, 8), (7, 1, 3, 8), (2, 3, 3, 8), (3, 2, 3, 8),
+                               (2, 5, 2, 10), (7, 2, 2, 10)):
         F = field_create(p, s)
         q = F.q
         done = 0
         while done < 30:
-            n = rng.randrange(3, 9)
-            k = rng.randrange(1, min(4, n))
-            g = MatQ(F, [[rng.randrange(q) for _ in range(n)] for _ in range(k)])
+            n = rng.randrange(3, n_max + 1)
+            k = rng.randrange(1, min(k_max + 1, n))
+            # half the codes are sparse, so low-weight words and dependent
+            # column prefixes are common
+            zeros = rng.choice((0.0, 0.5))
+            g = MatQ(F, [[0 if rng.random() < zeros else rng.randrange(q) for _ in range(n)]
+                         for _ in range(k)])
             if g.rank() < k:
                 continue
             code = LinearCode(F, generator=g)
             d = min_distance(code, "enumerate")
             assert min_distance(code, "parity_subsets") == d
             assert distance_at_least(code, d) and not distance_at_least(code, d + 1)
+            # from d + 2 on, a dependent set can end before the subset's last
+            # column, so the walk refutes it at an inner level
+            assert not any(distance_at_least(code, e) for e in range(d + 2, n - k + 3))
             done += 1
 
 
@@ -223,6 +234,24 @@ def test_distance_at_least_checks_only_the_widest_subsets():
     code = grs_code(F, GrsSpec(locators=tuple(elems(F, *range(24))), k=2))
     assert distance_at_least(code, 23, budget=1000)
     assert not distance_at_least(code, 24, budget=1000)
+
+
+def test_distance_at_least_spends_one_row_per_subset(monkeypatch):
+    # GRS [12, 4] over GF(13) is MDS, so d = 9 needs every 8-column subset
+    # of the 8-row parity matrix: one rank check each, on the residue of
+    # the subset's last column alone (8 cells), not on all 8 columns
+    F = field_create(13, 1)
+    code = grs_code(F, GrsSpec(locators=tuple(elems(F, *range(12))), k=4))
+    calls = []
+
+    def counting(field, rows):
+        calls.append(len(rows) * len(rows[0]))
+        return rank_of_rows(field, rows)
+
+    monkeypatch.setattr(codes, "rank_of_rows", counting)
+    assert distance_at_least(code, 9)
+    assert len(calls) == 495
+    assert sum(calls) == 495 * 8
 
 
 def test_labels_roundtrip_and_errors():
