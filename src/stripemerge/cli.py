@@ -28,7 +28,7 @@ from .convert import (
 )
 from .field import FieldCtx
 from .pgl import build_group, cyclic_subgroup_of_order, split_structure, fixed_field_generator
-from .schema import as_int, as_ints, as_object
+from .schema import as_int, as_ints, as_list, as_object
 from .sim import ClusterLayout, layout_one_per_symbol, layout_single_node, simulate
 
 EXIT_OK = 0
@@ -133,12 +133,13 @@ def _load_words(cc: ConvertibleCode, obj: dict, rng: random.Random):
     field = cc.field
     if "codewords" in obj:
         words = [
-            tuple(field.element(e) for e in w) for w in obj["codewords"]
+            tuple(field.element(e) for e in as_ints(w, "codewords entry"))
+            for w in as_list(obj["codewords"], "codewords")
         ]
     elif "messages" in obj:
         words = []
-        for code, msg in zip(cc.initials, obj["messages"]):
-            words.append(code.encode([field.element(e) for e in msg]))
+        for code, msg in zip(cc.initials, as_list(obj["messages"], "messages")):
+            words.append(code.encode([field.element(e) for e in as_ints(msg, "messages entry")]))
     elif obj.get("random"):
         words = []
         for code in cc.initials:

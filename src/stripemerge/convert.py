@@ -40,7 +40,6 @@ from .pgl import (
     Mobius,
     ProjPoint,
     RationalFunction,
-    apply_to_function,
     fixed_field_generator,
     split_structure,
 )
@@ -149,9 +148,9 @@ class ConversionPlan:
             tuple(as_ints(r, "plan.reads") for r in as_list(obj["reads"], "plan.reads")),
             as_ints(obj["written"], "plan.written"),
             tuple(_keyed(t, "plan.terms", 3) for t in as_list(obj["terms"], "plan.terms")),
-            tuple(StripeSchedule.from_obj(s) for s in as_list(obj["schedule"], "plan.schedule"))
-            if obj.get("schedule")
-            else None,
+            None if obj.get("schedule") is None else tuple(
+                StripeSchedule.from_obj(s) for s in as_list(obj["schedule"], "plan.schedule")
+            ),
         )
 
 
@@ -258,6 +257,9 @@ class AccessReport:
         }
 
 
+KINDS = ("mds_merge", "lrc_merge", "mds_to_lrc")
+
+
 @dataclass
 class ConvertibleCode:
     field: FieldCtx
@@ -272,6 +274,8 @@ class ConvertibleCode:
     compiled: CompiledPlan = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {', '.join(KINDS)}, got {self.kind!r}")
         if sum(c.k for c in self.initials) != self.final.k:
             raise ValueError("initial dimensions must sum to the final dimension")
         self.plan.validate(self.initials, self.final)
@@ -327,31 +331,13 @@ class ConvertibleCode:
 # -- shared evaluation helpers ------------------------------------------------
 
 
-def _eval_monomial(field: FieldCtx, power: int, pt: ProjPoint, budget: int) -> int:
-    """x^power at a place, with uniformizer lift 1/x^budget at infinity."""
-    if pt.is_infinity:
-        return 1 if power == budget else 0
-    return field.pow_enc(pt.finite.enc, power)
-
-
 def _term_coefficient(field: FieldCtx, wvals: Sequence[int], rvals: Sequence[int]) -> int:
-    """The unique c with wvals = c * rvals across a basis; 0 if identically so."""
-    coeff = None
+    """c with wvals = c * rvals across a basis, read at the first nonzero
+    read value; _merge_by_evaluation checks it on every basis function."""
     for wv, rv in zip(wvals, rvals):
         if rv:
-            cand = field.mul_enc(wv, field.inv_enc(rv))
-            if coeff is None:
-                coeff = cand
-            elif coeff != cand:
-                raise AssertionError("written symbol is not a scalar multiple of its read")
-        elif wv:
-            raise AssertionError("written symbol depends on an unread coordinate")
-    if coeff is None:
-        raise AssertionError("all basis read values vanish")
-    for wv, rv in zip(wvals, rvals):
-        if wv != field.mul_enc(coeff, rv):
-            raise AssertionError("linearity probe failed")
-    return coeff
+            return field.mul_enc(wv, field.inv_enc(rv))
+    raise AssertionError("all basis read values vanish")
 
 
 def _merge_by_evaluation(
@@ -375,9 +361,11 @@ def _merge_by_evaluation(
     infinity.  A term divided by its own stripe's factor must give back
     the stored symbols on its kept places and must vanish on every other
     stripe's.  Written place P reads stripe j at read_base[j] plus the
-    index of moves[j]^-1(P) in `written`, with the coefficient probed
-    across the basis.  The final generator is the compiled plan applied
-    to the initial generator rows; it must equal the direct evaluation.
+    index of moves[j]^-1(P) in `written`, with the coefficient read off
+    the first basis function whose read value is nonzero.  The final
+    generator is the compiled plan applied to the initial generator rows;
+    it must equal the direct evaluation, which checks every coefficient
+    on every basis function.
     """
     units = [f.eval_at(p, 0).inverse() for f, places in zip(factors, kept) for p in places]
     kept_places = [p for places in kept for p in places]
@@ -386,7 +374,7 @@ def _merge_by_evaluation(
     for move, factor, basis in zip(moves, factors, bases):
         rows = []
         for f in basis:
-            term = factor * apply_to_function(move, f)
+            term = factor * f.substitute(move)
             rows.append(
                 [(u * term.eval_at(p, 0)).enc for u, p in zip(units, kept_places)]
                 + [term.eval_at(p, b).enc for p, b in zip(written, budgets)]
@@ -493,7 +481,6 @@ def build_mds_merge(
         [a_orbits[row][j] for row in range(k - dims[j], k)] for j in range(t)
     ]
 
-    x = Poly.x(field)
     one = Poly.one(field)
     factors: list[RationalFunction] = []
     for j in range(t):
@@ -503,16 +490,19 @@ def build_mds_merge(
         g = one if img.is_infinity else Poly(field, (field.neg_enc(img.finite.enc), 1))
         factors.append(RationalFunction.from_poly(h * g ** (dims[j] - 1)))
 
-    # initial codes: stripe j evaluates x^a on its A-row places, B, B'
+    # initial codes: stripe j evaluates x^a, a < dims[j], on its A-row
+    # places, B and B', lifted by 1/x^(dims[j] - 1) at infinity
+    x = RationalFunction.x(field)
+    monomials = [x ** row for row in range(k)]
+    bases = [monomials[:d] for d in dims]
     init_codes: list[LinearCode] = []
     for j in range(t):
         pts = a1_places[j] + b_places + bprime
-        budget = dims[j] - 1
         gen = MatQ(
             field,
             [
-                [_eval_monomial(field, row, pt, budget) for pt in pts]
-                for row in range(dims[j])
+                [f.eval_at(pt, dims[j] - 1 if pt.is_infinity else 0).enc for pt in pts]
+                for f in bases[j]
             ],
         )
         labels = [f"s{j + 1}:p{pt.label()}" for pt in pts]
@@ -529,7 +519,7 @@ def build_mds_merge(
         init_codes,
         moves=sigmas[:t],
         factors=factors,
-        bases=[[RationalFunction.from_poly(x ** row) for row in range(d)] for d in dims],
+        bases=bases,
         kept=a_eff,
         written=b_places,
         read_base=dims,
@@ -1076,7 +1066,7 @@ def verify_convertible(cc: ConvertibleCode, check_components: bool = True) -> Ve
                 components_ok = all(
                     is_optimal_lrc(c, cc.initial_cert) for c in cc.initials
                 ) and is_optimal_lrc(cc.final, cc.final_cert)
-            elif cc.kind == "mds_to_lrc":
+            else:  # mds_to_lrc, the last of KINDS
                 components_ok = all(is_mds(c) for c in cc.initials) and is_optimal_lrc(
                     cc.final, cc.final_cert
                 )

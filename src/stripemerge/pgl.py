@@ -60,10 +60,6 @@ class ProjPoint:
     def to_obj(self):
         return "inf" if self.finite is None else self.finite.enc
 
-    @classmethod
-    def from_obj(cls, field: FieldCtx, obj) -> ProjPoint:
-        return cls(None) if obj == "inf" else cls(field.element(int(obj)))
-
     def __repr__(self) -> str:
         return f"P({self.label()})"
 
@@ -90,10 +86,6 @@ class Mobius:
                 break
         self.field = field
         self.m = (a, b, c, d)
-
-    @classmethod
-    def from_elems(cls, a: FieldElem, b: FieldElem, c: FieldElem, d: FieldElem) -> Mobius:
-        return cls(a.field, a.enc, b.enc, c.enc, d.enc)
 
     @classmethod
     def identity(cls, field: FieldCtx) -> Mobius:
@@ -230,9 +222,6 @@ class GroupTable:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, m: Mobius) -> bool:
-        return any(e == m for e in self.elements)
-
     def is_subgroup(self, sub: GroupTable) -> bool:
         mine = {e.m for e in self.elements}
         return all(e.m in mine for e in sub.elements)
@@ -344,9 +333,9 @@ class RationalFunction:
     def substitute(self, m: Mobius) -> RationalFunction:
         """x |-> (a x + b)/(c x + d); clears denominators to reduced form."""
         f = self.field
-        a, b, c, d = (f.element(e) for e in m.m)
-        lin_num = Poly.from_elems(f, (b, a))
-        lin_den = Poly.from_elems(f, (d, c))
+        a, b, c, d = m.m
+        lin_num = Poly(f, (b, a))
+        lin_den = Poly(f, (d, c))
         deg = max(self.num.degree, self.den.degree, 0)
         pow_num = [Poly.one(f)]
         pow_den = [Poly.one(f)]
@@ -356,10 +345,9 @@ class RationalFunction:
 
         def push(p: Poly) -> Poly:
             out = Poly.zero(f)
-            for i in range(p.degree + 1):
-                ci = p.coeff(i)
-                if ci.enc:
-                    out = out + (pow_num[i] * pow_den[deg - i]).scale(ci)
+            for i, ci in enumerate(p.coeffs):
+                if ci:
+                    out = out + (pow_num[i] * pow_den[deg - i]).scale(f.element(ci))
             return out
 
         return RationalFunction(push(self.num), push(self.den))
@@ -369,7 +357,7 @@ class RationalFunction:
             raise ValueError("valuation of the zero function")
         if pt.is_infinity:
             return self.den.degree - self.num.degree
-        return self.num.root_multiplicity(pt.finite) - self.den.root_multiplicity(pt.finite)
+        return self.num.split_root(pt.finite)[0] - self.den.split_root(pt.finite)[0]
 
     def eval_at(self, pt: ProjPoint, pole_budget: int = 0) -> FieldElem:
         """(pi^m f)(P) with pi = x - beta at finite beta and 1/x at infinity."""
@@ -388,8 +376,8 @@ class RationalFunction:
                 return f.zero
             return self.num.leading() / self.den.leading()
         beta = pt.finite
-        mn = self.num.root_multiplicity(beta)
-        md = self.den.root_multiplicity(beta)
+        mn, nval = self.num.split_root(beta)
+        md, dval = self.den.split_root(beta)
         net = mn + pole_budget - md
         if net < 0:
             raise ValueError(
@@ -397,13 +385,7 @@ class RationalFunction:
             )
         if net > 0:
             return f.zero
-        lin = Poly(f, (f.neg_enc(beta.enc), 1))
-        nhat, dhat = self.num, self.den
-        for _ in range(mn):
-            nhat = nhat // lin
-        for _ in range(md):
-            dhat = dhat // lin
-        return nhat.eval(beta) / dhat.eval(beta)
+        return nval / dval
 
     def divisor_support(self) -> tuple[dict[ProjPoint, int], int]:
         """Valuations at every rational place, plus the degree residual
@@ -413,7 +395,7 @@ class RationalFunction:
         support: dict[ProjPoint, int] = {}
         total = 0
         for e in self.field.elements():
-            v = self.num.root_multiplicity(e) - self.den.root_multiplicity(e)
+            v = self.num.split_root(e)[0] - self.den.split_root(e)[0]
             if v:
                 support[ProjPoint.of(e)] = v
                 total += v
@@ -428,11 +410,6 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({list(self.num.coeffs)}/{list(self.den.coeffs)})"
-
-
-def apply_to_function(sigma: Mobius, f: RationalFunction) -> RationalFunction:
-    """The automorphism applied to a function: substitute x |-> sigma(x)."""
-    return f.substitute(sigma)
 
 
 # -- subgroup families -------------------------------------------------------
@@ -625,7 +602,7 @@ def fixed_field_generator(group: GroupTable) -> RationalFunction:
     """
     field = group.field
     x = RationalFunction.x(field)
-    images = [apply_to_function(g, x) for g in group.elements]
+    images = [x.substitute(g) for g in group.elements]
     candidates = []
     for power in (1, 2, 3):
         acc = RationalFunction.constant(field.zero)
@@ -639,7 +616,7 @@ def fixed_field_generator(group: GroupTable) -> RationalFunction:
     for z in candidates:
         if not z.is_zero() and z.degree == group.order:
             for g in group.elements:
-                if apply_to_function(g, z) != z:
+                if z.substitute(g) != z:
                     raise AssertionError("candidate generator is not invariant")
             return z
     raise AssertionError("no fixed-field generator found among candidates")

@@ -3,7 +3,9 @@
 Coefficients are stored constant-first as integer encodings with no
 trailing zeros; the zero polynomial has an empty coefficient tuple and
 degree -1.  This is shared plumbing for the evaluation-code and
-function-field modules; nothing here is performance critical.
+function-field modules.  Evaluating rational functions at places
+(split_root, through RationalFunction.eval_at) is on the builders' hot
+path: the MDS and LRC merges evaluate every basis term at every place.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ class Poly:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def from_elems(cls, field: FieldCtx, elems: Iterable[FieldElem]) -> Poly:
-        return cls(field, [e.enc for e in elems])
 
     @classmethod
     def zero(cls, field: FieldCtx) -> Poly:
@@ -54,10 +52,6 @@ class Poly:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
         return self.field.element(self.coeffs[-1])
-
-    def coeff(self, i: int) -> FieldElem:
-        enc = self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-        return self.field.element(enc)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -157,17 +151,22 @@ class Poly:
             acc = f.add_enc(f.mul_enc(acc, x.enc), c)
         return f.element(acc)
 
-    def root_multiplicity(self, x: FieldElem) -> int:
-        """Multiplicity of x as a root (0 if not a root)."""
+    def split_root(self, x: FieldElem) -> tuple[int, FieldElem]:
+        """(m, c(x)) where self = (X - x)^m * c and c(x) != 0.
+
+        m is the multiplicity of x as a root (0 if it is not one).  X - x
+        is divided out only while the quotient still vanishes at x, so a
+        non-root costs one evaluation and no division.
+        """
         if self.is_zero():
             raise ValueError("zero polynomial")
         lin = Poly(self.field, (self.field.neg_enc(x.enc), 1))
         m, rest = 0, self
         while True:
-            q, r = rest.divmod(lin)
-            if not r.is_zero():
-                return m
-            m, rest = m + 1, q
+            value = rest.eval(x)
+            if value.enc:
+                return m, value
+            m, rest = m + 1, rest // lin
 
     def to_obj(self) -> list[int]:
         return list(self.coeffs)

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from .convert import AccessReport, ConvertibleCode, execute
 from .field import FieldElem
+from .schema import as_list, as_object
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,11 @@ class ClusterLayout:
 
     @classmethod
     def from_obj(cls, obj: dict) -> ClusterLayout:
-        return cls(tuple(obj["nodes"]), dict(obj["placement"]))
+        as_object(obj, "layout")
+        nodes = tuple(as_list(obj["nodes"], "layout.nodes"))
+        if not all(isinstance(n, str) for n in nodes):
+            raise ValueError(f"layout.nodes must hold strings, got {list(nodes)!r}")
+        return cls(nodes, dict(as_object(obj["placement"], "layout.placement")))
 
 
 def layout_single_node(cc: ConvertibleCode, name: str = "node0") -> ClusterLayout:

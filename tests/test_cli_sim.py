@@ -216,6 +216,7 @@ def _bundles():
 
 
 Q32_BUNDLE, VI_BUNDLE = _bundles()
+VI_SINGLE_NODE = layout_single_node(ConvertibleCode.from_obj(VI_BUNDLE))
 
 
 def edited(bundle, edit):
@@ -260,6 +261,21 @@ MALFORMED = [
     # read as 1 by int() before, so verify judged a code not in the file
     ("verify", q32_with(["initials", 0, "generator", 0, 0], 1.9)),
     ("verify", q32_with(["initials", 0, "generator", 0, 0], True)),
+    # an unknown kind used to skip the component checks and exit 0
+    ("verify", q32_with(["kind"], 5)),
+    ("verify", q32_with(["kind"], "mds")),
+    # a falsy schedule used to be read as no schedule
+    ("verify", q32_with(["plan", "schedule"], 0)),
+    ("verify", q32_with(["plan", "schedule"], False)),
+    # "<command> <flag>": the payload goes to <flag>, next to a valid bundle
+    ("simulate --layout", {"nodes": 5, "placement": {}}),
+    ("simulate --layout", {"nodes": ["n"], "placement": 5}),
+    ("simulate --layout", {"nodes": [["n"]],
+                           "placement": {lab: ["n"] for lab in VI_SINGLE_NODE.placement}}),
+    ("convert --words", {"codewords": 5}),
+    ("convert --words", {"messages": 5}),
+    ("convert --words", {"messages": [[1.9, 2, 3, 4]] + [[0] * 4] * 3}),
+    ("convert --words", {"messages": [[True, 2, 3, 4]] + [[0] * 4] * 3}),
 ]
 
 
@@ -270,11 +286,19 @@ MALFORMED = [
                               "reads_50_convert", "int_for_initials", "int_for_generator",
                               "int_for_labels", "int_for_k_initial", "int_for_cert_groups",
                               "str_for_cert_r", "str_for_field_p", "float_entry",
-                              "bool_entry"])
+                              "bool_entry", "int_kind", "unknown_kind", "zero_schedule",
+                              "false_schedule", "int_for_layout_nodes",
+                              "int_for_layout_placement", "list_layout_node",
+                              "int_for_codewords", "int_for_messages", "float_message_entry",
+                              "bool_message_entry"])
 def test_cli_malformed_json_is_a_validation_error(tmp_path, capsys, command, payload):
+    command, _, side_flag = command.partition(" ")
     path = write_json(tmp_path / "input.json", payload)
-    flag = "--request" if command == "construct" else "--bundle"
+    if side_flag:
+        args = ["--bundle", write_json(tmp_path / "bundle.json", VI_BUNDLE), side_flag, path]
+    else:
+        args = ["--request" if command == "construct" else "--bundle", path]
     extra = ["--skip-distance"] if command == "verify" else []
-    assert main([command, flag, path, *extra]) == 2
+    assert main([command, *args, *extra]) == 2
     err = json.loads(capsys.readouterr().out)
     assert set(err) == {"error"}

@@ -351,6 +351,24 @@ def test_mds_merge_smallest_full_length_fields():
         assert report.ok and report.access_optimal
 
 
+def test_gf9_conversions():
+    # MDS merges with and without the pole route, and MDS to LRC, over GF(9)
+    F9 = field_create(3, 2)
+    group = subgroup_cyclic_qplus1(F9, (F9.element(1), F9.element(5)), 2)
+    ccs = [build_mds_merge(F9, group, k=3, t=2, lprime=3, evaluate_at_pole=pole)
+           for pole in (False, True)]
+    ccs.append(build_mds_to_lrc(F9, s=2, a=1, tprime=1, delta=2, k_init=3, n_init=(5, 5)))
+    assert ccs[1].provenance["evaluate_at_pole"]
+    rng = random.Random(9)
+    for cc in ccs:
+        msgs = [[F9.element(rng.randrange(9)) for _ in range(code.k)] for code in cc.initials]
+        final_word, _ = execute(cc, [code.encode(m) for code, m in zip(cc.initials, msgs)])
+        assert final_word == cc.final.encode([e for m in msgs for e in m])
+        report = verify_convertible(cc)
+        assert report.ok and report.components_ok and report.access_optimal
+        assert (report.measured.read_cost, report.measured.write_cost) == (4, 2)
+
+
 def test_construction_is_deterministic():
     import json
 
@@ -481,6 +499,21 @@ def test_builders_check_the_plan_against_direct_evaluation(monkeypatch):
         return dataclasses.replace(compiled, writes=(bad, *rest))
 
     monkeypatch.setattr(convert, "compile_plan", skewed)
+    assert_evaluation_builders_fail()
+
+
+def test_builders_check_every_term_coefficient(monkeypatch):
+    # a coefficient read off one basis function is checked on all of them
+    real = convert._term_coefficient
+
+    def skewed(field, wvals, rvals):
+        return field.add_enc(real(field, wvals, rvals), 1)
+
+    monkeypatch.setattr(convert, "_term_coefficient", skewed)
+    assert_evaluation_builders_fail()
+
+
+def assert_evaluation_builders_fail():
     F32 = field_create(2, 5)
     dihedral = subgroup_dihedral(F32, 3, "q_plus")
     with pytest.raises(AssertionError, match="direct evaluation"):
