@@ -6,7 +6,12 @@ is about which physical symbol stays put, and positional indices alone
 invite off-by-one corruption when coordinates are reordered or dropped.
 
 Distance verification is exact or it refuses: each strategy has a hard
-work budget and raises InfeasibleCheck instead of guessing.
+work budget and raises InfeasibleCheck instead of guessing.  When the
+caller knows the evaluation places of a code, is_mds and is_optimal_lrc
+first try grs_certificate, one kernel solve that can only prove a
+distance: a code inside the dual of GRS_{d-1} on distinct places has
+distance at least d.  A failed certificate proves nothing and hands over
+to the budgeted subset walk of distance_at_least.
 """
 
 from __future__ import annotations
@@ -262,9 +267,50 @@ def min_distance(code: LinearCode, strategy: str = "parity_subsets") -> int:
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def is_mds(code: LinearCode) -> bool:
-    """d = n - k + 1, verified via (n-k)-column subset ranks."""
-    return distance_at_least(code, code.n - code.k + 1)
+def grs_certificate(
+    code: LinearCode, places: Optional[Sequence[Optional[int]]], d: int
+) -> bool:
+    """True only if the code lies in the dual of some GRS_{d-1}(places, v).
+
+    places holds one pairwise-distinct field encoding per coordinate, None
+    for the place at infinity.  With w = d - 1, the code lies in the dual
+    of GRS_w(places, v) iff sum_j g_ij v_j a_j^m = 0 for every generator
+    row i and m < w, where infinity's column of powers is (0, ..., 0, 1).
+    That dual is an MDS [n, n-w, w+1] code, so a v with no zero entry
+    proves d(C) >= d.  v is taken from the kernel basis of this k*w x n
+    system, and only a basis vector with full support is accepted; no
+    combination of basis vectors is searched.  False proves nothing: it
+    is also the answer for missing, repeated or out-of-range places and
+    for w > n - k, where no such v exists.
+    """
+    f = code.field
+    n, k, w = code.n, code.k, d - 1
+    if places is None or len(places) != n or len(set(places)) != n:
+        return False
+    if any(p is not None and not (isinstance(p, int) and 0 <= p < f.q) for p in places):
+        return False
+    if w < 1:
+        return True
+    if w > n - k:
+        return False
+    powers = []  # powers[m][j] = a_j^m; infinity's column is (0, ..., 0, 1)
+    row = [1] * n
+    for m in range(w):
+        powers.append([int(m == w - 1) if p is None else e for p, e in zip(places, row)])
+        row = [e if p is None else f.mul_enc(e, p) for p, e in zip(places, row)]
+    system = MatQ(f, [
+        [f.mul_enc(g, a) for g, a in zip(grow, prow)]
+        for grow in code.generator.data
+        for prow in powers
+    ])
+    return any(all(v) for v in system.kernel())
+
+
+def is_mds(code: LinearCode, places: Optional[Sequence[Optional[int]]] = None) -> bool:
+    """d = n - k + 1, proved by grs_certificate when places are given and
+    it succeeds, otherwise verified via (n-k)-column subset ranks."""
+    d = code.n - code.k + 1
+    return grs_certificate(code, places, d) or distance_at_least(code, d)
 
 
 def singleton_lrc_bound(n: int, k: int, r: int, delta: int) -> int:
@@ -288,11 +334,18 @@ def check_locality(code: LinearCode, cert: LocalityCertificate) -> bool:
     return True
 
 
-def is_optimal_lrc(code: LinearCode, cert: LocalityCertificate) -> bool:
+def is_optimal_lrc(
+    code: LinearCode,
+    cert: LocalityCertificate,
+    places: Optional[Sequence[Optional[int]]] = None,
+) -> bool:
     """Locality holds and the distance meets the Singleton-type bound.
 
     With locality certified, the bound is an upper limit on the distance,
-    so verifying d >= bound via subset ranks pins d = bound exactly.
+    so proving d >= bound, by grs_certificate or else via subset ranks,
+    pins d = bound exactly.
     """
     bound = singleton_lrc_bound(code.n, code.k, cert.r, cert.delta)
-    return check_locality(code, cert) and distance_at_least(code, bound)
+    return check_locality(code, cert) and (
+        grs_certificate(code, places, bound) or distance_at_least(code, bound)
+    )

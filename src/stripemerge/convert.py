@@ -16,7 +16,9 @@ generator, blockdiag(G_i) * P, and the verifier reads bijectivity,
 membership and the unchanged contract off those same rows.  The evaluation builders also evaluate
 each rational-function term directly at every final place, read the
 written-symbol coefficients from those values, and assert that the
-direct values equal the plan-applied generator.
+direct values equal the plan-applied generator.  Builders keep each
+code's evaluation places in memory, so that the verifier can prove
+component distances with grs_certificate instead of walking subsets.
 """
 
 from __future__ import annotations
@@ -271,11 +273,22 @@ class ConvertibleCode:
     initial_cert: Optional[LocalityCertificate] = None
     final_cert: Optional[LocalityCertificate] = None
     provenance: dict = dc_field(default_factory=dict)
+    # evaluation places per initial stripe, then the final, for
+    # grs_certificate: builder output only, never serialized; () = unknown
+    places: tuple[tuple[Optional[int], ...], ...] = dc_field(
+        default=(), repr=False, compare=False
+    )
     compiled: CompiledPlan = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {', '.join(KINDS)}, got {self.kind!r}")
+        if self.kind == "lrc_merge" and self.initial_cert is None:
+            raise ValueError("an lrc_merge bundle needs initial_cert")
+        if self.kind != "mds_merge" and self.final_cert is None:
+            raise ValueError(f"a {self.kind} bundle needs final_cert")
+        if self.places and len(self.places) != len(self.initials) + 1:
+            raise ValueError("need places for every initial stripe and the final")
         if sum(c.k for c in self.initials) != self.final.k:
             raise ValueError("initial dimensions must sum to the final dimension")
         self.plan.validate(self.initials, self.final)
@@ -331,6 +344,11 @@ class ConvertibleCode:
 # -- shared evaluation helpers ------------------------------------------------
 
 
+def _encodings(points: Sequence[ProjPoint]) -> tuple[Optional[int], ...]:
+    """Places as grs_certificate takes them: encodings, None for infinity."""
+    return tuple(None if p.is_infinity else p.finite.enc for p in points)
+
+
 def _term_coefficient(field: FieldCtx, wvals: Sequence[int], rvals: Sequence[int]) -> int:
     """c with wvals = c * rvals across a basis, read at the first nonzero
     read value; _merge_by_evaluation checks it on every basis function."""
@@ -351,8 +369,9 @@ def _merge_by_evaluation(
     read_base: Sequence[int],
     pole_budget: int,
     schedule: Optional[tuple[StripeSchedule, ...]] = None,
-) -> tuple[ConversionPlan, list[list[int]]]:
-    """Plan and final generator rows of a merge of evaluation codes.
+) -> tuple[ConversionPlan, list[list[int]], tuple[Optional[int], ...]]:
+    """Plan, final generator rows and final places of a merge of
+    evaluation codes.
 
     Basis function f of stripe j (row f of its generator) becomes the
     term factors[j] * (f moved by moves[j]).  The final code keeps stripe
@@ -411,7 +430,7 @@ def _merge_by_evaluation(
     gen_rows = compile_plan(field, plan).generator_rows(init_codes)
     if gen_rows != [row for rows in direct for row in rows]:
         raise AssertionError("direct evaluation disagrees with the plan-applied generator")
-    return plan, gen_rows
+    return plan, gen_rows, _encodings(kept_places + list(written))
 
 
 # -- MDS merge ----------------------------------------------------------------
@@ -496,8 +515,10 @@ def build_mds_merge(
     monomials = [x ** row for row in range(k)]
     bases = [monomials[:d] for d in dims]
     init_codes: list[LinearCode] = []
+    init_places = []
     for j in range(t):
         pts = a1_places[j] + b_places + bprime
+        init_places.append(_encodings(pts))
         gen = MatQ(
             field,
             [
@@ -514,7 +535,7 @@ def build_mds_merge(
         for j in range(t)
         for idx in range(dims[j])
     ] + [f"w:p{pt.label()}" for pt in b_places]
-    plan, gen_rows = _merge_by_evaluation(
+    plan, gen_rows, final_places = _merge_by_evaluation(
         field,
         init_codes,
         moves=sigmas[:t],
@@ -552,6 +573,7 @@ def build_mds_merge(
         plan=plan,
         params=params,
         provenance=provenance,
+        places=(*init_places, final_places),
     )
 
 
@@ -715,7 +737,7 @@ def build_lrc_merge(
         for i in range(k)
         for s in range(gs)
     ] + [f"w:p{p.label()}" for p in flat_b]
-    plan, gen_rows = _merge_by_evaluation(
+    plan, gen_rows, final_places = _merge_by_evaluation(
         field,
         init_codes,
         moves=reps[:t],
@@ -761,6 +783,7 @@ def build_lrc_merge(
         initial_cert=init_cert,
         final_cert=final_cert,
         provenance=provenance,
+        places=(_encodings(init_places),) * t + (final_places,),
     )
 
 
@@ -871,6 +894,7 @@ def build_mds_to_lrc(
 
     # initial GRS stripes with prescribed parity on the unchanged part
     init_codes: list[LinearCode] = []
+    init_places = []
     fused: list[MatQ] = []
     for i in range(t):
         alpha_set = {al.enc for al in alphas[i]}
@@ -890,6 +914,7 @@ def build_mds_to_lrc(
             f"s{i + 1}:x{jj + 1}" for jj in range(len(xi))
         ]
         init_codes.append(grs_code(field, spec, labels=code_labels))
+        init_places.append(tuple(e.enc for e in spec.locators))
 
         hbar = vandermonde(field, d_final - 1, head)
         hbar_r = hbar.submatrix_cols(list(range(k_init, k_init + d_final - 1)))
@@ -961,6 +986,8 @@ def build_mds_to_lrc(
         params=params,
         final_cert=final_cert,
         provenance=provenance,
+        # the gamma locators repeat across groups: the final keeps the walk
+        places=(*init_places, ()),
     )
 
 
@@ -1041,7 +1068,9 @@ def verify_convertible(cc: ConvertibleCode, check_components: bool = True) -> Ve
     column dst of the rows to be column src of G_i on stripe i's rows and
     0 on every other stripe's.  When membership holds, execute runs once,
     on the encodings of the all-ones messages, to exercise the public
-    conversion path.
+    conversion path.  The component checks pass each code's places, when
+    the bundle came from a builder, so that grs_certificate can prove its
+    distance before the subset walk is tried.
     """
     field = cc.field
     rows = cc.compiled.generator_rows(cc.initials)
@@ -1059,16 +1088,20 @@ def verify_convertible(cc: ConvertibleCode, check_components: bool = True) -> Ve
 
     components_ok: Optional[bool] = None
     if check_components:
+        *init_places, final_places = cc.places or ((),) * (len(cc.initials) + 1)
+        stripes = list(zip(cc.initials, init_places))
         try:
             if cc.kind == "mds_merge":
-                components_ok = all(is_mds(c) for c in cc.initials) and is_mds(cc.final)
+                components_ok = all(is_mds(c, p) for c, p in stripes) and is_mds(
+                    cc.final, final_places
+                )
             elif cc.kind == "lrc_merge":
                 components_ok = all(
-                    is_optimal_lrc(c, cc.initial_cert) for c in cc.initials
-                ) and is_optimal_lrc(cc.final, cc.final_cert)
+                    is_optimal_lrc(c, cc.initial_cert, p) for c, p in stripes
+                ) and is_optimal_lrc(cc.final, cc.final_cert, final_places)
             else:  # mds_to_lrc, the last of KINDS
-                components_ok = all(is_mds(c) for c in cc.initials) and is_optimal_lrc(
-                    cc.final, cc.final_cert
+                components_ok = all(is_mds(c, p) for c, p in stripes) and is_optimal_lrc(
+                    cc.final, cc.final_cert, final_places
                 )
         except InfeasibleCheck:
             components_ok = None

@@ -267,6 +267,10 @@ MALFORMED = [
     # a falsy schedule used to be read as no schedule
     ("verify", q32_with(["plan", "schedule"], 0)),
     ("verify", q32_with(["plan", "schedule"], False)),
+    # a missing certificate the kind needs used to exit 1 in a full verify
+    ("verify", q32_with(["final_cert"], None)),
+    ("verify", q32_with(["initial_cert"], None)),
+    ("verify", edited(VI_BUNDLE, lambda b: b.update(final_cert=None))),
     # "<command> <flag>": the payload goes to <flag>, next to a valid bundle
     ("simulate --layout", {"nodes": 5, "placement": {}}),
     ("simulate --layout", {"nodes": ["n"], "placement": 5}),
@@ -287,7 +291,8 @@ MALFORMED = [
                               "int_for_labels", "int_for_k_initial", "int_for_cert_groups",
                               "str_for_cert_r", "str_for_field_p", "float_entry",
                               "bool_entry", "int_kind", "unknown_kind", "zero_schedule",
-                              "false_schedule", "int_for_layout_nodes",
+                              "false_schedule", "null_final_cert", "null_initial_cert",
+                              "null_mds_to_lrc_final_cert", "int_for_layout_nodes",
                               "int_for_layout_placement", "list_layout_node",
                               "int_for_codewords", "int_for_messages", "float_message_entry",
                               "bool_message_entry"])

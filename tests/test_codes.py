@@ -10,6 +10,7 @@ from stripemerge.codes import (
     LocalityCertificate,
     check_locality,
     distance_at_least,
+    grs_certificate,
     is_mds,
     is_optimal_lrc,
     min_distance,
@@ -252,6 +253,116 @@ def test_distance_at_least_spends_one_row_per_subset(monkeypatch):
     assert distance_at_least(code, 9)
     assert len(calls) == 495
     assert sum(calls) == 495 * 8
+
+
+def grs_generator(F, places, k, mults):
+    """Rows m < k of v_j * a_j^m; the place None (infinity) has column
+    (0, ..., 0, 1) before its multiplier."""
+    return MatQ(F, [
+        [F.mul_enc(v, int(m == k - 1) if a is None else F.pow_enc(a, m))
+         for a, v in zip(places, mults)]
+        for m in range(k)
+    ])
+
+
+def random_grs(rng, F, with_infinity):
+    """A GRS [n, k] code with 2 <= k <= n - 2 on random places, random
+    nonzero multipliers, and its places."""
+    q = F.q
+    n = rng.randrange(4, min(q, 10) + 1)
+    places = rng.sample(range(q), n - 1) + [None] if with_infinity else rng.sample(range(q), n)
+    rng.shuffle(places)
+    k = rng.randrange(2, n - 1)
+    mults = [rng.randrange(1, q) for _ in range(n)]
+    return LinearCode(F, generator=grs_generator(F, places, k, mults)), places
+
+
+GRS_FIELDS = ((2, 3), (3, 2), (13, 1), (5, 2))  # GF(8), GF(9), GF(13), GF(25)
+
+
+def test_grs_certificate_proves_only_true_distances():
+    rng = random.Random(7)
+    subcodes_certified = 0
+    for p, s in GRS_FIELDS:
+        F = field_create(p, s)
+        for trial in range(12):
+            code, places = random_grs(rng, F, with_infinity=trial % 2 == 1)
+            n, k = code.n, code.k
+            assert grs_certificate(code, places, n - k + 1)
+            assert distance_at_least(code, n - k + 1)
+            # a random subcode of dimension kk < k, claimed at every distance
+            kk = rng.randrange(1, k)
+            mix = MatQ(F, [[rng.randrange(F.q) for _ in range(k)] for _ in range(kk)])
+            if mix.rank() < kk:
+                continue
+            sub = LinearCode(F, generator=mix @ code.generator)
+            for d in range(2, n - kk + 2):
+                if grs_certificate(sub, places, d):
+                    assert distance_at_least(sub, d)
+                    subcodes_certified += 1
+    assert subcodes_certified > 0
+
+
+def test_grs_certificate_rejects_a_changed_entry():
+    # with k >= 2 and n - k >= 2, changing one entry at a finite nonzero
+    # place leaves no full-support GRS dual containing the code (at 0 and
+    # infinity one row holds the column's only nonzero entry, so a change
+    # there can be a new multiplier)
+    rng = random.Random(8)
+    for p, s in GRS_FIELDS:
+        F = field_create(p, s)
+        for trial in range(8):
+            code, places = random_grs(rng, F, with_infinity=trial % 2 == 1)
+            d = code.n - code.k + 1
+            assert grs_certificate(code, places, d)
+            data = code.generator.to_obj()
+            i = rng.randrange(code.k)
+            j = rng.choice([j for j, a in enumerate(places) if a])
+            data[i][j] = rng.choice([e for e in range(F.q) if e != data[i][j]])
+            changed = LinearCode(F, generator=MatQ(F, data))
+            assert not grs_certificate(changed, places, d)
+
+
+def test_grs_certificate_rejects_bad_places():
+    F = field_create(13, 1)
+    places = [0, 1, 2, 3, 4, 5, 6, None]
+    code = LinearCode(F, generator=grs_generator(F, places, 3, [1] * 8))
+    assert grs_certificate(code, places, 6)
+    assert not grs_certificate(code, [0, 1, 2, 3, 4, 5, 5, None], 6)  # repeated
+    assert not grs_certificate(code, [0, 1, 2, 3, 4, 5, None, None], 6)
+    assert not grs_certificate(code, places[:-1], 6)  # wrong length
+    assert not grs_certificate(code, places + [7], 6)
+    # out of range: GF(13) arithmetic would read 13 as 0 and 14 as 1
+    assert not grs_certificate(code, [13, 1, 2, 3, 4, 5, 6, None], 6)
+    assert not grs_certificate(code, [0, 14, 2, 3, 4, 5, 6, None], 6)
+    assert not grs_certificate(code, [-1, 1, 2, 3, 4, 5, 6, None], 6)
+    assert not grs_certificate(code, None, 6)
+    assert not grs_certificate(code, (), 6)
+    assert not grs_certificate(code, places, 7)  # w = 6 > n - k = 5
+    # the dual of a Vandermonde matrix with a repeated place has two
+    # proportional parity columns, so distance 2, although the all-ones
+    # multipliers span the kernel of its certificate system
+    for twice in ([0, 1, 2, 3, 4, 5, 5], [0, 1, 2, 3, 4, None, None]):
+        dual = LinearCode(F, parity=grs_generator(F, twice, 3, [1] * 7))
+        assert not distance_at_least(dual, 3)
+        assert not grs_certificate(dual, twice, 4)
+
+
+def test_is_mds_falls_through_to_the_walk(monkeypatch):
+    F = field_create(13, 1)
+    places = list(range(12))
+    code = grs_code(F, GrsSpec(locators=tuple(elems(F, *places)), k=4))
+    walks = []
+    real = codes.distance_at_least
+
+    def counted(code, d, budget=codes.SUBSET_BUDGET):
+        walks.append(d)
+        return real(code, d, budget)
+
+    monkeypatch.setattr(codes, "distance_at_least", counted)
+    assert is_mds(code, places) and walks == []
+    assert is_mds(code, places[:-1] + [0]) and walks == [9]
+    assert is_mds(code) and walks == [9, 9]
 
 
 def test_labels_roundtrip_and_errors():

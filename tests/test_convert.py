@@ -1,9 +1,12 @@
 import dataclasses
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from stripemerge import convert
+from stripemerge.cli import _construct
 from stripemerge.bounds import read_lower, total_lower, unchanged_upper
 from stripemerge.codes import check_locality, is_mds, is_optimal_lrc, min_distance
 from stripemerge.convert import (
@@ -22,6 +25,12 @@ from stripemerge.pgl import (
     subgroup_cyclic_qplus1,
     subgroup_dihedral,
 )
+
+BENCH_REQUESTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "instances.json").read_text(
+        encoding="utf-8"
+    )
+)["requests"]
 
 F23 = field_create(23, 1)
 QUAD23 = (F23.element(21), F23.element(5))
@@ -538,3 +547,20 @@ def test_measured_costs_meet_floors_everywhere(cc_q23, cc_q32, cc_vi):
         floors = total_lower(cc.params)
         assert rep.read_cost >= floors.min_read
         assert rep.write_cost >= floors.min_write
+
+
+# the walk cannot finish these finals within SUBSET_BUDGET and needs over a
+# second for each initial stripe
+WALK_INFEASIBLE = {"q64_lrc_merge_d2", "q64_lrc_merge_d3"}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_REQUESTS))
+def test_certified_components_agree_with_the_walk(name):
+    cc = _construct(BENCH_REQUESTS[name])
+    report = verify_convertible(cc)
+    assert report.components_ok is True
+    if name not in WALK_INFEASIBLE:
+        # a bundle read back from JSON has no places, so every code is walked
+        walked = ConvertibleCode.from_obj(cc.to_obj())
+        assert walked.places == ()
+        assert verify_convertible(walked).to_obj() == report.to_obj()
