@@ -102,6 +102,8 @@ class LinearCode:
         )
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise ValueError("labels must be distinct, one per coordinate")
+        # parity rows as packed-kernel rows, built by the first contains
+        self._checks: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
 
     @property
     def generator(self) -> MatQ:
@@ -133,15 +135,24 @@ class LinearCode:
         return tuple(f.element(e) for e in out)
 
     def contains(self, word: Sequence[FieldElem]) -> bool:
+        """True iff every parity row is orthogonal to word, whose symbols
+        must belong to this code's field.
+
+        Each parity row is kept as the (coordinate, log coefficient) pairs
+        of its nonzeros, built once per code, and summed against the
+        word's logs by the field's packed-digit kernel: one integer
+        addition per term, and a row passes iff every digit slot of its
+        sum is 0 mod p.
+        """
         if len(word) != self.n:
             return False
-        f = self.field
-        for row in self.parity.data:
-            acc = 0
-            for j, w in enumerate(word):
-                if row[j] and w.enc:
-                    acc = f.add_enc(acc, f.mul_enc(row[j], w.enc))
-            if acc != 0:
+        packed = self.field.packed()
+        if self._checks is None:
+            self._checks = tuple(packed.row(enumerate(row)) for row in self.parity.data)
+        log = packed.log
+        logs = [log[w.enc] for w in word]
+        for row in self._checks:
+            if packed.dot(row, logs):
                 return False
         return True
 

@@ -171,19 +171,38 @@ class CompiledPlan:
     storage: tuple[tuple[int, ...], ...]
     unchanged: tuple[tuple[tuple[int, int], ...], ...]
     writes: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
+    # writes as packed-kernel rows over the storage reads in storage order
+    _rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = dc_field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        reads = [(i, c) for i, coords in enumerate(self.storage) for c in coords]
+        flat = {read: j for j, read in enumerate(reads)}
+        packed = self.field.packed()
+        rows = tuple(
+            (dst, packed.row((flat[i, c], e) for i, c, e in triples))
+            for dst, triples in self.writes
+        )
+        object.__setattr__(self, "_rows", rows)
 
     def apply(self, words: Sequence[Sequence[FieldElem]]) -> list[FieldElem]:
-        """The final word from one word per stripe."""
+        """The final word from one word per stripe.
+
+        Each written symbol is one packed-kernel sum of its log
+        coefficients against the logs of the storage reads, reduced once;
+        the slot guard of PackedSums.row makes that sum exact.
+        """
         f = self.field
+        packed = f.packed()
+        log = packed.log
+        logs = [log[words[i][c].enc] for i, coords in enumerate(self.storage) for c in coords]
         out = [f.zero] * self.n
         for word, pairs in zip(words, self.unchanged):
             for src, dst in pairs:
                 out[dst] = word[src]
-        for dst, triples in self.writes:
-            acc = 0
-            for i, coord, coeff in triples:
-                acc = f.add_enc(acc, f.mul_enc(coeff, words[i][coord].enc))
-            out[dst] = f.element(acc)
+        for dst, row in self._rows:
+            out[dst] = FieldElem(f, packed.dot(row, logs))
         return out
 
     def generator_rows(self, initials: Sequence[LinearCode]) -> list[list[int]]:
@@ -279,6 +298,7 @@ class ConvertibleCode:
         default=(), repr=False, compare=False
     )
     compiled: CompiledPlan = dc_field(init=False, repr=False, compare=False)
+    _access: AccessReport = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -297,13 +317,16 @@ class ConvertibleCode:
             if any(not 0 <= c < code.n for c in coords):
                 raise ValueError(f"stripe {i} reads a storage coordinate outside [0, {code.n})")
 
-    def static_access(self) -> AccessReport:
-        return AccessReport(
+        self._access = AccessReport(
             read_cost=sum(len(coords) for coords in self.compiled.storage),
             write_cost=len(self.plan.written),
             per_symbol_read=sum(len(tr) for _, tr in self.plan.terms),
             unchanged_counts=tuple(len(p) for p in self.plan.unchanged),
         )
+
+    def static_access(self) -> AccessReport:
+        """The access costs of the plan, computed once per code."""
+        return self._access
 
     def to_obj(self) -> dict:
         return {
@@ -1001,11 +1024,19 @@ def execute(
 
     Inputs are membership-checked against their stripes, the compiled plan
     maps them to the final word, and that word is membership-checked
-    before it is returned.  Costs count coordinates touched, not values.
+    before it is returned.  Costs count coordinates touched, not values;
+    the report is the code's one static_access() object.  Raises
+    ValueError, naming the stripe and coordinate, for a symbol of another
+    field.
     """
     if len(words) != len(cc.initials):
         raise ValueError("need one codeword per initial stripe")
+    f = cc.field
     for i, (code, word) in enumerate(zip(cc.initials, words)):
+        for w in word:
+            if w.field is not f and w.field != f:
+                j = next(j for j, x in enumerate(word) if x.field != f)
+                raise ValueError(f"input {i} coordinate {j} is in {w.field}, not {f}")
         if len(word) != code.n or not code.contains(word):
             raise ValueError(f"input {i} is not a codeword of its stripe")
     final_word = tuple(cc.compiled.apply(words))

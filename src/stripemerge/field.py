@@ -6,22 +6,35 @@ c_0 + c_1*p + ... + c_{s-1}*p^(s-1).  For prime fields (s = 1) the encoding
 is the residue itself.
 
 Extension-field multiplication goes through exp/log tables built once per
-context from a multiplicative generator; addition stays coefficient-wise
+context from a multiplicative generator; add_enc stays coefficient-wise
 (XOR in characteristic 2).  Fields are capped at q <= 2^16, which keeps
 every table small and every scan exhaustive.
 
+Weighted sums, the inner loop of membership checks and plan application,
+go through one packed-digit kernel instead (PackedSums, built on first
+use by FieldCtx.packed()).  Each power of the generator is stored with
+its GF(p) digits in separate b-bit slots of one Python int, so a sum of
+products c_j * w_j is one integer addition per nonzero term and one
+reduction mod p per slot at the end.  It is exact: no carry crosses a
+slot, because the slot width is chosen so that (p - 1) * max_terms <
+2^b and a row with more than max_terms terms is refused when it is
+built.  add_enc and mul_enc remain the reference the kernel is tested
+against.
+
 A FieldCtx is immutable after construction and safe to share between
-threads.  Elements of different contexts never mix: any cross-field
+threads (two threads that build the packed tables at once build equal
+ones).  Elements of different contexts never mix: any cross-field
 operation raises ValueError instead of coercing.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .schema import as_int, as_ints, as_object
 
 MAX_Q = 1 << 16
+PACK_TERMS = 1 << 16  # every field's packed slots hold sums of this many terms
 
 
 def _is_prime(n: int) -> bool:
@@ -131,9 +144,10 @@ class FieldCtx:
                 raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
             self.modulus = modulus
         self._exp: list[int] = []
-        self._log: list[int] = []
+        self._log: list[Optional[int]] = []
         if s > 1:
-            self._build_tables()
+            self._exp, self._log = self._build_tables()
+        self._packed: Optional[PackedSums] = None
 
     # -- low-level ops on integer encodings ---------------------------------
 
@@ -154,7 +168,8 @@ class FieldCtx:
             enc = enc * p + red[i]
         return enc
 
-    def _build_tables(self) -> None:
+    def _build_tables(self) -> tuple[list[int], list[Optional[int]]]:
+        """exp and log tables of the first generator; log[0] is None."""
         q = self.q
         order_factors = _factorize(q - 1)
         gen = 0
@@ -165,10 +180,10 @@ class FieldCtx:
         exp = [1] * (q - 1)
         for i in range(1, q - 1):
             exp[i] = self._raw_mul(exp[i - 1], gen)
-        log = [0] * q
+        log: list[Optional[int]] = [None] * q
         for i, v in enumerate(exp):
             log[v] = i
-        self._exp, self._log = exp, log
+        return exp, log
 
     def _raw_pow(self, a: int, e: int) -> int:
         r = 1
@@ -232,6 +247,13 @@ class FieldCtx:
             return pow(a, e, self.p)
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
+    def packed(self) -> PackedSums:
+        """The packed-digit kernel of this field, built on first use."""
+        if self._packed is None:
+            exp, log = (self._exp, self._log) if self.s > 1 else self._build_tables()
+            self._packed = PackedSums(self, exp, log)
+        return self._packed
+
     # -- element factory -----------------------------------------------------
 
     def element(self, enc: int) -> FieldElem:
@@ -277,6 +299,80 @@ class FieldCtx:
         if modulus is not None:
             modulus = as_ints(modulus, "modulus")
         return cls(as_int(obj["p"], "p"), s, modulus)
+
+
+class PackedSums:
+    """Exact weighted sums over one field with one reduction per sum.
+
+    log[a] is the discrete log of encoding a (None for 0).  pexp[i], for
+    0 <= i < 2(q - 1), packs the GF(p) digits of alpha^(i mod (q-1)):
+    digit j sits in bits [j*width, (j+1)*width).  A product c * w of
+    nonzero elements is then pexp[log c + log w], and a sum of such
+    products is a plain integer sum whose slot j holds the sum of their
+    j-th digits, each at most p - 1.  width is the least b with
+    (p - 1) * PACK_TERMS < 2^b; max_terms, the largest count with
+    (p - 1) * max_terms < 2^b, bounds every row that row() builds, so no
+    slot overflows into the next and reduce() recovers the exact sum.
+    """
+
+    def __init__(self, field: FieldCtx, exp: Sequence[int], log: Sequence[Optional[int]]):
+        p, s = field.p, field.s
+        self.p, self.s = p, s
+        self.width = ((p - 1) * PACK_TERMS).bit_length()
+        self.max_terms = ((1 << self.width) - 1) // (p - 1)
+        self._mask = (1 << self.width) - 1
+        self._slots = tuple((j * self.width, p ** j) for j in range(s))
+        self._low = sum(1 << shift for shift, _ in self._slots)
+        self._top = (s - 1) * self.width
+        self._gather = sum(1 << (self._top - shift + j) for j, (shift, _) in enumerate(self._slots))
+        self._digits = (1 << s) - 1
+        self.log = log
+        packed = []
+        for e in exp:
+            v = 0
+            for shift, _ in self._slots:
+                e, digit = divmod(e, p)
+                v |= digit << shift
+            packed.append(v)
+        self.pexp = packed + packed
+
+    def row(self, coeffs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+        """(index, log c) for every (index, coefficient encoding) pair with
+        c != 0; raises ValueError when more than max_terms remain."""
+        log = self.log
+        out = tuple((j, log[c]) for j, c in coeffs if c)
+        if len(out) > self.max_terms:
+            raise ValueError(
+                f"row of {len(out)} nonzero terms exceeds the {self.max_terms} "
+                f"that {self.width}-bit packed slots hold over GF({self.p})"
+            )
+        return out
+
+    def dot(self, row: Sequence[tuple[int, int]], logs: Sequence[Optional[int]]) -> int:
+        """The encoding of sum c_j * w_j over a row from row(), where
+        logs[j] = log w_j."""
+        pexp = self.pexp
+        acc = 0
+        for j, lc in row:
+            lw = logs[j]
+            if lw is not None:
+                acc += pexp[lc + lw]
+        return self.reduce(acc)
+
+    def reduce(self, acc: int) -> int:
+        """The encoding whose digit j is slot j of acc mod p."""
+        p, mask = self.p, self._mask
+        if self.s == 1:
+            return acc % p
+        if p == 2:
+            # the digits are the low bits of the slots; one product moves
+            # slot j's bit to bit top + j, and as width >= s no two partial
+            # products meet, so nothing carries into those s bits
+            return ((acc & self._low) * self._gather >> self._top) & self._digits
+        enc = 0
+        for shift, weight in self._slots:
+            enc += ((acc >> shift) & mask) % p * weight
+        return enc
 
 
 class FieldElem:
