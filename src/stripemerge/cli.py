@@ -28,7 +28,7 @@ from .convert import (
 )
 from .field import FieldCtx
 from .pgl import build_group, cyclic_subgroup_of_order, split_structure, fixed_field_generator
-from .schema import as_int, as_ints, as_list, as_object
+from .schema import as_int, as_ints, as_list, as_object, within
 from .sim import ClusterLayout, layout_one_per_symbol, layout_single_node, simulate
 
 EXIT_OK = 0
@@ -90,7 +90,7 @@ def _construct(request: dict) -> ConvertibleCode:
     field = FieldCtx.from_obj(_require_ints(request["field"], "field"))
     params = _require_ints(request.get("params", {}), "params")
     if kind == "mds_merge":
-        group = build_group(field, request["group"])
+        group = within("group", build_group, field, request["group"])
         return build_mds_merge(
             field,
             group,
@@ -101,9 +101,9 @@ def _construct(request: dict) -> ConvertibleCode:
             per_initial_dims=params.get("per_initial_dims"),
         )
     if kind == "lrc_merge":
-        group = build_group(field, request["group"])
+        group = within("group", build_group, field, request["group"])
         if "subgroup" in request:
-            sub = build_group(field, request["subgroup"])
+            sub = within("subgroup", build_group, field, request["subgroup"])
         else:
             sub = cyclic_subgroup_of_order(group, params["subgroup_order"])
         return build_lrc_merge(

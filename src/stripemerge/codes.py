@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .field import FieldCtx, FieldElem
 from .matrix import MatQ, rank_of_rows
@@ -135,8 +135,9 @@ class LinearCode:
         return tuple(f.element(e) for e in out)
 
     def contains(self, word: Sequence[FieldElem]) -> bool:
-        """True iff every parity row is orthogonal to word, whose symbols
-        must belong to this code's field.
+        """True iff every parity row is orthogonal to word.  Raises
+        ValueError, naming the coordinate and both fields, for a symbol of
+        another field.
 
         Each parity row is kept as the (coordinate, log coefficient) pairs
         of its nonzeros, built once per code, and summed against the
@@ -149,8 +150,8 @@ class LinearCode:
         packed = self.field.packed()
         if self._checks is None:
             self._checks = tuple(packed.row(enumerate(row)) for row in self.parity.data)
-        log = packed.log
-        logs = [log[w.enc] for w in word]
+        log, f = packed.log, self.field
+        logs = [log[w.enc] if w.field is f or w.field == f else _foreign(word, f) for w in word]
         for row in self._checks:
             if packed.dot(row, logs):
                 return False
@@ -186,6 +187,13 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}] over GF({self.field.q}))"
+
+
+def _foreign(word: Sequence[FieldElem], field: FieldCtx) -> NoReturn:
+    """Raise contains' error for the first symbol of word outside field
+    (a function, so that the log comprehension can raise it)."""
+    j, w = next((j, w) for j, w in enumerate(word) if w.field != field)
+    raise ValueError(f"coordinate {j} is in {w.field}, not {field}")
 
 
 # -- distance ----------------------------------------------------------------

@@ -98,7 +98,7 @@ class ConversionPlan:
     schedule: Optional[tuple[StripeSchedule, ...]] = None
 
     def validate(self, initials: Sequence[LinearCode], final: LinearCode) -> None:
-        t = len(initials)
+        t, q = len(initials), final.field.q
         if not (len(self.unchanged) == len(self.reads) == t):
             raise ValueError("plan shape does not match the stripe count")
         final_targets: list[int] = []
@@ -127,8 +127,17 @@ class ConversionPlan:
                     raise ValueError("term reference out of range")
                 if coord not in set(self.reads[i]):
                     raise ValueError("term uses a coordinate outside the read set")
-                if coeff == 0:
-                    raise ValueError("zero coefficient stored in plan")
+                if not 0 < coeff < q:
+                    raise ValueError(
+                        f"plan.terms coefficient {coeff} is not a nonzero element of GF({q})"
+                    )
+        for sched in self.schedule or ():
+            for _, parts in sched.recon:
+                for _, coeff in parts:
+                    if not 0 <= coeff < q:
+                        raise ValueError(
+                            f"plan.schedule.recon coefficient {coeff} is not an element of GF({q})"
+                        )
 
     def to_obj(self) -> dict:
         return {
@@ -1031,13 +1040,12 @@ def execute(
     """
     if len(words) != len(cc.initials):
         raise ValueError("need one codeword per initial stripe")
-    f = cc.field
     for i, (code, word) in enumerate(zip(cc.initials, words)):
-        for w in word:
-            if w.field is not f and w.field != f:
-                j = next(j for j, x in enumerate(word) if x.field != f)
-                raise ValueError(f"input {i} coordinate {j} is in {w.field}, not {f}")
-        if len(word) != code.n or not code.contains(word):
+        try:
+            ok = code.contains(word)
+        except ValueError as exc:
+            raise ValueError(f"input {i} {exc}") from exc
+        if not ok:
             raise ValueError(f"input {i} is not a codeword of its stripe")
     final_word = tuple(cc.compiled.apply(words))
     if not cc.final.contains(final_word):

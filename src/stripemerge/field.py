@@ -3,12 +3,19 @@
 Elements are stored as integer encodings: the polynomial-basis coefficient
 vector (c_0, ..., c_{s-1}) with c_i in [0, p) packs little-endian as
 c_0 + c_1*p + ... + c_{s-1}*p^(s-1).  For prime fields (s = 1) the encoding
-is the residue itself.
+is the residue itself.  _digits is the one place that unpacks an encoding.
 
-Extension-field multiplication goes through exp/log tables built once per
-context from a multiplicative generator; add_enc stays coefficient-wise
-(XOR in characteristic 2).  Fields are capped at q <= 2^16, which keeps
-every table small and every scan exhaustive.
+Every context, prime fields included, builds one table set at construction
+from a multiplicative generator alpha: a doubled exp table (so that
+log a + log b indexes it without a reduction mod q - 1), the log table
+with None at 0, and the Zech table Z with 1 + alpha^i = alpha^Z(i) (None
+where that sum is 0).  mul_enc, inv_enc, pow_enc and neg_enc are one table
+path for every field: -a = alpha^(log a + log(-1)), where log(-1) is
+(q - 1)/2 for odd p and 0 in characteristic 2.  add_enc is (a + b) mod p
+in prime fields, XOR in characteristic 2 and, in odd-characteristic
+extensions, one Zech lookup: a + b = alpha^(log a + Z(log b - log a)).
+Fields are capped at q <= 2^16, which keeps every table small and every
+scan exhaustive.
 
 Weighted sums, the inner loop of membership checks and plan application,
 go through one packed-digit kernel instead (PackedSums, built on first
@@ -18,8 +25,8 @@ products c_j * w_j is one integer addition per nonzero term and one
 reduction mod p per slot at the end.  It is exact: no carry crosses a
 slot, because the slot width is chosen so that (p - 1) * max_terms <
 2^b and a row with more than max_terms terms is refused when it is
-built.  add_enc and mul_enc remain the reference the kernel is tested
-against.
+built.  The kernel reads the field's own exp and log tables; add_enc and
+mul_enc remain the reference it is tested against.
 
 A FieldCtx is immutable after construction and safe to share between
 threads (two threads that build the packed tables at once build equal
@@ -66,6 +73,15 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _digits(enc: int, p: int, s: int) -> list[int]:
+    """The s GF(p) digits of an encoding, c_0 first."""
+    out = []
+    for _ in range(s):
+        enc, digit = divmod(enc, p)
+        out.append(digit)
+    return out
+
+
 # -- dense polynomials over GF(p), used only for modulus handling -----------
 # Coefficient lists are constant-first with no trailing zeros.
 
@@ -99,7 +115,7 @@ def _poly_irreducible(m: Sequence[int], p: int) -> bool:
         return True
     for d in range(1, deg // 2 + 1):
         for enc in range(p ** d):
-            div = [(enc // p ** i) % p for i in range(d)] + [1]
+            div = _digits(enc, p, d) + [1]
             if not _pmod(m, div, p):
                 return False
     return True
@@ -112,7 +128,7 @@ def _first_irreducible(p: int, s: int) -> tuple[int, ...]:
     two runs (or two implementations) agree on the default modulus.
     """
     for enc in range(p ** s):
-        cand = [(enc // p ** i) % p for i in range(s)] + [1]
+        cand = _digits(enc, p, s) + [1]
         if _poly_irreducible(cand, p):
             return tuple(cand)
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -143,10 +159,8 @@ class FieldCtx:
             if not _poly_irreducible(modulus, p):
                 raise ValueError(f"modulus {list(modulus)} is reducible over GF({p})")
             self.modulus = modulus
-        self._exp: list[int] = []
-        self._log: list[Optional[int]] = []
-        if s > 1:
-            self._exp, self._log = self._build_tables()
+        self._exp, self._log, self._zech = self._build_tables()
+        self._log_minus_one = self._log[p - 1]
         self._packed: Optional[PackedSums] = None
 
     # -- low-level ops on integer encodings ---------------------------------
@@ -154,23 +168,22 @@ class FieldCtx:
     def _raw_mul(self, a: int, b: int) -> int:
         """Schoolbook product mod the modulus, no tables."""
         p, s = self.p, self.s
-        ac = [(a // p ** i) % p for i in range(s)]
-        bc = [(b // p ** i) % p for i in range(s)]
+        bc = _digits(b, p, s)
         prod = [0] * (2 * s - 1)
-        for i, ai in enumerate(ac):
+        for i, ai in enumerate(_digits(a, p, s)):
             if ai:
                 for j, bj in enumerate(bc):
                     prod[i + j] = (prod[i + j] + ai * bj) % p
-        red = _pmod(prod, list(self.modulus), p)
-        red += [0] * (s - len(red))
-        enc = 0
-        for i in range(s - 1, -1, -1):
-            enc = enc * p + red[i]
-        return enc
+        return sum(c * p ** i for i, c in enumerate(_pmod(prod, list(self.modulus), p)))
 
-    def _build_tables(self) -> tuple[list[int], list[Optional[int]]]:
-        """exp and log tables of the first generator; log[0] is None."""
-        q = self.q
+    def _build_tables(self) -> tuple[list[int], list[Optional[int]], list[Optional[int]]]:
+        """exp (doubled), log and Zech tables of the first generator.
+
+        exp[i] = alpha^(i mod (q - 1)) for 0 <= i < 2(q - 1); log[0] and
+        Z(i) for alpha^i = -1 are None.  1 + alpha^i only changes digit 0
+        of alpha^i, so Z is read off exp by incrementing that digit mod p.
+        """
+        p, q = self.p, self.q
         order_factors = _factorize(q - 1)
         gen = 0
         for cand in range(2, q):
@@ -183,7 +196,8 @@ class FieldCtx:
         log: list[Optional[int]] = [None] * q
         for i, v in enumerate(exp):
             log[v] = i
-        return exp, log
+        zech = [log[v + 1 if (v + 1) % p else v + 1 - p] for v in exp]
+        return exp + exp, log, zech
 
     def _raw_pow(self, a: int, e: int) -> int:
         r = 1
@@ -195,31 +209,19 @@ class FieldCtx:
         return r
 
     def add_enc(self, a: int, b: int) -> int:
-        p = self.p
         if self.s == 1:
-            return (a + b) % p
-        if p == 2:
+            return (a + b) % self.p
+        if self.p == 2:
             return a ^ b
-        out, mult = 0, 1
-        for _ in range(self.s):
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if a == 0 or b == 0:
+            return a + b
+        la = self._log[a]
+        # log b - log a may be negative; the list index wraps it mod q - 1
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def neg_enc(self, a: int) -> int:
-        p = self.p
-        if self.s == 1:
-            return (-a) % p
-        if p == 2:
-            return a
-        out, mult = 0, 1
-        for _ in range(self.s):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._exp[self._log[a] + self._log_minus_one] if a else 0
 
     def sub_enc(self, a: int, b: int) -> int:
         return self.add_enc(a, self.neg_enc(b))
@@ -227,31 +229,24 @@ class FieldCtx:
     def mul_enc(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self.s == 1:
-            return (a * b) % self.p
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv_enc(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        if self.s == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow_enc(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow_enc(self.inv_enc(a), -e)
         if a == 0:
             return 0 if e else 1
-        if self.s == 1:
-            return pow(a, e, self.p)
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     def packed(self) -> PackedSums:
         """The packed-digit kernel of this field, built on first use."""
         if self._packed is None:
-            exp, log = (self._exp, self._log) if self.s > 1 else self._build_tables()
-            self._packed = PackedSums(self, exp, log)
+            self._packed = PackedSums(self)
         return self._packed
 
     # -- element factory -----------------------------------------------------
@@ -304,7 +299,7 @@ class FieldCtx:
 class PackedSums:
     """Exact weighted sums over one field with one reduction per sum.
 
-    log[a] is the discrete log of encoding a (None for 0).  pexp[i], for
+    log is the field's log table (None for 0).  pexp[i], for
     0 <= i < 2(q - 1), packs the GF(p) digits of alpha^(i mod (q-1)):
     digit j sits in bits [j*width, (j+1)*width).  A product c * w of
     nonzero elements is then pexp[log c + log w], and a sum of such
@@ -315,7 +310,7 @@ class PackedSums:
     slot overflows into the next and reduce() recovers the exact sum.
     """
 
-    def __init__(self, field: FieldCtx, exp: Sequence[int], log: Sequence[Optional[int]]):
+    def __init__(self, field: FieldCtx):
         p, s = field.p, field.s
         self.p, self.s = p, s
         self.width = ((p - 1) * PACK_TERMS).bit_length()
@@ -325,16 +320,13 @@ class PackedSums:
         self._low = sum(1 << shift for shift, _ in self._slots)
         self._top = (s - 1) * self.width
         self._gather = sum(1 << (self._top - shift + j) for j, (shift, _) in enumerate(self._slots))
-        self._digits = (1 << s) - 1
-        self.log = log
-        packed = []
-        for e in exp:
-            v = 0
-            for shift, _ in self._slots:
-                e, digit = divmod(e, p)
-                v |= digit << shift
-            packed.append(v)
-        self.pexp = packed + packed
+        self._digit_mask = (1 << s) - 1
+        self.log = field._log
+        half = [
+            sum(digit << shift for digit, (shift, _) in zip(_digits(e, p, s), self._slots))
+            for e in field._exp[: field.q - 1]
+        ]
+        self.pexp = half + half
 
     def row(self, coeffs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
         """(index, log c) for every (index, coefficient encoding) pair with
@@ -368,7 +360,7 @@ class PackedSums:
             # the digits are the low bits of the slots; one product moves
             # slot j's bit to bit top + j, and as width >= s no two partial
             # products meet, so nothing carries into those s bits
-            return ((acc & self._low) * self._gather >> self._top) & self._digits
+            return ((acc & self._low) * self._gather >> self._top) & self._digit_mask
         enc = 0
         for shift, weight in self._slots:
             enc += ((acc >> shift) & mask) % p * weight
@@ -432,12 +424,7 @@ class FieldElem:
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        p, e = self.field.p, self.enc
-        out = []
-        for _ in range(self.field.s):
-            out.append(e % p)
-            e //= p
-        return tuple(out)
+        return tuple(_digits(self.enc, self.field.p, self.field.s))
 
     def multiplicative_order(self) -> int:
         """Least e >= 1 with self^e = 1; divides q - 1."""

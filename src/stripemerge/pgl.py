@@ -31,6 +31,7 @@ from typing import Iterable, Optional, Sequence
 
 from .field import FieldCtx, FieldElem, primitive_quadratic_check, primitive_quadratic_search
 from .poly import Poly
+from .schema import as_encs, as_int, as_list, as_object
 
 
 @dataclass(frozen=True)
@@ -535,21 +536,24 @@ def cyclic_subgroup_of_order(group: GroupTable, m: int) -> GroupTable:
 
 
 def build_group(field: FieldCtx, obj: dict) -> GroupTable:
-    """Rebuild a subgroup from its serialized spec."""
-    kind = obj["kind"]
+    """Rebuild a subgroup from its serialized spec; raises ValueError,
+    naming the key, for a malformed one."""
+    kind = as_object(obj, "spec")["kind"]
+    q = field.q
     if kind == "cyclic_qplus1":
-        quad = (field.element(obj["quad"][0]), field.element(obj["quad"][1]))
-        return subgroup_cyclic_qplus1(field, quad, obj["d"])
+        a, b = (field.element(e) for e in as_encs(obj["quad"], "quad", q, 2))
+        return subgroup_cyclic_qplus1(field, (a, b), as_int(obj["d"], "d"))
     if kind == "affine":
         return subgroup_affine(
             field,
-            [field.element(e) for e in obj["mult"]],
-            [field.element(e) for e in obj["add"]],
+            [field.element(e) for e in as_encs(obj["mult"], "mult", q)],
+            [field.element(e) for e in as_encs(obj["add"], "add", q)],
         )
     if kind == "dihedral":
-        return subgroup_dihedral(field, obj["u"], obj["variant"])
+        return subgroup_dihedral(field, as_int(obj["u"], "u"), obj["variant"])
     if kind == "explicit":
-        return GroupTable(field, [Mobius(field, *row) for row in obj["elements"]])
+        rows = as_list(obj["elements"], "elements")
+        return GroupTable(field, [Mobius(field, *as_encs(row, "elements", q, 4)) for row in rows])
     raise ValueError(f"unknown group kind {kind!r}")
 
 

@@ -44,6 +44,14 @@ def as_ints(value, what: str, size: Optional[int] = None) -> tuple[int, ...]:
     return tuple(items)
 
 
+def as_encs(value, what: str, q: int, size: Optional[int] = None) -> tuple[int, ...]:
+    """A field that must be a JSON list of element encodings of GF(q)."""
+    encs = as_ints(value, what, size)
+    if not all(0 <= e < q for e in encs):
+        raise ValueError(f"{what} must hold elements of GF({q}) in [0, {q}), got {value!r}")
+    return encs
+
+
 def within(what: str, parse: Callable[..., T], *args) -> T:
     """parse(*args), naming the field `what` in any ValueError it raises."""
     try:

@@ -34,6 +34,13 @@ Q23_REQUEST = {
     },
 }
 
+Q32_REQUEST = {
+    "kind": "lrc_merge",
+    "field": {"p": 2, "s": 5},
+    "group": {"kind": "dihedral", "u": 3, "variant": "q_plus"},
+    "params": {"k": 2, "t": 2, "lprime": 2, "delta": 2, "subgroup_order": 3},
+}
+
 VI_REQUEST = {
     "kind": "mds_to_lrc",
     "field": {"p": 23, "s": 1},
@@ -197,7 +204,8 @@ def test_cli_convert_with_messages(tmp_path, capsys):
     assert main(["convert", "--bundle", bundle, "--words", words]) == 0
     out = json.loads(capsys.readouterr().out)
     # cross-check against the library path
-    cc = ConvertibleCode.from_obj(json.loads(open(bundle).read()))
+    with open(bundle, encoding="utf-8") as fh:
+        cc = ConvertibleCode.from_obj(json.load(fh))
     words_lib = [
         code.encode([cc.field.element(e) for e in m])
         for code, m in zip(cc.initials, msgs["messages"])
@@ -225,13 +233,22 @@ def edited(bundle, edit):
     return obj
 
 
-def q32_with(path, value):
-    """The q=32 bundle with the field at `path` (keys and indices) set to value."""
+def set_at(bundle, path, value):
+    """A copy of bundle with the field at `path` (keys and indices) set to value."""
     def edit(obj):
         for key in path[:-1]:
             obj = obj[key]
         obj[path[-1]] = value
-    return edited(Q32_BUNDLE, edit)
+    return edited(bundle, edit)
+
+
+def q32_with(path, value):
+    return set_at(Q32_BUNDLE, path, value)
+
+
+def group_with(request, **group):
+    """request with its group spec's keys updated from group."""
+    return dict(request, group=dict(request["group"], **group))
 
 
 # a storage read past the end of stripe 0, through the schedule (q32) and,
@@ -280,6 +297,24 @@ MALFORMED = [
     ("convert --words", {"messages": 5}),
     ("convert --words", {"messages": [[1.9, 2, 3, 4]] + [[0] * 4] * 3}),
     ("convert --words", {"messages": [[True, 2, 3, 4]] + [[0] * 4] * 3}),
+    # coefficients outside [0, q) used to exit 1 with IndexError, or (-1
+    # over GF(23)) to be read as q - 1 and verified ok
+    ("verify", q32_with(["plan", "terms", 0, 1, 0, 2], 32)),
+    ("convert", q32_with(["plan", "terms", 0, 1, 0, 2], 32)),
+    ("verify", q32_with(["plan", "terms", 0, 1, 0, 2], 10 ** 6)),
+    ("verify", q32_with(["plan", "schedule", 1, "recon", 0, 1, 0, 1], 32)),
+    ("convert", q32_with(["plan", "schedule", 1, "recon", 0, 1, 0, 1], 32)),
+    ("verify", set_at(VI_BUNDLE, ["plan", "terms", 0, 1, 0, 2], -1)),
+    # group specs used to exit 1 with TypeError or IndexError, or read 21.0 as 21
+    ("construct", group_with(Q23_REQUEST, kind="explicit", elements=[[1, 0, 0]])),
+    ("construct", group_with(Q32_REQUEST, u="3")),
+    ("construct", group_with(Q23_REQUEST, d="4")),
+    ("construct", dict(Q23_REQUEST, group=[1])),
+    ("construct", group_with(Q32_REQUEST, kind="explicit", elements=[[40, 1, 0, 1]])),
+    ("construct", group_with(Q23_REQUEST, quad=[21.0, 5])),
+    ("construct", dict(Q32_REQUEST, subgroup={"kind": "explicit", "elements": [[40, 1, 0, 1]]})),
+    ("construct", dict(group_with(Q23_REQUEST, kind="affine", mult=[1, 22.0], add=[0]),
+                       params={"k": 5, "t": 2, "lprime": 4})),
 ]
 
 
@@ -295,7 +330,12 @@ MALFORMED = [
                               "null_mds_to_lrc_final_cert", "int_for_layout_nodes",
                               "int_for_layout_placement", "list_layout_node",
                               "int_for_codewords", "int_for_messages", "float_message_entry",
-                              "bool_message_entry"])
+                              "bool_message_entry", "terms_coeff_32_verify",
+                              "terms_coeff_32_convert", "terms_coeff_10e6", "recon_coeff_32_verify",
+                              "recon_coeff_32_convert", "terms_coeff_negative",
+                              "explicit_short_row", "str_for_dihedral_u", "str_for_cyclic_d",
+                              "list_group", "explicit_coeff_40", "float_quad",
+                              "subgroup_coeff_40", "float_affine_mult"])
 def test_cli_malformed_json_is_a_validation_error(tmp_path, capsys, command, payload):
     command, _, side_flag = command.partition(" ")
     path = write_json(tmp_path / "input.json", payload)

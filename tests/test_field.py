@@ -189,3 +189,79 @@ def test_serialization_roundtrip():
     assert FieldCtx.from_obj(F.to_obj()) == F
     G = field_create(23, 1)
     assert G.to_obj() == {"p": 23, "s": 1, "modulus": [0, 1]}
+
+
+# -- the table set against table-free references -------------------------------
+
+
+def digit_add(F, a, b):
+    """Reference: add the GF(p) digits of a and b one by one."""
+    p, out, mult = F.p, 0, 1
+    for _ in range(F.s):
+        out += (a % p + b % p) % p * mult
+        a, b, mult = a // p, b // p, mult * p
+    return out
+
+
+def digit_neg(F, a):
+    p, out, mult = F.p, 0, 1
+    for _ in range(F.s):
+        out += (-a) % p * mult
+        a, mult = a // p, mult * p
+    return out
+
+
+ADD_FIELDS = [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3), (2, 1), (23, 1), (2, 5)]
+
+
+@pytest.mark.parametrize("p,s", ADD_FIELDS, ids=[f"GF({p ** s})" for p, s in ADD_FIELDS])
+def test_add_neg_sub_match_digit_reference_on_every_pair(p, s):
+    F = field_create(p, s)
+    q = F.q
+    for a in range(q):
+        neg = F.neg_enc(a)
+        assert neg == digit_neg(F, a)
+        assert F.add_enc(a, neg) == 0  # a + (-a), the sums Zech marks None
+        assert F.add_enc(a, 0) == F.add_enc(0, a) == a
+        for b in range(q):
+            want = digit_add(F, a, b)
+            assert F.add_enc(a, b) == want
+            assert F.sub_enc(want, b) == a
+    assert F.neg_enc(0) == 0 and F.sub_enc(0, 0) == 0
+
+
+@pytest.mark.parametrize("p,s", ADD_FIELDS, ids=[f"GF({p ** s})" for p, s in ADD_FIELDS])
+def test_zech_table_solves_one_plus_alpha_i(p, s):
+    F = field_create(p, s)
+    nones = []
+    for i, z in enumerate(F._zech):
+        total = digit_add(F, 1, F._exp[i])
+        if z is None:
+            nones.append(i)
+            assert total == 0
+        else:
+            assert F._exp[z] == total != 0
+    # 1 + alpha^i = 0 only at alpha^i = -1, whose log is (q - 1)/2, or 0 when p = 2
+    assert nones == [(F.q - 1) // 2 if p > 2 else 0]
+    assert F._log[0] is None and len(F._exp) == 2 * (F.q - 1)
+
+
+MUL_FIELDS = [(2, 1), (3, 1), (23, 1), (2, 5), (7, 2)]
+
+
+@pytest.mark.parametrize("p,s", MUL_FIELDS, ids=[f"GF({p ** s})" for p, s in MUL_FIELDS])
+def test_mul_inv_pow_match_schoolbook_on_every_element(p, s):
+    F = field_create(p, s)
+    q = F.q
+    for a in range(q):
+        for b in range(q):
+            assert F.mul_enc(a, b) == F._raw_mul(a, b)
+        for e in range(2 * q + 1):
+            assert F.pow_enc(a, e) == F._raw_pow(a, e)
+        if a:
+            inv = F.inv_enc(a)
+            assert F._raw_mul(a, inv) == 1
+            for e in range(1, q + 1):
+                assert F.pow_enc(a, -e) == F._raw_pow(inv, e)
+    with pytest.raises(ZeroDivisionError):
+        F.inv_enc(0)

@@ -149,6 +149,19 @@ def test_execute_rejects_symbols_of_another_field():
     assert all(e.enc == 0 for e in final)
 
 
+def test_contains_rejects_symbols_of_another_field():
+    F23, F29 = field_create(23, 1), field_create(29, 1)
+    code = LinearCode(F23, parity=MatQ(F23, [[1, 1, 1]]))
+    assert code.contains([F23.element(e) for e in (1, 1, 21)])
+    # 1 + 1 + 21 vanishes mod 23, and 25 has no log in GF(23)
+    with pytest.raises(ValueError, match=r"coordinate 0 is in FieldCtx\(GF\(29\)\), "
+                                         r"not FieldCtx\(GF\(23\)\)"):
+        code.contains([F29.element(e) for e in (1, 1, 21)])
+    with pytest.raises(ValueError, match=r"coordinate 2 is in FieldCtx\(GF\(29\)\)"):
+        code.contains([F23.one, F23.one, F29.element(25)])
+    assert code.contains([FieldCtx(23, 1).element(e) for e in (1, 1, 21)])
+
+
 def test_execute_returns_one_access_report():
     cc = _construct(REQUESTS["q49_mds_to_lrc"])
     words = [[cc.field.zero] * code.n for code in cc.initials]
