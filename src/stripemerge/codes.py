@@ -183,7 +183,12 @@ class LinearCode:
         labels = obj.get("labels")
         if labels is not None and not all(isinstance(x, str) for x in as_list(labels, "labels")):
             raise ValueError(f"labels must be strings, got {labels!r}")
-        return cls(field, generator=gen, parity=par, labels=labels)
+        code = cls(field, generator=gen, parity=par, labels=labels)
+        for key, derived in (("n", code.n), ("k", code.k)):
+            stored = as_int(obj[key], key)
+            if stored != derived:
+                raise ValueError(f"{key} is {stored}, the matrices give {derived}")
+        return code
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}] over GF({self.field.q}))"

@@ -19,6 +19,10 @@ written-symbol coefficients from those values, and assert that the
 direct values equal the plan-applied generator.  Builders keep each
 code's evaluation places in memory, so that the verifier can prove
 component distances with grs_certificate instead of walking subsets.
+
+A ConvertibleCode derives its shape, the MergeParams that the bounds and
+the access_optimal verdict read, from its codes, its kind and its final
+certificate; a bundle's stored params must agree with it.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .codes import (
     LocalityCertificate,
     is_mds,
     is_optimal_lrc,
+    singleton_lrc_bound,
 )
 from .field import FieldCtx, FieldElem
 from .grs import grs_code, grs_dual_prescribed, GrsSpec
@@ -297,7 +302,6 @@ class ConvertibleCode:
     initials: tuple[LinearCode, ...]
     final: LinearCode
     plan: ConversionPlan
-    params: MergeParams
     initial_cert: Optional[LocalityCertificate] = None
     final_cert: Optional[LocalityCertificate] = None
     provenance: dict = dc_field(default_factory=dict)
@@ -306,6 +310,7 @@ class ConvertibleCode:
     places: tuple[tuple[Optional[int], ...], ...] = dc_field(
         default=(), repr=False, compare=False
     )
+    params: MergeParams = dc_field(init=False, repr=False, compare=False)
     compiled: CompiledPlan = dc_field(init=False, repr=False, compare=False)
     _access: AccessReport = dc_field(init=False, repr=False, compare=False)
 
@@ -318,8 +323,21 @@ class ConvertibleCode:
             raise ValueError(f"a {self.kind} bundle needs final_cert")
         if self.places and len(self.places) != len(self.initials) + 1:
             raise ValueError("need places for every initial stripe and the final")
-        if sum(c.k for c in self.initials) != self.final.k:
-            raise ValueError("initial dimensions must sum to the final dimension")
+        n_final, k_final = self.final.n, self.final.k
+        if self.kind == "mds_merge":
+            r, delta, d_final = k_final, 2, n_final - k_final + 1
+        else:
+            r, delta = self.final_cert.r, self.final_cert.delta
+            d_final = singleton_lrc_bound(n_final, k_final, r, delta)
+        self.params = MergeParams(
+            k_initial=tuple(c.k for c in self.initials),
+            n_initial=tuple(c.n for c in self.initials),
+            n_final=n_final,
+            k_final=k_final,
+            d_final=d_final,
+            r=r,
+            delta=delta,
+        )
         self.plan.validate(self.initials, self.final)
         self.compiled = compile_plan(self.field, self.plan)
         for i, (code, coords) in enumerate(zip(self.initials, self.compiled.storage)):
@@ -352,8 +370,10 @@ class ConvertibleCode:
 
     @classmethod
     def from_obj(cls, obj: dict) -> ConvertibleCode:
+        """Read a bundle; its stored params must equal the derived ones."""
         field = within("field", FieldCtx.from_obj, obj["field"])
-        return cls(
+        stored = within("params", MergeParams.from_obj, obj["params"]).to_obj()
+        cc = cls(
             field=field,
             kind=obj["kind"],
             initials=tuple(
@@ -362,7 +382,6 @@ class ConvertibleCode:
             ),
             final=within("final", LinearCode.from_obj, field, obj["final"]),
             plan=ConversionPlan.from_obj(obj["plan"]),
-            params=within("params", MergeParams.from_obj, obj["params"]),
             initial_cert=within("initial_cert", LocalityCertificate.from_obj, obj["initial_cert"])
             if obj.get("initial_cert")
             else None,
@@ -371,6 +390,11 @@ class ConvertibleCode:
             else None,
             provenance=obj.get("provenance", {}),
         )
+        derived = cc.params.to_obj()
+        for key, value in stored.items():
+            if value != derived[key]:
+                raise ValueError(f"params.{key} is {value}, the codes give {derived[key]}")
+        return cc
 
 
 # -- shared evaluation helpers ------------------------------------------------
@@ -580,15 +604,6 @@ def build_mds_merge(
     )
     final_code = LinearCode(field, generator=MatQ(field, gen_rows), labels=final_labels)
 
-    params = MergeParams(
-        k_initial=dims,
-        n_initial=tuple(d + lprime for d in dims),
-        n_final=final_code.n,
-        k_final=total_k,
-        d_final=el + 1,
-        r=total_k,
-        delta=2,
-    )
     provenance = {
         "group": group.to_obj(),
         "written_orbit": [p.to_obj() for p in b_places],
@@ -603,7 +618,6 @@ def build_mds_merge(
         initials=tuple(init_codes),
         final=final_code,
         plan=plan,
-        params=params,
         provenance=provenance,
         places=(*init_places, final_places),
     )
@@ -788,15 +802,6 @@ def build_lrc_merge(
         groups=tuple(tuple(range(b * gs, (b + 1) * gs)) for b in range(t * k + el)),
     )
 
-    params = MergeParams(
-        k_initial=(k_init,) * t,
-        n_initial=((k + lprime) * gs,) * t,
-        n_final=final_code.n,
-        k_final=t * k_init,
-        d_final=el * gs + delta,
-        r=r,
-        delta=delta,
-    )
     provenance = {
         "group": group.to_obj(),
         "subgroup": subgroup.to_obj(),
@@ -811,7 +816,6 @@ def build_lrc_merge(
         initials=tuple(init_codes),
         final=final_code,
         plan=plan,
-        params=params,
         initial_cert=init_cert,
         final_cert=final_cert,
         provenance=provenance,
@@ -890,44 +894,39 @@ def build_mds_to_lrc(
 
     group_size = r + delta - 1
     n_final = tprime * group_size
-    nrows = tprime * (delta - 1) + a * tprime
-    w_per_group = a + delta - 1
 
-    columns: list[list[int]] = []
+    # group g holds the alphas of stripes g*s .. g*s + s - 1, then betas[g]
+    # and the gammas
+    locators: list[FieldElem] = []
     labels: list[str] = []
-    col_meta: list[tuple[str, int, int]] = []  # (kind, stripe/group, index)
     for g in range(tprime):
-        block_locs: list[tuple[FieldElem, str, tuple[str, int, int]]] = []
         for i in range(g * s, (g + 1) * s):
-            for jj, al in enumerate(alphas[i]):
-                block_locs.append((al, f"s{i + 1}:a{jj + 1}", ("alpha", i, jj)))
-        for jj, be in enumerate(betas[g]):
-            block_locs.append((be, f"w:b{g + 1}_{jj + 1}", ("beta", g, jj)))
-        for jj, ga in enumerate(gammas):
-            block_locs.append((ga, f"w:g{g + 1}_{jj + 1}", ("gamma", g, jj)))
-        for loc, lab, meta in block_locs:
-            col = [0] * nrows
-            for row in range(delta - 1):
-                col[g * (delta - 1) + row] = field.pow_enc(loc.enc, row)
-            for row in range(a * tprime):
-                col[tprime * (delta - 1) + row] = field.pow_enc(loc.enc, delta - 1 + row)
-            columns.append(col)
-            labels.append(lab)
-            col_meta.append(meta)
-    parity = MatQ(field, [[columns[c][row] for c in range(n_final)] for row in range(nrows)])
-
-    w_cols = [c for c, meta in enumerate(col_meta) if meta[0] != "alpha"]
-    alpha_cols = [
-        [c for c, meta in enumerate(col_meta) if meta[0] == "alpha" and meta[1] == i]
-        for i in range(t)
+            locators += alphas[i]
+            labels += [f"s{i + 1}:a{jj + 1}" for jj in range(k_init)]
+        locators += betas[g] + gammas
+        labels += [f"w:b{g + 1}_{jj + 1}" for jj in range(a)]
+        labels += [f"w:g{g + 1}_{jj + 1}" for jj in range(delta - 1)]
+    # delta - 1 local rows per group, powers 0 .. delta - 2 of its own
+    # locators, then a * tprime global rows, powers delta - 1 .. d_final - 2
+    # of every locator; not vandermonde, since the gammas repeat
+    powers = [[field.pow_enc(loc.enc, e) for e in range(d_final - 1)] for loc in locators]
+    local = [
+        [powers[c][e] if c // group_size == g else 0 for c in range(n_final)]
+        for g in range(tprime)
+        for e in range(delta - 1)
     ]
-    hw = parity.submatrix_cols(w_cols)  # nrows x |W|, square by construction
-    hw_t_inv = hw.transpose().invert()
+    parity = MatQ(field, local + [[p[e] for p in powers] for e in range(delta - 1, d_final - 1)])
+
+    alpha_cols = [
+        [i // s * group_size + i % s * k_init + jj for jj in range(k_init)] for i in range(t)
+    ]
+    w_cols = [g * group_size + c for g in range(tprime) for c in range(s * k_init, group_size)]
+    hw_t_inv = parity.submatrix_cols(w_cols).transpose().invert()  # H_W is square
 
     # initial GRS stripes with prescribed parity on the unchanged part
     init_codes: list[LinearCode] = []
     init_places = []
-    fused: list[MatQ] = []
+    terms_map: dict[int, list[tuple[int, int, int]]] = {w: [] for w in w_cols}
     for i in range(t):
         alpha_set = {al.enc for al in alphas[i]}
         xi = []
@@ -950,34 +949,21 @@ def build_mds_to_lrc(
 
         hbar = vandermonde(field, d_final - 1, head)
         hbar_r = hbar.submatrix_cols(list(range(k_init, k_init + d_final - 1)))
-        pad = MatQ.zeros(field, d_final - 1, nrows)
-        g_idx = i // s
-        for row in range(delta - 1):
-            pad.data[row][g_idx * (delta - 1) + row] = 1
-        for row in range(a * tprime):
-            pad.data[delta - 1 + row][tprime * (delta - 1) + row] = 1
-        fused.append(hbar_r.transpose() @ pad @ hw_t_inv)
-
-    unchanged = tuple(
-        tuple((jj, alpha_cols[i][jj]) for jj in range(k_init)) for i in range(t)
-    )
-    reads = tuple(
-        tuple(range(k_init, k_init + d_final - 1)) for _ in range(t)
-    )
-    terms_map: dict[int, list[tuple[int, int, int]]] = {w: [] for w in w_cols}
-    for i in range(t):
-        for m in range(d_final - 1):
-            for w_slot, w in enumerate(w_cols):
-                coeff = fused[i].data[m][w_slot]
+        # the parity rows stripe i enters: its group's local rows, then the global rows
+        g = i // s
+        rows = [*range(g * (delta - 1), (g + 1) * (delta - 1)),
+                *range(tprime * (delta - 1), parity.rows)]
+        transfer = hbar_r.transpose() @ MatQ(field, [hw_t_inv.data[row] for row in rows])
+        for m, coeffs in enumerate(transfer.data):
+            for w, coeff in zip(w_cols, coeffs):
                 if coeff:
                     terms_map[w].append((i, k_init + m, coeff))
-    terms = tuple((w, tuple(tr)) for w, tr in sorted(terms_map.items()))
 
     plan = ConversionPlan(
-        unchanged=unchanged,
-        reads=reads,
-        written=tuple(sorted(w_cols)),
-        terms=terms,
+        unchanged=tuple(tuple(enumerate(cols)) for cols in alpha_cols),
+        reads=(tuple(range(k_init, k_init + d_final - 1)),) * t,
+        written=tuple(w_cols),
+        terms=tuple((w, tuple(tr)) for w, tr in terms_map.items()),
     )
 
     gen_rows = compile_plan(field, plan).generator_rows(init_codes)
@@ -990,15 +976,6 @@ def build_mds_to_lrc(
         groups=tuple(
             tuple(range(g * group_size, (g + 1) * group_size)) for g in range(tprime)
         ),
-    )
-    params = MergeParams(
-        k_initial=(k_init,) * t,
-        n_initial=n_init,
-        n_final=n_final,
-        k_final=t * k_init,
-        d_final=d_final,
-        r=r,
-        delta=delta,
     )
     provenance = {
         "s": s,
@@ -1015,7 +992,6 @@ def build_mds_to_lrc(
         initials=tuple(init_codes),
         final=final_code,
         plan=plan,
-        params=params,
         final_cert=final_cert,
         provenance=provenance,
         # the gamma locators repeat across groups: the final keeps the walk

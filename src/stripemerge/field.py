@@ -36,6 +36,7 @@ operation raises ValueError instead of coercing.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .schema import as_int, as_ints, as_object
@@ -427,14 +428,11 @@ class FieldElem:
         return tuple(_digits(self.enc, self.field.p, self.field.s))
 
     def multiplicative_order(self) -> int:
-        """Least e >= 1 with self^e = 1; divides q - 1."""
+        """Least e >= 1 with self^e = 1: (q - 1) / gcd(log self, q - 1)."""
         if self.enc == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
         order = self.field.q - 1
-        for prime in _factorize(order):
-            while order % prime == 0 and self.field.pow_enc(self.enc, order // prime) == 1:
-                order //= prime
-        return order
+        return order // math.gcd(self.field._log[self.enc], order)
 
     def __repr__(self) -> str:
         return f"<{self.enc} in GF({self.field.q})>"

@@ -28,13 +28,6 @@ class GrsSpec:
         n = len(self.locators)
         if not 1 <= self.k < n:
             raise ValueError(f"need 1 <= k < n, got k={self.k} n={n}")
-        if len({a.enc for a in self.locators}) != n:
-            raise ValueError("repeated locator")
-        if self.multipliers is not None:
-            if len(self.multipliers) != n:
-                raise ValueError("multiplier length mismatch")
-            if any(v.enc == 0 for v in self.multipliers):
-                raise ValueError("zero column multiplier")
 
 
 def grs_code(field: FieldCtx, spec: GrsSpec, labels: Optional[Sequence[str]] = None) -> LinearCode:

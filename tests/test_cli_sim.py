@@ -256,6 +256,20 @@ def group_with(request, **group):
 STORAGE_99 = edited(Q32_BUNDLE, lambda b: b["plan"]["schedule"][0]["storage"].append(99))
 READS_50 = edited(VI_BUNDLE, lambda b: b["plan"]["reads"][0].append(50))
 
+# (bundle, the field its error names): stored n, k and params that disagree
+# with the matrices
+SHAPE_MISMATCH = [
+    (set_at(VI_BUNDLE, ["final", "n"], 99), "final: n is 99"),
+    (set_at(VI_BUNDLE, ["final", "k"], 3), "final: k is 3"),
+    (set_at(VI_BUNDLE, ["initials", 0, "k"], 7), r"initials\[0\]: k is 7"),
+    (set_at(VI_BUNDLE, ["params", "n_final"], 23), "params.n_final is 23"),
+    (set_at(VI_BUNDLE, ["params", "d_final"], 5), "params.d_final is 5"),
+    (set_at(VI_BUNDLE, ["params", "d_final"], 3), "params.d_final is 3"),
+    (set_at(VI_BUNDLE, ["params", "r"], 10), "params.r is 10"),
+    (set_at(VI_BUNDLE, ["params", "n_initial"], [11] * 4), "params.n_initial is"),
+    (q32_with(["params", "n_initial"], [14, 14]), "params.n_initial is"),
+]
+
 MALFORMED = [
     ("construct", dict(VI_REQUEST, params=dict(VI_REQUEST["params"], s="2"))),
     ("construct", dict(VI_REQUEST, params=dict(VI_REQUEST["params"], n_init=9))),
@@ -315,6 +329,8 @@ MALFORMED = [
     ("construct", dict(Q32_REQUEST, subgroup={"kind": "explicit", "elements": [[40, 1, 0, 1]]})),
     ("construct", dict(group_with(Q23_REQUEST, kind="affine", mult=[1, 22.0], add=[0]),
                        params={"k": 5, "t": 2, "lprime": 4})),
+    # a stored shape the matrices contradict used to exit 0, or 3 for d_final 5
+    *(("verify", payload) for payload, _ in SHAPE_MISMATCH),
 ]
 
 
@@ -335,7 +351,10 @@ MALFORMED = [
                               "recon_coeff_32_convert", "terms_coeff_negative",
                               "explicit_short_row", "str_for_dihedral_u", "str_for_cyclic_d",
                               "list_group", "explicit_coeff_40", "float_quad",
-                              "subgroup_coeff_40", "float_affine_mult"])
+                              "subgroup_coeff_40", "float_affine_mult", "final_n_99",
+                              "final_k_3", "initial_k_7", "params_n_final_23",
+                              "params_d_final_5", "params_d_final_3", "params_r_10",
+                              "params_n_initial_11", "q32_params_n_initial_14"])
 def test_cli_malformed_json_is_a_validation_error(tmp_path, capsys, command, payload):
     command, _, side_flag = command.partition(" ")
     path = write_json(tmp_path / "input.json", payload)
@@ -347,3 +366,9 @@ def test_cli_malformed_json_is_a_validation_error(tmp_path, capsys, command, pay
     assert main([command, *args, *extra]) == 2
     err = json.loads(capsys.readouterr().out)
     assert set(err) == {"error"}
+
+
+@pytest.mark.parametrize("payload, names", SHAPE_MISMATCH)
+def test_shape_mismatch_names_the_field(payload, names):
+    with pytest.raises(ValueError, match=f"^{names}"):
+        ConvertibleCode.from_obj(payload)

@@ -420,7 +420,6 @@ def with_plan(cc, **changes):
         initials=cc.initials,
         final=cc.final,
         plan=dataclasses.replace(cc.plan, **changes),
-        params=cc.params,
         initial_cert=cc.initial_cert,
         final_cert=cc.final_cert,
     )
@@ -564,3 +563,14 @@ def test_certified_components_agree_with_the_walk(name):
         walked = ConvertibleCode.from_obj(cc.to_obj())
         assert walked.places == ()
         assert verify_convertible(walked).to_obj() == report.to_obj()
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_REQUESTS))
+def test_bundle_params_are_derived_from_the_codes(name):
+    cc = _construct(BENCH_REQUESTS[name])
+    obj = cc.to_obj()
+    assert ConvertibleCode.from_obj(obj).params == cc.params
+    for key, value in obj["params"].items():
+        off = [value[0] + 1, *value[1:]] if isinstance(value, list) else value + 1
+        with pytest.raises(ValueError, match="^params"):
+            ConvertibleCode.from_obj(dict(obj, params=dict(obj["params"], **{key: off})))

@@ -103,6 +103,19 @@ def test_element_order():
         F.zero.multiplicative_order()
 
 
+ORDER_FIELDS = [(2, 1), (3, 2), (23, 1), (2, 5), (7, 2), (5, 3), (2, 6)]
+
+
+@pytest.mark.parametrize("p,s", ORDER_FIELDS, ids=[f"GF({p ** s})" for p, s in ORDER_FIELDS])
+def test_element_order_matches_brute_force_powers(p, s):
+    F = field_create(p, s)
+    for a in range(1, F.q):
+        power, order = a, 1
+        while power != 1:
+            power, order = F.mul_enc(power, a), order + 1
+        assert F.element(a).multiplicative_order() == order
+
+
 def companion_order(F, a, b):
     """Independent oracle: order of the root of x^2 + a x + b via 2x2 powers."""
     m = [[0, 1], [F.neg_enc(b.enc), F.neg_enc(a.enc)]]

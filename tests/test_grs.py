@@ -37,11 +37,16 @@ def test_grs_all_one_multipliers_is_plain_evaluation():
 
 def test_grs_spec_validation():
     F = field_create(5, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^repeated locator$"):
         grs_code(F, GrsSpec(locators=tuple(elems(F, 1, 1, 2)), k=2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need 1 <= k < n"):
         grs_code(F, GrsSpec(locators=tuple(elems(F, 1, 2)), k=2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^multiplier length mismatch$"):
+        grs_code(
+            F, GrsSpec(locators=tuple(elems(F, 1, 2, 3)), k=2,
+                       multipliers=tuple(elems(F, 1, 1)))
+        )
+    with pytest.raises(ValueError, match="^zero column multiplier$"):
         grs_code(
             F, GrsSpec(locators=tuple(elems(F, 1, 2, 3)), k=2,
                        multipliers=tuple(elems(F, 1, 0, 2)))
