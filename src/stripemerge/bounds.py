@@ -78,7 +78,7 @@ class MergeParams:
 
     @classmethod
     def from_obj(cls, obj: dict) -> MergeParams:
-        as_object(obj, "params")
+        obj = as_object(obj, "params")
         return cls(
             as_ints(obj["k_initial"], "k_initial"),
             as_ints(obj["n_initial"], "n_initial"),

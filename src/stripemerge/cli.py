@@ -58,7 +58,8 @@ def _read_json(path: str) -> dict:
 
 def _require_ints(obj, what: str) -> dict:
     """Reject a request section whose integer or list-of-integer values are malformed."""
-    for key, value in as_object(obj, what).items():
+    obj = as_object(obj, what)
+    for key, value in obj.items():
         if value is None and key in _OPTIONAL_KEYS:
             continue
         if key in _INT_KEYS:
@@ -86,6 +87,7 @@ def _emit(obj: dict, out: Optional[str]) -> None:
 
 
 def _construct(request: dict) -> ConvertibleCode:
+    request = as_object(request, "request")
     kind = request["kind"]
     field = FieldCtx.from_obj(_require_ints(request["field"], "field"))
     params = _require_ints(request.get("params", {}), "params")

@@ -57,7 +57,7 @@ class LocalityCertificate:
 
     @classmethod
     def from_obj(cls, obj: dict) -> LocalityCertificate:
-        as_object(obj, "certificate")
+        obj = as_object(obj, "certificate")
         return cls(
             as_int(obj["r"], "r"),
             as_int(obj["delta"], "delta"),
@@ -80,6 +80,10 @@ class LinearCode:
         self.field = field
         self._generator = generator
         self._parity = parity
+        # to_obj writes these, never a matrix derived later
+        self._given = tuple(
+            key for key, m in (("generator", generator), ("parity", parity)) if m is not None
+        )
         n = generator.cols if generator is not None else parity.cols
         self.n = n
         if generator is not None:
@@ -167,15 +171,13 @@ class LinearCode:
 
     def to_obj(self) -> dict:
         obj = {"n": self.n, "k": self.k, "labels": list(self.labels)}
-        if self._generator is not None:
-            obj["generator"] = self._generator.to_obj()
-        if self._parity is not None:
-            obj["parity"] = self._parity.to_obj()
+        for key in self._given:
+            obj[key] = getattr(self, key).to_obj()
         return obj
 
     @classmethod
     def from_obj(cls, field: FieldCtx, obj: dict) -> LinearCode:
-        as_object(obj, "code")
+        obj = as_object(obj, "code")
         gen, par = (
             within(key, MatQ.from_obj, field, obj[key]) if key in obj else None
             for key in ("generator", "parity")

@@ -20,9 +20,13 @@ direct values equal the plan-applied generator.  Builders keep each
 code's evaluation places in memory, so that the verifier can prove
 component distances with grs_certificate instead of walking subsets.
 
-A ConvertibleCode derives its shape, the MergeParams that the bounds and
-the access_optimal verdict read, from its codes, its kind and its final
-certificate; a bundle's stored params must agree with it.
+A ConvertibleCode derives its kind from the locality certificates it
+carries (none: MDS merge; both: LRC merge; the final's only: MDS to LRC),
+its field from the final code, and its shape, the MergeParams that the
+bounds and the access_optimal verdict read, from its codes and its final
+certificate, an MDS final being the (r, delta) = (k, 2) case.  The
+verifier checks each component by its own certificate, or as MDS without
+one.  A bundle's stored kind and params must agree with the derived ones.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ class StripeSchedule:
 
     @classmethod
     def from_obj(cls, obj: dict) -> StripeSchedule:
-        as_object(obj, "plan.schedule entry")
+        obj = as_object(obj, "plan.schedule entry")
         return cls(
             as_ints(obj["storage"], "plan.schedule.storage"),
             tuple(
@@ -155,7 +159,7 @@ class ConversionPlan:
 
     @classmethod
     def from_obj(cls, obj: dict) -> ConversionPlan:
-        as_object(obj, "plan")
+        obj = as_object(obj, "plan")
         return cls(
             tuple(
                 tuple(as_ints(p, "plan.unchanged", 2) for p in as_list(pairs, "plan.unchanged"))
@@ -292,13 +296,16 @@ class AccessReport:
         }
 
 
-KINDS = ("mds_merge", "lrc_merge", "mds_to_lrc")
+# the kind a conversion's certificates give: (initial_cert given, final_cert given)
+KINDS = {
+    (False, False): "mds_merge",
+    (True, True): "lrc_merge",
+    (False, True): "mds_to_lrc",
+}
 
 
 @dataclass
 class ConvertibleCode:
-    field: FieldCtx
-    kind: str
     initials: tuple[LinearCode, ...]
     final: LinearCode
     plan: ConversionPlan
@@ -310,31 +317,32 @@ class ConvertibleCode:
     places: tuple[tuple[Optional[int], ...], ...] = dc_field(
         default=(), repr=False, compare=False
     )
+    field: FieldCtx = dc_field(init=False)
+    kind: str = dc_field(init=False)
     params: MergeParams = dc_field(init=False, repr=False, compare=False)
     compiled: CompiledPlan = dc_field(init=False, repr=False, compare=False)
     _access: AccessReport = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {', '.join(KINDS)}, got {self.kind!r}")
-        if self.kind == "lrc_merge" and self.initial_cert is None:
-            raise ValueError("an lrc_merge bundle needs initial_cert")
-        if self.kind != "mds_merge" and self.final_cert is None:
-            raise ValueError(f"a {self.kind} bundle needs final_cert")
+        certs = (self.initial_cert is not None, self.final_cert is not None)
+        if certs not in KINDS:
+            raise ValueError("an initial_cert needs a final_cert")
+        self.kind = KINDS[certs]
+        self.field = self.final.field
+        for i, code in enumerate(self.initials):
+            if code.field != self.field:
+                raise ValueError(f"initials[{i}] is over {code.field}, the final over {self.field}")
         if self.places and len(self.places) != len(self.initials) + 1:
             raise ValueError("need places for every initial stripe and the final")
+        # an MDS final is the (r, delta) = (k, 2) case of the LRC bound
         n_final, k_final = self.final.n, self.final.k
-        if self.kind == "mds_merge":
-            r, delta, d_final = k_final, 2, n_final - k_final + 1
-        else:
-            r, delta = self.final_cert.r, self.final_cert.delta
-            d_final = singleton_lrc_bound(n_final, k_final, r, delta)
+        r, delta = (self.final_cert.r, self.final_cert.delta) if self.final_cert else (k_final, 2)
         self.params = MergeParams(
             k_initial=tuple(c.k for c in self.initials),
             n_initial=tuple(c.n for c in self.initials),
             n_final=n_final,
             k_final=k_final,
-            d_final=d_final,
+            d_final=singleton_lrc_bound(n_final, k_final, r, delta),
             r=r,
             delta=delta,
         )
@@ -370,26 +378,26 @@ class ConvertibleCode:
 
     @classmethod
     def from_obj(cls, obj: dict) -> ConvertibleCode:
-        """Read a bundle; its stored params must equal the derived ones."""
+        """Read a bundle; its stored kind and params must equal the derived ones."""
+        obj = as_object(obj, "bundle")
         field = within("field", FieldCtx.from_obj, obj["field"])
         stored = within("params", MergeParams.from_obj, obj["params"]).to_obj()
+        kind = obj["kind"]
         cc = cls(
-            field=field,
-            kind=obj["kind"],
             initials=tuple(
                 within(f"initials[{i}]", LinearCode.from_obj, field, c)
                 for i, c in enumerate(as_list(obj["initials"], "initials"))
             ),
             final=within("final", LinearCode.from_obj, field, obj["final"]),
             plan=ConversionPlan.from_obj(obj["plan"]),
-            initial_cert=within("initial_cert", LocalityCertificate.from_obj, obj["initial_cert"])
-            if obj.get("initial_cert")
-            else None,
-            final_cert=within("final_cert", LocalityCertificate.from_obj, obj["final_cert"])
-            if obj.get("final_cert")
-            else None,
             provenance=obj.get("provenance", {}),
+            **{
+                key: within(key, LocalityCertificate.from_obj, obj[key]) if obj.get(key) else None
+                for key in ("initial_cert", "final_cert")
+            },
         )
+        if kind != cc.kind:
+            raise ValueError(f"kind is {kind!r}, the certificates give {cc.kind!r}")
         derived = cc.params.to_obj()
         for key, value in stored.items():
             if value != derived[key]:
@@ -403,6 +411,14 @@ class ConvertibleCode:
 def _encodings(points: Sequence[ProjPoint]) -> tuple[Optional[int], ...]:
     """Places as grs_certificate takes them: encodings, None for infinity."""
     return tuple(None if p.is_infinity else p.finite.enc for p in points)
+
+
+def _consecutive_groups(r: int, delta: int, size: int, count: int) -> LocalityCertificate:
+    """(r, delta) locality over `count` repair groups of `size` consecutive
+    coordinates each."""
+    return LocalityCertificate(
+        r, delta, tuple(tuple(range(b * size, (b + 1) * size)) for b in range(count))
+    )
 
 
 def _term_coefficient(field: FieldCtx, wvals: Sequence[int], rvals: Sequence[int]) -> int:
@@ -613,8 +629,6 @@ def build_mds_merge(
         "dims": list(dims),
     }
     return ConvertibleCode(
-        field=field,
-        kind="mds_merge",
         initials=tuple(init_codes),
         final=final_code,
         plan=plan,
@@ -747,13 +761,7 @@ def build_lrc_merge(
         )
         for j in range(t)
     ]
-    init_cert = LocalityCertificate(
-        r=r,
-        delta=delta,
-        groups=tuple(
-            tuple(range(b * gs, (b + 1) * gs)) for b in range(k + lprime)
-        ),
-    )
+    init_cert = _consecutive_groups(r, delta, gs, k + lprime)
 
     # locality-aware schedule: read r symbols per block, rebuild the rest
     b_segment = k * gs  # offset of the B orbit inside each initial stripe
@@ -796,11 +804,7 @@ def build_lrc_merge(
         schedule=tuple(sched for _ in range(t)),
     )
     final_code = LinearCode(field, generator=MatQ(field, gen_rows), labels=final_labels)
-    final_cert = LocalityCertificate(
-        r=r,
-        delta=delta,
-        groups=tuple(tuple(range(b * gs, (b + 1) * gs)) for b in range(t * k + el)),
-    )
+    final_cert = _consecutive_groups(r, delta, gs, t * k + el)
 
     provenance = {
         "group": group.to_obj(),
@@ -811,8 +815,6 @@ def build_lrc_merge(
         "delta": delta,
     }
     return ConvertibleCode(
-        field=field,
-        kind="lrc_merge",
         initials=tuple(init_codes),
         final=final_code,
         plan=plan,
@@ -970,13 +972,7 @@ def build_mds_to_lrc(
     final_code = LinearCode(
         field, generator=MatQ(field, gen_rows), parity=parity, labels=labels
     )
-    final_cert = LocalityCertificate(
-        r=r,
-        delta=delta,
-        groups=tuple(
-            tuple(range(g * group_size, (g + 1) * group_size)) for g in range(tprime)
-        ),
-    )
+    final_cert = _consecutive_groups(r, delta, group_size, tprime)
     provenance = {
         "s": s,
         "a": a,
@@ -987,8 +983,6 @@ def build_mds_to_lrc(
         "gammas": [ga.enc for ga in gammas],
     }
     return ConvertibleCode(
-        field=field,
-        kind="mds_to_lrc",
         initials=tuple(init_codes),
         final=final_code,
         plan=plan,
@@ -1104,30 +1098,20 @@ def verify_convertible(cc: ConvertibleCode, check_components: bool = True) -> Ve
     components_ok: Optional[bool] = None
     if check_components:
         *init_places, final_places = cc.places or ((),) * (len(cc.initials) + 1)
-        stripes = list(zip(cc.initials, init_places))
+        checks = [(c, cc.initial_cert, p) for c, p in zip(cc.initials, init_places)]
+        checks.append((cc.final, cc.final_cert, final_places))
         try:
-            if cc.kind == "mds_merge":
-                components_ok = all(is_mds(c, p) for c, p in stripes) and is_mds(
-                    cc.final, final_places
-                )
-            elif cc.kind == "lrc_merge":
-                components_ok = all(
-                    is_optimal_lrc(c, cc.initial_cert, p) for c, p in stripes
-                ) and is_optimal_lrc(cc.final, cc.final_cert, final_places)
-            else:  # mds_to_lrc, the last of KINDS
-                components_ok = all(is_mds(c, p) for c, p in stripes) and is_optimal_lrc(
-                    cc.final, cc.final_cert, final_places
-                )
+            components_ok = all(
+                is_optimal_lrc(code, cert, places) if cert else is_mds(code, places)
+                for code, cert, places in checks
+            )
         except InfeasibleCheck:
             components_ok = None
 
     measured = cc.static_access()
     floors = total_lower(cc.params)
-    reference: Optional[BoundReport] = None
-    if cc.kind == "mds_merge":
-        reference = mds_merge_lower(cc.params)
-    elif cc.kind == "lrc_merge":
-        reference = rdel_lower(cc.params)
+    reference_bound = {"mds_merge": mds_merge_lower, "lrc_merge": rdel_lower}.get(cc.kind)
+    reference = reference_bound(cc.params) if reference_bound else None
     # the floors hold for genuine merges only; a single-stripe conversion may
     # keep every symbol unchanged and is outside their derivation
     bounds_applicable = cc.params.t >= 2

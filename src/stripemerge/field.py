@@ -289,7 +289,7 @@ class FieldCtx:
 
     @classmethod
     def from_obj(cls, obj: dict) -> FieldCtx:
-        as_object(obj, "field")
+        obj = as_object(obj, "field")
         s = as_int(obj["s"], "s")
         modulus = obj.get("modulus") if s > 1 else None
         if modulus is not None:

@@ -538,7 +538,8 @@ def cyclic_subgroup_of_order(group: GroupTable, m: int) -> GroupTable:
 def build_group(field: FieldCtx, obj: dict) -> GroupTable:
     """Rebuild a subgroup from its serialized spec; raises ValueError,
     naming the key, for a malformed one."""
-    kind = as_object(obj, "spec")["kind"]
+    obj = as_object(obj, "spec")
+    kind = obj["kind"]
     q = field.q
     if kind == "cyclic_qplus1":
         a, b = (field.element(e) for e in as_encs(obj["quad"], "quad", q, 2))

@@ -2,7 +2,8 @@
 
 Each helper returns its value when it has the expected JSON shape and
 otherwise raises ValueError naming the field, so that malformed input is
-a validation error rather than a TypeError deep inside the arithmetic.
+a validation error rather than a TypeError deep inside the arithmetic or
+a bare KeyError.
 A bool is never accepted as an integer: JSON true would otherwise read
 as 1, and a float would be truncated to one.
 """
@@ -14,11 +15,23 @@ from typing import Callable, Optional, TypeVar
 T = TypeVar("T")
 
 
+class _Object(dict):
+    """A JSON object whose missing keys raise ValueError naming it."""
+
+    def __init__(self, value: dict, what: str):
+        super().__init__(value)
+        self.what = what
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.what} has no key {key!r}")
+
+
 def as_object(value, what: str) -> dict:
-    """A field that must be a JSON object."""
+    """A field that must be a JSON object; read a required key from the
+    returned copy, so that its absence is a ValueError naming `what`."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be an object, got {value!r}")
-    return value
+    return _Object(value, what)
 
 
 def as_int(value, what: str) -> int:

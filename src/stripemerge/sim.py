@@ -33,9 +33,7 @@ class ClusterLayout:
             raise ValueError(f"coordinate {label!r} is not placed on any node") from None
 
     def validate(self, cc: ConvertibleCode) -> None:
-        labels = [lab for code in cc.initials for lab in code.labels]
-        labels += [cc.final.labels[w] for w in cc.plan.written]
-        for lab in labels:
+        for lab in _stored_labels(cc):
             node = self.node_of(lab)
             if node not in self.nodes:
                 raise ValueError(f"{lab!r} placed on unknown node {node!r}")
@@ -45,30 +43,27 @@ class ClusterLayout:
 
     @classmethod
     def from_obj(cls, obj: dict) -> ClusterLayout:
-        as_object(obj, "layout")
+        obj = as_object(obj, "layout")
         nodes = tuple(as_list(obj["nodes"], "layout.nodes"))
         if not all(isinstance(n, str) for n in nodes):
             raise ValueError(f"layout.nodes must hold strings, got {list(nodes)!r}")
         return cls(nodes, dict(as_object(obj["placement"], "layout.placement")))
 
 
+def _stored_labels(cc: ConvertibleCode) -> list[str]:
+    """The labels a layout places: every initial symbol, then every
+    written final symbol."""
+    return [lab for code in cc.initials for lab in code.labels] + [
+        cc.final.labels[w] for w in cc.plan.written
+    ]
+
+
 def layout_single_node(cc: ConvertibleCode, name: str = "node0") -> ClusterLayout:
-    placement = {}
-    for code in cc.initials:
-        for lab in code.labels:
-            placement[lab] = name
-    for w in cc.plan.written:
-        placement[cc.final.labels[w]] = name
-    return ClusterLayout((name,), placement)
+    return ClusterLayout((name,), {lab: name for lab in _stored_labels(cc)})
 
 
 def layout_one_per_symbol(cc: ConvertibleCode) -> ClusterLayout:
-    placement = {}
-    for code in cc.initials:
-        for lab in code.labels:
-            placement[lab] = f"n:{lab}"
-    for w in cc.plan.written:
-        placement[cc.final.labels[w]] = f"n:{cc.final.labels[w]}"
+    placement = {lab: f"n:{lab}" for lab in _stored_labels(cc)}
     return ClusterLayout(tuple(sorted(set(placement.values()))), placement)
 
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 
 import pytest
 
@@ -270,6 +271,30 @@ SHAPE_MISMATCH = [
     (q32_with(["params", "n_initial"], [14, 14]), "params.n_initial is"),
 ]
 
+
+def without(bundle, path):
+    """A copy of bundle with the key at the end of `path` deleted."""
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        del obj[path[-1]]
+    return edited(bundle, edit)
+
+
+# (bundle, the section and key its error names): required keys left out
+MISSING_KEY = [
+    (without(VI_BUNDLE, ["final", "n"]), "final: code has no key 'n'"),
+    (without(VI_BUNDLE, ["plan"]), "bundle has no key 'plan'"),
+    (without(VI_BUNDLE, ["params", "r"]), "params: params has no key 'r'"),
+    (without(VI_BUNDLE, ["kind"]), "bundle has no key 'kind'"),
+    (without(VI_BUNDLE, ["plan", "terms"]), "plan has no key 'terms'"),
+    (without(VI_BUNDLE, ["final_cert", "groups"]), "final_cert: certificate has no key 'groups'"),
+    (without(VI_BUNDLE, ["field", "p"]), "field: field has no key 'p'"),
+    (without(VI_BUNDLE, ["initials", 1, "k"]), r"initials\[1\]: code has no key 'k'"),
+    (without(Q32_BUNDLE, ["plan", "schedule", 0, "recon"]),
+     "plan.schedule entry has no key 'recon'"),
+]
+
 MALFORMED = [
     ("construct", dict(VI_REQUEST, params=dict(VI_REQUEST["params"], s="2"))),
     ("construct", dict(VI_REQUEST, params=dict(VI_REQUEST["params"], n_init=9))),
@@ -331,6 +356,11 @@ MALFORMED = [
                        params={"k": 5, "t": 2, "lprime": 4})),
     # a stored shape the matrices contradict used to exit 0, or 3 for d_final 5
     *(("verify", payload) for payload, _ in SHAPE_MISMATCH),
+    # a stored kind the certificates contradict used to exit 0, its own
+    # checks run and the other certificate unread
+    ("verify", q32_with(["kind"], "mds_to_lrc")),
+    ("verify", set_at(VI_BUNDLE, ["initial_cert"],
+                      {"r": 4, "delta": 2, "groups": [[0, 1, 2, 3, 4], [5, 6, 7, 8]]})),
 ]
 
 
@@ -354,7 +384,8 @@ MALFORMED = [
                               "subgroup_coeff_40", "float_affine_mult", "final_n_99",
                               "final_k_3", "initial_k_7", "params_n_final_23",
                               "params_d_final_5", "params_d_final_3", "params_r_10",
-                              "params_n_initial_11", "q32_params_n_initial_14"])
+                              "params_n_initial_11", "q32_params_n_initial_14",
+                              "q32_kind_mds_to_lrc", "vi_stray_initial_cert"])
 def test_cli_malformed_json_is_a_validation_error(tmp_path, capsys, command, payload):
     command, _, side_flag = command.partition(" ")
     path = write_json(tmp_path / "input.json", payload)
@@ -372,3 +403,22 @@ def test_cli_malformed_json_is_a_validation_error(tmp_path, capsys, command, pay
 def test_shape_mismatch_names_the_field(payload, names):
     with pytest.raises(ValueError, match=f"^{names}"):
         ConvertibleCode.from_obj(payload)
+
+
+@pytest.mark.parametrize("payload, names", MISSING_KEY)
+def test_missing_key_names_its_section(tmp_path, capsys, payload, names):
+    path = write_json(tmp_path / "bundle.json", payload)
+    assert main(["verify", "--bundle", path, "--skip-distance"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ValueError"
+    assert re.match(f"^{names}$", err["message"])
+
+
+def test_request_missing_key_names_its_section(tmp_path, capsys):
+    for request, names in (
+        ({k: v for k, v in VI_REQUEST.items() if k != "field"}, "request has no key 'field'"),
+        (dict(VI_REQUEST, params={"s": 2}), "params has no key 'a'"),
+    ):
+        path = write_json(tmp_path / "request.json", request)
+        assert main(["construct", "--request", path]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["message"] == names

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import random
 from pathlib import Path
@@ -8,8 +9,9 @@ import pytest
 from stripemerge import convert
 from stripemerge.cli import _construct
 from stripemerge.bounds import read_lower, total_lower, unchanged_upper
-from stripemerge.codes import check_locality, is_mds, is_optimal_lrc, min_distance
+from stripemerge.codes import LinearCode, check_locality, is_mds, is_optimal_lrc, min_distance
 from stripemerge.convert import (
+    KINDS,
     ConvertibleCode,
     build_lrc_merge,
     build_mds_merge,
@@ -18,6 +20,7 @@ from stripemerge.convert import (
     verify_convertible,
 )
 from stripemerge.field import field_create
+from stripemerge.matrix import MatQ
 from stripemerge.pgl import (
     cyclic_subgroup_of_order,
     subfield_elements,
@@ -31,6 +34,13 @@ BENCH_REQUESTS = json.loads(
         encoding="utf-8"
     )
 )["requests"]
+
+
+@functools.cache
+def bench_cc(name):
+    """The builder's conversion for one benchmark request, built once."""
+    return _construct(BENCH_REQUESTS[name])
+
 
 F23 = field_create(23, 1)
 QUAD23 = (F23.element(21), F23.element(5))
@@ -415,8 +425,6 @@ def test_execute_rejects_non_codeword(cc_vi):
 def with_plan(cc, **changes):
     """The same conversion with some plan fields replaced."""
     return ConvertibleCode(
-        field=cc.field,
-        kind=cc.kind,
         initials=cc.initials,
         final=cc.final,
         plan=dataclasses.replace(cc.plan, **changes),
@@ -555,7 +563,7 @@ WALK_INFEASIBLE = {"q64_lrc_merge_d2", "q64_lrc_merge_d3"}
 
 @pytest.mark.parametrize("name", sorted(BENCH_REQUESTS))
 def test_certified_components_agree_with_the_walk(name):
-    cc = _construct(BENCH_REQUESTS[name])
+    cc = bench_cc(name)
     report = verify_convertible(cc)
     assert report.components_ok is True
     if name not in WALK_INFEASIBLE:
@@ -567,10 +575,38 @@ def test_certified_components_agree_with_the_walk(name):
 
 @pytest.mark.parametrize("name", sorted(BENCH_REQUESTS))
 def test_bundle_params_are_derived_from_the_codes(name):
-    cc = _construct(BENCH_REQUESTS[name])
+    cc = bench_cc(name)
     obj = cc.to_obj()
     assert ConvertibleCode.from_obj(obj).params == cc.params
     for key, value in obj["params"].items():
         off = [value[0] + 1, *value[1:]] if isinstance(value, list) else value + 1
         with pytest.raises(ValueError, match="^params"):
             ConvertibleCode.from_obj(dict(obj, params=dict(obj["params"], **{key: off})))
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_REQUESTS))
+def test_bundle_kind_is_derived_from_the_certificates(name):
+    cc = bench_cc(name)
+    obj = cc.to_obj()
+    assert cc.kind == obj["kind"] == BENCH_REQUESTS[name]["kind"]
+    assert ConvertibleCode.from_obj(obj).kind == cc.kind
+    for other in set(KINDS.values()) - {cc.kind}:
+        with pytest.raises(ValueError, match="^kind"):
+            ConvertibleCode.from_obj(dict(obj, kind=other))
+    if cc.kind == "mds_merge":
+        # an MDS final is a (k, 2)-LRC with one group, but such a
+        # certificate makes the bundle an MDS-to-LRC conversion
+        cert = {"r": cc.final.k, "delta": 2, "groups": [list(range(cc.final.n))]}
+        with pytest.raises(ValueError, match="^kind"):
+            ConvertibleCode.from_obj(dict(obj, final_cert=cert))
+    F29 = field_create(29, 1)
+    first = cc.initials[0]
+    foreign = LinearCode(F29, generator=MatQ(F29, [[1] * first.n]), labels=first.labels)
+    with pytest.raises(ValueError, match=r"^initials\[0\] is over FieldCtx\(GF\(29\)\)"):
+        ConvertibleCode(
+            initials=(foreign, *cc.initials[1:]),
+            final=cc.final,
+            plan=cc.plan,
+            initial_cert=cc.initial_cert,
+            final_cert=cc.final_cert,
+        )

@@ -5,6 +5,11 @@ The requests and digests are the benchmark's own (perfbench/instances.json
 and perfbench/golden.json); this test only reads them.  They cover MDS
 merges over GF(23), GF(27) and GF(49), LRC merges over GF(32) and GF(64),
 and MDS-to-LRC conversions over GF(23), GF(25), GF(27) and GF(49).
+
+tests/golden_reports.json pins the SHA-256 of the canonical JSON that
+`stripemerge verify --skip-distance` and `stripemerge convert --seed 3`
+print for every request, and that a full `stripemerge verify` prints for
+the three flagships.
 """
 
 import hashlib
@@ -20,6 +25,8 @@ from stripemerge.convert import ConvertibleCode, execute, verify_convertible
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REQUESTS = json.loads((BENCH / "instances.json").read_text(encoding="utf-8"))["requests"]
 GOLDEN = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
+REPORTS = json.loads((Path(__file__).resolve().parent / "golden_reports.json").read_text(
+    encoding="utf-8"))
 
 
 def canonical_digest(obj) -> str:
@@ -55,3 +62,10 @@ def test_bundle_matches_golden_and_converts(name, tmp_path, capsys):
 
     report = verify_convertible(cc, check_components=False)
     assert report.ok and report.access_optimal
+    # the bundle is what the code was read from, whatever the checks derived
+    assert canonical_digest(cc.to_obj()) == GOLDEN[name]["sha256"]
+
+    for command, digest in REPORTS[name].items():
+        verb, *flags = command.split()
+        assert main([verb, "--bundle", str(bundle), *flags]) == 0
+        assert canonical_digest(json.loads(capsys.readouterr().out)) == digest, command
