@@ -37,10 +37,11 @@ EXIT_VERIFY = 3
 EXIT_INFEASIBLE = 4
 
 
-# request keys whose values must be integers or lists of integers; null
-# leaves an optional list at its default
+# request keys whose values must be integers, lists of integers or JSON
+# booleans; null leaves an optional list at its default
 _INT_KEYS = frozenset({"p", "s", "k", "t", "lprime", "delta", "subgroup_order", "a",
                        "tprime", "k_init"})
+_BOOL_KEYS = frozenset({"evaluate_at_pole"})
 _LIST_KEYS = frozenset({"modulus", "per_initial_dims", "n_init", "elements"})
 _OPTIONAL_KEYS = frozenset({"modulus", "per_initial_dims", "elements"})
 
@@ -57,7 +58,7 @@ def _read_json(path: str) -> dict:
 
 
 def _require_ints(obj, what: str) -> dict:
-    """Reject a request section whose integer or list-of-integer values are malformed."""
+    """Reject a request section whose integer, list or boolean values are malformed."""
     obj = as_object(obj, what)
     for key, value in obj.items():
         if value is None and key in _OPTIONAL_KEYS:
@@ -66,6 +67,8 @@ def _require_ints(obj, what: str) -> dict:
             as_int(value, f"{what}.{key}")
         if key in _LIST_KEYS:
             as_ints(value, f"{what}.{key}")
+        if key in _BOOL_KEYS and not isinstance(value, bool):
+            raise ValueError(f"{what}.{key} must be a JSON boolean, got {value!r}")
     return obj
 
 

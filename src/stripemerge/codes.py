@@ -6,17 +6,17 @@ is about which physical symbol stays put, and positional indices alone
 invite off-by-one corruption when coordinates are reordered or dropped.
 
 Distance verification is exact or it refuses: each strategy has a hard
-work budget and raises InfeasibleCheck instead of guessing.  When the
-caller knows the evaluation places of a code, is_mds and is_optimal_lrc
-first try grs_certificate, one kernel solve that can only prove a
-distance: a code inside the dual of GRS_{d-1} on distinct places has
-distance at least d.  A failed certificate proves nothing and hands over
-to the budgeted subset walk of distance_at_least.
+work budget and raises InfeasibleCheck instead of guessing.  For a code
+that carries its evaluation places, is_mds and is_optimal_lrc first try
+grs_certificate, one kernel solve that can only prove a distance, on
+distinct or repeated places.  A failed certificate proves nothing and
+hands over to the budgeted subset walk of distance_at_least.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import NoReturn, Optional, Sequence
@@ -74,6 +74,7 @@ class LinearCode:
         generator: Optional[MatQ] = None,
         parity: Optional[MatQ] = None,
         labels: Optional[Sequence[str]] = None,
+        places: Optional[Sequence[Optional[int]]] = None,
     ):
         if generator is None and parity is None:
             raise ValueError("need a generator or a parity-check matrix")
@@ -106,6 +107,8 @@ class LinearCode:
         )
         if len(self.labels) != n or len(set(self.labels)) != n:
             raise ValueError("labels must be distinct, one per coordinate")
+        # evaluation places for grs_certificate, which re-checks them; never serialized
+        self.places = tuple(places) if places is not None else None
         # parity rows as packed-kernel rows, built by the first contains
         self._checks: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
 
@@ -293,25 +296,27 @@ def min_distance(code: LinearCode, strategy: str = "parity_subsets") -> int:
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def grs_certificate(
-    code: LinearCode, places: Optional[Sequence[Optional[int]]], d: int
-) -> bool:
-    """True only if the code lies in the dual of some GRS_{d-1}(places, v).
+def grs_certificate(code: LinearCode, d: int) -> bool:
+    """True only if code.places prove d(C) >= d.
 
-    places holds one pairwise-distinct field encoding per coordinate, None
-    for the place at infinity.  With w = d - 1, the code lies in the dual
-    of GRS_w(places, v) iff sum_j g_ij v_j a_j^m = 0 for every generator
-    row i and m < w, where infinity's column of powers is (0, ..., 0, 1).
-    That dual is an MDS [n, n-w, w+1] code, so a v with no zero entry
-    proves d(C) >= d.  v is taken from the kernel basis of this k*w x n
-    system, and only a basis vector with full support is accepted; no
-    combination of basis vectors is searched.  False proves nothing: it
-    is also the answer for missing, repeated or out-of-range places and
-    for w > n - k, where no such v exists.
+    code.places holds one field encoding per coordinate, None for the
+    place at infinity; places may repeat.  With w = d - 1, fold the
+    coordinates that share a place by summing them, and solve
+    sum_P v_P a_P^m sum_{j at P} g_ij = 0 over generator rows i and m < w,
+    one unknown per distinct place P, infinity's powers being (0, ..., 0, 1).
+    Only a kernel basis vector v with no zero entry is accepted, and the
+    parity columns at the coordinates R whose place repeats must have rank
+    |R|.  Proof: a codeword of weight < d folds to a word of weight < d in
+    the dual of the MDS code GRS_w(distinct places, v), of distance d, so
+    the folded word is 0; the codeword therefore lives on R, and the rank
+    condition makes it 0.  With distinct places R is empty.  False proves
+    nothing: it is also the answer for missing or out-of-range places and
+    for w > n - k.
     """
     f = code.field
     n, k, w = code.n, code.k, d - 1
-    if places is None or len(places) != n or len(set(places)) != n:
+    places = code.places
+    if places is None or len(places) != n:
         return False
     if any(p is not None and not (isinstance(p, int) and 0 <= p < f.q) for p in places):
         return False
@@ -319,24 +324,34 @@ def grs_certificate(
         return True
     if w > n - k:
         return False
-    powers = []  # powers[m][j] = a_j^m; infinity's column is (0, ..., 0, 1)
-    row = [1] * n
+    count = Counter(places)  # distinct places in first-appearance order
+    slot = {p: s for s, p in enumerate(count)}
+    folded = [[0] * len(slot) for _ in range(k)]
+    for frow, grow in zip(folded, code.generator.data):
+        for p, g in zip(places, grow):
+            frow[slot[p]] = f.add_enc(frow[slot[p]], g)
+    powers = []  # powers[m][s] = a_s^m; infinity's column is (0, ..., 0, 1)
+    row = [1] * len(slot)
     for m in range(w):
-        powers.append([int(m == w - 1) if p is None else e for p, e in zip(places, row)])
-        row = [e if p is None else f.mul_enc(e, p) for p, e in zip(places, row)]
+        powers.append([int(m == w - 1) if p is None else e for p, e in zip(count, row)])
+        row = [e if p is None else f.mul_enc(e, p) for p, e in zip(count, row)]
     system = MatQ(f, [
-        [f.mul_enc(g, a) for g, a in zip(grow, prow)]
-        for grow in code.generator.data
+        [f.mul_enc(g, a) for g, a in zip(frow, prow)]
+        for frow in folded
         for prow in powers
     ])
-    return any(all(v) for v in system.kernel())
+    if not any(all(v) for v in system.kernel()):
+        return False
+    repeated = [j for j, p in enumerate(places) if count[p] > 1]
+    h = code.parity.data if repeated else ()
+    return rank_of_rows(f, [[hrow[j] for hrow in h] for j in repeated]) == len(repeated)
 
 
-def is_mds(code: LinearCode, places: Optional[Sequence[Optional[int]]] = None) -> bool:
-    """d = n - k + 1, proved by grs_certificate when places are given and
-    it succeeds, otherwise verified via (n-k)-column subset ranks."""
+def is_mds(code: LinearCode) -> bool:
+    """d = n - k + 1, proved by grs_certificate when the code's places
+    allow it, otherwise verified via (n-k)-column subset ranks."""
     d = code.n - code.k + 1
-    return grs_certificate(code, places, d) or distance_at_least(code, d)
+    return grs_certificate(code, d) or distance_at_least(code, d)
 
 
 def singleton_lrc_bound(n: int, k: int, r: int, delta: int) -> int:
@@ -360,11 +375,7 @@ def check_locality(code: LinearCode, cert: LocalityCertificate) -> bool:
     return True
 
 
-def is_optimal_lrc(
-    code: LinearCode,
-    cert: LocalityCertificate,
-    places: Optional[Sequence[Optional[int]]] = None,
-) -> bool:
+def is_optimal_lrc(code: LinearCode, cert: LocalityCertificate) -> bool:
     """Locality holds and the distance meets the Singleton-type bound.
 
     With locality certified, the bound is an upper limit on the distance,
@@ -373,5 +384,5 @@ def is_optimal_lrc(
     """
     bound = singleton_lrc_bound(code.n, code.k, cert.r, cert.delta)
     return check_locality(code, cert) and (
-        grs_certificate(code, places, bound) or distance_at_least(code, bound)
+        grs_certificate(code, bound) or distance_at_least(code, bound)
     )

@@ -16,9 +16,9 @@ generator, blockdiag(G_i) * P, and the verifier reads bijectivity,
 membership and the unchanged contract off those same rows.  The evaluation builders also evaluate
 each rational-function term directly at every final place, read the
 written-symbol coefficients from those values, and assert that the
-direct values equal the plan-applied generator.  Builders keep each
-code's evaluation places in memory, so that the verifier can prove
-component distances with grs_certificate instead of walking subsets.
+direct values equal the plan-applied generator.  Builders give each code
+its evaluation places, repeats included, so that grs_certificate proves
+every component distance; a bundle read from JSON has none and is walked.
 
 A ConvertibleCode derives its kind from the locality certificates it
 carries (none: MDS merge; both: LRC merge; the final's only: MDS to LRC),
@@ -312,11 +312,6 @@ class ConvertibleCode:
     initial_cert: Optional[LocalityCertificate] = None
     final_cert: Optional[LocalityCertificate] = None
     provenance: dict = dc_field(default_factory=dict)
-    # evaluation places per initial stripe, then the final, for
-    # grs_certificate: builder output only, never serialized; () = unknown
-    places: tuple[tuple[Optional[int], ...], ...] = dc_field(
-        default=(), repr=False, compare=False
-    )
     field: FieldCtx = dc_field(init=False)
     kind: str = dc_field(init=False)
     params: MergeParams = dc_field(init=False, repr=False, compare=False)
@@ -332,8 +327,6 @@ class ConvertibleCode:
         for i, code in enumerate(self.initials):
             if code.field != self.field:
                 raise ValueError(f"initials[{i}] is over {code.field}, the final over {self.field}")
-        if self.places and len(self.places) != len(self.initials) + 1:
-            raise ValueError("need places for every initial stripe and the final")
         # an MDS final is the (r, delta) = (k, 2) case of the LRC bound
         n_final, k_final = self.final.n, self.final.k
         r, delta = (self.final_cert.r, self.final_cert.delta) if self.final_cert else (k_final, 2)
@@ -409,7 +402,7 @@ class ConvertibleCode:
 
 
 def _encodings(points: Sequence[ProjPoint]) -> tuple[Optional[int], ...]:
-    """Places as grs_certificate takes them: encodings, None for infinity."""
+    """Places as a LinearCode carries them: encodings, None for infinity."""
     return tuple(None if p.is_infinity else p.finite.enc for p in points)
 
 
@@ -440,10 +433,11 @@ def _merge_by_evaluation(
     written: Sequence[ProjPoint],
     read_base: Sequence[int],
     pole_budget: int,
+    labels: Sequence[str],
     schedule: Optional[tuple[StripeSchedule, ...]] = None,
-) -> tuple[ConversionPlan, list[list[int]], tuple[Optional[int], ...]]:
-    """Plan, final generator rows and final places of a merge of
-    evaluation codes.
+) -> tuple[ConversionPlan, LinearCode]:
+    """Plan and final code, on its places and with the given labels, of a
+    merge of evaluation codes.
 
     Basis function f of stripe j (row f of its generator) becomes the
     term factors[j] * (f moved by moves[j]).  The final code keeps stripe
@@ -502,7 +496,8 @@ def _merge_by_evaluation(
     gen_rows = compile_plan(field, plan).generator_rows(init_codes)
     if gen_rows != [row for rows in direct for row in rows]:
         raise AssertionError("direct evaluation disagrees with the plan-applied generator")
-    return plan, gen_rows, _encodings(kept_places + list(written))
+    return plan, LinearCode(field, generator=MatQ(field, gen_rows), labels=labels,
+                            places=_encodings(kept_places + list(written)))
 
 
 # -- MDS merge ----------------------------------------------------------------
@@ -587,10 +582,8 @@ def build_mds_merge(
     monomials = [x ** row for row in range(k)]
     bases = [monomials[:d] for d in dims]
     init_codes: list[LinearCode] = []
-    init_places = []
     for j in range(t):
         pts = a1_places[j] + b_places + bprime
-        init_places.append(_encodings(pts))
         gen = MatQ(
             field,
             [
@@ -599,7 +592,7 @@ def build_mds_merge(
             ],
         )
         labels = [f"s{j + 1}:p{pt.label()}" for pt in pts]
-        init_codes.append(LinearCode(field, generator=gen, labels=labels))
+        init_codes.append(LinearCode(field, generator=gen, labels=labels, places=_encodings(pts)))
 
     # final code: unchanged segments per stripe, then the written block
     final_labels = [
@@ -607,7 +600,7 @@ def build_mds_merge(
         for j in range(t)
         for idx in range(dims[j])
     ] + [f"w:p{pt.label()}" for pt in b_places]
-    plan, gen_rows, final_places = _merge_by_evaluation(
+    plan, final_code = _merge_by_evaluation(
         field,
         init_codes,
         moves=sigmas[:t],
@@ -617,8 +610,8 @@ def build_mds_merge(
         written=b_places,
         read_base=dims,
         pole_budget=total_k - 1,
+        labels=final_labels,
     )
-    final_code = LinearCode(field, generator=MatQ(field, gen_rows), labels=final_labels)
 
     provenance = {
         "group": group.to_obj(),
@@ -633,7 +626,6 @@ def build_mds_merge(
         final=final_code,
         plan=plan,
         provenance=provenance,
-        places=(*init_places, final_places),
     )
 
 
@@ -758,6 +750,7 @@ def build_lrc_merge(
             field,
             generator=init_gen,
             labels=[f"s{j + 1}:{lab}" for lab in init_labels_template],
+            places=_encodings(init_places),
         )
         for j in range(t)
     ]
@@ -791,7 +784,7 @@ def build_lrc_merge(
         for i in range(k)
         for s in range(gs)
     ] + [f"w:p{p.label()}" for p in flat_b]
-    plan, gen_rows, final_places = _merge_by_evaluation(
+    plan, final_code = _merge_by_evaluation(
         field,
         init_codes,
         moves=reps[:t],
@@ -801,9 +794,9 @@ def build_lrc_merge(
         written=flat_b,
         read_base=[b_segment] * t,
         pole_budget=0,
+        labels=final_labels,
         schedule=tuple(sched for _ in range(t)),
     )
-    final_code = LinearCode(field, generator=MatQ(field, gen_rows), labels=final_labels)
     final_cert = _consecutive_groups(r, delta, gs, t * k + el)
 
     provenance = {
@@ -821,7 +814,6 @@ def build_lrc_merge(
         initial_cert=init_cert,
         final_cert=final_cert,
         provenance=provenance,
-        places=(_encodings(init_places),) * t + (final_places,),
     )
 
 
@@ -927,7 +919,6 @@ def build_mds_to_lrc(
 
     # initial GRS stripes with prescribed parity on the unchanged part
     init_codes: list[LinearCode] = []
-    init_places = []
     terms_map: dict[int, list[tuple[int, int, int]]] = {w: [] for w in w_cols}
     for i in range(t):
         alpha_set = {al.enc for al in alphas[i]}
@@ -947,7 +938,6 @@ def build_mds_to_lrc(
             f"s{i + 1}:x{jj + 1}" for jj in range(len(xi))
         ]
         init_codes.append(grs_code(field, spec, labels=code_labels))
-        init_places.append(tuple(e.enc for e in spec.locators))
 
         hbar = vandermonde(field, d_final - 1, head)
         hbar_r = hbar.submatrix_cols(list(range(k_init, k_init + d_final - 1)))
@@ -969,9 +959,8 @@ def build_mds_to_lrc(
     )
 
     gen_rows = compile_plan(field, plan).generator_rows(init_codes)
-    final_code = LinearCode(
-        field, generator=MatQ(field, gen_rows), parity=parity, labels=labels
-    )
+    final_code = LinearCode(field, generator=MatQ(field, gen_rows), parity=parity,
+                            labels=labels, places=tuple(loc.enc for loc in locators))
     final_cert = _consecutive_groups(r, delta, group_size, tprime)
     provenance = {
         "s": s,
@@ -988,8 +977,6 @@ def build_mds_to_lrc(
         plan=plan,
         final_cert=final_cert,
         provenance=provenance,
-        # the gamma locators repeat across groups: the final keeps the walk
-        places=(*init_places, ()),
     )
 
 
@@ -1077,9 +1064,8 @@ def verify_convertible(cc: ConvertibleCode, check_components: bool = True) -> Ve
     column dst of the rows to be column src of G_i on stripe i's rows and
     0 on every other stripe's.  When membership holds, execute runs once,
     on the encodings of the all-ones messages, to exercise the public
-    conversion path.  The component checks pass each code's places, when
-    the bundle came from a builder, so that grs_certificate can prove its
-    distance before the subset walk is tried.
+    conversion path.  A component that carries its places, as every
+    builder's does, is proved by grs_certificate before any subset walk.
     """
     field = cc.field
     rows = cc.compiled.generator_rows(cc.initials)
@@ -1097,13 +1083,10 @@ def verify_convertible(cc: ConvertibleCode, check_components: bool = True) -> Ve
 
     components_ok: Optional[bool] = None
     if check_components:
-        *init_places, final_places = cc.places or ((),) * (len(cc.initials) + 1)
-        checks = [(c, cc.initial_cert, p) for c, p in zip(cc.initials, init_places)]
-        checks.append((cc.final, cc.final_cert, final_places))
+        checks = [(c, cc.initial_cert) for c in cc.initials] + [(cc.final, cc.final_cert)]
         try:
             components_ok = all(
-                is_optimal_lrc(code, cert, places) if cert else is_mds(code, places)
-                for code, cert, places in checks
+                is_optimal_lrc(code, cert) if cert else is_mds(code) for code, cert in checks
             )
         except InfeasibleCheck:
             components_ok = None

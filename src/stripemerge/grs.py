@@ -33,7 +33,7 @@ class GrsSpec:
 def grs_code(field: FieldCtx, spec: GrsSpec, labels: Optional[Sequence[str]] = None) -> LinearCode:
     spec.validate()
     gen = vandermonde(field, spec.k, spec.locators, spec.multipliers)
-    return LinearCode(field, generator=gen, labels=labels)
+    return LinearCode(field, generator=gen, labels=labels, places=[a.enc for a in spec.locators])
 
 
 def annihilator(field: FieldCtx, points: Iterable[FieldElem]) -> Poly:

@@ -416,6 +416,15 @@ class RationalFunction:
 # -- subgroup families -------------------------------------------------------
 
 
+def _qplus1_power(field: FieldCtx, a: FieldElem, b: FieldElem, m: int) -> Mobius:
+    """eta^((q+1)/m) for eta(x) = 1/(-b x - a), once its order q + 1, given
+    by the primitive quadratic x^2 + a x + b, is re-verified by brute force."""
+    eta = Mobius(field, 0, 1, field.neg_enc(b.enc), field.neg_enc(a.enc))
+    if eta.order() != field.q + 1:
+        raise AssertionError("primitive quadratic did not induce an order q+1 map")
+    return eta.power((field.q + 1) // m)
+
+
 def subgroup_cyclic_qplus1(
     field: FieldCtx, quad: tuple[FieldElem, FieldElem], d: int
 ) -> GroupTable:
@@ -431,12 +440,8 @@ def subgroup_cyclic_qplus1(
     q = field.q
     if d < 1 or (q + 1) % d:
         raise ValueError(f"{d} does not divide q + 1 = {q + 1}")
-    eta = Mobius(field, 0, 1, field.neg_enc(b.enc), field.neg_enc(a.enc))
-    if eta.order() != q + 1:
-        raise AssertionError("primitive quadratic did not induce an order q+1 map")
-    gen = eta.power((q + 1) // d)
     table = GroupTable.from_generators(
-        field, [gen],
+        field, [_qplus1_power(field, a, b, d)],
         recipe={"kind": "cyclic_qplus1", "quad": [a.enc, b.enc], "d": d},
     )
     if table.order != d:
@@ -503,10 +508,7 @@ def subgroup_dihedral(field: FieldCtx, u: int, variant: str) -> GroupTable:
         if u < 1 or (q + 1) % u:
             raise ValueError(f"{u} does not divide q + 1 = {q + 1}")
         a, b = primitive_quadratic_search(field)
-        eta = Mobius(field, 0, 1, b.enc, a.enc)
-        if eta.order() != q + 1:
-            raise AssertionError("primitive quadratic did not induce an order q+1 map")
-        sigma = eta.power((q + 1) // u)
+        sigma = _qplus1_power(field, a, b, u)  # -1 = 1 here: eta(x) = 1/(b x + a)
         tau = Mobius(field, 0, 1, b.enc, 0)
     elif variant == "q_minus":
         if u < 1 or (q - 1) % u:

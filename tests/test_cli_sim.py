@@ -361,6 +361,10 @@ MALFORMED = [
     ("verify", q32_with(["kind"], "mds_to_lrc")),
     ("verify", set_at(VI_BUNDLE, ["initial_cert"],
                       {"r": 4, "delta": 2, "groups": [[0, 1, 2, 3, 4], [5, 6, 7, 8]]})),
+    # a non-boolean switch used to build the pole variant ("false") or
+    # the plain one (0), whatever it was meant to say
+    *(("construct", dict(Q23_REQUEST, params=dict(Q23_REQUEST["params"], evaluate_at_pole=v)))
+      for v in ("false", 1)),
 ]
 
 
@@ -385,7 +389,8 @@ MALFORMED = [
                               "final_k_3", "initial_k_7", "params_n_final_23",
                               "params_d_final_5", "params_d_final_3", "params_r_10",
                               "params_n_initial_11", "q32_params_n_initial_14",
-                              "q32_kind_mds_to_lrc", "vi_stray_initial_cert"])
+                              "q32_kind_mds_to_lrc", "vi_stray_initial_cert",
+                              "str_for_evaluate_at_pole", "int_for_evaluate_at_pole"])
 def test_cli_malformed_json_is_a_validation_error(tmp_path, capsys, command, payload):
     command, _, side_flag = command.partition(" ")
     path = write_json(tmp_path / "input.json", payload)
@@ -397,6 +402,14 @@ def test_cli_malformed_json_is_a_validation_error(tmp_path, capsys, command, pay
     assert main([command, *args, *extra]) == 2
     err = json.loads(capsys.readouterr().out)
     assert set(err) == {"error"}
+
+
+def test_evaluate_at_pole_must_be_a_boolean(tmp_path, capsys):
+    for value in ("false", "no", 1, 0, [], None):
+        request = dict(Q23_REQUEST, params=dict(Q23_REQUEST["params"], evaluate_at_pole=value))
+        assert main(["construct", "--request", write_json(tmp_path / "r.json", request)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["message"].startswith("params.evaluate_at_pole must be a JSON boolean")
 
 
 @pytest.mark.parametrize("payload, names", SHAPE_MISMATCH)

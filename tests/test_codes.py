@@ -16,6 +16,7 @@ from stripemerge.codes import (
     min_distance,
     singleton_lrc_bound,
 )
+from stripemerge.convert import build_mds_to_lrc
 from stripemerge.field import field_create
 from stripemerge.grs import GrsSpec, grs_code
 from stripemerge.matrix import MatQ, rank_of_rows, vandermonde
@@ -266,15 +267,15 @@ def grs_generator(F, places, k, mults):
 
 
 def random_grs(rng, F, with_infinity):
-    """A GRS [n, k] code with 2 <= k <= n - 2 on random places, random
-    nonzero multipliers, and its places."""
+    """A GRS [n, k] code with 2 <= k <= n - 2 on random places, which it
+    carries, random nonzero multipliers, and its places."""
     q = F.q
     n = rng.randrange(4, min(q, 10) + 1)
     places = rng.sample(range(q), n - 1) + [None] if with_infinity else rng.sample(range(q), n)
     rng.shuffle(places)
     k = rng.randrange(2, n - 1)
     mults = [rng.randrange(1, q) for _ in range(n)]
-    return LinearCode(F, generator=grs_generator(F, places, k, mults)), places
+    return LinearCode(F, generator=grs_generator(F, places, k, mults), places=places), places
 
 
 GRS_FIELDS = ((2, 3), (3, 2), (13, 1), (5, 2))  # GF(8), GF(9), GF(13), GF(25)
@@ -288,16 +289,16 @@ def test_grs_certificate_proves_only_true_distances():
         for trial in range(12):
             code, places = random_grs(rng, F, with_infinity=trial % 2 == 1)
             n, k = code.n, code.k
-            assert grs_certificate(code, places, n - k + 1)
+            assert grs_certificate(code, n - k + 1)
             assert distance_at_least(code, n - k + 1)
             # a random subcode of dimension kk < k, claimed at every distance
             kk = rng.randrange(1, k)
             mix = MatQ(F, [[rng.randrange(F.q) for _ in range(k)] for _ in range(kk)])
             if mix.rank() < kk:
                 continue
-            sub = LinearCode(F, generator=mix @ code.generator)
+            sub = LinearCode(F, generator=mix @ code.generator, places=places)
             for d in range(2, n - kk + 2):
-                if grs_certificate(sub, places, d):
+                if grs_certificate(sub, d):
                     assert distance_at_least(sub, d)
                     subcodes_certified += 1
     assert subcodes_certified > 0
@@ -314,38 +315,108 @@ def test_grs_certificate_rejects_a_changed_entry():
         for trial in range(8):
             code, places = random_grs(rng, F, with_infinity=trial % 2 == 1)
             d = code.n - code.k + 1
-            assert grs_certificate(code, places, d)
+            assert grs_certificate(code, d)
             data = code.generator.to_obj()
             i = rng.randrange(code.k)
             j = rng.choice([j for j, a in enumerate(places) if a])
             data[i][j] = rng.choice([e for e in range(F.q) if e != data[i][j]])
-            changed = LinearCode(F, generator=MatQ(F, data))
-            assert not grs_certificate(changed, places, d)
+            changed = LinearCode(F, generator=MatQ(F, data), places=places)
+            assert not grs_certificate(changed, d)
+
+
+def witnessed(code, places):
+    """The same code with `places` as its witness."""
+    return LinearCode(code.field, generator=code.generator, places=places)
 
 
 def test_grs_certificate_rejects_bad_places():
     F = field_create(13, 1)
     places = [0, 1, 2, 3, 4, 5, 6, None]
     code = LinearCode(F, generator=grs_generator(F, places, 3, [1] * 8))
-    assert grs_certificate(code, places, 6)
-    assert not grs_certificate(code, [0, 1, 2, 3, 4, 5, 5, None], 6)  # repeated
-    assert not grs_certificate(code, [0, 1, 2, 3, 4, 5, None, None], 6)
-    assert not grs_certificate(code, places[:-1], 6)  # wrong length
-    assert not grs_certificate(code, places + [7], 6)
+    assert grs_certificate(witnessed(code, places), 6)
+    # repeated: a wrong witness, whose folded code has dimension 3 where the
+    # dual of GRS_5 on 7 places has dimension 2
+    assert not grs_certificate(witnessed(code, [0, 1, 2, 3, 4, 5, 5, None]), 6)
+    assert not grs_certificate(witnessed(code, [0, 1, 2, 3, 4, 5, None, None]), 6)
+    assert not grs_certificate(witnessed(code, places[:-1]), 6)  # wrong length
+    assert not grs_certificate(witnessed(code, places + [7]), 6)
     # out of range: GF(13) arithmetic would read 13 as 0 and 14 as 1
-    assert not grs_certificate(code, [13, 1, 2, 3, 4, 5, 6, None], 6)
-    assert not grs_certificate(code, [0, 14, 2, 3, 4, 5, 6, None], 6)
-    assert not grs_certificate(code, [-1, 1, 2, 3, 4, 5, 6, None], 6)
-    assert not grs_certificate(code, None, 6)
-    assert not grs_certificate(code, (), 6)
-    assert not grs_certificate(code, places, 7)  # w = 6 > n - k = 5
+    assert not grs_certificate(witnessed(code, [13, 1, 2, 3, 4, 5, 6, None]), 6)
+    assert not grs_certificate(witnessed(code, [0, 14, 2, 3, 4, 5, 6, None]), 6)
+    assert not grs_certificate(witnessed(code, [-1, 1, 2, 3, 4, 5, 6, None]), 6)
+    assert not grs_certificate(witnessed(code, None), 6)
+    assert not grs_certificate(witnessed(code, ()), 6)
+    assert not grs_certificate(witnessed(code, places), 7)  # w = 6 > n - k = 5
     # the dual of a Vandermonde matrix with a repeated place has two
     # proportional parity columns, so distance 2, although the all-ones
-    # multipliers span the kernel of its certificate system
+    # multipliers span the kernel of its folded certificate system: the
+    # rank check on the repeated places' parity columns is what refuses it
     for twice in ([0, 1, 2, 3, 4, 5, 5], [0, 1, 2, 3, 4, None, None]):
-        dual = LinearCode(F, parity=grs_generator(F, twice, 3, [1] * 7))
+        dual = LinearCode(F, parity=grs_generator(F, twice, 3, [1] * 7), places=twice)
         assert not distance_at_least(dual, 3)
-        assert not grs_certificate(dual, twice, 4)
+        assert not grs_certificate(dual, 4)
+
+
+def test_folded_certificate_on_random_repeated_places():
+    # H stacks the rows v_P a_P^m, m < w, over places with repeats (one
+    # multiplier per place) on top of random rows, so the folded system
+    # always has a solution and the rank check on the repeated places'
+    # parity columns decides; the certificate must never beat the walk
+    rng = random.Random(11)
+    outcomes = set()
+    for p, s in GRS_FIELDS:
+        F = field_create(p, s)
+        for _ in range(10):
+            distinct = rng.sample(list(range(F.q)) + [None], rng.randrange(3, 6))
+            n = rng.randrange(len(distinct) + 1, len(distinct) + 4)
+            places = distinct + [rng.choice(distinct) for _ in range(n - len(distinct))]
+            rng.shuffle(places)
+            mult = {a: rng.randrange(1, F.q) for a in distinct}
+            w = rng.randrange(1, len(distinct))
+            extra = [[rng.randrange(F.q) for _ in range(n)] for _ in range(rng.randrange(1, 4))]
+            rows = grs_generator(F, places, w, [mult[a] for a in places]).data + extra
+            if rank_of_rows(F, rows) != len(rows) or len(rows) >= n:
+                continue
+            code = LinearCode(F, parity=MatQ(F, rows), places=places)
+            certified = grs_certificate(code, w + 1)
+            if certified:
+                assert distance_at_least(code, w + 1)
+            outcomes.add(certified)
+    assert outcomes == {True, False}
+
+
+MDS_TO_LRC_FIELDS = ((19, 1), (23, 1), (5, 2), (3, 3))  # GF(19), GF(23), GF(25), GF(27)
+
+
+def test_folded_certificate_on_mds_to_lrc_finals():
+    # the MDS-to-LRC final repeats its gamma places in every repair group:
+    # its own places certify d_F and never d_F + 1, and a forged witness
+    # (shuffled places, or one place copied onto another coordinate)
+    # certifies only distances the walk confirms
+    rng = random.Random(12)
+    forged_checks = 0
+    for p, s in MDS_TO_LRC_FIELDS:
+        F = field_create(p, s)
+        for _ in range(3):
+            cc = build_mds_to_lrc(F, s=2, a=1, tprime=2, delta=2, k_init=4, n_init=[7] * 4,
+                                  elements=rng.sample(range(F.q), 19))
+            final, d = cc.final, cc.params.d_final
+            assert len(set(final.places)) < final.n
+            assert grs_certificate(final, d) and distance_at_least(final, d)
+            assert not grs_certificate(final, d + 1) and not distance_at_least(final, d + 1)
+            for trial in range(6):
+                forged = list(final.places)
+                if trial % 2:
+                    rng.shuffle(forged)
+                else:
+                    i, j = rng.sample(range(final.n), 2)
+                    forged[j] = forged[i]
+                code = LinearCode(F, generator=final.generator, places=forged)
+                for dd in (d, d + 1):
+                    forged_checks += 1
+                    if grs_certificate(code, dd):
+                        assert distance_at_least(code, dd)
+    assert forged_checks == 144
 
 
 def test_is_mds_falls_through_to_the_walk(monkeypatch):
@@ -360,9 +431,9 @@ def test_is_mds_falls_through_to_the_walk(monkeypatch):
         return real(code, d, budget)
 
     monkeypatch.setattr(codes, "distance_at_least", counted)
-    assert is_mds(code, places) and walks == []
-    assert is_mds(code, places[:-1] + [0]) and walks == [9]
-    assert is_mds(code) and walks == [9, 9]
+    assert is_mds(witnessed(code, places)) and walks == []
+    assert is_mds(witnessed(code, places[:-1] + [0])) and walks == [9]
+    assert is_mds(witnessed(code, None)) and walks == [9, 9]
 
 
 def test_labels_roundtrip_and_errors():

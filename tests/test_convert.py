@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from stripemerge import convert
+from stripemerge import codes, convert
 from stripemerge.cli import _construct
 from stripemerge.bounds import read_lower, total_lower, unchanged_upper
 from stripemerge.codes import LinearCode, check_locality, is_mds, is_optimal_lrc, min_distance
@@ -561,16 +561,48 @@ def test_measured_costs_meet_floors_everywhere(cc_q23, cc_q32, cc_vi):
 WALK_INFEASIBLE = {"q64_lrc_merge_d2", "q64_lrc_merge_d3"}
 
 
+def verify_recording_walks(cc, monkeypatch):
+    """verify_convertible(cc) and the codes it hands to distance_at_least,
+    after checking that those are only check_locality's group codes."""
+    walked = []
+    real = codes.distance_at_least
+
+    def recorded(code, d, budget=codes.SUBSET_BUDGET):
+        walked.append(code)
+        return real(code, d, budget)
+
+    with monkeypatch.context() as m:
+        m.setattr(codes, "distance_at_least", recorded)
+        report = verify_convertible(cc)
+    components = (*cc.initials, cc.final)
+    assert not any(code is c for code in walked for c in components)
+    checks = [(cc.initial_cert, len(cc.initials)), (cc.final_cert, 1)]
+    groups = [len(g) for cert, times in checks if cert for _ in range(times) for g in cert.groups]
+    assert [code.n for code in walked] == groups
+    return report
+
+
 @pytest.mark.parametrize("name", sorted(BENCH_REQUESTS))
-def test_certified_components_agree_with_the_walk(name):
+def test_certified_components_agree_with_the_walk(name, monkeypatch):
     cc = bench_cc(name)
-    report = verify_convertible(cc)
+    report = verify_recording_walks(cc, monkeypatch)
     assert report.components_ok is True
     if name not in WALK_INFEASIBLE:
         # a bundle read back from JSON has no places, so every code is walked
         walked = ConvertibleCode.from_obj(cc.to_obj())
-        assert walked.places == ()
+        assert all(c.places is None for c in (*walked.initials, walked.final))
         assert verify_convertible(walked).to_obj() == report.to_obj()
+
+
+def test_mds_to_lrc_gf101_final_is_certified(monkeypatch):
+    # a [40, 32, 7] final whose subset walk takes about 30 s: its repeated
+    # gamma places certify it in one folded kernel solve
+    cc = _construct({"kind": "mds_to_lrc", "field": {"p": 101, "s": 1},
+                     "params": {"s": 2, "a": 2, "tprime": 2, "delta": 3, "k_init": 8,
+                                "n_init": [14] * 4}})
+    assert (cc.final.n, cc.final.k, cc.params.d_final) == (40, 32, 7)
+    report = verify_recording_walks(cc, monkeypatch)
+    assert report.components_ok is True and report.access_optimal is True
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_REQUESTS))
