@@ -248,12 +248,13 @@ def distance_at_least(code: LinearCode, d: int, budget: int = SUBSET_BUDGET) -> 
             if p is None:
                 return False
             inv = f.inv_enc(chosen[p])
+            chosen_logs = f.row_logs(chosen, p)
             later = []
             for r in residues[i + 1:]:
                 if r[p]:
                     factor = f.mul_enc(r[p], inv)
-                    r = [f.sub_enc(e, f.mul_enc(factor, c)) if c else e
-                         for e, c in zip(r, chosen)]
+                    r = list(r)
+                    f.sub_scaled(r, factor, chosen_logs)
                 later.append(r)
             if not walk(later, start + i + 1, left - 1):
                 return False

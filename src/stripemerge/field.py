@@ -28,6 +28,15 @@ slot, because the slot width is chosen so that (p - 1) * max_terms <
 built.  The kernel reads the field's own exp and log tables; add_enc and
 mul_enc remain the reference it is tested against.
 
+Elimination and polynomial evaluation use two smaller kernels beside it.
+The row kernel does dst[j] -= c * src[j]: row_logs(src) takes the logs
+of a source row's nonzero entries once, and sub_scaled(dst, c, logs)
+folds the negation into log c, so each entry costs one exp lookup and
+one add_enc.  horner(coeffs, x) gives Horner's partial sums at a fixed
+x, which are the value and the quotient by X - x, with each product by x
+one exp lookup.  add_enc and mul_enc remain their reference too, and no
+module but this one reads the tables.
+
 A FieldCtx is immutable after construction and safe to share between
 threads (two threads that build the packed tables at once build equal
 ones).  Elements of different contexts never mix: any cross-field
@@ -167,8 +176,11 @@ class FieldCtx:
     # -- low-level ops on integer encodings ---------------------------------
 
     def _raw_mul(self, a: int, b: int) -> int:
-        """Schoolbook product mod the modulus, no tables."""
+        """Product without tables: a * b mod p in a prime field, the
+        schoolbook product mod the modulus otherwise."""
         p, s = self.p, self.s
+        if s == 1:
+            return a * b % p
         bc = _digits(b, p, s)
         prod = [0] * (2 * s - 1)
         for i, ai in enumerate(_digits(a, p, s)):
@@ -243,6 +255,41 @@ class FieldCtx:
         if a == 0:
             return 0 if e else 1
         return self._exp[(self._log[a] * e) % (self.q - 1)]
+
+    def row_logs(self, row: Sequence[int], start: int = 0) -> list[tuple[int, int]]:
+        """(j, log row[j]) for every nonzero row[j] with j >= start: a
+        source row for sub_scaled, taken once and used for many rows."""
+        log = self._log
+        return [(j, log[row[j]]) for j in range(start, len(row)) if row[j]]
+
+    def sub_scaled(self, dst: list[int], c: int, src_logs: Sequence[tuple[int, int]]) -> None:
+        """dst[j] -= c * src[j] in place, where src_logs = row_logs(src).
+
+        The negation is folded into the log of c, so each nonzero entry
+        of src costs one exp lookup and one add_enc."""
+        if not c:
+            return
+        exp, add = self._exp, self.add_enc
+        lc = (self._log[c] + self._log_minus_one) % (self.q - 1)
+        for j, ls in src_logs:
+            dst[j] = add(dst[j], exp[lc + ls])
+
+    def horner(self, high_first: Sequence[int], x: int) -> list[int]:
+        """Horner's partial sums at x of the coefficients given leading
+        first: the last is the value at x and the others are the quotient
+        by X - x, leading first (synthetic division).  Multiplying by the
+        fixed x is one lookup, exp[log acc + log x]; at x = 0 the partial
+        sums are the coefficients themselves."""
+        if not x:
+            return list(high_first)
+        exp, log, add = self._exp, self._log, self.add_enc
+        lx = log[x]
+        acc = 0
+        out = []
+        for c in high_first:
+            acc = add(exp[log[acc] + lx], c) if acc else c
+            out.append(acc)
+        return out
 
     def packed(self) -> PackedSums:
         """The packed-digit kernel of this field, built on first use."""

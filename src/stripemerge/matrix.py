@@ -7,7 +7,10 @@ kernels and solutions deterministic — duals and conversion plans derived
 from them are reproducible byte for byte.
 
 Matrices here stay small (at most a few thousand entries), so plain
-Gaussian elimination on Python lists is enough.
+Gaussian elimination on Python lists is enough.  Every row update goes
+through FieldCtx.sub_scaled: the pivot row's logs are taken once per
+pivot (FieldCtx.row_logs), and each entry then costs one table lookup
+and one addition.
 """
 
 from __future__ import annotations
@@ -95,14 +98,10 @@ class MatQ:
             inv = f.inv_enc(m[prow][col])
             if inv != 1:
                 m[prow] = [f.mul_enc(inv, e) for e in m[prow]]
+            src_logs = f.row_logs(m[prow], col)
             for r in range(self.rows):
-                if r != prow and m[r][col] != 0:
-                    factor = m[r][col]
-                    src = m[prow]
-                    dst = m[r]
-                    for j in range(col, self.cols):
-                        if src[j]:
-                            dst[j] = f.sub_enc(dst[j], f.mul_enc(factor, src[j]))
+                if r != prow:
+                    f.sub_scaled(m[r], m[r][col], src_logs)
             pivots.append(col)
             prow += 1
             if prow == self.rows:
@@ -179,19 +178,12 @@ def rank_of_rows(field: FieldCtx, rows: Sequence[Sequence[int]]) -> int:
         m[rank], m[sel] = m[sel], m[rank]
         if rank + 1 == nrows:
             return rank + 1  # no row below the last pivot left to eliminate
+        # the pivot row is not normalised: each row below subtracts
+        # (its entry / the pivot) times it
         inv = field.inv_enc(m[rank][col])
-        src = m[rank]
-        if inv != 1:
-            for j in range(col, ncols):
-                if src[j]:
-                    src[j] = field.mul_enc(inv, src[j])
+        src_logs = field.row_logs(m[rank], col)
         for r in range(rank + 1, nrows):
-            factor = m[r][col]
-            if factor:
-                dst = m[r]
-                for j in range(col, ncols):
-                    if src[j]:
-                        dst[j] = field.sub_enc(dst[j], field.mul_enc(factor, src[j]))
+            field.sub_scaled(m[r], field.mul_enc(m[r][col], inv), src_logs)
         rank += 1
     return rank
 

@@ -6,6 +6,10 @@ degree -1.  This is shared plumbing for the evaluation-code and
 function-field modules.  Evaluating rational functions at places
 (split_root, through RationalFunction.eval_at) is on the builders' hot
 path: the MDS and LRC merges evaluate every basis term at every place.
+split_root is repeated synthetic division, one Horner pass per root
+divided out, and long division subtracts multiples of the divisor
+through FieldCtx.sub_scaled.  Operands of different fields raise
+ValueError.
 """
 
 from __future__ import annotations
@@ -13,6 +17,11 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .field import FieldCtx, FieldElem
+
+
+def _check_field(f: FieldCtx, other: FieldCtx) -> None:
+    if other is not f and other != f:
+        raise ValueError(f"operands belong to different fields: {f} and {other}")
 
 
 class Poly:
@@ -65,6 +74,7 @@ class Poly:
 
     def __add__(self, other: Poly) -> Poly:
         f = self.field
+        _check_field(f, other.field)
         n = max(len(self.coeffs), len(other.coeffs))
         out = [0] * n
         for i in range(n):
@@ -82,6 +92,7 @@ class Poly:
 
     def __mul__(self, other: Poly) -> Poly:
         f = self.field
+        _check_field(f, other.field)
         if self.is_zero() or other.is_zero():
             return Poly.zero(f)
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -95,6 +106,7 @@ class Poly:
 
     def scale(self, c: FieldElem) -> Poly:
         f = self.field
+        _check_field(f, c.field)
         return Poly(f, [f.mul_enc(c.enc, a) for a in self.coeffs])
 
     def __pow__(self, e: int) -> Poly:
@@ -110,19 +122,22 @@ class Poly:
         return result
 
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
+        f = self.field
+        _check_field(f, other.field)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        f = self.field
         rem = list(self.coeffs)
         dd = other.degree
         quot = [0] * max(len(rem) - dd, 0)
         inv_lead = f.inv_enc(other.coeffs[-1])
+        div_logs = f.row_logs(other.coeffs)
         while len(rem) - 1 >= dd and rem:
             shift = len(rem) - 1 - dd
             factor = f.mul_enc(rem[-1], inv_lead)
             quot[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] = f.sub_enc(rem[shift + i], f.mul_enc(factor, c))
+            window = rem[shift:]
+            f.sub_scaled(window, factor, div_logs)
+            rem[shift:] = window
             while rem and rem[-1] == 0:
                 rem.pop()
         return Poly(f, quot), Poly(f, rem)
@@ -134,6 +149,7 @@ class Poly:
         return self.divmod(other)[0]
 
     def gcd(self, other: Poly) -> Poly:
+        _check_field(self.field, other.field)
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
@@ -146,27 +162,31 @@ class Poly:
 
     def eval(self, x: FieldElem) -> FieldElem:
         f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add_enc(f.mul_enc(acc, x.enc), c)
-        return f.element(acc)
+        _check_field(f, x.field)
+        partial = f.horner(self.coeffs[::-1], x.enc)
+        return FieldElem(f, partial[-1] if partial else 0)
 
     def split_root(self, x: FieldElem) -> tuple[int, FieldElem]:
         """(m, c(x)) where self = (X - x)^m * c and c(x) != 0.
 
-        m is the multiplicity of x as a root (0 if it is not one).  X - x
-        is divided out only while the quotient still vanishes at x, so a
-        non-root costs one evaluation and no division.
+        m is the multiplicity of x as a root (0 if it is not one).  It is
+        repeated synthetic division: a Horner pass at x from the leading
+        coefficient down gives partial sums whose last is the value at x
+        and whose others are the quotient by X - x, leading first.  So
+        one pass divides out a root, and a non-root costs one pass.
         """
+        f = self.field
+        _check_field(f, x.field)
         if self.is_zero():
             raise ValueError("zero polynomial")
-        lin = Poly(self.field, (self.field.neg_enc(x.enc), 1))
-        m, rest = 0, self
+        high_first, m = self.coeffs[::-1], 0
         while True:
-            value = rest.eval(x)
-            if value.enc:
-                return m, value
-            m, rest = m + 1, rest // lin
+            partial = f.horner(high_first, x.enc)
+            if partial[-1]:
+                return m, FieldElem(f, partial[-1])
+            # a nonzero polynomial has at most deg roots, so the quotient
+            # is never empty here
+            high_first, m = partial[:-1], m + 1
 
     def to_obj(self) -> list[int]:
         return list(self.coeffs)

@@ -278,3 +278,44 @@ def test_mul_inv_pow_match_schoolbook_on_every_element(p, s):
                 assert F.pow_enc(a, -e) == F._raw_pow(inv, e)
     with pytest.raises(ZeroDivisionError):
         F.inv_enc(0)
+
+
+class DigitPathCtx(FieldCtx):
+    """A FieldCtx whose tables are built through the digit-schoolbook
+    product in every field, prime fields included."""
+
+    def _raw_mul(self, a, b):
+        p, s, modulus = self.p, self.s, self.modulus
+        da = [a // p ** i % p for i in range(s)]
+        db = [b // p ** i % p for i in range(s)]
+        prod = [0] * (2 * s - 1)
+        for i, x in enumerate(da):
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for top in range(len(prod) - 1, s - 1, -1):  # modulus is monic of degree s
+            factor = prod[top]
+            for i, m in enumerate(modulus):
+                prod[top - s + i] = (prod[top - s + i] - factor * m) % p
+        return sum(c * p ** i for i, c in enumerate(prod[:s]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 23, 101, 251])
+def test_prime_field_tables_match_the_digit_path(p):
+    F, D = field_create(p, 1), DigitPathCtx(p, 1)
+    assert (F._exp, F._log, F._zech) == (D._exp, D._log, D._zech)
+
+
+def test_gf65521_matches_integer_arithmetic():
+    p = 65521
+    F = field_create(p, 1)
+    # the generator is the least primitive root mod p
+    factors = [2, 3, 5, 7, 13]  # p - 1 = 2^4 * 3^2 * 5 * 7 * 13
+    root = next(g for g in range(2, p) if all(pow(g, (p - 1) // f, p) != 1 for f in factors))
+    assert F._exp[1] == root
+    rng = random.Random(p)
+    for _ in range(3000):
+        a, b, e = rng.randrange(p), rng.randrange(1, p), rng.randrange(-3 * p, 3 * p)
+        assert F.mul_enc(a, b) == a * b % p
+        assert F.inv_enc(b) == pow(b, -1, p)
+        assert F.pow_enc(b, e) == pow(b, e, p)
+        assert F.pow_enc(a, abs(e)) == pow(a, abs(e), p)

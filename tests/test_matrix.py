@@ -121,3 +121,92 @@ def test_rank_of_rows_matches_matrix_rank():
     for _ in range(40):
         rows = [[rng.randrange(8) for _ in range(5)] for _ in range(rng.randrange(1, 6))]
         assert rank_of_rows(F, rows) == MatQ(F, rows).rank()
+
+
+def ref_rref(F, data):
+    """Gauss-Jordan elimination with one sub_enc(mul_enc(...)) per entry,
+    the row update the table kernel replaced."""
+    m = [list(row) for row in data]
+    rows, cols = len(m), len(m[0]) if m else 0
+    pivots = []
+    prow = 0
+    for col in range(cols):
+        sel = next((r for r in range(prow, rows) if m[r][col]), None)
+        if sel is None:
+            continue
+        m[prow], m[sel] = m[sel], m[prow]
+        inv = F.inv_enc(m[prow][col])
+        m[prow] = [F.mul_enc(inv, e) for e in m[prow]]
+        for r in range(rows):
+            if r != prow and m[r][col]:
+                factor = m[r][col]
+                m[r] = [F.sub_enc(e, F.mul_enc(factor, s)) for e, s in zip(m[r], m[prow])]
+        pivots.append(col)
+        prow += 1
+        if prow == rows:
+            break
+    return m, pivots
+
+
+def ref_kernel(F, data, cols):
+    R, pivots = ref_rref(F, data)
+    basis = []
+    for fc in (j for j in range(cols) if j not in pivots):
+        vec = [0] * cols
+        vec[fc] = 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = F.neg_enc(R[i][fc])
+        basis.append(vec)
+    return basis
+
+
+def random_matrix(F, rng):
+    """A random matrix, wide, tall or square, often rank-deficient: some
+    rows are combinations of others and some entries are forced to 0."""
+    rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+    data = [[rng.randrange(F.q) if rng.random() < 0.7 else 0 for _ in range(cols)]
+            for _ in range(rows)]
+    for i in range(1, rows):
+        if rng.random() < 0.3:
+            a, b = rng.randrange(F.q), rng.randrange(F.q)
+            j = rng.randrange(i)
+            data[i] = [F.add_enc(F.mul_enc(a, x), F.mul_enc(b, y))
+                       for x, y in zip(data[j], data[rng.randrange(i)])]
+    return data
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (23, 1), (2, 5), (3, 2), (7, 2)],
+                         ids=["GF(2)", "GF(23)", "GF(32)", "GF(9)", "GF(49)"])
+def test_elimination_matches_the_reference(p, s):
+    F = field_create(p, s)
+    rng = random.Random(p * 31 + s)
+    shapes, ranks = set(), set()
+    for _ in range(40):
+        data = random_matrix(F, rng)
+        A = MatQ(F, data)
+        R, rank, pivots = A.rref()
+        want, want_pivots = ref_rref(F, data)
+        assert (R.data, rank, list(pivots)) == (want, len(want_pivots), want_pivots)
+        assert rank_of_rows(F, data) == rank
+        assert A.kernel() == ref_kernel(F, data, A.cols)
+        shapes.add((A.rows > A.cols) - (A.rows < A.cols))
+        ranks.add(rank < min(A.rows, A.cols))
+        b = [rng.randrange(F.q) for _ in range(A.rows)]
+        aug, aug_pivots = ref_rref(F, [row + [b[i]] for i, row in enumerate(data)])
+        if A.cols in aug_pivots:
+            assert A.solve(b) is None
+        else:
+            x = [0] * A.cols
+            for i, pc in enumerate(aug_pivots):
+                x[pc] = aug[i][A.cols]
+            assert A.solve(b) == x
+        if A.rows == A.cols:
+            n = A.rows
+            ref, ref_pivots = ref_rref(F, [row + [int(i == j) for j in range(n)]
+                                           for i, row in enumerate(data)])
+            if len(ref_pivots) == n and ref_pivots[-1] < n:
+                assert A.invert().data == [row[n:] for row in ref]
+            else:
+                with pytest.raises(ValueError, match="singular"):
+                    A.invert()
+    assert shapes == {-1, 0, 1} and ranks == {False, True}

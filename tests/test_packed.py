@@ -1,8 +1,12 @@
-"""Differential tests of the packed-digit kernel (field.PackedSums).
+"""Differential tests of the field's table kernels.
 
-Membership checks and plan application sum products through the kernel;
-the reference here is the plain fold of add_enc(mul_enc(...)), one
-field operation per term, which the kernel replaced.
+Membership checks and plan application sum products through the
+packed-digit kernel (field.PackedSums); the reference here is the plain
+fold of add_enc(mul_enc(...)), one field operation per term, which the
+kernel replaced.  Row updates in elimination go through
+FieldCtx.row_logs and FieldCtx.sub_scaled, and polynomial evaluation
+through FieldCtx.horner; their references are sub_enc(d, mul_enc(c, s))
+per entry and Horner's rule on add_enc and mul_enc.
 """
 
 import json
@@ -112,6 +116,44 @@ def test_log_table_marks_zero_with_none():
         packed = field_create(p, s).packed()
         assert packed.log[0] is None
         assert len(packed.pexp) == 2 * (p ** s - 1)
+
+
+@pytest.mark.parametrize("p,s", FIELDS, ids=FIELD_IDS)
+def test_sub_scaled_matches_the_reference(p, s):
+    F = field_create(p, s)
+    rng = random.Random(p * 7 + s)
+    # every c runs, c = -1 included; in odd characteristic log(-1) =
+    # (q - 1)/2, so log c + log(-1) >= q - 1 for half of them and the
+    # reduction of the folded log is exercised
+    wraps = [c for c in range(1, F.q) if F._log[c] + F._log[F.neg_enc(1)] >= F.q - 1]
+    assert len(wraps) == (0 if p == 2 else (F.q - 1) // 2)
+    for c in range(F.q):
+        for _ in range(3):
+            n = rng.randrange(1, 13)
+            start = rng.randrange(n)
+            src = [rng.randrange(F.q) if rng.random() < 0.6 else 0 for _ in range(n)]
+            dst = [rng.randrange(F.q) if rng.random() < 0.6 else 0 for _ in range(n)]
+            logs = F.row_logs(src, start)
+            assert [j for j, _ in logs] == [j for j in range(start, n) if src[j]]
+            want = dst[:start] + [F.sub_enc(dst[j], F.mul_enc(c, src[j]))
+                                  for j in range(start, n)]
+            got = list(dst)
+            F.sub_scaled(got, c, logs)
+            assert got == want
+
+
+@pytest.mark.parametrize("p,s", FIELDS, ids=FIELD_IDS)
+def test_horner_matches_the_reference(p, s):
+    F = field_create(p, s)
+    rng = random.Random(p * 11 + s)
+    for x in range(F.q):
+        for _ in range(3):
+            coeffs = [rng.randrange(F.q) for _ in range(rng.randrange(0, 9))]
+            want, acc = [], 0
+            for c in coeffs:
+                acc = F.add_enc(F.mul_enc(acc, x), c)
+                want.append(acc)
+            assert F.horner(coeffs, x) == want
 
 
 @pytest.mark.parametrize("name", sorted(REQUESTS))
