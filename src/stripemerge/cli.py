@@ -135,26 +135,25 @@ def _construct(request: dict) -> ConvertibleCode:
 
 
 def _load_words(cc: ConvertibleCode, obj: dict, rng: random.Random):
-    field = cc.field
+    """One codeword per initial stripe: given, encoded from one message
+    per stripe, or random when `random` is JSON true."""
+    field, t = cc.field, len(cc.initials)
     if "codewords" in obj:
-        words = [
+        return [
             tuple(field.element(e) for e in as_ints(w, "codewords entry"))
-            for w in as_list(obj["codewords"], "codewords")
+            for w in as_list(obj["codewords"], "codewords", t)
         ]
-    elif "messages" in obj:
-        words = []
-        for code, msg in zip(cc.initials, as_list(obj["messages"], "messages")):
-            words.append(code.encode([field.element(e) for e in as_ints(msg, "messages entry")]))
-    elif obj.get("random"):
-        words = []
-        for code in cc.initials:
-            msg = [field.element(rng.randrange(field.q)) for _ in range(code.k)]
-            words.append(code.encode(msg))
-    else:
-        raise ValueError("need messages, codewords, or random: true")
-    if len(words) != len(cc.initials):
-        raise ValueError("need one word per initial stripe")
-    return words
+    if "messages" in obj:
+        return [
+            code.encode([field.element(e) for e in as_ints(msg, "messages entry")])
+            for code, msg in zip(cc.initials, as_list(obj["messages"], "messages", t))
+        ]
+    if obj.get("random") is True:
+        return [
+            code.encode([field.element(rng.randrange(field.q)) for _ in range(code.k)])
+            for code in cc.initials
+        ]
+    raise ValueError("need messages, codewords, or random: true")
 
 
 def _cmd_construct(args) -> int:

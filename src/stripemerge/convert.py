@@ -7,14 +7,16 @@ final code, and a ConversionPlan: which initial symbols survive verbatim
 (matched by coordinate label), which are read, and how each written
 symbol is a linear combination of read symbols.
 
-compile_plan turns a plan into the one form every consumer uses, a
-CompiledPlan: the storage coordinates read from each stripe and a sparse
-linear map from them to the final word, with the locality schedule's
-recipes folded in.  Its apply method converts codewords in execute; the
-builders apply it to the initial generator rows to obtain the final
-generator, blockdiag(G_i) * P, and the verifier reads bijectivity,
-membership and the unchanged contract off those same rows.  The evaluation builders also evaluate
-each rational-function term directly at every final place, read the
+A ConversionPlan is built over its field, and construction folds the
+locality schedule's recipes into its terms, so it is the one map every
+consumer reads: the storage coordinates read from each stripe, a sparse
+linear map from them to the final word, and its static access cost.
+Its apply method converts codewords in execute; the builders apply it
+to the initial generator rows to obtain the final generator,
+blockdiag(G_i) * P; the verifier reads bijectivity, membership and the
+unchanged contract off those same rows; the simulator charges its
+storage reads to nodes.  The evaluation builders also evaluate each
+rational-function term directly at every final place, read the
 written-symbol coefficients from those values, and assert that the
 direct values equal the plan-applied generator.  Builders give each code
 its evaluation places, repeats included, so that grs_certificate proves
@@ -91,23 +93,119 @@ class StripeSchedule:
 
 
 @dataclass(frozen=True)
-class ConversionPlan:
-    """Index bookkeeping of one merge conversion.
+class AccessReport:
+    read_cost: int
+    write_cost: int
+    per_symbol_read: int
+    unchanged_counts: tuple[int, ...]
 
-    unchanged[i] pairs (initial coordinate, final coordinate); reads[i]
-    lists the coordinates of stripe i whose values enter written symbols;
-    terms maps each written final coordinate to (stripe, coordinate,
-    coefficient encoding) triples with nonzero coefficients.
+    def to_obj(self) -> dict:
+        return {
+            "read_cost": self.read_cost,
+            "write_cost": self.write_cost,
+            "per_symbol_read": self.per_symbol_read,
+            "unchanged_counts": list(self.unchanged_counts),
+        }
+
+
+@dataclass(frozen=True)
+class ConversionPlan:
+    """One merge conversion as a sparse linear map from storage reads to
+    the final word.
+
+    unchanged[i] pairs (initial coordinate, final coordinate) copied
+    verbatim; reads[i] lists the coordinates of stripe i whose values
+    enter written symbols; terms maps each written final coordinate to
+    (stripe, coordinate, coefficient encoding) triples with nonzero
+    coefficients; a schedule says, per stripe, which coordinates come
+    from storage and how each other read is rebuilt from them.
+
+    Construction checks these against each other and the field, then
+    folds the schedule into the terms: storage[i] lists the coordinates
+    read from stripe i (reads[i] without a schedule), writes maps each
+    written coordinate to (stripe, storage coordinate, coefficient
+    encoding) triples with every recipe folded in, coefficients landing
+    on one storage coordinate summed and zero sums dropped, and access is
+    the plan's static access cost.  validate checks the plan against the
+    codes it converts.
     """
 
+    field: FieldCtx
     unchanged: tuple[tuple[tuple[int, int], ...], ...]
     reads: tuple[tuple[int, ...], ...]
     written: tuple[int, ...]
     terms: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
     schedule: Optional[tuple[StripeSchedule, ...]] = None
+    n: int = dc_field(init=False, repr=False, compare=False)
+    storage: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
+    writes: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...] = dc_field(
+        init=False, repr=False, compare=False
+    )
+    access: AccessReport = dc_field(init=False, repr=False, compare=False)
+    # writes as packed-kernel rows over the storage reads in storage order
+    _rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = dc_field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        field, t, q = self.field, len(self.reads), self.field.q
+        if self.schedule is None:
+            storage = self.reads
+            recipes: list[dict] = [{} for _ in range(t)]
+        else:
+            if len(self.schedule) != t:
+                raise ValueError("schedule shape mismatch")
+            storage = tuple(sched.storage for sched in self.schedule)
+            recipes = [dict(sched.recon) for sched in self.schedule]
+        known = [set(coords) for coords in storage]
+        for i, recipe in enumerate(recipes):
+            for c in self.reads[i]:
+                if c not in known[i] and c not in recipe:
+                    raise ValueError(f"read coordinate {c} of stripe {i} unreachable")
+            for parts in recipe.values():
+                for src, coeff in parts:
+                    if src not in known[i]:
+                        raise ValueError("recipe uses an unread source")
+                    if not 0 <= coeff < q:
+                        raise ValueError(
+                            f"plan.schedule.recon coefficient {coeff} is not an element of GF({q})"
+                        )
+        read_sets = [set(coords) for coords in self.reads]
+        writes = []
+        for w, triples in self.terms:
+            folded: dict[tuple[int, int], int] = {}
+            for i, coord, coeff in triples:
+                if not 0 <= i < t:
+                    raise ValueError("term reference out of range")
+                if coord not in read_sets[i]:
+                    raise ValueError("term uses a coordinate outside the read set")
+                if not 0 < coeff < q:
+                    raise ValueError(
+                        f"plan.terms coefficient {coeff} is not a nonzero element of GF({q})"
+                    )
+                for src, e in ((coord, 1),) if coord in known[i] else recipes[i][coord]:
+                    key = (i, src)
+                    folded[key] = field.add_enc(folded.get(key, 0), field.mul_enc(coeff, e))
+            writes.append((w, tuple((i, src, e) for (i, src), e in folded.items() if e)))
+        stored = [(i, c) for i, coords in enumerate(storage) for c in coords]
+        flat = {read: j for j, read in enumerate(stored)}
+        packed = field.packed()
+        object.__setattr__(self, "n", len(self.written) + sum(map(len, self.unchanged)))
+        object.__setattr__(self, "storage", storage)
+        object.__setattr__(self, "writes", tuple(writes))
+        object.__setattr__(self, "access", AccessReport(
+            read_cost=len(stored),
+            write_cost=len(self.written),
+            per_symbol_read=sum(len(tr) for _, tr in self.terms),
+            unchanged_counts=tuple(map(len, self.unchanged)),
+        ))
+        object.__setattr__(self, "_rows", tuple(
+            (dst, packed.row((flat[i, c], e) for i, c, e in triples)) for dst, triples in writes
+        ))
 
     def validate(self, initials: Sequence[LinearCode], final: LinearCode) -> None:
-        t, q = len(initials), final.field.q
+        """Check the plan against the codes it converts."""
+        t = len(initials)
         if not (len(self.unchanged) == len(self.reads) == t):
             raise ValueError("plan shape does not match the stripe count")
         final_targets: list[int] = []
@@ -127,82 +225,12 @@ class ConversionPlan:
             set(final_targets) & set(self.written)
         ):
             raise ValueError("unchanged targets and written set must partition the final code")
-        term_index = dict(self.terms)
-        if set(term_index) != set(self.written):
+        if set(dict(self.terms)) != set(self.written):
             raise ValueError("every written symbol needs a term list")
-        for w, triples in self.terms:
-            for i, coord, coeff in triples:
-                if not 0 <= i < t or not 0 <= coord < initials[i].n:
-                    raise ValueError("term reference out of range")
-                if coord not in set(self.reads[i]):
-                    raise ValueError("term uses a coordinate outside the read set")
-                if not 0 < coeff < q:
-                    raise ValueError(
-                        f"plan.terms coefficient {coeff} is not a nonzero element of GF({q})"
-                    )
-        for sched in self.schedule or ():
-            for _, parts in sched.recon:
-                for _, coeff in parts:
-                    if not 0 <= coeff < q:
-                        raise ValueError(
-                            f"plan.schedule.recon coefficient {coeff} is not an element of GF({q})"
-                        )
-
-    def to_obj(self) -> dict:
-        return {
-            "unchanged": [[list(p) for p in pairs] for pairs in self.unchanged],
-            "reads": [list(r) for r in self.reads],
-            "written": list(self.written),
-            "terms": [[w, [list(t) for t in triples]] for w, triples in self.terms],
-            "schedule": [s.to_obj() for s in self.schedule] if self.schedule else None,
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> ConversionPlan:
-        obj = as_object(obj, "plan")
-        return cls(
-            tuple(
-                tuple(as_ints(p, "plan.unchanged", 2) for p in as_list(pairs, "plan.unchanged"))
-                for pairs in as_list(obj["unchanged"], "plan.unchanged")
-            ),
-            tuple(as_ints(r, "plan.reads") for r in as_list(obj["reads"], "plan.reads")),
-            as_ints(obj["written"], "plan.written"),
-            tuple(_keyed(t, "plan.terms", 3) for t in as_list(obj["terms"], "plan.terms")),
-            None if obj.get("schedule") is None else tuple(
-                StripeSchedule.from_obj(s) for s in as_list(obj["schedule"], "plan.schedule")
-            ),
-        )
-
-
-@dataclass(frozen=True)
-class CompiledPlan:
-    """A plan as one sparse linear map from storage reads to the final word.
-
-    storage[i] lists the coordinates read from stripe i; unchanged[i]
-    pairs (initial coordinate, final coordinate) copied verbatim; writes
-    maps each written final coordinate to (stripe, storage coordinate,
-    coefficient encoding) triples with every locality recipe folded in.
-    """
-
-    field: FieldCtx
-    n: int
-    storage: tuple[tuple[int, ...], ...]
-    unchanged: tuple[tuple[tuple[int, int], ...], ...]
-    writes: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
-    # writes as packed-kernel rows over the storage reads in storage order
-    _rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = dc_field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        reads = [(i, c) for i, coords in enumerate(self.storage) for c in coords]
-        flat = {read: j for j, read in enumerate(reads)}
-        packed = self.field.packed()
-        rows = tuple(
-            (dst, packed.row((flat[i, c], e) for i, c, e in triples))
-            for dst, triples in self.writes
-        )
-        object.__setattr__(self, "_rows", rows)
+        # terms lie inside reads, and recipes read only storage
+        for i, (code, coords, stored) in enumerate(zip(initials, self.reads, self.storage)):
+            if any(not 0 <= c < code.n for c in (*coords, *stored)):
+                raise ValueError(f"stripe {i} reads a coordinate outside [0, {code.n})")
 
     def apply(self, words: Sequence[Sequence[FieldElem]]) -> list[FieldElem]:
         """The final word from one word per stripe.
@@ -235,65 +263,31 @@ class CompiledPlan:
                 rows.append([e.enc for e in self.apply(words)])
         return rows
 
-
-def compile_plan(field: FieldCtx, plan: ConversionPlan) -> CompiledPlan:
-    """Fold the plan's locality schedule, if any, into its terms.
-
-    A read coordinate that its stripe's schedule does not take from
-    storage is replaced by its recipe over storage coordinates;
-    coefficients landing on one storage coordinate are summed and zero
-    sums dropped.  Without a schedule every read coordinate is a storage
-    read.  Raises ValueError when a read coordinate has neither a storage
-    read nor a recipe, or a recipe uses a coordinate that is not read.
-    """
-    t = len(plan.reads)
-    if plan.schedule is None:
-        storage = plan.reads
-        recipes: list[dict] = [{} for _ in range(t)]
-    else:
-        if len(plan.schedule) != t:
-            raise ValueError("schedule shape mismatch")
-        storage = tuple(sched.storage for sched in plan.schedule)
-        recipes = [dict(sched.recon) for sched in plan.schedule]
-    known = [set(coords) for coords in storage]
-    for i, recipe in enumerate(recipes):
-        for c in plan.reads[i]:
-            if c not in known[i] and c not in recipe:
-                raise ValueError(f"read coordinate {c} of stripe {i} unreachable")
-        if any(src not in known[i] for parts in recipe.values() for src, _ in parts):
-            raise ValueError("recipe uses an unread source")
-    writes = []
-    for w, triples in plan.terms:
-        folded: dict[tuple[int, int], int] = {}
-        for i, coord, coeff in triples:
-            parts = ((coord, 1),) if coord in known[i] else recipes[i][coord]
-            for src, e in parts:
-                key = (i, src)
-                folded[key] = field.add_enc(folded.get(key, 0), field.mul_enc(coeff, e))
-        writes.append((w, tuple((i, src, e) for (i, src), e in folded.items() if e)))
-    return CompiledPlan(
-        field=field,
-        n=len(plan.written) + sum(len(pairs) for pairs in plan.unchanged),
-        storage=storage,
-        unchanged=plan.unchanged,
-        writes=tuple(writes),
-    )
-
-
-@dataclass(frozen=True)
-class AccessReport:
-    read_cost: int
-    write_cost: int
-    per_symbol_read: int
-    unchanged_counts: tuple[int, ...]
-
     def to_obj(self) -> dict:
         return {
-            "read_cost": self.read_cost,
-            "write_cost": self.write_cost,
-            "per_symbol_read": self.per_symbol_read,
-            "unchanged_counts": list(self.unchanged_counts),
+            "unchanged": [[list(p) for p in pairs] for pairs in self.unchanged],
+            "reads": [list(r) for r in self.reads],
+            "written": list(self.written),
+            "terms": [[w, [list(t) for t in triples]] for w, triples in self.terms],
+            "schedule": [s.to_obj() for s in self.schedule] if self.schedule else None,
         }
+
+    @classmethod
+    def from_obj(cls, field: FieldCtx, obj: dict) -> ConversionPlan:
+        obj = as_object(obj, "plan")
+        return cls(
+            field,
+            tuple(
+                tuple(as_ints(p, "plan.unchanged", 2) for p in as_list(pairs, "plan.unchanged"))
+                for pairs in as_list(obj["unchanged"], "plan.unchanged")
+            ),
+            tuple(as_ints(r, "plan.reads") for r in as_list(obj["reads"], "plan.reads")),
+            as_ints(obj["written"], "plan.written"),
+            tuple(_keyed(t, "plan.terms", 3) for t in as_list(obj["terms"], "plan.terms")),
+            None if obj.get("schedule") is None else tuple(
+                StripeSchedule.from_obj(s) for s in as_list(obj["schedule"], "plan.schedule")
+            ),
+        )
 
 
 # the kind a conversion's certificates give: (initial_cert given, final_cert given)
@@ -315,8 +309,6 @@ class ConvertibleCode:
     field: FieldCtx = dc_field(init=False)
     kind: str = dc_field(init=False)
     params: MergeParams = dc_field(init=False, repr=False, compare=False)
-    compiled: CompiledPlan = dc_field(init=False, repr=False, compare=False)
-    _access: AccessReport = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         certs = (self.initial_cert is not None, self.final_cert is not None)
@@ -327,6 +319,8 @@ class ConvertibleCode:
         for i, code in enumerate(self.initials):
             if code.field != self.field:
                 raise ValueError(f"initials[{i}] is over {code.field}, the final over {self.field}")
+        if self.plan.field != self.field:
+            raise ValueError(f"plan is over {self.plan.field}, the final over {self.field}")
         # an MDS final is the (r, delta) = (k, 2) case of the LRC bound
         n_final, k_final = self.final.n, self.final.k
         r, delta = (self.final_cert.r, self.final_cert.delta) if self.final_cert else (k_final, 2)
@@ -340,21 +334,10 @@ class ConvertibleCode:
             delta=delta,
         )
         self.plan.validate(self.initials, self.final)
-        self.compiled = compile_plan(self.field, self.plan)
-        for i, (code, coords) in enumerate(zip(self.initials, self.compiled.storage)):
-            if any(not 0 <= c < code.n for c in coords):
-                raise ValueError(f"stripe {i} reads a storage coordinate outside [0, {code.n})")
-
-        self._access = AccessReport(
-            read_cost=sum(len(coords) for coords in self.compiled.storage),
-            write_cost=len(self.plan.written),
-            per_symbol_read=sum(len(tr) for _, tr in self.plan.terms),
-            unchanged_counts=tuple(len(p) for p in self.plan.unchanged),
-        )
 
     def static_access(self) -> AccessReport:
-        """The access costs of the plan, computed once per code."""
-        return self._access
+        """The access costs of the plan, computed once per plan."""
+        return self.plan.access
 
     def to_obj(self) -> dict:
         return {
@@ -382,7 +365,7 @@ class ConvertibleCode:
                 for i, c in enumerate(as_list(obj["initials"], "initials"))
             ),
             final=within("final", LinearCode.from_obj, field, obj["final"]),
-            plan=ConversionPlan.from_obj(obj["plan"]),
+            plan=ConversionPlan.from_obj(field, obj["plan"]),
             provenance=obj.get("provenance", {}),
             **{
                 key: within(key, LocalityCertificate.from_obj, obj[key]) if obj.get(key) else None
@@ -448,7 +431,7 @@ def _merge_by_evaluation(
     stripe's.  Written place P reads stripe j at read_base[j] plus the
     index of moves[j]^-1(P) in `written`, with the coefficient read off
     the first basis function whose read value is nonzero.  The final
-    generator is the compiled plan applied to the initial generator rows;
+    generator is the plan applied to the initial generator rows;
     it must equal the direct evaluation, which checks every coefficient
     on every basis function.
     """
@@ -484,6 +467,7 @@ def _merge_by_evaluation(
 
     offsets = [sum(len(places) for places in kept[:j]) for j in range(len(kept))]
     plan = ConversionPlan(
+        field,
         unchanged=tuple(
             tuple((idx, off + idx) for idx in range(len(places)))
             for off, places in zip(offsets, kept)
@@ -493,7 +477,7 @@ def _merge_by_evaluation(
         terms=tuple(terms),
         schedule=schedule,
     )
-    gen_rows = compile_plan(field, plan).generator_rows(init_codes)
+    gen_rows = plan.generator_rows(init_codes)
     if gen_rows != [row for rows in direct for row in rows]:
         raise AssertionError("direct evaluation disagrees with the plan-applied generator")
     return plan, LinearCode(field, generator=MatQ(field, gen_rows), labels=labels,
@@ -952,13 +936,14 @@ def build_mds_to_lrc(
                     terms_map[w].append((i, k_init + m, coeff))
 
     plan = ConversionPlan(
+        field,
         unchanged=tuple(tuple(enumerate(cols)) for cols in alpha_cols),
         reads=(tuple(range(k_init, k_init + d_final - 1)),) * t,
         written=tuple(w_cols),
         terms=tuple((w, tuple(tr)) for w, tr in terms_map.items()),
     )
 
-    gen_rows = compile_plan(field, plan).generator_rows(init_codes)
+    gen_rows = plan.generator_rows(init_codes)
     final_code = LinearCode(field, generator=MatQ(field, gen_rows), parity=parity,
                             labels=labels, places=tuple(loc.enc for loc in locators))
     final_cert = _consecutive_groups(r, delta, group_size, tprime)
@@ -988,12 +973,11 @@ def execute(
 ) -> tuple[tuple[FieldElem, ...], AccessReport]:
     """Run the conversion on one codeword per initial stripe.
 
-    Inputs are membership-checked against their stripes, the compiled plan
-    maps them to the final word, and that word is membership-checked
-    before it is returned.  Costs count coordinates touched, not values;
-    the report is the code's one static_access() object.  Raises
-    ValueError, naming the stripe and coordinate, for a symbol of another
-    field.
+    Inputs are membership-checked against their stripes, the plan maps
+    them to the final word, and that word is membership-checked before
+    it is returned.  Costs count coordinates touched, not values; the
+    report is the plan's one access object.  Raises ValueError, naming
+    the stripe and coordinate, for a symbol of another field.
     """
     if len(words) != len(cc.initials):
         raise ValueError("need one codeword per initial stripe")
@@ -1004,10 +988,10 @@ def execute(
             raise ValueError(f"input {i} {exc}") from exc
         if not ok:
             raise ValueError(f"input {i} is not a codeword of its stripe")
-    final_word = tuple(cc.compiled.apply(words))
+    final_word = tuple(cc.plan.apply(words))
     if not cc.final.contains(final_word):
         raise AssertionError("converted word violates the final parity")
-    return final_word, cc.static_access()
+    return final_word, cc.plan.access
 
 
 # -- verification --------------------------------------------------------------
@@ -1057,10 +1041,10 @@ def verify_convertible(cc: ConvertibleCode, check_components: bool = True) -> Ve
     """Check bijectivity, the unchanged contract, component optimality and
     the measured access cost against the lower-bound floors.
 
-    The first three verdicts are exact and read off the compiled plan
-    applied to the initial generator rows: full rank is bijectivity,
-    every row in the final code is membership (all codewords follow by
-    linearity), and each unchanged pair (src, dst) of stripe i needs
+    The first three verdicts are exact and read off the plan applied to
+    the initial generator rows: full rank is bijectivity, every row in
+    the final code is membership (all codewords follow by linearity), and
+    each unchanged pair (src, dst) of stripe i needs
     column dst of the rows to be column src of G_i on stripe i's rows and
     0 on every other stripe's.  When membership holds, execute runs once,
     on the encodings of the all-ones messages, to exercise the public
@@ -1068,7 +1052,7 @@ def verify_convertible(cc: ConvertibleCode, check_components: bool = True) -> Ve
     builder's does, is proved by grs_certificate before any subset walk.
     """
     field = cc.field
-    rows = cc.compiled.generator_rows(cc.initials)
+    rows = cc.plan.generator_rows(cc.initials)
     bijective = MatQ(field, rows).rank() == cc.final.k
     membership_ok = all(cc.final.contains([field.element(e) for e in row]) for row in rows)
     stripe_rows = [(i, g) for i, code in enumerate(cc.initials) for g in code.generator.data]
@@ -1091,7 +1075,7 @@ def verify_convertible(cc: ConvertibleCode, check_components: bool = True) -> Ve
         except InfeasibleCheck:
             components_ok = None
 
-    measured = cc.static_access()
+    measured = cc.plan.access
     floors = total_lower(cc.params)
     reference_bound = {"mds_merge": mds_merge_lower, "lrc_merge": rdel_lower}.get(cc.kind)
     reference = reference_bound(cc.params) if reference_bound else None

@@ -148,13 +148,15 @@ class FieldCtx:
     """The field GF(p^s) with a fixed monic irreducible modulus."""
 
     def __init__(self, p: int, s: int, modulus: Optional[Sequence[int]] = None):
-        if not _is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
         if s < 1:
             raise ValueError(f"extension degree must be >= 1, got {s}")
+        # bound the size before p ** s is computed or p is tried by trial
+        # division, whose cost grows with sqrt(p); p >= 2 bounds s by log2(MAX_Q)
+        if p >= 2 and (p > MAX_Q or s >= MAX_Q.bit_length() or p ** s > MAX_Q):
+            raise ValueError(f"field size {p}^{s} exceeds supported maximum {MAX_Q}")
+        if not _is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
         q = p ** s
-        if q > MAX_Q:
-            raise ValueError(f"field size {q} exceeds supported maximum {MAX_Q}")
         self.p = p
         self.s = s
         self.q = q

@@ -1,9 +1,9 @@
 """Replay a conversion plan against a cluster layout.
 
-The simulator is trace-driven from the compiled plan
-(ConvertibleCode.compiled), the same map execute applies: its storage
-reads and written coordinates are charged to the nodes that hold them,
-so one map is the single source of truth for access accounting.
+The simulator is trace-driven from the conversion plan
+(ConvertibleCode.plan), the same map execute applies: its storage reads
+and written coordinates are charged to the nodes that hold them, so one
+map is the single source of truth for access accounting.
 Unchanged symbols are keyed by their coordinate label, which the final
 stripe shares with the originating initial stripe; they generate no I/O
 and stay on their node.
@@ -95,12 +95,12 @@ def simulate(
     if words is not None:
         execute(cc, words)
     per_node: dict = {n: {"reads": 0, "writes": 0} for n in layout.nodes}
-    for code, coords in zip(cc.initials, cc.compiled.storage):
+    for code, coords in zip(cc.initials, cc.plan.storage):
         for c in coords:
             per_node[layout.node_of(code.labels[c])]["reads"] += 1
     for w in cc.plan.written:
         per_node[layout.node_of(cc.final.labels[w])]["writes"] += 1
-    totals = cc.static_access()
+    totals = cc.plan.access
     if sum(io["reads"] for io in per_node.values()) != totals.read_cost:
         raise AssertionError("per-node reads do not sum to the read cost")
     if sum(io["writes"] for io in per_node.values()) != totals.write_cost:

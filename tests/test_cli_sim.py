@@ -365,6 +365,14 @@ MALFORMED = [
     # the plain one (0), whatever it was meant to say
     *(("construct", dict(Q23_REQUEST, params=dict(Q23_REQUEST["params"], evaluate_at_pole=v)))
       for v in ("false", 1)),
+    # a field past the size limit used to be tried for primality first, by
+    # trial division that did not finish for p = 2^61 - 1
+    ("construct", dict(VI_REQUEST, field={"p": 2 ** 61 - 1, "s": 1})),
+    ("verify", set_at(VI_BUNDLE, ["field", "p"], 2 ** 61 - 1)),
+    # a fifth message used to be dropped, and a "random" that is not true
+    # to convert random words
+    ("convert --words", {"messages": [[1, 2, 3, 4]] * 5}),
+    ("convert --words", {"random": "no"}),
 ]
 
 
@@ -390,7 +398,9 @@ MALFORMED = [
                               "params_d_final_5", "params_d_final_3", "params_r_10",
                               "params_n_initial_11", "q32_params_n_initial_14",
                               "q32_kind_mds_to_lrc", "vi_stray_initial_cert",
-                              "str_for_evaluate_at_pole", "int_for_evaluate_at_pole"])
+                              "str_for_evaluate_at_pole", "int_for_evaluate_at_pole",
+                              "field_p_2_61_request", "field_p_2_61_bundle",
+                              "five_messages_for_four_stripes", "str_for_random"])
 def test_cli_malformed_json_is_a_validation_error(tmp_path, capsys, command, payload):
     command, _, side_flag = command.partition(" ")
     path = write_json(tmp_path / "input.json", payload)

@@ -12,6 +12,7 @@ from stripemerge.bounds import read_lower, total_lower, unchanged_upper
 from stripemerge.codes import LinearCode, check_locality, is_mds, is_optimal_lrc, min_distance
 from stripemerge.convert import (
     KINDS,
+    ConversionPlan,
     ConvertibleCode,
     build_lrc_merge,
     build_mds_merge,
@@ -454,15 +455,20 @@ def test_verify_reports_membership_apart_from_bijectivity(cc_vi):
     assert report.bijective and not report.membership_ok and not report.ok
 
 
-def test_verify_checks_unchanged_columns_exactly(cc_vi):
-    # two unchanged symbols of stripe 0 swapped in the compiled map: the
-    # verdict comes from the applied generator rows, not from trial runs
+def test_verify_checks_unchanged_columns_exactly(cc_vi, monkeypatch):
+    # two unchanged symbols of stripe 0 swapped in the applied map, not in
+    # the plan's data: the verdict comes from the applied generator rows,
+    # not from trial runs
     bad = with_plan(cc_vi)
-    (a, da), (b, db), *rest = bad.compiled.unchanged[0]
-    swapped = ((a, db), (b, da), *rest)
-    bad.compiled = dataclasses.replace(
-        bad.compiled, unchanged=(swapped,) + bad.compiled.unchanged[1:]
-    )
+    (a, da), (b, db), *rest = bad.plan.unchanged[0]
+    real = ConversionPlan.apply
+
+    def swapped(plan, words):
+        out = real(plan, words)
+        out[da], out[db] = words[0][b], words[0][a]
+        return out
+
+    monkeypatch.setattr(ConversionPlan, "apply", swapped)
     report = verify_convertible(bad, check_components=False)
     assert not report.unchanged_ok and not report.ok
 
@@ -483,7 +489,7 @@ def test_verify_executes_once_when_membership_holds(cc_vi, monkeypatch):
 
 
 def test_compiled_plan_folds_the_schedule(cc_q32):
-    compiled = cc_q32.compiled
+    compiled = cc_q32.plan
     assert compiled.storage == tuple(s.storage for s in cc_q32.plan.schedule)
     # 6 written symbols from 2 reads each; the rebuilt reads expand to storage
     assert cc_q32.static_access().per_symbol_read == 12
@@ -506,15 +512,14 @@ def test_compile_rejects_unreachable_reads(cc_q32):
 
 def test_builders_check_the_plan_against_direct_evaluation(monkeypatch):
     # a plan whose first coefficient is off by one must not reach the final code
-    real = convert.compile_plan
+    real = ConversionPlan.generator_rows
 
-    def skewed(field, plan):
-        compiled = real(field, plan)
-        (w, ((i, coord, coeff), *more)), *rest = compiled.writes
-        bad = (w, ((i, coord, field.add_enc(coeff, 1)), *more))
-        return dataclasses.replace(compiled, writes=(bad, *rest))
+    def skewed(plan, initials):
+        (w, ((i, coord, coeff), *more)), *rest = plan.terms
+        bad = (w, ((i, coord, coeff % (plan.field.q - 1) + 1), *more))
+        return real(dataclasses.replace(plan, terms=(bad, *rest)), initials)
 
-    monkeypatch.setattr(convert, "compile_plan", skewed)
+    monkeypatch.setattr(ConversionPlan, "generator_rows", skewed)
     assert_evaluation_builders_fail()
 
 
@@ -639,6 +644,16 @@ def test_bundle_kind_is_derived_from_the_certificates(name):
             initials=(foreign, *cc.initials[1:]),
             final=cc.final,
             plan=cc.plan,
+            initial_cert=cc.initial_cert,
+            final_cert=cc.final_cert,
+        )
+    # a field above every benchmark field, so that every coefficient is an element of it
+    F67 = field_create(67, 1)
+    with pytest.raises(ValueError, match=r"^plan is over FieldCtx\(GF\(67\)\)"):
+        ConvertibleCode(
+            initials=cc.initials,
+            final=cc.final,
+            plan=dataclasses.replace(cc.plan, field=F67),
             initial_cert=cc.initial_cert,
             final_cert=cc.final_cert,
         )

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from stripemerge import field
 from stripemerge.field import (
+    MAX_Q,
     FieldCtx,
     field_create,
     primitive_quadratic_check,
@@ -67,6 +69,27 @@ def test_field_create_errors():
         field_create(2, 3, modulus=[1, 1, 1])  # degree mismatch
     with pytest.raises(ValueError):
         field_create(2, 0)
+
+
+def test_field_size_is_bounded_before_the_primality_test(monkeypatch):
+    # trial division of 2^61 - 1 would run for hours, and 2^(10^6) has more
+    # digits than int-to-str conversion allows; each must name the maximum
+    tested = []
+
+    def spy(n):
+        tested.append(n)
+        return False
+
+    monkeypatch.setattr(field, "_is_prime", spy)
+    for p, s in ((2 ** 61 - 1, 1), (10 ** 12 + 39, 1), (2, 10 ** 6), (2, 17), (257, 2)):
+        with pytest.raises(ValueError, match=f"^field size {p}\\^{s} exceeds supported "
+                                             f"maximum {MAX_Q}$"):
+            FieldCtx(p, s)
+    assert tested == []
+    monkeypatch.undo()
+    assert FieldCtx(65521, 1).q == 65521  # the largest prime below the bound
+    with pytest.raises(ValueError, match="^characteristic 1 is not prime$"):
+        FieldCtx(1, 10 ** 6)
 
 
 def test_arith_examples():

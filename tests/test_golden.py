@@ -7,9 +7,10 @@ merges over GF(23), GF(27) and GF(49), LRC merges over GF(32) and GF(64),
 and MDS-to-LRC conversions over GF(23), GF(25), GF(27) and GF(49).
 
 tests/golden_reports.json pins the SHA-256 of the canonical JSON that
-`stripemerge verify --skip-distance` and `stripemerge convert --seed 3`
-print for every request, and that a full `stripemerge verify` prints for
-the three flagships.
+`stripemerge verify --skip-distance`, `stripemerge convert --seed 3`,
+`stripemerge simulate --seed 3` and `stripemerge simulate --policy
+one-per-symbol --seed 3` print for every request, and that a full
+`stripemerge verify` prints for the three flagships.
 """
 
 import hashlib

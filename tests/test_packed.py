@@ -159,7 +159,7 @@ def test_horner_matches_the_reference(p, s):
 @pytest.mark.parametrize("name", sorted(REQUESTS))
 def test_apply_matches_the_fold(name):
     cc = _construct(REQUESTS[name])
-    F, compiled = cc.field, cc.compiled
+    F, compiled = cc.field, cc.plan
     rng = random.Random(name)
     for _ in range(10):
         encs = [[rng.randrange(F.q) for _ in range(code.n)] for code in cc.initials]
@@ -211,7 +211,7 @@ def test_execute_returns_one_access_report():
     _, second = execute(cc, words)
     assert first is second is cc.static_access()
     assert first.to_obj() == {
-        "read_cost": sum(len(coords) for coords in cc.compiled.storage),
+        "read_cost": sum(len(coords) for coords in cc.plan.storage),
         "write_cost": len(cc.plan.written),
         "per_symbol_read": sum(len(tr) for _, tr in cc.plan.terms),
         "unchanged_counts": [len(pairs) for pairs in cc.plan.unchanged],
