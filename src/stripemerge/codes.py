@@ -19,9 +19,9 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import NoReturn, Optional, Sequence
+from typing import Optional, Sequence
 
-from .field import FieldCtx, FieldElem
+from .field import ColumnSums, FieldCtx, FieldElem
 from .matrix import MatQ, rank_of_rows
 from .schema import as_int, as_ints, as_list, as_object, within
 
@@ -109,8 +109,10 @@ class LinearCode:
             raise ValueError("labels must be distinct, one per coordinate")
         # evaluation places for grs_certificate, which re-checks them; never serialized
         self.places = tuple(places) if places is not None else None
-        # parity rows as packed-kernel rows, built by the first contains
-        self._checks: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
+        # column-table kernels of the parity matrix and of the transposed
+        # generator, built on first use
+        self._checks: Optional[ColumnSums] = None
+        self._encoder: Optional[ColumnSums] = None
 
     @property
     def generator(self) -> MatQ:
@@ -126,43 +128,37 @@ class LinearCode:
             self._parity = MatQ(self.field, basis)
         return self._parity
 
+    @property
+    def checks(self) -> ColumnSums:
+        """H as a column-table kernel over the n coordinates: checks.vanishes
+        on a word's encodings is the membership test."""
+        if self._checks is None:
+            self._checks = ColumnSums(self.field, [enumerate(row) for row in self.parity.data],
+                                      self.n)
+        return self._checks
+
     def encode(self, message: Sequence[FieldElem]) -> tuple[FieldElem, ...]:
+        """message * G, by the column-table kernel of G's transpose: the
+        message coordinates are its columns."""
         if len(message) != self.k:
             raise ValueError(f"message length {len(message)} != k = {self.k}")
-        f = self.field
-        g = self.generator.data
-        out = [0] * self.n
-        for i, m in enumerate(message):
-            if m.enc == 0:
-                continue
-            row = g[i]
-            for j in range(self.n):
-                if row[j]:
-                    out[j] = f.add_enc(out[j], f.mul_enc(m.enc, row[j]))
-        return tuple(f.element(e) for e in out)
+        if self._encoder is None:
+            g = self.generator.data
+            self._encoder = ColumnSums(
+                self.field, [[(i, row[j]) for i, row in enumerate(g)] for j in range(self.n)],
+                self.k,
+            )
+        return self.field.word(self._encoder.values([m.enc for m in message]))
 
     def contains(self, word: Sequence[FieldElem]) -> bool:
-        """True iff every parity row is orthogonal to word.  Raises
-        ValueError, naming the coordinate and both fields, for a symbol of
-        another field.
+        """True iff H * word = 0.  Raises ValueError, naming the coordinate
+        and both fields, for a symbol of another field.
 
-        Each parity row is kept as the (coordinate, log coefficient) pairs
-        of its nonzeros, built once per code, and summed against the
-        word's logs by the field's packed-digit kernel: one integer
-        addition per term, and a row passes iff every digit slot of its
-        sum is 0 mod p.
+        The test is one checks.vanishes on the word's encodings: a table
+        lookup and an integer addition per coordinate, then a row passes
+        iff every digit slot of its block is 0 mod p.
         """
-        if len(word) != self.n:
-            return False
-        packed = self.field.packed()
-        if self._checks is None:
-            self._checks = tuple(packed.row(enumerate(row)) for row in self.parity.data)
-        log, f = packed.log, self.field
-        logs = [log[w.enc] if w.field is f or w.field == f else _foreign(word, f) for w in word]
-        for row in self._checks:
-            if packed.dot(row, logs):
-                return False
-        return True
+        return len(word) == self.n and self.checks.vanishes(self.field.encodings(word))
 
     def dual(self) -> LinearCode:
         return LinearCode(self.field, generator=self.parity,
@@ -197,13 +193,6 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}] over GF({self.field.q}))"
-
-
-def _foreign(word: Sequence[FieldElem], field: FieldCtx) -> NoReturn:
-    """Raise contains' error for the first symbol of word outside field
-    (a function, so that the log comprehension can raise it)."""
-    j, w = next((j, w) for j, w in enumerate(word) if w.field != field)
-    raise ValueError(f"coordinate {j} is in {w.field}, not {field}")
 
 
 # -- distance ----------------------------------------------------------------

@@ -11,8 +11,9 @@ A ConversionPlan is built over its field, and construction folds the
 locality schedule's recipes into its terms, so it is the one map every
 consumer reads: the storage coordinates read from each stripe, a sparse
 linear map from them to the final word, and its static access cost.
-Its apply method converts codewords in execute; the builders apply it
-to the initial generator rows to obtain the final generator,
+Its apply method maps the encodings of one word per stripe to the final
+word's in execute; the builders apply it to the initial generator rows
+to obtain the final generator,
 blockdiag(G_i) * P; the verifier reads bijectivity, membership and the
 unchanged contract off those same rows; the simulator charges its
 storage reads to nodes.  The evaluation builders also evaluate each
@@ -45,7 +46,7 @@ from .codes import (
     is_optimal_lrc,
     singleton_lrc_bound,
 )
-from .field import FieldCtx, FieldElem
+from .field import ColumnSums, FieldCtx, FieldElem
 from .grs import grs_code, grs_dual_prescribed, GrsSpec
 from .matrix import MatQ, vandermonde
 from .pgl import (
@@ -126,8 +127,9 @@ class ConversionPlan:
     written coordinate to (stripe, storage coordinate, coefficient
     encoding) triples with every recipe folded in, coefficients landing
     on one storage coordinate summed and zero sums dropped, and access is
-    the plan's static access cost.  validate checks the plan against the
-    codes it converts.
+    the plan's static access cost.  The writes are also kept as one
+    ColumnSums whose columns are the distinct storage reads, which apply
+    runs.  validate checks the plan against the codes it converts.
     """
 
     field: FieldCtx
@@ -142,10 +144,9 @@ class ConversionPlan:
         init=False, repr=False, compare=False
     )
     access: AccessReport = dc_field(init=False, repr=False, compare=False)
-    # writes as packed-kernel rows over the storage reads in storage order
-    _rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = dc_field(
-        init=False, repr=False, compare=False
-    )
+    # writes as a column-table kernel whose columns are the storage reads
+    _reads: tuple[tuple[int, int], ...] = dc_field(init=False, repr=False, compare=False)
+    _kernel: ColumnSums = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         field, t, q = self.field, len(self.reads), self.field.q
@@ -188,8 +189,7 @@ class ConversionPlan:
                     folded[key] = field.add_enc(folded.get(key, 0), field.mul_enc(coeff, e))
             writes.append((w, tuple((i, src, e) for (i, src), e in folded.items() if e)))
         stored = [(i, c) for i, coords in enumerate(storage) for c in coords]
-        flat = {read: j for j, read in enumerate(stored)}
-        packed = field.packed()
+        flat = {read: j for j, read in enumerate(dict.fromkeys(stored))}
         object.__setattr__(self, "n", len(self.written) + sum(map(len, self.unchanged)))
         object.__setattr__(self, "storage", storage)
         object.__setattr__(self, "writes", tuple(writes))
@@ -199,8 +199,9 @@ class ConversionPlan:
             per_symbol_read=sum(len(tr) for _, tr in self.terms),
             unchanged_counts=tuple(map(len, self.unchanged)),
         ))
-        object.__setattr__(self, "_rows", tuple(
-            (dst, packed.row((flat[i, c], e) for i, c, e in triples)) for dst, triples in writes
+        object.__setattr__(self, "_reads", tuple(flat))
+        object.__setattr__(self, "_kernel", ColumnSums(
+            field, [[(flat[i, c], e) for i, c, e in triples] for _, triples in writes], len(flat)
         ))
 
     def validate(self, initials: Sequence[LinearCode], final: LinearCode) -> None:
@@ -232,36 +233,32 @@ class ConversionPlan:
             if any(not 0 <= c < code.n for c in (*coords, *stored)):
                 raise ValueError(f"stripe {i} reads a coordinate outside [0, {code.n})")
 
-    def apply(self, words: Sequence[Sequence[FieldElem]]) -> list[FieldElem]:
-        """The final word from one word per stripe.
+    def apply(self, words: Sequence[Sequence[int]]) -> list[int]:
+        """The final word's encodings from one word of encodings per stripe.
 
-        Each written symbol is one packed-kernel sum of its log
-        coefficients against the logs of the storage reads, reduced once;
-        the slot guard of PackedSums.row makes that sum exact.
+        Unchanged symbols are copied.  The written symbols are one
+        product of the writes' ColumnSums with the storage reads: a table
+        lookup per read and one reduction per written symbol, exact by
+        the kernel's column bound.
         """
-        f = self.field
-        packed = f.packed()
-        log = packed.log
-        logs = [log[words[i][c].enc] for i, coords in enumerate(self.storage) for c in coords]
-        out = [f.zero] * self.n
+        out = [0] * self.n
         for word, pairs in zip(words, self.unchanged):
             for src, dst in pairs:
                 out[dst] = word[src]
-        for dst, row in self._rows:
-            out[dst] = FieldElem(f, packed.dot(row, logs))
+        values = self._kernel.values([words[i][c] for i, c in self._reads])
+        for (dst, _), value in zip(self.writes, values):
+            out[dst] = value
         return out
 
     def generator_rows(self, initials: Sequence[LinearCode]) -> list[list[int]]:
         """blockdiag(G_i) * P in encodings: the map applied to every
         initial generator row."""
-        f = self.field
-        zeros = [[f.zero] * code.n for code in initials]
-        rows = []
-        for i, code in enumerate(initials):
-            for row in code.generator.data:
-                words = zeros[:i] + [[f.element(e) for e in row]] + zeros[i + 1 :]
-                rows.append([e.enc for e in self.apply(words)])
-        return rows
+        zeros = [[0] * code.n for code in initials]
+        return [
+            self.apply(zeros[:i] + [row] + zeros[i + 1 :])
+            for i, code in enumerate(initials)
+            for row in code.generator.data
+        ]
 
     def to_obj(self) -> dict:
         return {
@@ -973,25 +970,30 @@ def execute(
 ) -> tuple[tuple[FieldElem, ...], AccessReport]:
     """Run the conversion on one codeword per initial stripe.
 
-    Inputs are membership-checked against their stripes, the plan maps
-    them to the final word, and that word is membership-checked before
-    it is returned.  Costs count coordinates touched, not values; the
-    report is the plan's one access object.  Raises ValueError, naming
-    the stripe and coordinate, for a symbol of another field.
+    Each input's encodings are taken once: they are membership-checked
+    against the stripe's parity kernel (LinearCode.checks), and the plan
+    maps them to the final word's encodings, which are membership-checked
+    against the final parity before the word is returned.  Costs count
+    coordinates touched, not values; the report is the plan's one access
+    object.  Raises ValueError, naming the stripe and coordinate, for a
+    symbol of another field.
     """
     if len(words) != len(cc.initials):
         raise ValueError("need one codeword per initial stripe")
+    field = cc.field
+    encs = []
     for i, (code, word) in enumerate(zip(cc.initials, words)):
         try:
-            ok = code.contains(word)
+            enc = field.encodings(word)
         except ValueError as exc:
             raise ValueError(f"input {i} {exc}") from exc
-        if not ok:
+        if len(enc) != code.n or not code.checks.vanishes(enc):
             raise ValueError(f"input {i} is not a codeword of its stripe")
-    final_word = tuple(cc.plan.apply(words))
-    if not cc.final.contains(final_word):
+        encs.append(enc)
+    final_encs = cc.plan.apply(encs)
+    if not cc.final.checks.vanishes(final_encs):
         raise AssertionError("converted word violates the final parity")
-    return final_word, cc.plan.access
+    return field.word(final_encs), cc.plan.access
 
 
 # -- verification --------------------------------------------------------------
@@ -1054,7 +1056,7 @@ def verify_convertible(cc: ConvertibleCode, check_components: bool = True) -> Ve
     field = cc.field
     rows = cc.plan.generator_rows(cc.initials)
     bijective = MatQ(field, rows).rank() == cc.final.k
-    membership_ok = all(cc.final.contains([field.element(e) for e in row]) for row in rows)
+    membership_ok = all(map(cc.final.checks.vanishes, rows))
     stripe_rows = [(i, g) for i, code in enumerate(cc.initials) for g in code.generator.data]
     unchanged_ok = all(
         row[dst] == (g[src] if j == i else 0)

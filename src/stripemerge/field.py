@@ -17,15 +17,21 @@ extensions, one Zech lookup: a + b = alpha^(log a + Z(log b - log a)).
 Fields are capped at q <= 2^16, which keeps every table small and every
 scan exhaustive.
 
-Weighted sums, the inner loop of membership checks and plan application,
-go through one packed-digit kernel instead (PackedSums, built on first
-use by FieldCtx.packed()).  Each power of the generator is stored with
-its GF(p) digits in separate b-bit slots of one Python int, so a sum of
-products c_j * w_j is one integer addition per nonzero term and one
-reduction mod p per slot at the end.  It is exact: no carry crosses a
-slot, because the slot width is chosen so that (p - 1) * max_terms <
-2^b and a row with more than max_terms terms is refused when it is
-built.  The kernel reads the field's own exp and log tables; add_enc and
+Weighted sums, the inner loop of membership checks, plan application and
+encoding, go through one column-table kernel instead (ColumnSums, over
+the packed digits of PackedSums, which FieldCtx.packed() builds on first
+use).  Each power of the generator is stored with its GF(p) digits in
+separate b-bit slots of one Python int, so a sum of products c_j * w_j
+is one integer addition per nonzero term and one reduction mod p per
+slot at the end.  ColumnSums gives each row of a fixed matrix M its own
+block of slots in one integer and each column j a table from a symbol
+w_j to the packed products w_j * M[r][j] of the whole column, so M * w
+is one lookup and one addition per coordinate of w.  It is exact: no
+carry crosses a slot, because the slot width is chosen so that (p - 1) *
+max_terms < 2^b and a matrix with more than max_terms columns is refused
+when it is built.  Tables fill on first use, and two threads that fill
+one entry at once store equal values, so codes and plans stay safe to
+share.  The kernel reads the field's own exp and log tables; add_enc and
 mul_enc remain the reference it is tested against.
 
 Elimination and polynomial evaluation use two smaller kernels beside it.
@@ -38,14 +44,15 @@ one exp lookup.  add_enc and mul_enc remain their reference too, and no
 module but this one reads the tables.
 
 A FieldCtx is immutable after construction and safe to share between
-threads (two threads that build the packed tables at once build equal
-ones).  Elements of different contexts never mix: any cross-field
-operation raises ValueError instead of coercing.
+threads (two threads that build the packed tables or the element table
+at once build equal ones).  Elements of different contexts never mix:
+any cross-field operation raises ValueError instead of coercing.
 """
 
 from __future__ import annotations
 
 import math
+from operator import getitem
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .schema import as_int, as_ints, as_object
@@ -174,6 +181,7 @@ class FieldCtx:
         self._exp, self._log, self._zech = self._build_tables()
         self._log_minus_one = self._log[p - 1]
         self._packed: Optional[PackedSums] = None
+        self._elements: Optional[tuple[FieldElem, ...]] = None
 
     # -- low-level ops on integer encodings ---------------------------------
 
@@ -299,6 +307,26 @@ class FieldCtx:
             self._packed = PackedSums(self)
         return self._packed
 
+    def encodings(self, word: Sequence[FieldElem]) -> list[int]:
+        """The encodings of word's symbols.  Raises ValueError, naming the
+        coordinate and both fields, for a symbol of another field; an
+        equal field that is another object is the same field."""
+        encs = [w.enc for w in word if w.field is self]
+        if len(encs) != len(word):
+            for j, w in enumerate(word):
+                if w.field != self:
+                    raise ValueError(f"coordinate {j} is in {w.field}, not {self}")
+            encs = [w.enc for w in word]
+        return encs
+
+    def word(self, encs: Iterable[int]) -> tuple[FieldElem, ...]:
+        """The elements with these encodings, each one shared instance
+        from a table of all q elements built on first use."""
+        if self._elements is None:
+            self._elements = tuple(FieldElem(self, enc) for enc in range(self.q))
+        elements = self._elements
+        return tuple([elements[e] for e in encs])
+
     # -- element factory -----------------------------------------------------
 
     def element(self, enc: int) -> FieldElem:
@@ -356,8 +384,9 @@ class PackedSums:
     products is a plain integer sum whose slot j holds the sum of their
     j-th digits, each at most p - 1.  width is the least b with
     (p - 1) * PACK_TERMS < 2^b; max_terms, the largest count with
-    (p - 1) * max_terms < 2^b, bounds every row that row() builds, so no
-    slot overflows into the next and reduce() recovers the exact sum.
+    (p - 1) * max_terms < 2^b, bounds the columns of every ColumnSums
+    over the field, so no slot overflows into the next and reduce()
+    recovers the exact sum.
     """
 
     def __init__(self, field: FieldCtx):
@@ -378,29 +407,6 @@ class PackedSums:
         ]
         self.pexp = half + half
 
-    def row(self, coeffs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-        """(index, log c) for every (index, coefficient encoding) pair with
-        c != 0; raises ValueError when more than max_terms remain."""
-        log = self.log
-        out = tuple((j, log[c]) for j, c in coeffs if c)
-        if len(out) > self.max_terms:
-            raise ValueError(
-                f"row of {len(out)} nonzero terms exceeds the {self.max_terms} "
-                f"that {self.width}-bit packed slots hold over GF({self.p})"
-            )
-        return out
-
-    def dot(self, row: Sequence[tuple[int, int]], logs: Sequence[Optional[int]]) -> int:
-        """The encoding of sum c_j * w_j over a row from row(), where
-        logs[j] = log w_j."""
-        pexp = self.pexp
-        acc = 0
-        for j, lc in row:
-            lw = logs[j]
-            if lw is not None:
-                acc += pexp[lc + lw]
-        return self.reduce(acc)
-
     def reduce(self, acc: int) -> int:
         """The encoding whose digit j is slot j of acc mod p."""
         p, mask = self.p, self._mask
@@ -415,6 +421,103 @@ class PackedSums:
         for shift, weight in self._slots:
             enc += ((acc >> shift) & mask) % p * weight
         return enc
+
+
+class ColumnSums:
+    """M * w for one fixed sparse matrix M over one field, one table lookup
+    per column.
+
+    rows[r] lists row r of M as (column, coefficient encoding) pairs, and
+    cols is M's column count.  Row r of a product owns one block of s
+    PackedSums slots, bits [r*s*width, (r+1)*s*width) of one integer, and
+    the table of column j maps a symbol encoding e to the packed products
+    e * M[r][j] of the column's nonzeros, each shifted into its row's
+    block.  M * w is then sum(table_j[w_j]): one C-level lookup and one
+    integer addition per coordinate.  A row's sum has at most cols terms,
+    so cols <= max_terms keeps every slot exact, as in PackedSums; more
+    columns are refused.
+
+    A table starts with only 0 in it.  A word that misses fills all its
+    missing entries in one loop and is summed again, so a cold word costs
+    about what one pass over M's nonzeros costs and a warm one a lookup
+    per coordinate; a table holds at most q entries.  An entry depends
+    only on M and the encoding, so two threads that fill one entry at
+    once store equal values, and a shared code stays safe.
+    """
+
+    def __init__(self, field: FieldCtx, rows: Sequence[Iterable[tuple[int, int]]], cols: int):
+        packed = field.packed()
+        if cols > packed.max_terms:
+            raise ValueError(
+                f"{cols} columns exceed the {packed.max_terms} that "
+                f"{packed.width}-bit packed slots hold over GF({packed.p})"
+            )
+        self.cols = cols
+        self._packed = packed
+        self._p, self._s = packed.p, packed.s
+        width = packed.width
+        block = packed.s * width
+        self._shifts = tuple(r * block for r in range(len(rows)))
+        self._mask = (1 << block) - 1
+        # every slot of every row: a digit is 0 iff its slot is 0 mod p,
+        # and in characteristic 2 iff the slot's low bit is clear
+        self._slots = tuple(shift + j * width for shift in self._shifts for j in range(packed.s))
+        self._slot_mask = packed._mask
+        self._low = sum(1 << shift for shift in self._slots)
+        log = packed.log
+        self._entries: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
+        for shift, row in zip(self._shifts, rows):
+            for j, c in row:
+                if c:
+                    self._entries[j].append((shift, log[c]))
+        self._tables = [{0: 0} for _ in range(cols)]
+
+    def _fill(self, encs: Sequence[int]) -> int:
+        """Fill every entry that encs misses in one loop, then sum again."""
+        log, pexp = self._packed.log, self._packed.pexp
+        for table, entries, e in zip(self._tables, self._entries, encs):
+            if e not in table:
+                le = log[e]
+                v = 0
+                for shift, lc in entries:
+                    v += pexp[le + lc] << shift
+                table[e] = v
+        return sum(map(getitem, self._tables, encs))
+
+    # values and vanishes repeat the warm sum inline: it is the hot path of
+    # every membership check and plan write, and a helper call would cost
+    # about as much as the lookups of a short word
+
+    def values(self, encs: Sequence[int]) -> list[int]:
+        """The encodings of M * w, row by row, where encs[j] encodes w_j."""
+        if len(encs) != self.cols:
+            raise ValueError(f"word of length {len(encs)} for {self.cols} columns")
+        try:
+            acc = sum(map(getitem, self._tables, encs))
+        except KeyError:
+            acc = self._fill(encs)
+        mask = self._mask
+        if self._s == 1:
+            p = self._p
+            return [(acc >> shift & mask) % p for shift in self._shifts]
+        reduce = self._packed.reduce
+        return [reduce(acc >> shift & mask) for shift in self._shifts]
+
+    def vanishes(self, encs: Sequence[int]) -> bool:
+        """True iff M * w = 0, where encs[j] encodes w_j."""
+        if len(encs) != self.cols:
+            raise ValueError(f"word of length {len(encs)} for {self.cols} columns")
+        try:
+            acc = sum(map(getitem, self._tables, encs))
+        except KeyError:
+            acc = self._fill(encs)
+        if self._p == 2:
+            return not acc & self._low
+        p, mask = self._p, self._slot_mask
+        for shift in self._slots:
+            if (acc >> shift & mask) % p:
+                return False
+        return True
 
 
 class FieldElem:

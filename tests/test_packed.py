@@ -1,9 +1,12 @@
 """Differential tests of the field's table kernels.
 
-Membership checks and plan application sum products through the
-packed-digit kernel (field.PackedSums); the reference here is the plain
-fold of add_enc(mul_enc(...)), one field operation per term, which the
-kernel replaced.  Row updates in elimination go through
+Membership checks, plan application and encoding sum products through
+the column-table kernel (field.ColumnSums, over the packed digits of
+field.PackedSums); the reference here is the plain fold of
+add_enc(mul_enc(...)), one field operation per term, which the kernel
+replaced.  The test_column_sums_* tests run each word twice, so that
+both the cold path, which fills the tables, and the warm lookup are
+checked.  Row updates in elimination go through
 FieldCtx.row_logs and FieldCtx.sub_scaled, and polynomial evaluation
 through FieldCtx.horner; their references are sub_enc(d, mul_enc(c, s))
 per entry and Horner's rule on add_enc and mul_enc.
@@ -18,12 +21,15 @@ import pytest
 from stripemerge.cli import _construct
 from stripemerge.codes import LinearCode
 from stripemerge.convert import execute
-from stripemerge.field import FieldCtx, field_create
+from stripemerge.field import ColumnSums, FieldCtx, field_create
 from stripemerge.matrix import MatQ
 
 FIELDS = [(2, 1), (2, 2), (2, 3), (3, 2), (23, 1), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6),
           (3, 4), (5, 3)]
 FIELD_IDS = [f"GF({p ** s})" for p, s in FIELDS]
+# digit slots wider than a byte: p > 128
+WIDE_FIELDS = FIELDS + [(101, 1), (127, 1), (251, 1)]
+WIDE_IDS = [f"GF({p ** s})" for p, s in WIDE_FIELDS]
 
 REQUESTS = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "instances.json").read_text(
@@ -82,33 +88,93 @@ def test_contains_matches_the_fold(p, s, sparse):
                 assert not fold_contains(code, [e.enc for e in bad])
 
 
+def random_matrix(field, rng, rows, cols, density):
+    """A rows x cols matrix whose entries are nonzero with probability
+    density, with at least one zero row and one zero column when there
+    are two or more of them."""
+    data = [[rng.randrange(1, field.q) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)]
+    if rows > 1:
+        data[rng.randrange(rows)] = [0] * cols
+    if cols > 1:
+        j = rng.randrange(cols)
+        for row in data:
+            row[j] = 0
+    return data
+
+
+def kernel_of(field, data, cols):
+    return ColumnSums(field, [enumerate(row) for row in data], cols)
+
+
+@pytest.mark.parametrize("p,s", WIDE_FIELDS, ids=WIDE_IDS)
+@pytest.mark.parametrize("density", [0.25, 1.0], ids=["sparse", "dense"])
+def test_column_sums_match_the_fold(p, s, density):
+    F = field_create(p, s)
+    rng = random.Random(p * 1000 + s * 10 + int(density * 4))
+    for rows, cols in ((1, 1), (3, 7), (6, 4), (9, 23)):
+        data = random_matrix(F, rng, rows, cols, density)
+        kernel = kernel_of(F, data, cols)
+        for _ in range(8):
+            encs = [rng.randrange(F.q) if rng.random() < 0.7 else 0 for _ in range(cols)]
+            want = [fold(F, row, encs) for row in data]
+            # the first call fills the tables, the second reads them warm
+            for _ in range(2):
+                assert kernel.values(encs) == want
+                assert kernel.vanishes(encs) == (not any(want))
+        with pytest.raises(ValueError, match="length"):
+            kernel.vanishes(encs[:-1])
+
+
+@pytest.mark.parametrize("p,s", WIDE_FIELDS, ids=WIDE_IDS)
+def test_column_sums_reject_every_single_symbol_change(p, s):
+    F = field_create(p, s)
+    rng = random.Random(p * 31 + s)
+    n = 11
+    code = LinearCode(F, parity=random_parity(F, rng, 4, n, sparse=True))
+    kernel = kernel_of(F, code.parity.data, n)
+    for _ in range(3):
+        word = [e.enc for e in code.encode([F.element(rng.randrange(F.q))
+                                            for _ in range(code.k)])]
+        for _ in range(2):
+            assert kernel.vanishes(word) and not any(kernel.values(word))
+        for j in range(n):
+            for delta in (1, rng.randrange(1, F.q)):
+                bad = list(word)
+                bad[j] = F.add_enc(bad[j], delta)
+                assert not fold_contains(code, bad)
+                assert not kernel.vanishes(bad)
+                assert kernel.values(bad) == [fold(F, row, bad) for row in code.parity.data]
+
+
 @pytest.mark.parametrize("p,s", FIELDS, ids=FIELD_IDS)
 def test_dot_matches_the_fold(p, s):
+    # each row's product with a random word, one row at a time
     F = field_create(p, s)
-    packed = F.packed()
     rng = random.Random(s * 100 + p)
     for _ in range(300):
         terms = rng.randrange(0, 40)
         coeffs = [rng.randrange(F.q) for _ in range(terms)]
         encs = [rng.randrange(F.q) for _ in range(terms)]
-        row = packed.row(enumerate(coeffs))
-        assert len(row) == sum(1 for c in coeffs if c)
-        assert packed.dot(row, [packed.log[e] for e in encs]) == fold(F, coeffs, encs)
+        assert kernel_of(F, [coeffs], terms).values(encs) == [fold(F, coeffs, encs)]
 
 
 @pytest.mark.parametrize("p,s", FIELDS, ids=FIELD_IDS)
 def test_longest_allowed_row_reduces_exactly(p, s):
-    # every term adds p - 1 to every slot: 1 * (q - 1), whose digits are all p - 1
+    # every term adds p - 1 to every slot: (q - 1) * 1, whose digits are all p - 1
     F = field_create(p, s)
     packed = F.packed()
     top = packed.max_terms
     assert (p - 1) * top < 1 << packed.width <= (p - 1) * (top + 1)
-    row = packed.row((j, 1) for j in range(top))
     digit = top * (p - 1) % p
     want = sum(digit * p ** i for i in range(s))
-    assert packed.dot(row, [packed.log[F.q - 1]] * top) == want
-    with pytest.raises(ValueError, match="exceeds"):
-        packed.row((j, 1) for j in range(top + 1))
+    # two rows of all-(q - 1) columns, so that the first row's top slot
+    # would carry into the second row if the bound were too loose
+    kernel = ColumnSums(F, [[(j, F.q - 1) for j in range(top)]] * 2, top)
+    assert kernel.values([1] * top) == [want, want]
+    assert kernel.vanishes([1] * top) == (want == 0)
+    with pytest.raises(ValueError, match="exceed"):
+        ColumnSums(F, [[(j, F.q - 1) for j in range(top + 1)]], top + 1)
 
 
 def test_log_table_marks_zero_with_none():
@@ -163,7 +229,7 @@ def test_apply_matches_the_fold(name):
     rng = random.Random(name)
     for _ in range(10):
         encs = [[rng.randrange(F.q) for _ in range(code.n)] for code in cc.initials]
-        out = compiled.apply([[F.element(e) for e in word] for word in encs])
+        out = compiled.apply(encs)
         want = [None] * compiled.n
         for word, pairs in zip(encs, compiled.unchanged):
             for src, dst in pairs:
@@ -171,7 +237,7 @@ def test_apply_matches_the_fold(name):
         for dst, triples in compiled.writes:
             want[dst] = fold(F, [c for _, _, c in triples],
                              [encs[i][coord] for i, coord, _ in triples])
-        assert [e.enc for e in out] == want
+        assert out == want
 
 
 def test_execute_rejects_symbols_of_another_field():
