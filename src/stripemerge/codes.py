@@ -139,7 +139,8 @@ class LinearCode:
 
     def encode(self, message: Sequence[FieldElem]) -> tuple[FieldElem, ...]:
         """message * G, by the column-table kernel of G's transpose: the
-        message coordinates are its columns."""
+        message coordinates are its columns.  Raises ValueError, naming
+        the coordinate and both fields, for a symbol of another field."""
         if len(message) != self.k:
             raise ValueError(f"message length {len(message)} != k = {self.k}")
         if self._encoder is None:
@@ -148,15 +149,15 @@ class LinearCode:
                 self.field, [[(i, row[j]) for i, row in enumerate(g)] for j in range(self.n)],
                 self.k,
             )
-        return self.field.word(self._encoder.values([m.enc for m in message]))
+        return self.field.word(self._encoder.values(self.field.encodings(message)))
 
     def contains(self, word: Sequence[FieldElem]) -> bool:
         """True iff H * word = 0.  Raises ValueError, naming the coordinate
         and both fields, for a symbol of another field.
 
         The test is one checks.vanishes on the word's encodings: a table
-        lookup and an integer addition per coordinate, then a row passes
-        iff every digit slot of its block is 0 mod p.
+        lookup and an integer addition per coordinate, then one multiply
+        that tests every digit slot for 0 mod p at once.
         """
         return len(word) == self.n and self.checks.vanishes(self.field.encodings(word))
 

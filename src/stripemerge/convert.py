@@ -12,14 +12,16 @@ locality schedule's recipes into its terms, so it is the one map every
 consumer reads: the storage coordinates read from each stripe, a sparse
 linear map from them to the final word, and its static access cost.
 Its apply method maps the encodings of one word per stripe to the final
-word's in execute; the builders apply it to the initial generator rows
-to obtain the final generator,
-blockdiag(G_i) * P; the verifier reads bijectivity, membership and the
-unchanged contract off those same rows; the simulator charges its
-storage reads to nodes.  The evaluation builders also evaluate each
-rational-function term directly at every final place, read the
-written-symbol coefficients from those values, and assert that the
-direct values equal the plan-applied generator.  Builders give each code
+word's; the builders apply it to the initial generator rows to obtain
+the final generator, blockdiag(G_i) * P; the verifier reads
+bijectivity, membership and the unchanged contract off those same rows;
+the simulator charges its storage reads to nodes.  execute runs the
+writes in one ColumnSums with every initial's parity rows, so that one
+table sum per conversion checks every input and gives every written
+symbol.  The evaluation builders also evaluate each rational-function
+term directly at every final place, read the written-symbol
+coefficients from those values, and assert that the direct values equal
+the plan-applied generator.  Builders give each code
 its evaluation places, repeats included, so that grs_certificate proves
 every component distance; a bundle read from JSON has none and is walked.
 
@@ -34,7 +36,9 @@ one.  A bundle's stored kind and params must agree with the derived ones.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .bounds import BoundReport, MergeParams, mds_merge_lower, rdel_lower, total_lower
@@ -306,6 +310,8 @@ class ConvertibleCode:
     field: FieldCtx = dc_field(init=False)
     kind: str = dc_field(init=False)
     params: MergeParams = dc_field(init=False, repr=False, compare=False)
+    # execute's stripe lengths, kernel, checked-row ends and output order
+    _run: Optional[tuple] = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         certs = (self.initial_cert is not None, self.final_cert is not None)
@@ -331,6 +337,32 @@ class ConvertibleCode:
             delta=delta,
         )
         self.plan.validate(self.initials, self.final)
+
+    def _runner(self) -> tuple:
+        """execute's one kernel, built on first use.  Its columns are the
+        concatenated input word; its checked rows are every initial's
+        parity rows, shifted to the stripe's offset, and its other rows the
+        plan's writes over the same columns.  order maps each final
+        coordinate to its source in the input word followed by the written
+        values."""
+        if self._run is None:
+            ns = [code.n for code in self.initials]
+            offsets = list(accumulate(ns, initial=0))
+            checked = [[(off + j, c) for j, c in enumerate(row)]
+                       for code, off in zip(self.initials, offsets)
+                       for row in code.parity.data]
+            written = [[(offsets[i] + c, e) for i, c, e in triples]
+                       for _, triples in self.plan.writes]
+            source = {dst: off + src for off, pairs in zip(offsets, self.plan.unchanged)
+                      for src, dst in pairs}
+            source.update((dst, offsets[-1] + k) for k, (dst, _) in enumerate(self.plan.writes))
+            self._run = (
+                ns,
+                ColumnSums(self.field, checked + written, offsets[-1], checked=len(checked)),
+                list(accumulate(code.parity.rows for code in self.initials)),
+                [source[dst] for dst in range(self.final.n)],
+            )
+        return self._run
 
     def static_access(self) -> AccessReport:
         """The access costs of the plan, computed once per plan."""
@@ -970,27 +1002,39 @@ def execute(
 ) -> tuple[tuple[FieldElem, ...], AccessReport]:
     """Run the conversion on one codeword per initial stripe.
 
-    Each input's encodings are taken once: they are membership-checked
-    against the stripe's parity kernel (LinearCode.checks), and the plan
-    maps them to the final word's encodings, which are membership-checked
-    against the final parity before the word is returned.  Costs count
-    coordinates touched, not values; the report is the plan's one access
-    object.  Raises ValueError, naming the stripe and coordinate, for a
-    symbol of another field.
+    The inputs' encodings are taken once, as one concatenated word, and
+    one sum over the conversion's kernel (ConvertibleCode._runner) gives
+    both every input's membership verdict, from the zero test of its
+    parity rows, and the written symbols.  The unchanged symbols are
+    copied, and the final word is membership-checked against the final
+    parity before it is returned.  Costs count coordinates touched, not
+    values; the report is the plan's one access object.  Raises
+    ValueError, naming the stripe, for an input of the wrong length or
+    off its stripe's code, and naming the coordinate too for a symbol of
+    another field.
     """
-    if len(words) != len(cc.initials):
+    ns, kernel, row_ends, order = cc._runner()
+    if len(words) != len(ns):
         raise ValueError("need one codeword per initial stripe")
     field = cc.field
-    encs = []
-    for i, (code, word) in enumerate(zip(cc.initials, words)):
-        try:
-            enc = field.encodings(word)
-        except ValueError as exc:
-            raise ValueError(f"input {i} {exc}") from exc
-        if len(enc) != code.n or not code.checks.vanishes(enc):
-            raise ValueError(f"input {i} is not a codeword of its stripe")
-        encs.append(enc)
-    final_encs = cc.plan.apply(encs)
+    encs = [w.enc for word in words for w in word if w.field is field]
+    if len(encs) != kernel.cols or list(map(len, words)) != ns:
+        for i, (word, n) in enumerate(zip(words, ns)):
+            if len(word) != n:
+                raise ValueError(f"input {i} has {len(word)} symbols, stripe {i} has n = {n}")
+            try:
+                field.encodings(word)
+            except ValueError as exc:
+                raise ValueError(f"input {i} {exc}") from exc
+        # symbols of an equal field that is another object
+        encs = [w.enc for word in words for w in word]
+    bad, written = kernel.run(encs)
+    if bad >= 0:
+        i = bisect_right(row_ends, bad)
+        row = bad - (row_ends[i - 1] if i else 0)
+        raise ValueError(f"input {i} is not a codeword of stripe {i}: parity row {row} fails")
+    encs += written
+    final_encs = [encs[k] for k in order]
     if not cc.final.checks.vanishes(final_encs):
         raise AssertionError("converted word violates the final parity")
     return field.word(final_encs), cc.plan.access

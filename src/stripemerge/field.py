@@ -17,22 +17,21 @@ extensions, one Zech lookup: a + b = alpha^(log a + Z(log b - log a)).
 Fields are capped at q <= 2^16, which keeps every table small and every
 scan exhaustive.
 
-Weighted sums, the inner loop of membership checks, plan application and
-encoding, go through one column-table kernel instead (ColumnSums, over
-the packed digits of PackedSums, which FieldCtx.packed() builds on first
-use).  Each power of the generator is stored with its GF(p) digits in
-separate b-bit slots of one Python int, so a sum of products c_j * w_j
-is one integer addition per nonzero term and one reduction mod p per
-slot at the end.  ColumnSums gives each row of a fixed matrix M its own
-block of slots in one integer and each column j a table from a symbol
-w_j to the packed products w_j * M[r][j] of the whole column, so M * w
-is one lookup and one addition per coordinate of w.  It is exact: no
-carry crosses a slot, because the slot width is chosen so that (p - 1) *
-max_terms < 2^b and a matrix with more than max_terms columns is refused
-when it is built.  Tables fill on first use, and two threads that fill
-one entry at once store equal values, so codes and plans stay safe to
-share.  The kernel reads the field's own exp and log tables; add_enc and
-mul_enc remain the reference it is tested against.
+Weighted sums, the inner loop of membership checks, conversion, plan
+application and encoding, go through one column-table kernel instead,
+ColumnSums.  packed_exp(S) stores each power of the generator with its
+GF(p) digits in separate S-bit slots of one Python int, so a sum of
+products c_j * w_j is one integer addition per term.  ColumnSums gives
+each row of a fixed matrix M its own block of slots in one integer and
+each column j a table from a symbol w_j to the packed products
+w_j * M[r][j] of the whole column, so M * w is one lookup and one
+addition per coordinate of w.  Its slots are as wide as its heaviest row
+needs, so no carry crosses a slot, and one multiply by p^-1 tests every
+slot for 0 mod p at once (the divisibility test of Granlund and
+Montgomery).  Tables fill on first use, and two threads that fill one
+entry at once store equal values, so codes and plans stay safe to share.
+The kernel reads the field's own exp and log tables; add_enc and mul_enc
+remain the reference it is tested against.
 
 Elimination and polynomial evaluation use two smaller kernels beside it.
 The row kernel does dst[j] -= c * src[j]: row_logs(src) takes the logs
@@ -44,8 +43,8 @@ one exp lookup.  add_enc and mul_enc remain their reference too, and no
 module but this one reads the tables.
 
 A FieldCtx is immutable after construction and safe to share between
-threads (two threads that build the packed tables or the element table
-at once build equal ones).  Elements of different contexts never mix:
+threads (two threads that build a packed table or the element table at
+once build equal ones).  Elements of different contexts never mix:
 any cross-field operation raises ValueError instead of coercing.
 """
 
@@ -58,7 +57,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .schema import as_int, as_ints, as_object
 
 MAX_Q = 1 << 16
-PACK_TERMS = 1 << 16  # every field's packed slots hold sums of this many terms
+PACK_TERMS = 1 << 16  # sets each field's max_terms, the column bound of its kernels
 
 
 def _is_prime(n: int) -> bool:
@@ -180,7 +179,10 @@ class FieldCtx:
             self.modulus = modulus
         self._exp, self._log, self._zech = self._build_tables()
         self._log_minus_one = self._log[p - 1]
-        self._packed: Optional[PackedSums] = None
+        # the column bound of every ColumnSums over this field: the most
+        # terms whose digit sums fit the bits that PACK_TERMS terms need
+        self.max_terms = ((1 << ((p - 1) * PACK_TERMS).bit_length()) - 1) // (p - 1)
+        self._packed: dict[int, list[int]] = {}
         self._elements: Optional[tuple[FieldElem, ...]] = None
 
     # -- low-level ops on integer encodings ---------------------------------
@@ -301,11 +303,22 @@ class FieldCtx:
             out.append(acc)
         return out
 
-    def packed(self) -> PackedSums:
-        """The packed-digit kernel of this field, built on first use."""
-        if self._packed is None:
-            self._packed = PackedSums(self)
-        return self._packed
+    def packed_exp(self, stride: int) -> list[int]:
+        """The doubled exp table with each power's GF(p) digits in
+        stride-bit slots, digit j from bit j * stride, built on first use
+        per stride; in a prime field it is the exp table itself."""
+        if self.s == 1:
+            return self._exp
+        table = self._packed.get(stride)
+        if table is None:
+            # one pass over the powers per digit
+            p, powers = self.p, self._exp[: self.q - 1]
+            half = [0] * len(powers)
+            for j in range(self.s):
+                weight, shift = p ** j, j * stride
+                half = [h + (e // weight % p << shift) for h, e in zip(half, powers)]
+            table = self._packed[stride] = half + half
+        return table
 
     def encodings(self, word: Sequence[FieldElem]) -> list[int]:
         """The encodings of word's symbols.  Raises ValueError, naming the
@@ -374,68 +387,31 @@ class FieldCtx:
         return cls(as_int(obj["p"], "p"), s, modulus)
 
 
-class PackedSums:
-    """Exact weighted sums over one field with one reduction per sum.
-
-    log is the field's log table (None for 0).  pexp[i], for
-    0 <= i < 2(q - 1), packs the GF(p) digits of alpha^(i mod (q-1)):
-    digit j sits in bits [j*width, (j+1)*width).  A product c * w of
-    nonzero elements is then pexp[log c + log w], and a sum of such
-    products is a plain integer sum whose slot j holds the sum of their
-    j-th digits, each at most p - 1.  width is the least b with
-    (p - 1) * PACK_TERMS < 2^b; max_terms, the largest count with
-    (p - 1) * max_terms < 2^b, bounds the columns of every ColumnSums
-    over the field, so no slot overflows into the next and reduce()
-    recovers the exact sum.
-    """
-
-    def __init__(self, field: FieldCtx):
-        p, s = field.p, field.s
-        self.p, self.s = p, s
-        self.width = ((p - 1) * PACK_TERMS).bit_length()
-        self.max_terms = ((1 << self.width) - 1) // (p - 1)
-        self._mask = (1 << self.width) - 1
-        self._slots = tuple((j * self.width, p ** j) for j in range(s))
-        self._low = sum(1 << shift for shift, _ in self._slots)
-        self._top = (s - 1) * self.width
-        self._gather = sum(1 << (self._top - shift + j) for j, (shift, _) in enumerate(self._slots))
-        self._digit_mask = (1 << s) - 1
-        self.log = field._log
-        half = [
-            sum(digit << shift for digit, (shift, _) in zip(_digits(e, p, s), self._slots))
-            for e in field._exp[: field.q - 1]
-        ]
-        self.pexp = half + half
-
-    def reduce(self, acc: int) -> int:
-        """The encoding whose digit j is slot j of acc mod p."""
-        p, mask = self.p, self._mask
-        if self.s == 1:
-            return acc % p
-        if p == 2:
-            # the digits are the low bits of the slots; one product moves
-            # slot j's bit to bit top + j, and as width >= s no two partial
-            # products meet, so nothing carries into those s bits
-            return ((acc & self._low) * self._gather >> self._top) & self._digit_mask
-        enc = 0
-        for shift, weight in self._slots:
-            enc += ((acc >> shift) & mask) % p * weight
-        return enc
-
-
 class ColumnSums:
     """M * w for one fixed sparse matrix M over one field, one table lookup
-    per column.
+    per column, and a zero test of all of M's first `checked` rows at once.
 
     rows[r] lists row r of M as (column, coefficient encoding) pairs, and
-    cols is M's column count.  Row r of a product owns one block of s
-    PackedSums slots, bits [r*s*width, (r+1)*s*width) of one integer, and
-    the table of column j maps a symbol encoding e to the packed products
-    e * M[r][j] of the column's nonzeros, each shifted into its row's
-    block.  M * w is then sum(table_j[w_j]): one C-level lookup and one
-    integer addition per coordinate.  A row's sum has at most cols terms,
-    so cols <= max_terms keeps every slot exact, as in PackedSums; more
-    columns are refused.
+    cols is M's column count; checked defaults to every row.  Each GF(p)
+    digit of a row's sum has its own slot of S bits in one integer, a row
+    owning a block of s adjacent slots (the unchecked rows the lowest
+    blocks), and the table of column j maps a symbol encoding e to the
+    packed digits of the products e * M[r][j] of the column's nonzeros,
+    read off the field's digit table at stride S (FieldCtx.packed_exp).
+    M * w is then sum(table_j[w_j]): one C-level lookup and one integer
+    addition per coordinate.
+
+    The slot width w is the least with (p - 1) * m < 2^w, where m is the
+    most terms in one row, so every slot sum x is exact.  In odd
+    characteristic S = 2w, and p | x iff x * p^-1 mod 2^w is at most
+    (2^w - 1) // p: multiplying by p^-1 permutes the residues mod 2^w and
+    sends each multiple i * p < 2^w to i.  So acc * p^-1, masked to the
+    low w bits of every checked slot, plus the bias 2^w - 1 - (2^w - 1)
+    // p in each, sets bit w of exactly the slots that are nonzero mod p.
+    No carry crosses a slot: x * p^-1 <= (2^w - 1)^2 < 2^2w, and the
+    biased value is below 2^(w+1).  In characteristic 2, S = max(w, s),
+    and a digit is zero iff its slot's low bit is clear.  More than the
+    field's max_terms columns are refused.
 
     A table starts with only 0 in it.  A word that misses fills all its
     missing entries in one loop and is summed again, so a cold word costs
@@ -445,36 +421,58 @@ class ColumnSums:
     once store equal values, and a shared code stays safe.
     """
 
-    def __init__(self, field: FieldCtx, rows: Sequence[Iterable[tuple[int, int]]], cols: int):
-        packed = field.packed()
-        if cols > packed.max_terms:
+    def __init__(self, field: FieldCtx, rows: Sequence[Iterable[tuple[int, int]]], cols: int,
+                 checked: Optional[int] = None):
+        if cols > field.max_terms:
             raise ValueError(
-                f"{cols} columns exceed the {packed.max_terms} that "
-                f"{packed.width}-bit packed slots hold over GF({packed.p})"
+                f"{cols} columns exceed the {field.max_terms} that a kernel over GF({field.p}) takes"
             )
+        p, s = field.p, field.s
+        rows = [[(j, c) for j, c in row if c] for row in rows]
+        checked = len(rows) if checked is None else checked
+        w = ((p - 1) * max([1, *map(len, rows)])).bit_length()
+        stride = max(w, s) if p == 2 else 2 * w
+        block = s * stride
         self.cols = cols
-        self._packed = packed
-        self._p, self._s = packed.p, packed.s
-        width = packed.width
-        block = packed.s * width
-        self._shifts = tuple(r * block for r in range(len(rows)))
-        self._mask = (1 << block) - 1
-        # every slot of every row: a digit is 0 iff its slot is 0 mod p,
-        # and in characteristic 2 iff the slot's low bit is clear
-        self._slots = tuple(shift + j * width for shift in self._shifts for j in range(packed.s))
-        self._slot_mask = packed._mask
-        self._low = sum(1 << shift for shift in self._slots)
-        log = packed.log
-        self._entries: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
-        for shift, row in zip(self._shifts, rows):
+        self._p, self._s, self._block = p, s, block
+        # the unchecked rows own the lowest blocks, so that run reduces them
+        # from a short integer, acc & _values_mask
+        unchecked = len(rows) - checked
+        shifts = [i * block for i in (*range(unchecked, len(rows)), *range(unchecked))]
+        self._shifts = tuple(shifts)
+        self._unchecked = tuple(shifts[checked:])
+        self._values_mask = (1 << unchecked * block) - 1
+        self._first_checked = unchecked
+        self._slot_mask = (1 << w) - 1
+        offsets = [j * stride for j in range(s)]  # of a row's digit slots in its block
+        self._top_first = offsets[::-1]
+        if s > 1 and p == 2:
+            # gathers the low bits of a row's slots into s adjacent bits
+            self._top = offsets[-1]
+            self._gather = sum(1 << (self._top - offset + j) for j, offset in enumerate(offsets))
+            self._low_digits = sum(1 << offset for offset in offsets)
+        slots = [shift + offset for shift in shifts[:checked] for offset in offsets]
+        if p == 2:
+            # the same test reads acc & low: p^-1 = 1, no bias, bit 0 guards
+            self._pinv, self._bias = 1, 0
+            self._low = self._guard = sum(1 << slot for slot in slots)
+        else:
+            self._pinv = pow(p, -1, 1 << w)
+            self._low = sum(self._slot_mask << slot for slot in slots)
+            self._bias = sum((self._slot_mask - self._slot_mask // p) << slot for slot in slots)
+            self._guard = sum(1 << (slot + w) for slot in slots)
+        log = self._log = field._log
+        self._pexp = field.packed_exp(stride)
+        entries: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
+        for shift, row in zip(shifts, rows):
             for j, c in row:
-                if c:
-                    self._entries[j].append((shift, log[c]))
+                entries[j].append((shift, log[c]))
+        self._entries = entries
         self._tables = [{0: 0} for _ in range(cols)]
 
     def _fill(self, encs: Sequence[int]) -> int:
         """Fill every entry that encs misses in one loop, then sum again."""
-        log, pexp = self._packed.log, self._packed.pexp
+        log, pexp = self._log, self._pexp
         for table, entries, e in zip(self._tables, self._entries, encs):
             if e not in table:
                 le = log[e]
@@ -484,9 +482,32 @@ class ColumnSums:
                 table[e] = v
         return sum(map(getitem, self._tables, encs))
 
-    # values and vanishes repeat the warm sum inline: it is the hot path of
-    # every membership check and plan write, and a helper call would cost
-    # about as much as the lookups of a short word
+    def _reduce(self, acc: int, shifts: Sequence[int]) -> list[int]:
+        """The encodings of the rows whose blocks start at shifts."""
+        p, slot_mask = self._p, self._slot_mask
+        if self._s == 1:
+            return [(acc >> shift & slot_mask) % p for shift in shifts]
+        if p == 2:
+            # the digits are the low bits of the slots; one product moves
+            # slot j's bit to bit top + j, and as the stride is >= s no two
+            # partial products meet there, so nothing carries into those s bits
+            low, gather, top = self._low_digits, self._gather, self._top
+            digits = (1 << self._s) - 1
+            return [((acc >> shift) & low) * gather >> top & digits for shift in shifts]
+        # Horner over the digits, top slot first
+        offsets = self._top_first
+        out = []
+        for shift in shifts:
+            block = acc >> shift
+            enc = 0
+            for offset in offsets:
+                enc = enc * p + (block >> offset & slot_mask) % p
+            out.append(enc)
+        return out
+
+    # vanishes and run repeat the warm sum and the zero test inline: they
+    # are the hot path of every membership check and conversion, and a
+    # helper call would cost about as much as the lookups of a short word
 
     def values(self, encs: Sequence[int]) -> list[int]:
         """The encodings of M * w, row by row, where encs[j] encodes w_j."""
@@ -496,28 +517,32 @@ class ColumnSums:
             acc = sum(map(getitem, self._tables, encs))
         except KeyError:
             acc = self._fill(encs)
-        mask = self._mask
-        if self._s == 1:
-            p = self._p
-            return [(acc >> shift & mask) % p for shift in self._shifts]
-        reduce = self._packed.reduce
-        return [reduce(acc >> shift & mask) for shift in self._shifts]
+        return self._reduce(acc, self._shifts)
 
     def vanishes(self, encs: Sequence[int]) -> bool:
-        """True iff M * w = 0, where encs[j] encodes w_j."""
+        """True iff every checked row of M * w is 0, where encs[j] encodes w_j."""
         if len(encs) != self.cols:
             raise ValueError(f"word of length {len(encs)} for {self.cols} columns")
         try:
             acc = sum(map(getitem, self._tables, encs))
         except KeyError:
             acc = self._fill(encs)
-        if self._p == 2:
-            return not acc & self._low
-        p, mask = self._p, self._slot_mask
-        for shift in self._slots:
-            if (acc >> shift & mask) % p:
-                return False
-        return True
+        return not ((acc * self._pinv & self._low) + self._bias) & self._guard
+
+    def run(self, encs: Sequence[int]) -> tuple[int, list[int]]:
+        """(r, values) from one sum: r is the first checked row of M * w
+        that is not 0, or -1 when they all are, and values are the
+        encodings of the unchecked rows."""
+        if len(encs) != self.cols:
+            raise ValueError(f"word of length {len(encs)} for {self.cols} columns")
+        try:
+            acc = sum(map(getitem, self._tables, encs))
+        except KeyError:
+            acc = self._fill(encs)
+        bad = ((acc * self._pinv & self._low) + self._bias) & self._guard
+        # the lowest flagged bit lies in the block of the first failing row
+        first = ((bad & -bad).bit_length() - 1) // self._block - self._first_checked if bad else -1
+        return first, self._reduce(acc & self._values_mask, self._unchecked)
 
 
 class FieldElem:

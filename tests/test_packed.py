@@ -1,27 +1,31 @@
 """Differential tests of the field's table kernels.
 
-Membership checks, plan application and encoding sum products through
-the column-table kernel (field.ColumnSums, over the packed digits of
-field.PackedSums); the reference here is the plain fold of
-add_enc(mul_enc(...)), one field operation per term, which the kernel
-replaced.  The test_column_sums_* tests run each word twice, so that
-both the cold path, which fills the tables, and the warm lookup are
-checked.  Row updates in elimination go through
-FieldCtx.row_logs and FieldCtx.sub_scaled, and polynomial evaluation
-through FieldCtx.horner; their references are sub_enc(d, mul_enc(c, s))
-per entry and Horner's rule on add_enc and mul_enc.
+Membership checks, conversion, plan application and encoding sum
+products through the column-table kernel (field.ColumnSums, over the
+packed digits of FieldCtx.packed_exp); the reference here is the plain
+fold of add_enc(mul_enc(...)), one field operation per term, which the
+kernel replaced.  The test_column_sums_* tests run each word twice, so
+that both the cold path, which fills the tables, and the warm lookup are
+checked.  test_zero_test_at_slot_boundaries runs the kernel's zero test
+on every slot sum a row can reach, and test_execute_matches_the_reference
+runs execute's one kernel against the fold per input and apply.  Row
+updates in elimination go through FieldCtx.row_logs and
+FieldCtx.sub_scaled, and polynomial evaluation through FieldCtx.horner;
+their references are sub_enc(d, mul_enc(c, s)) per entry and Horner's
+rule on add_enc and mul_enc.
 """
 
 import json
 import random
+from itertools import repeat
 from pathlib import Path
 
 import pytest
 
 from stripemerge.cli import _construct
 from stripemerge.codes import LinearCode
-from stripemerge.convert import execute
-from stripemerge.field import ColumnSums, FieldCtx, field_create
+from stripemerge.convert import build_mds_to_lrc, execute
+from stripemerge.field import PACK_TERMS, ColumnSums, FieldCtx, field_create
 from stripemerge.matrix import MatQ
 
 FIELDS = [(2, 1), (2, 2), (2, 3), (3, 2), (23, 1), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6),
@@ -163,9 +167,9 @@ def test_dot_matches_the_fold(p, s):
 def test_longest_allowed_row_reduces_exactly(p, s):
     # every term adds p - 1 to every slot: (q - 1) * 1, whose digits are all p - 1
     F = field_create(p, s)
-    packed = F.packed()
-    top = packed.max_terms
-    assert (p - 1) * top < 1 << packed.width <= (p - 1) * (top + 1)
+    top = F.max_terms
+    width = ((p - 1) * PACK_TERMS).bit_length()
+    assert (p - 1) * top < 1 << width <= (p - 1) * (top + 1)
     digit = top * (p - 1) % p
     want = sum(digit * p ** i for i in range(s))
     # two rows of all-(q - 1) columns, so that the first row's top slot
@@ -177,11 +181,105 @@ def test_longest_allowed_row_reduces_exactly(p, s):
         ColumnSums(F, [[(j, F.q - 1) for j in range(top + 1)]], top + 1)
 
 
+def multiplicities(weight, p):
+    """Multiplicities with sum weight such that sum_c mult_c * e_c, over
+    e_c in [0, p), reaches every total in [0, (p - 1) * weight]: each is
+    at most one more than the totals the earlier ones reach."""
+    mults, reach = [], 0
+    while weight:
+        mults.append(min(weight, reach + 1))
+        weight -= mults[-1]
+        reach += (p - 1) * mults[-1]
+    return mults[::-1]
+
+
+def spread(totals, mults, p, fixed=()):
+    """For each total, digits e_c in [0, p) with sum_c mults[c] * e_c =
+    total, greedily from the largest multiplicity, followed by fixed."""
+    rests, columns = list(totals), []
+    for mult in mults:
+        cap, most = p * mult, (p - 1) * mult
+        column = [rest // mult if rest < cap else p - 1 for rest in rests]
+        rests = [rest % mult if rest < cap else rest - most for rest in rests]
+        columns.append(column)
+    assert not any(rests)
+    return list(zip(*columns, *map(repeat, fixed)))
+
+
+def check_zero_test(p, weight, totals, side=None):
+    """Run the zero test on slot sums equal to each total, in a kernel whose
+    target row has `weight` terms and whose neighbours have `side` terms
+    (weight by default).
+
+    Over GF(p) the product of a coefficient 1 and a symbol e has the one
+    digit e, and a column listed k times in a row adds k such terms, so a
+    row of `weight` terms on a few columns takes each total as a slot sum
+    from a short word.  The target row T is checked; below it lies an
+    unchecked row L whose slot holds (p - 1) * side, the most a slot of a
+    side-term row holds, and above it a checked row H holding the largest
+    multiple of p that fits there, so that a carry out of any slot would
+    change a verdict.  run is checked on the totals at and next to each
+    multiple of p.
+    """
+    F = field_create(p, 1)
+    side = side or weight
+    mults, side_mults = multiplicities(weight, p), multiplicities(side, p)
+    k, m = len(mults), len(side_mults)
+
+    def row(mults, first):
+        return [(first + c, 1) for c, mult in enumerate(mults) for _ in range(mult)]
+
+    most = (p - 1) * side
+    # T and H are checked, L is not: from the lowest block, L, T, H
+    kernel = ColumnSums(F, [row(mults, 0), row(side_mults, k), row(side_mults, k + m)],
+                        k + 2 * m, checked=2)
+    fixed = spread([most - most % p], side_mults, p)[0] + (p - 1,) * m
+    words = spread(totals, mults, p, fixed)
+    got = list(map(kernel.vanishes, words))
+    want = [total % p == 0 for total in totals]
+    if got != want:
+        total = next(t for t, g, v in zip(totals, got, want) if g != v)
+        raise AssertionError(f"GF({p}), weight {weight}: vanishes wrong at slot sum {total}")
+    for total, word in zip(totals, words):
+        if total % p in (0, 1, p - 1):
+            first = -1 if total % p == 0 else 0
+            assert kernel.run(word) == (first, [most % p]), (p, weight, total)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 23, 101, 127, 251])
+def test_zero_test_at_slot_boundaries(p):
+    # a kernel's slots depend on its heaviest row only through the width
+    # w of (p - 1) * weight, and a lighter row of the same w reaches a
+    # subset of the sums, so each w is run at its heaviest weight up to 3p
+    width = [None] + [((p - 1) * weight).bit_length() for weight in range(1, 3 * p + 2)]
+    for weight in range(1, 3 * p + 1):
+        if width[weight + 1] != width[weight] or weight == 3 * p:
+            check_zero_test(p, weight, list(range((p - 1) * weight + 1)))
+    # the longest row a kernel takes, beside rows of 3p terms: every total
+    # within p of 0, of p, of the top, of the largest multiple of p up to
+    # the top and of the largest below 2^w, where x * p^-1 mod 2^w meets
+    # the bound (2^w - 1) // p
+    F = field_create(p, 1)
+    top = (p - 1) * F.max_terms
+    edge = ((1 << top.bit_length()) - 1) // p * p
+    totals = {t for centre in (0, p, edge, top - top % p, top)
+              for t in range(centre - p, centre + p + 1)}
+    check_zero_test(p, F.max_terms, sorted(t for t in totals if 0 <= t <= top), side=3 * p)
+
+
 def test_log_table_marks_zero_with_none():
     for p, s in FIELDS:
-        packed = field_create(p, s).packed()
-        assert packed.log[0] is None
-        assert len(packed.pexp) == 2 * (p ** s - 1)
+        F = field_create(p, s)
+        assert F._log[0] is None
+        # the digit tables the kernels read, at a stride of s bits (the
+        # least in characteristic 2) and at two wider ones
+        for stride in ((s,) if p == 2 else ()) + (9, 21):
+            pexp = F.packed_exp(stride)
+            mask = (1 << stride) - 1
+            assert len(pexp) == 2 * (F.q - 1)
+            assert [[v >> j * stride & mask for j in range(s)] for v in pexp] == [
+                list(F.element(e).coeffs) for e in F._exp
+            ]
 
 
 @pytest.mark.parametrize("p,s", FIELDS, ids=FIELD_IDS)
@@ -240,6 +338,41 @@ def test_apply_matches_the_fold(name):
         assert out == want
 
 
+def gf9_conversion():
+    return build_mds_to_lrc(field_create(3, 2), s=2, a=1, tprime=1, delta=2, k_init=3,
+                            n_init=(5, 5))
+
+
+@pytest.mark.parametrize("name", sorted(REQUESTS) + ["gf9_mds_to_lrc"])
+def test_execute_matches_the_reference(name):
+    # the reference: the fold per input, apply, and the fold of the final
+    # parity; then every single-symbol change of every input must be
+    # refused, naming its stripe
+    cc = gf9_conversion() if name == "gf9_mds_to_lrc" else _construct(REQUESTS[name])
+    F = cc.field
+    rng = random.Random(name)
+    for _ in range(3):
+        words = [code.encode([F.element(rng.randrange(F.q)) for _ in range(code.k)])
+                 for code in cc.initials]
+        encs = [[e.enc for e in word] for word in words]
+        assert all(fold_contains(code, enc) for code, enc in zip(cc.initials, encs))
+        want = cc.plan.apply(encs)
+        assert fold_contains(cc.final, want)
+        final, _ = execute(cc, words)
+        assert [e.enc for e in final] == want
+        for i, word in enumerate(words):
+            for j in range(len(word)):
+                bad = list(words)
+                bad[i] = word[:j] + (word[j] + F.element(rng.randrange(1, F.q)),) + word[j + 1:]
+                with pytest.raises(ValueError, match=f"^input {i} is not a codeword of stripe {i}:"):
+                    execute(cc, bad)
+        short = list(words)
+        short[-1] = words[-1][:-1]
+        i, n = len(words) - 1, len(words[-1])
+        with pytest.raises(ValueError, match=f"^input {i} has {n - 1} symbols, stripe {i} has n = {n}$"):
+            execute(cc, short)
+
+
 def test_execute_rejects_symbols_of_another_field():
     cc = _construct(REQUESTS["q23_mds_to_lrc"])
     F29 = field_create(29, 1)
@@ -268,6 +401,23 @@ def test_contains_rejects_symbols_of_another_field():
     with pytest.raises(ValueError, match=r"coordinate 2 is in FieldCtx\(GF\(29\)\)"):
         code.contains([F23.one, F23.one, F29.element(25)])
     assert code.contains([FieldCtx(23, 1).element(e) for e in (1, 1, 21)])
+
+
+def test_encode_rejects_symbols_of_another_field():
+    cc = _construct(REQUESTS["q23_mds_to_lrc"])
+    code = cc.initials[0]
+    F29 = field_create(29, 1)
+    message = [cc.field.element(3)] * code.k
+    message[1] = F29.element(3)  # a value GF(23) has too
+    with pytest.raises(ValueError, match=r"^coordinate 1 is in FieldCtx\(GF\(29\)\), "
+                                         r"not FieldCtx\(GF\(23\)\)$"):
+        code.encode(message)
+    message[1] = F29.element(25)  # and one it has not
+    with pytest.raises(ValueError, match=r"^coordinate 1 is in FieldCtx\(GF\(29\)\)"):
+        code.encode(message)
+    # an equal field that is another object is the same field
+    twin = FieldCtx(23, 1)
+    assert code.encode([twin.element(3)] * code.k) == code.encode([cc.field.element(3)] * code.k)
 
 
 def test_execute_returns_one_access_report():
