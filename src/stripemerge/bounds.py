@@ -150,41 +150,20 @@ def read_lower(params: MergeParams, i: int, unchanged_minus_read: int) -> int:
 
 
 def total_lower(params: MergeParams) -> BoundReport:
-    """Plan-free floors on total write and read cost."""
-    t = params.t
-    r, delta = params.r, params.delta
-    locality_terms = [
-        _locality_term(params.k_final, k_i, r, delta) for k_i in params.k_initial
+    """Plan-free floors on total write and read cost: each initial keeps
+    at most unchanged_upper symbols, so the rest of the final stripe is
+    written, and read_lower holds with |U_i \\ R_i| at that ceiling."""
+    ceilings = [unchanged_upper(params, i) for i in range(params.t)]
+    min_write = params.n_final - sum(ceilings)
+    detail = [
+        {
+            "delta_tilde": ceiling - params.d_final + 1,
+            "read_floor": read_lower(params, i, ceiling),
+            "unchanged_ceiling": ceiling,
+        }
+        for i, ceiling in enumerate(ceilings)
     ]
-    min_write = (
-        -(t - 1) * params.n_final
-        + (t - 1) * params.k_final
-        + t * params.d_final
-        - t
-        + sum(locality_terms)
-    )
-    min_read = params.k_final
-    detail = []
-    for i, (k_i, n_i) in enumerate(zip(params.k_initial, params.n_initial)):
-        slack = (
-            k_i
-            + params.n_final
-            - params.k_final
-            - 2 * params.d_final
-            + 2
-            - locality_terms[i]
-        )
-        saved = 0
-        if slack > 0 and params.d_final <= n_i - k_i + 1:
-            saved = slack - (delta - 1) * (slack // (r + delta - 1))
-        min_read -= saved
-        detail.append(
-            {
-                "delta_tilde": slack,
-                "read_floor": k_i - saved,
-                "unchanged_ceiling": unchanged_upper(params, i),
-            }
-        )
+    min_read = sum(d["read_floor"] for d in detail)
     return BoundReport(
         min_write=min_write,
         min_read=min_read,

@@ -10,6 +10,7 @@ generation and nothing else; constructions are deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -85,8 +86,15 @@ def _emit(obj: dict, out: Optional[str]) -> None:
     if out:
         with open(_out_path(out), "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull, so that neither a
+        # later write nor the flush at exit fails, and keep the exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _construct(request: dict) -> ConvertibleCode:
@@ -261,7 +269,9 @@ def _cmd_demo_q23(args) -> int:
     return EXIT_OK if not diffs else EXIT_VERIFY
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="stripemerge",
         description="Construct, execute and verify merge conversions of erasure-coded stripes.",
@@ -306,7 +316,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_demo_q23)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InfeasibleCheck as exc:

@@ -7,22 +7,22 @@ final code, and a ConversionPlan: which initial symbols survive verbatim
 (matched by coordinate label), which are read, and how each written
 symbol is a linear combination of read symbols.
 
-A ConversionPlan is built over its field, and construction folds the
-locality schedule's recipes into its terms, so it is the one map every
-consumer reads: the storage coordinates read from each stripe, a sparse
-linear map from them to the final word, and its static access cost.
-Its apply method maps the encodings of one word per stripe to the final
-word's; the builders apply it to the initial generator rows to obtain
-the final generator, blockdiag(G_i) * P; the verifier reads
-bijectivity, membership and the unchanged contract off those same rows;
-the simulator charges its storage reads to nodes.  execute runs the
-writes in one ColumnSums with every initial's parity rows, so that one
-table sum per conversion checks every input and gives every written
-symbol.  The evaluation builders also evaluate each rational-function
-term directly at every final place, read the written-symbol
-coefficients from those values, and assert that the direct values equal
-the plan-applied generator.  Builders give each code
-its evaluation places, repeats included, so that grs_certificate proves
+A ConversionPlan is plain data built over its field, and construction
+folds the locality schedule's recipes into its terms, so it is the one
+map every consumer reads: the storage coordinates read from each stripe,
+a sparse linear map from them to the final word, and its static access
+cost.  Its generator_rows carries every initial generator row through
+the map term by term, one add_enc and mul_enc per term, and is the exact
+reference: it gives the builders the final generator, blockdiag(G_i) * P;
+the verifier reads bijectivity, membership and the unchanged contract
+off those same rows; the simulator charges the storage reads to nodes.
+execute, the one fast path, runs the writes in one ColumnSums with every
+initial's parity rows, so that one table sum per conversion checks every
+input and gives every written symbol.  The evaluation builders also
+evaluate each rational-function term directly at every final place,
+read the written-symbol coefficients from those values, and assert that
+the direct values equal generator_rows.  Builders give each code its
+evaluation places, repeats included, so that grs_certificate proves
 every component distance; a bundle read from JSON has none and is walked.
 
 A ConvertibleCode derives its kind from the locality certificates it
@@ -131,9 +131,10 @@ class ConversionPlan:
     written coordinate to (stripe, storage coordinate, coefficient
     encoding) triples with every recipe folded in, coefficients landing
     on one storage coordinate summed and zero sums dropped, and access is
-    the plan's static access cost.  The writes are also kept as one
-    ColumnSums whose columns are the distinct storage reads, which apply
-    runs.  validate checks the plan against the codes it converts.
+    the plan's static access cost.  No coordinate may repeat in written,
+    in the keys of terms, or in one stripe's reads or storage, and no
+    (stripe, coordinate) read in one written symbol's terms.  validate
+    checks the plan against the codes it converts.
     """
 
     field: FieldCtx
@@ -148,9 +149,6 @@ class ConversionPlan:
         init=False, repr=False, compare=False
     )
     access: AccessReport = dc_field(init=False, repr=False, compare=False)
-    # writes as a column-table kernel whose columns are the storage reads
-    _reads: tuple[tuple[int, int], ...] = dc_field(init=False, repr=False, compare=False)
-    _kernel: ColumnSums = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         field, t, q = self.field, len(self.reads), self.field.q
@@ -162,6 +160,14 @@ class ConversionPlan:
                 raise ValueError("schedule shape mismatch")
             storage = tuple(sched.storage for sched in self.schedule)
             recipes = [dict(sched.recon) for sched in self.schedule]
+        lists = {"plan.written": self.written, "plan.terms": [w for w, _ in self.terms]}
+        lists.update((f"plan.reads[{i}]", coords) for i, coords in enumerate(self.reads))
+        if self.schedule is not None:
+            lists.update((f"plan.schedule[{i}].storage", c) for i, c in enumerate(storage))
+        for what, coords in lists.items():
+            if len(set(coords)) < len(coords):
+                repeated = next(c for c in coords if coords.count(c) > 1)
+                raise ValueError(f"{what} repeats coordinate {repeated}")
         known = [set(coords) for coords in storage]
         for i, recipe in enumerate(recipes):
             for c in self.reads[i]:
@@ -178,6 +184,8 @@ class ConversionPlan:
         read_sets = [set(coords) for coords in self.reads]
         writes = []
         for w, triples in self.terms:
+            if len({(i, coord) for i, coord, _ in triples}) < len(triples):
+                raise ValueError(f"plan.terms of written coordinate {w} repeats a read")
             folded: dict[tuple[int, int], int] = {}
             for i, coord, coeff in triples:
                 if not 0 <= i < t:
@@ -192,20 +200,14 @@ class ConversionPlan:
                     key = (i, src)
                     folded[key] = field.add_enc(folded.get(key, 0), field.mul_enc(coeff, e))
             writes.append((w, tuple((i, src, e) for (i, src), e in folded.items() if e)))
-        stored = [(i, c) for i, coords in enumerate(storage) for c in coords]
-        flat = {read: j for j, read in enumerate(dict.fromkeys(stored))}
         object.__setattr__(self, "n", len(self.written) + sum(map(len, self.unchanged)))
         object.__setattr__(self, "storage", storage)
         object.__setattr__(self, "writes", tuple(writes))
         object.__setattr__(self, "access", AccessReport(
-            read_cost=len(stored),
+            read_cost=sum(map(len, storage)),
             write_cost=len(self.written),
             per_symbol_read=sum(len(tr) for _, tr in self.terms),
             unchanged_counts=tuple(map(len, self.unchanged)),
-        ))
-        object.__setattr__(self, "_reads", tuple(flat))
-        object.__setattr__(self, "_kernel", ColumnSums(
-            field, [[(flat[i, c], e) for i, c, e in triples] for _, triples in writes], len(flat)
         ))
 
     def validate(self, initials: Sequence[LinearCode], final: LinearCode) -> None:
@@ -237,32 +239,26 @@ class ConversionPlan:
             if any(not 0 <= c < code.n for c in (*coords, *stored)):
                 raise ValueError(f"stripe {i} reads a coordinate outside [0, {code.n})")
 
-    def apply(self, words: Sequence[Sequence[int]]) -> list[int]:
-        """The final word's encodings from one word of encodings per stripe.
-
-        Unchanged symbols are copied.  The written symbols are one
-        product of the writes' ColumnSums with the storage reads: a table
-        lookup per read and one reduction per written symbol, exact by
-        the kernel's column bound.
-        """
-        out = [0] * self.n
-        for word, pairs in zip(words, self.unchanged):
-            for src, dst in pairs:
-                out[dst] = word[src]
-        values = self._kernel.values([words[i][c] for i, c in self._reads])
-        for (dst, _), value in zip(self.writes, values):
-            out[dst] = value
-        return out
-
     def generator_rows(self, initials: Sequence[LinearCode]) -> list[list[int]]:
-        """blockdiag(G_i) * P in encodings: the map applied to every
-        initial generator row."""
-        zeros = [[0] * code.n for code in initials]
-        return [
-            self.apply(zeros[:i] + [row] + zeros[i + 1 :])
-            for i, code in enumerate(initials)
-            for row in code.generator.data
-        ]
+        """blockdiag(G_i) * P in encodings, the exact reference for execute.
+
+        Each generator row of stripe i is carried through the map term by
+        term: its unchanged symbols are copied, and each written symbol is
+        the sum over the writes' triples on stripe i of coefficient times
+        storage symbol, one add_enc and one mul_enc per term.
+        """
+        add, mul = self.field.add_enc, self.field.mul_enc
+        rows = []
+        for i, code in enumerate(initials):
+            own = [(dst, c, e) for dst, triples in self.writes for j, c, e in triples if j == i]
+            for g in code.generator.data:
+                row = [0] * self.n
+                for src, dst in self.unchanged[i]:
+                    row[dst] = g[src]
+                for dst, c, e in own:
+                    row[dst] = add(row[dst], mul(e, g[c]))
+                rows.append(row)
+        return rows
 
     def to_obj(self) -> dict:
         return {
@@ -460,9 +456,8 @@ def _merge_by_evaluation(
     stripe's.  Written place P reads stripe j at read_base[j] plus the
     index of moves[j]^-1(P) in `written`, with the coefficient read off
     the first basis function whose read value is nonzero.  The final
-    generator is the plan applied to the initial generator rows;
-    it must equal the direct evaluation, which checks every coefficient
-    on every basis function.
+    generator is the plan's generator_rows; it must equal the direct
+    evaluation, which checks every coefficient on every basis function.
     """
     units = [f.eval_at(p, 0).inverse() for f, places in zip(factors, kept) for p in places]
     kept_places = [p for places in kept for p in places]
@@ -508,7 +503,7 @@ def _merge_by_evaluation(
     )
     gen_rows = plan.generator_rows(init_codes)
     if gen_rows != [row for rows in direct for row in rows]:
-        raise AssertionError("direct evaluation disagrees with the plan-applied generator")
+        raise AssertionError("direct evaluation disagrees with the plan's generator_rows")
     return plan, LinearCode(field, generator=MatQ(field, gen_rows), labels=labels,
                             places=_encodings(kept_places + list(written)))
 
@@ -1087,14 +1082,13 @@ def verify_convertible(cc: ConvertibleCode, check_components: bool = True) -> Ve
     """Check bijectivity, the unchanged contract, component optimality and
     the measured access cost against the lower-bound floors.
 
-    The first three verdicts are exact and read off the plan applied to
-    the initial generator rows: full rank is bijectivity, every row in
-    the final code is membership (all codewords follow by linearity), and
-    each unchanged pair (src, dst) of stripe i needs
-    column dst of the rows to be column src of G_i on stripe i's rows and
-    0 on every other stripe's.  When membership holds, execute runs once,
-    on the encodings of the all-ones messages, to exercise the public
-    conversion path.  A component that carries its places, as every
+    The first three verdicts are exact and read off the plan's
+    generator_rows: full rank is bijectivity, every row in the final code
+    is membership (all codewords follow by linearity), and each unchanged
+    pair (src, dst) of stripe i needs column dst of the rows to be column
+    src of G_i on stripe i's rows and 0 on every other stripe's.  When
+    membership holds, execute runs once, on the encodings of the all-ones
+    messages, to exercise the public conversion path.  A component that carries its places, as every
     builder's does, is proved by grs_certificate before any subset walk.
     """
     field = cc.field

@@ -17,11 +17,11 @@ extensions, one Zech lookup: a + b = alpha^(log a + Z(log b - log a)).
 Fields are capped at q <= 2^16, which keeps every table small and every
 scan exhaustive.
 
-Weighted sums, the inner loop of membership checks, conversion, plan
-application and encoding, go through one column-table kernel instead,
-ColumnSums.  packed_exp(S) stores each power of the generator with its
-GF(p) digits in separate S-bit slots of one Python int, so a sum of
-products c_j * w_j is one integer addition per term.  ColumnSums gives
+Weighted sums, the inner loop of membership checks, conversion and
+encoding, go through one column-table kernel instead, ColumnSums.
+packed_exp(S) stores each power of the generator with its GF(p) digits
+in separate S-bit slots of one Python int, so a sum of products
+c_j * w_j is one integer addition per term.  ColumnSums gives
 each row of a fixed matrix M its own block of slots in one integer and
 each column j a table from a symbol w_j to the packed products
 w_j * M[r][j] of the whole column, so M * w is one lookup and one

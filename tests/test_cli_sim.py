@@ -1,7 +1,11 @@
 import copy
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,10 +225,12 @@ def _bundles():
     q32 = build_lrc_merge(F32, dihedral, cyclic_subgroup_of_order(dihedral, 3),
                           k=2, t=2, lprime=2)
     vi = build_mds_to_lrc(F23, s=2, a=1, tprime=2, delta=2, k_init=4, n_init=(9, 9, 9, 9))
-    return q32.to_obj(), vi.to_obj()
+    q23 = build_mds_merge(F23, subgroup_cyclic_qplus1(F23, (F23.element(21), F23.element(5)), 4),
+                          k=5, t=4, lprime=4, evaluate_at_pole=True, per_initial_dims=(5, 5, 5, 4))
+    return q32.to_obj(), vi.to_obj(), q23.to_obj()
 
 
-Q32_BUNDLE, VI_BUNDLE = _bundles()
+Q32_BUNDLE, VI_BUNDLE, Q23_BUNDLE = _bundles()
 VI_SINGLE_NODE = layout_single_node(ConvertibleCode.from_obj(VI_BUNDLE))
 
 
@@ -256,6 +262,39 @@ def group_with(request, **group):
 # without one, through the plan's reads (vi)
 STORAGE_99 = edited(Q32_BUNDLE, lambda b: b["plan"]["schedule"][0]["storage"].append(99))
 READS_50 = edited(VI_BUNDLE, lambda b: b["plan"]["reads"][0].append(50))
+
+
+def repeated(bundle, path):
+    """A copy of bundle whose list at `path` repeats its first entry."""
+    def edit(obj):
+        for key in path:
+            obj = obj[key]
+        obj.append(obj[0])
+    return edited(bundle, edit)
+
+
+def split_first_term(bundle):
+    """A copy of a prime-field bundle whose first written symbol reads its
+    first read twice, with two nonzero coefficients that sum to its own."""
+    def edit(obj):
+        triples = obj["plan"]["terms"][0][1]
+        i, coord, coeff = triples[0]
+        part = 2 if coeff == 1 else 1
+        triples[:1] = [[i, coord, part], [i, coord, (coeff - part) % obj["field"]["p"]]]
+    return edited(bundle, edit)
+
+
+# (bundle, what its error names): a plan coordinate given twice used to
+# verify ok with a per_symbol_read or read_cost that counts it twice, or
+# (written) to exit 2 with the conversion kernel's word-length message
+REPEATED = [
+    (repeated(Q23_BUNDLE, ["plan", "written"]), "plan.written repeats coordinate 19"),
+    (repeated(Q23_BUNDLE, ["plan", "terms"]), r"plan.terms repeats coordinate \d+"),
+    (repeated(Q23_BUNDLE, ["plan", "reads", 0]), r"plan.reads\[0\] repeats coordinate \d+"),
+    (repeated(Q32_BUNDLE, ["plan", "schedule", 1, "storage"]),
+     r"plan.schedule\[1\].storage repeats coordinate \d+"),
+    (split_first_term(Q23_BUNDLE), r"plan.terms of written coordinate \d+ repeats a read"),
+]
 
 # (bundle, the field its error names): stored n, k and params that disagree
 # with the matrices
@@ -356,6 +395,7 @@ MALFORMED = [
                        params={"k": 5, "t": 2, "lprime": 4})),
     # a stored shape the matrices contradict used to exit 0, or 3 for d_final 5
     *(("verify", payload) for payload, _ in SHAPE_MISMATCH),
+    *(("verify", payload) for payload, _ in REPEATED),
     # a stored kind the certificates contradict used to exit 0, its own
     # checks run and the other certificate unread
     ("verify", q32_with(["kind"], "mds_to_lrc")),
@@ -397,6 +437,8 @@ MALFORMED = [
                               "final_k_3", "initial_k_7", "params_n_final_23",
                               "params_d_final_5", "params_d_final_3", "params_r_10",
                               "params_n_initial_11", "q32_params_n_initial_14",
+                              "repeated_written", "repeated_terms", "repeated_reads_0",
+                              "repeated_storage_1", "split_term",
                               "q32_kind_mds_to_lrc", "vi_stray_initial_cert",
                               "str_for_evaluate_at_pole", "int_for_evaluate_at_pole",
                               "field_p_2_61_request", "field_p_2_61_bundle",
@@ -428,6 +470,15 @@ def test_shape_mismatch_names_the_field(payload, names):
         ConvertibleCode.from_obj(payload)
 
 
+@pytest.mark.parametrize("payload, names", REPEATED,
+                         ids=["written", "terms", "reads_0", "storage_1", "split_term"])
+def test_repeated_plan_coordinate_names_its_list(tmp_path, capsys, payload, names):
+    path = write_json(tmp_path / "bundle.json", payload)
+    assert main(["verify", "--bundle", path, "--skip-distance"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert re.match(f"^{names}$", err["message"])
+
+
 @pytest.mark.parametrize("payload, names", MISSING_KEY)
 def test_missing_key_names_its_section(tmp_path, capsys, payload, names):
     path = write_json(tmp_path / "bundle.json", payload)
@@ -445,3 +496,32 @@ def test_request_missing_key_names_its_section(tmp_path, capsys):
         path = write_json(tmp_path / "request.json", request)
         assert main(["construct", "--request", path]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["message"] == names
+
+
+def closed_stdout_cases():
+    # another nonzero coefficient over GF(23) keeps the bundle well-formed
+    # and fails verification
+    coeff = VI_BUNDLE["plan"]["terms"][0][1][0][2]
+    wrong = set_at(VI_BUNDLE, ["plan", "terms", 0, 1, 0, 2], coeff % 22 + 1)
+    return [(Q23_BUNDLE, 0), ({}, 2), (wrong, 3)]
+
+
+@pytest.mark.parametrize("payload, code", closed_stdout_cases(),
+                         ids=["ok", "validation", "verification"])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, payload, code):
+    # the reader closes its end of the pipe before the child writes: the
+    # child must exit with the command's own code and write no traceback
+    bundle = write_json(tmp_path / "bundle.json", payload)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stripemerge.cli", "verify", "--bundle", bundle,
+             "--skip-distance"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (code, "")

@@ -456,19 +456,20 @@ def test_verify_reports_membership_apart_from_bijectivity(cc_vi):
 
 
 def test_verify_checks_unchanged_columns_exactly(cc_vi, monkeypatch):
-    # two unchanged symbols of stripe 0 swapped in the applied map, not in
-    # the plan's data: the verdict comes from the applied generator rows,
-    # not from trial runs
+    # two unchanged symbols of stripe 0 swapped in the generator rows, not
+    # in the plan's data: the verdict comes from those rows, not from
+    # trial runs
     bad = with_plan(cc_vi)
     (a, da), (b, db), *rest = bad.plan.unchanged[0]
-    real = ConversionPlan.apply
+    real = ConversionPlan.generator_rows
 
-    def swapped(plan, words):
-        out = real(plan, words)
-        out[da], out[db] = words[0][b], words[0][a]
-        return out
+    def swapped(plan, initials):
+        rows = real(plan, initials)
+        for row, g in zip(rows, initials[0].generator.data):
+            row[da], row[db] = g[b], g[a]
+        return rows
 
-    monkeypatch.setattr(ConversionPlan, "apply", swapped)
+    monkeypatch.setattr(ConversionPlan, "generator_rows", swapped)
     report = verify_convertible(bad, check_components=False)
     assert not report.unchanged_ok and not report.ok
 

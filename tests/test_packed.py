@@ -1,18 +1,21 @@
 """Differential tests of the field's table kernels.
 
-Membership checks, conversion, plan application and encoding sum
-products through the column-table kernel (field.ColumnSums, over the
-packed digits of FieldCtx.packed_exp); the reference here is the plain
-fold of add_enc(mul_enc(...)), one field operation per term, which the
-kernel replaced.  The test_column_sums_* tests run each word twice, so
-that both the cold path, which fills the tables, and the warm lookup are
+Membership checks, conversion and encoding sum products through the
+column-table kernel (field.ColumnSums, over the packed digits of
+FieldCtx.packed_exp); the reference here is the plain fold of
+add_enc(mul_enc(...)), one field operation per term, which the kernel
+replaced.  The test_column_sums_* tests run each word twice, so that
+both the cold path, which fills the tables, and the warm lookup are
 checked.  test_zero_test_at_slot_boundaries runs the kernel's zero test
 on every slot sum a row can reach, and test_execute_matches_the_reference
-runs execute's one kernel against the fold per input and apply.  Row
-updates in elimination go through FieldCtx.row_logs and
-FieldCtx.sub_scaled, and polynomial evaluation through FieldCtx.horner;
-their references are sub_enc(d, mul_enc(c, s)) per entry and Horner's
-rule on add_enc and mul_enc.
+runs execute's one kernel against the fold per input and the fold of the
+plan's writes.  ConversionPlan.generator_rows, one add_enc and mul_enc
+per term, is the reference for the whole conversion map, and
+test_execute_matches_generator_rows runs execute on every initial
+generator row against it.  Row updates in elimination go through
+FieldCtx.row_logs and FieldCtx.sub_scaled, and polynomial evaluation
+through FieldCtx.horner; their references are sub_enc(d, mul_enc(c, s))
+per entry and Horner's rule on add_enc and mul_enc.
 """
 
 import json
@@ -320,35 +323,37 @@ def test_horner_matches_the_reference(p, s):
             assert F.horner(coeffs, x) == want
 
 
-@pytest.mark.parametrize("name", sorted(REQUESTS))
-def test_apply_matches_the_fold(name):
-    cc = _construct(REQUESTS[name])
-    F, compiled = cc.field, cc.plan
-    rng = random.Random(name)
-    for _ in range(10):
-        encs = [[rng.randrange(F.q) for _ in range(code.n)] for code in cc.initials]
-        out = compiled.apply(encs)
-        want = [None] * compiled.n
-        for word, pairs in zip(encs, compiled.unchanged):
-            for src, dst in pairs:
-                want[dst] = word[src]
-        for dst, triples in compiled.writes:
-            want[dst] = fold(F, [c for _, _, c in triples],
-                             [encs[i][coord] for i, coord, _ in triples])
-        assert out == want
-
-
 def gf9_conversion():
     return build_mds_to_lrc(field_create(3, 2), s=2, a=1, tprime=1, delta=2, k_init=3,
                             n_init=(5, 5))
 
 
-@pytest.mark.parametrize("name", sorted(REQUESTS) + ["gf9_mds_to_lrc"])
+def conversion(name):
+    return gf9_conversion() if name == "gf9_mds_to_lrc" else _construct(REQUESTS[name])
+
+
+def fold_plan(plan, encs):
+    """The final word from one word of encodings per stripe: unchanged
+    symbols copied, and each written symbol the fold of its writes."""
+    out = [None] * plan.n
+    for word, pairs in zip(encs, plan.unchanged):
+        for src, dst in pairs:
+            out[dst] = word[src]
+    for dst, triples in plan.writes:
+        out[dst] = fold(plan.field, [c for _, _, c in triples],
+                        [encs[i][coord] for i, coord, _ in triples])
+    return out
+
+
+CONVERSIONS = sorted(REQUESTS) + ["gf9_mds_to_lrc"]
+
+
+@pytest.mark.parametrize("name", CONVERSIONS)
 def test_execute_matches_the_reference(name):
-    # the reference: the fold per input, apply, and the fold of the final
-    # parity; then every single-symbol change of every input must be
-    # refused, naming its stripe
-    cc = gf9_conversion() if name == "gf9_mds_to_lrc" else _construct(REQUESTS[name])
+    # the reference: the fold per input, the fold of the plan's writes,
+    # and the fold of the final parity; then every single-symbol change of
+    # every input must be refused, naming its stripe
+    cc = conversion(name)
     F = cc.field
     rng = random.Random(name)
     for _ in range(3):
@@ -356,7 +361,7 @@ def test_execute_matches_the_reference(name):
                  for code in cc.initials]
         encs = [[e.enc for e in word] for word in words]
         assert all(fold_contains(code, enc) for code, enc in zip(cc.initials, encs))
-        want = cc.plan.apply(encs)
+        want = fold_plan(cc.plan, encs)
         assert fold_contains(cc.final, want)
         final, _ = execute(cc, words)
         assert [e.enc for e in final] == want
@@ -371,6 +376,22 @@ def test_execute_matches_the_reference(name):
         i, n = len(words) - 1, len(words[-1])
         with pytest.raises(ValueError, match=f"^input {i} has {n - 1} symbols, stripe {i} has n = {n}$"):
             execute(cc, short)
+
+
+@pytest.mark.parametrize("name", CONVERSIONS)
+def test_execute_matches_generator_rows(name):
+    # stripe i's generator row r, with zero words on the other stripes,
+    # converts to row r of stripe i in the term-by-term generator_rows
+    cc = conversion(name)
+    F = cc.field
+    rows = iter(cc.plan.generator_rows(cc.initials))
+    zeros = [(F.zero,) * code.n for code in cc.initials]
+    for i, code in enumerate(cc.initials):
+        for g in code.generator.data:
+            words = zeros[:i] + [F.word(g)] + zeros[i + 1:]
+            final, _ = execute(cc, words)
+            assert [e.enc for e in final] == next(rows)
+    assert next(rows, None) is None
 
 
 def test_execute_rejects_symbols_of_another_field():
