@@ -19,11 +19,13 @@ off those same rows; the simulator charges the storage reads to nodes.
 execute, the one fast path, runs the writes in one ColumnSums with every
 initial's parity rows, so that one table sum per conversion checks every
 input and gives every written symbol.  The evaluation builders also
-evaluate each rational-function term directly at every final place,
-read the written-symbol coefficients from those values, and assert that
-the direct values equal generator_rows.  Builders give each code its
-evaluation places, repeats included, so that grs_certificate proves
-every component distance; a bundle read from JSON has none and is walked.
+evaluate each rational-function term directly at every final place, as
+its stripe factor's value times a basis function's value at the
+Moebius-moved place, read the written-symbol coefficients from those
+values, and assert that the direct values equal generator_rows.
+Builders give each code its evaluation places, repeats included, so that
+grs_certificate proves every component distance; a bundle read from JSON
+has none and is walked.
 
 A ConvertibleCode derives its kind from the locality certificates it
 carries (none: MDS merge; both: LRC merge; the final's only: MDS to LRC),
@@ -431,6 +433,106 @@ def _term_coefficient(field: FieldCtx, wvals: Sequence[int], rvals: Sequence[int
     raise AssertionError("all basis read values vanish")
 
 
+def _value(f: RationalFunction, pt: ProjPoint, pole_budget: int = 0) -> int:
+    """f.eval_at(pt, pole_budget).enc.  At a finite place where f's
+    denominator does not vanish it is two horner passes and one division;
+    anywhere else it is eval_at, which raises ValueError at a pole beyond
+    the budget."""
+    if pt.finite is not None and not pole_budget:
+        field, x = f.field, pt.finite.enc
+        den = field.horner(f.den.coeffs[::-1], x)[-1]
+        if den:
+            num = field.horner(f.num.coeffs[::-1], x)[-1] if f.num.coeffs else 0
+            return field.mul_enc(num, field.inv_enc(den))
+    return f.eval_at(pt, pole_budget).enc
+
+
+def _local(f: RationalFunction, pt: ProjPoint) -> tuple[int, int]:
+    """(v, u) for a nonzero f: its valuation at pt, and the value there of
+    pi^-v f, where pi is x - beta at a finite beta and 1/x at infinity."""
+    field = f.field
+    if pt.finite is None:
+        num, den = f.num.coeffs[-1], f.den.coeffs[-1]
+        return f.den.degree - f.num.degree, field.mul_enc(num, field.inv_enc(den))
+    mn, num_unit = f.num.split_root(pt.finite)
+    md, den_unit = f.den.split_root(pt.finite)
+    return mn - md, field.mul_enc(num_unit.enc, field.inv_enc(den_unit.enc))
+
+
+def _pole_column(factor: RationalFunction, basis: Sequence[RationalFunction], move: Mobius,
+                 pt: ProjPoint, pole_budget: int) -> list[int]:
+    """(factor * (f o move)).eval_at(pt, pole_budget).enc for each f in
+    basis, from valuations: f o move has f's valuation at img = move(pt),
+    and its unit value there times c^v, where c is the value at pt of
+    (pi_img o move) / pi_pt, the derivative of move in the two uniformizers."""
+    field = factor.field
+    mul = field.mul_enc
+    a, b, c, d = move.m
+    img = move.point_action(pt)
+    if pt.finite is None:
+        # c = 0: pi_img o move = d / (a x + b); else (bc - ad) / (c (c x + d))
+        ratio = mul(d, field.inv_enc(a)) if img.finite is None else \
+            mul(field.sub_enc(mul(b, c), mul(a, d)), field.inv_enc(mul(c, c)))
+    elif img.finite is None:
+        # c x + d = c (x - beta): pi_img o move = c (x - beta) / (a x + b)
+        ratio = mul(c, field.inv_enc(field.add_enc(mul(a, pt.finite.enc), b)))
+    else:
+        # move(x) - move(beta) = det (x - beta) / ((c x + d) (c beta + d))
+        den = field.add_enc(mul(c, pt.finite.enc), d)
+        ratio = mul(field.sub_enc(mul(a, d), mul(b, c)), field.inv_enc(mul(den, den)))
+    v_factor, u_factor = _local(factor, pt)
+    column = []
+    for f in basis:
+        v, u = _local(f, img)
+        net = v_factor + v + pole_budget
+        if net < 0:
+            raise ValueError(
+                f"pole of order {-(v_factor + v)} at {pt.label()} exceeds budget {pole_budget}"
+            )
+        column.append(0 if net else mul(u_factor, mul(u, field.pow_enc(ratio, v))))
+    return column
+
+
+def _stripe_rows(
+    factor: RationalFunction,
+    move: Mobius,
+    basis: Sequence[RationalFunction],
+    places: Sequence[ProjPoint],
+    budgets: Sequence[int],
+    cache: dict,
+) -> list[list[int]]:
+    """Row f, column P: (factor * (f o move)).eval_at(P, budget).enc.
+
+    A Moebius move acts on places by (f o move)(P) = f(move(P)), so the
+    value is factor(P) * f(move(P)), with each f's values kept in
+    cache[f] by the encoding of the moved point, to be shared by every
+    stripe with that basis function.  The composition falls back to
+    _pole_column where a factor may be undefined: at infinity, at a place
+    with a pole budget, at move^-1(infinity), and where the factor has a
+    pole at P or f has one at move(P).
+    """
+    mul = factor.field.mul_enc
+    tables = [cache.setdefault(f, {}) for f in basis]
+    columns = []
+    for pt, budget in zip(places, budgets):
+        img = move.point_action(pt)
+        if not (budget or pt.finite is None or img.finite is None):
+            x = img.finite.enc
+            try:
+                at_pt = _value(factor, pt)
+                column = []
+                for f, table in zip(basis, tables):
+                    if x not in table:
+                        table[x] = _value(f, img)
+                    column.append(mul(at_pt, table[x]))
+            except ValueError:  # a pole of the factor at pt, or of f at img
+                column = _pole_column(factor, basis, move, pt, budget)
+        else:
+            column = _pole_column(factor, basis, move, pt, budget)
+        columns.append(column)
+    return [list(row) for row in zip(*columns)]
+
+
 def _merge_by_evaluation(
     field: FieldCtx,
     init_codes: Sequence[LinearCode],
@@ -453,24 +555,28 @@ def _merge_by_evaluation(
     one symbol per place of `written`, evaluated with pole_budget at
     infinity.  A term divided by its own stripe's factor must give back
     the stored symbols on its kept places and must vanish on every other
-    stripe's.  Written place P reads stripe j at read_base[j] plus the
-    index of moves[j]^-1(P) in `written`, with the coefficient read off
-    the first basis function whose read value is nonzero.  The final
-    generator is the plan's generator_rows; it must equal the direct
-    evaluation, which checks every coefficient on every basis function.
+    stripe's.  The terms are never built: _stripe_rows composes each
+    term's value at P as factors[j](P) * f(moves[j](P)), and falls back
+    to valuations and unit values at infinity, at moves[j]^-1(infinity)
+    and at any pole of a factor or of a moved basis function.  Written
+    place P reads stripe j at read_base[j] plus the index of
+    moves[j]^-1(P) in `written`, with the coefficient read off the first
+    basis function whose read value is nonzero.  The final generator is
+    the plan's generator_rows; it must equal the direct evaluation, which
+    checks every coefficient on every basis function.
     """
-    units = [f.eval_at(p, 0).inverse() for f, places in zip(factors, kept) for p in places]
+    inv = field.inv_enc
+    mul = field.mul_enc
+    units = [inv(_value(f, p)) for f, places in zip(factors, kept) for p in places]
     kept_places = [p for places in kept for p in places]
-    budgets = [pole_budget if p.is_infinity else 0 for p in written]
+    places = kept_places + list(written)
+    budgets = [0] * len(kept_places) + [pole_budget if p.is_infinity else 0 for p in written]
+    cache: dict = {}
     direct = []  # per stripe, the terms evaluated at every final place
     for move, factor, basis in zip(moves, factors, bases):
-        rows = []
-        for f in basis:
-            term = factor * f.substitute(move)
-            rows.append(
-                [(u * term.eval_at(p, 0)).enc for u, p in zip(units, kept_places)]
-                + [term.eval_at(p, b).enc for p, b in zip(written, budgets)]
-            )
+        rows = _stripe_rows(factor, move, basis, places, budgets, cache)
+        for row in rows:
+            row[: len(units)] = map(mul, units, row)
         direct.append(rows)
 
     base = len(kept_places)
@@ -595,7 +701,7 @@ def build_mds_merge(
         gen = MatQ(
             field,
             [
-                [f.eval_at(pt, dims[j] - 1 if pt.is_infinity else 0).enc for pt in pts]
+                [_value(f, pt, dims[j] - 1 if pt.is_infinity else 0) for pt in pts]
                 for f in bases[j]
             ],
         )
@@ -750,7 +856,7 @@ def build_lrc_merge(
     k_init = k * r
 
     init_gen = MatQ(
-        field, [[f.eval_at(p, 0).enc for p in init_places] for f in basis]
+        field, [[_value(f, p) for p in init_places] for f in basis]
     )
     init_labels_template = [f"p{p.label()}" for p in init_places]
     init_codes = [

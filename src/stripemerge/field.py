@@ -622,51 +622,72 @@ def field_create(p: int, s: int, modulus: Optional[Sequence[int]] = None) -> Fie
 
 # -- primitive quadratics ----------------------------------------------------
 #
-# The quadratic extension GF(q)[x]/(x^2 + a x + b) is modelled directly on
-# coefficient pairs (u, v) = u + v*X, so no tower of FieldCtx objects is
-# needed.  x^2 + a x + b is primitive iff it is irreducible and the class of
-# X has multiplicative order q^2 - 1.
+# x^2 + a x + b is primitive iff a root gamma has order q^2 - 1.  By Lidl and
+# Niederreiter, Finite Fields, Thm 3.18, that holds iff all three of:
+#   * the norm of gamma, gamma^(q+1) = b, is primitive in GF(q):
+#     b != 0 and gcd(log b, q - 1) = 1;
+#   * the polynomial is irreducible: for odd q the discriminant a^2 - 4b is a
+#     non-square, nonzero with odd log; in characteristic 2, a != 0 and
+#     Tr(b / a^2) = 1;
+#   * for each prime l | q + 1, X^((q+1)/l) mod x^2 + a x + b lies outside
+#     GF(q): as u + v X, its v is nonzero.
+# The last is computed on encoding pairs (u, v), so no tower of FieldCtx
+# objects is needed.  For irreducible f, X^(q+1) = b, so the least r with X^r
+# in GF(q) divides q + 1, and the prime test shows it is q + 1.
 
 
-def _quad_mul(x, y, a: FieldElem, b: FieldElem):
-    u1, v1 = x
-    u2, v2 = y
-    vv = v1 * v2
-    return (u1 * u2 - b * vv, u1 * v2 + u2 * v1 - a * vv)
+def _x_power(field: FieldCtx, a: int, b: int, e: int) -> tuple[int, int]:
+    """X^e mod x^2 + a x + b as the pair (u, v) = u + v X of encodings."""
+    add, mul = field.add_enc, field.mul_enc
+    na, nb = field.neg_enc(a), field.neg_enc(b)
 
+    def times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+        # X^2 = -a X - b
+        vv = mul(x[1], y[1])
+        return (add(mul(x[0], y[0]), mul(nb, vv)),
+                add(add(mul(x[0], y[1]), mul(x[1], y[0])), mul(na, vv)))
 
-def _quad_pow(x, e: int, a: FieldElem, b: FieldElem, field: FieldCtx):
-    result = (field.one, field.zero)
+    result, base = (1, 0), (0, 1)
     while e:
         if e & 1:
-            result = _quad_mul(result, x, a, b)
-        x = _quad_mul(x, x, a, b)
+            result = times(result, base)
+        base = times(base, base)
         e >>= 1
     return result
 
 
+def _is_primitive_quadratic(field: FieldCtx, a: int, b: int) -> bool:
+    """The three tests above, on encodings, cheapest first."""
+    q = field.q
+    if not b or math.gcd(field._log[b], q - 1) != 1:
+        return False
+    if field.p == 2:
+        if not a:
+            return False
+        y = field.mul_enc(b, field.inv_enc(field.mul_enc(a, a)))
+        trace = 0
+        for _ in range(field.s):
+            trace ^= y
+            y = field.mul_enc(y, y)
+        if trace != 1:
+            return False
+    else:
+        disc = field.sub_enc(field.mul_enc(a, a), field.mul_enc(4 % field.p, b))
+        if not disc or field._log[disc] % 2 == 0:
+            return False
+    return all(_x_power(field, a, b, (q + 1) // prime)[1] for prime in _factorize(q + 1))
+
+
 def primitive_quadratic_check(a: FieldElem, b: FieldElem) -> bool:
     """True iff x^2 + a x + b is irreducible over GF(q) with root of order q^2 - 1."""
-    field = a.field
     a._check(b)
-    for beta in field.elements():
-        if beta * beta + a * beta + b == field.zero:
-            return False
-    root = (field.zero, field.one)
-    one = (field.one, field.zero)
-    order = field.q ** 2 - 1
-    for prime in _factorize(order):
-        if _quad_pow(root, order // prime, a, b, field) == one:
-            return False
-    return True
+    return _is_primitive_quadratic(a.field, a.enc, b.enc)
 
 
 def primitive_quadratic_search(field: FieldCtx) -> tuple[FieldElem, FieldElem]:
     """First (a, b) in ascending-encoding scan with x^2 + a x + b primitive."""
     for a_enc in range(field.q):
-        a = field.element(a_enc)
         for b_enc in range(field.q):
-            b = field.element(b_enc)
-            if primitive_quadratic_check(a, b):
-                return (a, b)
+            if _is_primitive_quadratic(field, a_enc, b_enc):
+                return field.element(a_enc), field.element(b_enc)
     raise AssertionError("no primitive quadratic exists")  # unreachable for q >= 2

@@ -449,21 +449,6 @@ def subgroup_cyclic_qplus1(
     return table
 
 
-def multiplicative_subgroup(field: FieldCtx, u: int) -> list[FieldElem]:
-    """The unique order-u subgroup of GF(q)*, ascending encodings."""
-    if u < 1 or (field.q - 1) % u:
-        raise ValueError(f"{u} does not divide q - 1 = {field.q - 1}")
-    return [e for e in field.elements() if e.enc and e ** u == field.one]
-
-
-def subfield_elements(field: FieldCtx, v: int) -> list[FieldElem]:
-    """GF(p^v) inside GF(p^s): fixed points of the v-fold Frobenius."""
-    if v < 1 or field.s % v:
-        raise ValueError(f"GF({field.p}^{v}) is not a subfield of GF({field.q})")
-    size = field.p ** v
-    return [e for e in field.elements() if e ** size == e]
-
-
 def subgroup_affine(
     field: FieldCtx, mult_part: Sequence[FieldElem], add_part: Sequence[FieldElem]
 ) -> GroupTable:

@@ -3,9 +3,10 @@
 Coefficients are stored constant-first as integer encodings with no
 trailing zeros; the zero polynomial has an empty coefficient tuple and
 degree -1.  This is shared plumbing for the evaluation-code and
-function-field modules.  Evaluating rational functions at places
-(split_root, through RationalFunction.eval_at) is on the builders' hot
-path: the MDS and LRC merges evaluate every basis term at every place.
+function-field modules.  Rational functions are evaluated at places
+through split_root (RationalFunction.eval_at); the merge builders
+evaluate by FieldCtx.horner directly where no pole or zero cancels, and
+read valuations and unit values off split_root where one may.
 split_root is repeated synthetic division, one Horner pass per root
 divided out, and long division subtracts multiples of the divisor
 through FieldCtx.sub_scaled.  Operands of different fields raise

@@ -20,15 +20,20 @@ from stripemerge.convert import (
     execute,
     verify_convertible,
 )
-from stripemerge.field import field_create
+from stripemerge.field import field_create, primitive_quadratic_search
 from stripemerge.matrix import MatQ
+from stripemerge.poly import Poly
 from stripemerge.pgl import (
+    Mobius,
+    ProjPoint,
+    RationalFunction,
     cyclic_subgroup_of_order,
-    subfield_elements,
     subgroup_affine,
     subgroup_cyclic_qplus1,
     subgroup_dihedral,
 )
+
+from paper_lemmas import subfield_elements
 
 BENCH_REQUESTS = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "instances.json").read_text(
@@ -358,8 +363,6 @@ def test_mds_to_lrc_validation_errors():
 
 def test_mds_merge_smallest_full_length_fields():
     # the written block absorbs the whole projective line: n_F = q + 1
-    from stripemerge.field import primitive_quadratic_search
-
     for q, k in ((5, 2), (7, 3)):
         F = field_create(q, 1)
         quad = primitive_quadratic_search(F)
@@ -387,6 +390,86 @@ def test_gf9_conversions():
         report = verify_convertible(cc)
         assert report.ok and report.components_ok and report.access_optimal
         assert (report.measured.read_cost, report.measured.write_cost) == (4, 2)
+
+
+def full_length_merge(q, k):
+    F = field_create(q, 1)
+    group = subgroup_cyclic_qplus1(F, primitive_quadratic_search(F), 2)
+    return build_mds_merge(F, group, k=k, t=2, lprime=2, evaluate_at_pole=True)
+
+
+def gf9_merge(pole):
+    F9 = field_create(3, 2)
+    group = subgroup_cyclic_qplus1(F9, (F9.element(1), F9.element(5)), 2)
+    return build_mds_merge(F9, group, k=3, t=2, lprime=3, evaluate_at_pole=pole)
+
+
+# every build that merges by evaluation: the benchmark's MDS and LRC merges
+# (its MDS-to-LRC requests evaluate no terms), the GF(9) merges of
+# test_gf9_conversions and the full-length merges of
+# test_mds_merge_smallest_full_length_fields
+COMPOSED_MERGES = {
+    **{name: functools.partial(_construct, request) for name, request in BENCH_REQUESTS.items()
+       if request["kind"] != "mds_to_lrc"},
+    "gf9": functools.partial(gf9_merge, False),
+    "gf9_pole": functools.partial(gf9_merge, True),
+    "gf5_full_length": functools.partial(full_length_merge, 5, 2),
+    "gf7_full_length": functools.partial(full_length_merge, 7, 3),
+}
+
+
+def built_term_rows(factor, move, basis, places, budgets):
+    """The terms built as rational functions and evaluated place by place."""
+    return [[(factor * f.substitute(move)).eval_at(p, b).enc for p, b in zip(places, budgets)]
+            for f in basis]
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSED_MERGES))
+def test_composed_values_equal_the_built_terms(name, monkeypatch):
+    calls = []
+    stripe_rows = convert._stripe_rows
+
+    def recording(factor, move, basis, places, budgets, cache):
+        rows = stripe_rows(factor, move, basis, places, budgets, cache)
+        # a copy, as _merge_by_evaluation scales the kept columns in place
+        calls.append((factor, move, basis, places, budgets, [list(row) for row in rows]))
+        return rows
+
+    monkeypatch.setattr(convert, "_stripe_rows", recording)
+    COMPOSED_MERGES[name]()
+    assert calls
+    reached = set()
+    for factor, move, basis, places, budgets, rows in calls:
+        assert rows == built_term_rows(factor, move, basis, places, budgets)
+        reached |= {(p.is_infinity, move.point_action(p).is_infinity, b > 0)
+                    for p, b in zip(places, budgets)}
+    if name.endswith("full_length"):
+        # the whole projective line: infinity, with its budget, fixed by the
+        # identity and moved to a finite place, and a finite place moved to
+        # infinity, beside the composed places
+        assert reached == {(True, True, True), (True, False, True),
+                           (False, True, False), (False, False, False)}
+
+
+def test_composed_values_at_a_pole_of_the_factor():
+    F7 = field_create(7, 1)
+    x = RationalFunction.x(F7)
+
+    def const(c):
+        return RationalFunction.constant(F7.element(c))
+
+    factor = RationalFunction(Poly.one(F7), Poly(F7, (F7.neg_enc(1), 1)))  # 1 / (x - 1)
+    shift = Mobius(F7, 1, 1, 0, 1)  # x -> x + 1
+    # the moved basis functions are (x - 1)^2, x - 1 and x^2 + 3: the first
+    # two cancel the factor's pole at 1, the last does not
+    basis = [(x - const(2)) ** 2, x - const(2), (x - const(1)) ** 2 + const(3)]
+    places = [ProjPoint.of(e) for e in F7.elements()]
+    cache: dict = {}
+    for budgets in ([0] * 7, [1] * 7):
+        rows = convert._stripe_rows(factor, shift, basis[:2], places, budgets, cache)
+        assert rows == built_term_rows(factor, shift, basis[:2], places, budgets)
+    with pytest.raises(ValueError, match="pole of order 1 at 1 exceeds budget 0"):
+        convert._stripe_rows(factor, shift, basis, places, [0] * 7, cache)
 
 
 def test_construction_is_deterministic():

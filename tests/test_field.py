@@ -11,6 +11,8 @@ from stripemerge.field import (
     primitive_quadratic_search,
 )
 
+from paper_lemmas import reference_quadratic_check, reference_quadratic_search
+
 
 def brute_first_irreducible_gf2(degree):
     """Independent oracle: first monic irreducible over GF(2), packed scan order."""
@@ -186,6 +188,26 @@ def test_primitive_quadratic_rejects_reducible_and_low_order():
     assert not primitive_quadratic_check(F.zero, F.element(4))
     # x^2 + 1 is irreducible over GF(5) but its root has order 4, not 24
     assert not primitive_quadratic_check(F.zero, F.one)
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
+def test_primitive_quadratic_check_matches_the_reference(p, s):
+    # the norm and trace criterion against the root scan and order test
+    F = field_create(p, s)
+    for a in F.elements():
+        for b in F.elements():
+            assert primitive_quadratic_check(a, b) == reference_quadratic_check(a, b), (a, b)
+
+
+# every field the builders see in the tests and the benchmark; all 70 fields
+# with q <= 256 are checked by tests/check_quadratic_search.py
+BUILDER_FIELDS = [(5, 1), (7, 1), (3, 2), (2, 4), (23, 1), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6)]
+
+
+@pytest.mark.parametrize("p,s", BUILDER_FIELDS)
+def test_primitive_quadratic_search_matches_the_reference(p, s):
+    F = field_create(p, s)
+    assert primitive_quadratic_search(F) == reference_quadratic_search(F)
 
 
 TEST_FIELDS = [(23, 1, None), (2, 5, None), (7, 2, None), (3, 3, None)]

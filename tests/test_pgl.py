@@ -12,14 +12,14 @@ from stripemerge.pgl import (
     build_group,
     cyclic_subgroup_of_order,
     fixed_field_generator,
-    multiplicative_subgroup,
     split_structure,
-    subfield_elements,
     subgroup_affine,
     subgroup_cyclic_qplus1,
     subgroup_dihedral,
 )
 from stripemerge.poly import Poly
+
+from paper_lemmas import multiplicative_subgroup, subfield_elements
 
 F23 = field_create(23, 1)
 QUAD23 = (F23.element(21), F23.element(5))  # x^2 - 2x + 5
