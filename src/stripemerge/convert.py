@@ -61,6 +61,7 @@ from .pgl import (
     ProjPoint,
     RationalFunction,
     fixed_field_generator,
+    pole_budget_error,
     split_structure,
 )
 from .poly import Poly, poly_from_roots
@@ -433,32 +434,6 @@ def _term_coefficient(field: FieldCtx, wvals: Sequence[int], rvals: Sequence[int
     raise AssertionError("all basis read values vanish")
 
 
-def _value(f: RationalFunction, pt: ProjPoint, pole_budget: int = 0) -> int:
-    """f.eval_at(pt, pole_budget).enc.  At a finite place where f's
-    denominator does not vanish it is two horner passes and one division;
-    anywhere else it is eval_at, which raises ValueError at a pole beyond
-    the budget."""
-    if pt.finite is not None and not pole_budget:
-        field, x = f.field, pt.finite.enc
-        den = field.horner(f.den.coeffs[::-1], x)[-1]
-        if den:
-            num = field.horner(f.num.coeffs[::-1], x)[-1] if f.num.coeffs else 0
-            return field.mul_enc(num, field.inv_enc(den))
-    return f.eval_at(pt, pole_budget).enc
-
-
-def _local(f: RationalFunction, pt: ProjPoint) -> tuple[int, int]:
-    """(v, u) for a nonzero f: its valuation at pt, and the value there of
-    pi^-v f, where pi is x - beta at a finite beta and 1/x at infinity."""
-    field = f.field
-    if pt.finite is None:
-        num, den = f.num.coeffs[-1], f.den.coeffs[-1]
-        return f.den.degree - f.num.degree, field.mul_enc(num, field.inv_enc(den))
-    mn, num_unit = f.num.split_root(pt.finite)
-    md, den_unit = f.den.split_root(pt.finite)
-    return mn - md, field.mul_enc(num_unit.enc, field.inv_enc(den_unit.enc))
-
-
 def _pole_column(factor: RationalFunction, basis: Sequence[RationalFunction], move: Mobius,
                  pt: ProjPoint, pole_budget: int) -> list[int]:
     """(factor * (f o move)).eval_at(pt, pole_budget).enc for each f in
@@ -480,15 +455,13 @@ def _pole_column(factor: RationalFunction, basis: Sequence[RationalFunction], mo
         # move(x) - move(beta) = det (x - beta) / ((c x + d) (c beta + d))
         den = field.add_enc(mul(c, pt.finite.enc), d)
         ratio = mul(field.sub_enc(mul(a, d), mul(b, c)), field.inv_enc(mul(den, den)))
-    v_factor, u_factor = _local(factor, pt)
+    v_factor, u_factor = factor.local(pt)
     column = []
     for f in basis:
-        v, u = _local(f, img)
+        v, u = f.local(img)
         net = v_factor + v + pole_budget
         if net < 0:
-            raise ValueError(
-                f"pole of order {-(v_factor + v)} at {pt.label()} exceeds budget {pole_budget}"
-            )
+            raise pole_budget_error(-(v_factor + v), pt, pole_budget)
         column.append(0 if net else mul(u_factor, mul(u, field.pow_enc(ratio, v))))
     return column
 
@@ -519,11 +492,11 @@ def _stripe_rows(
         if not (budget or pt.finite is None or img.finite is None):
             x = img.finite.enc
             try:
-                at_pt = _value(factor, pt)
+                at_pt = factor.eval_enc(pt)
                 column = []
                 for f, table in zip(basis, tables):
                     if x not in table:
-                        table[x] = _value(f, img)
+                        table[x] = f.eval_enc(img)
                     column.append(mul(at_pt, table[x]))
             except ValueError:  # a pole of the factor at pt, or of f at img
                 column = _pole_column(factor, basis, move, pt, budget)
@@ -567,7 +540,7 @@ def _merge_by_evaluation(
     """
     inv = field.inv_enc
     mul = field.mul_enc
-    units = [inv(_value(f, p)) for f, places in zip(factors, kept) for p in places]
+    units = [inv(f.eval_enc(p)) for f, places in zip(factors, kept) for p in places]
     kept_places = [p for places in kept for p in places]
     places = kept_places + list(written)
     budgets = [0] * len(kept_places) + [pole_budget if p.is_infinity else 0 for p in written]
@@ -701,7 +674,7 @@ def build_mds_merge(
         gen = MatQ(
             field,
             [
-                [_value(f, pt, dims[j] - 1 if pt.is_infinity else 0) for pt in pts]
+                [f.eval_enc(pt, dims[j] - 1 if pt.is_infinity else 0) for pt in pts]
                 for f in bases[j]
             ],
         )
@@ -856,7 +829,7 @@ def build_lrc_merge(
     k_init = k * r
 
     init_gen = MatQ(
-        field, [[_value(f, p) for p in init_places] for f in basis]
+        field, [[f.eval_enc(p) for p in init_places] for f in basis]
     )
     init_labels_template = [f"p{p.label()}" for p in init_places]
     init_codes = [

@@ -353,40 +353,48 @@ class RationalFunction:
 
         return RationalFunction(push(self.num), push(self.den))
 
-    def valuation(self, pt: ProjPoint) -> int:
+    def local(self, pt: ProjPoint) -> tuple[int, int]:
+        """(v, u) for a nonzero f: its valuation v at pt, and the encoding
+        of the value there of pi^-v f, with pi = x - beta at finite beta
+        and 1/x at infinity."""
         if self.is_zero():
             raise ValueError("valuation of the zero function")
+        f = self.field
         if pt.is_infinity:
-            return self.den.degree - self.num.degree
-        return self.num.split_root(pt.finite)[0] - self.den.split_root(pt.finite)[0]
+            v = self.den.degree - self.num.degree
+            num, den = self.num.coeffs[-1], self.den.coeffs[-1]
+        else:
+            mn, nval = self.num.split_root(pt.finite)
+            md, dval = self.den.split_root(pt.finite)
+            v, num, den = mn - md, nval.enc, dval.enc
+        return v, f.mul_enc(num, f.inv_enc(den))
+
+    def valuation(self, pt: ProjPoint) -> int:
+        return self.local(pt)[0]
 
     def eval_at(self, pt: ProjPoint, pole_budget: int = 0) -> FieldElem:
         """(pi^m f)(P) with pi = x - beta at finite beta and 1/x at infinity."""
+        return FieldElem(self.field, self.eval_enc(pt, pole_budget))
+
+    def eval_enc(self, pt: ProjPoint, pole_budget: int = 0) -> int:
+        """eval_at(pt, pole_budget) as an encoding.  At a finite place where
+        the denominator does not vanish it is num(beta) / den(beta), two
+        Horner passes, as f is kept reduced; anywhere else it is read off
+        local(pt).  A pole of order above pole_budget raises ValueError."""
         f = self.field
-        if self.is_zero():
-            return f.zero
+        if not self.num.coeffs:
+            return 0
         if pole_budget < 0:
             raise ValueError("pole budget must be >= 0")
-        if pt.is_infinity:
-            shift = self.num.degree - pole_budget - self.den.degree
-            if shift > 0:
-                raise ValueError(
-                    f"pole of order {-self.valuation(pt)} at infinity exceeds budget {pole_budget}"
-                )
-            if shift < 0:
-                return f.zero
-            return self.num.leading() / self.den.leading()
-        beta = pt.finite
-        mn, nval = self.num.split_root(beta)
-        md, dval = self.den.split_root(beta)
-        net = mn + pole_budget - md
-        if net < 0:
-            raise ValueError(
-                f"pole of order {md - mn} at {beta.enc} exceeds budget {pole_budget}"
-            )
-        if net > 0:
-            return f.zero
-        return nval / dval
+        if pt.finite is not None and not pole_budget:
+            x = pt.finite.enc
+            den = f.horner(self.den.coeffs[::-1], x)[-1]
+            if den:
+                return f.mul_enc(f.horner(self.num.coeffs[::-1], x)[-1], f.inv_enc(den))
+        v, u = self.local(pt)
+        if v + pole_budget < 0:
+            raise pole_budget_error(-v, pt, pole_budget)
+        return 0 if v + pole_budget else u
 
     def divisor_support(self) -> tuple[dict[ProjPoint, int], int]:
         """Valuations at every rational place, plus the degree residual
@@ -411,6 +419,12 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({list(self.num.coeffs)}/{list(self.den.coeffs)})"
+
+
+def pole_budget_error(order: int, pt: ProjPoint, pole_budget: int) -> ValueError:
+    """The error for evaluating a function with a pole of this order at pt."""
+    where = "infinity" if pt.is_infinity else pt.finite.enc
+    return ValueError(f"pole of order {order} at {where} exceeds budget {pole_budget}")
 
 
 # -- subgroup families -------------------------------------------------------

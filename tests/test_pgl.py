@@ -312,6 +312,35 @@ def test_ratfun_eval_examples():
         g.eval_at(pt(F5, 2), 0)
 
 
+def test_eval_at_reads_local_expansion():
+    """eval_at(P, m) is 0 when v_P(f) + m > 0, raises when it is < 0, and
+    is otherwise the unit value of local(P); where the denominator does
+    not vanish it is num(beta) / den(beta), and eval_enc is its encoding."""
+    for F, seed in ((field_create(5, 1), 11), (field_create(3, 2), 12)):
+        rng = random.Random(seed)
+        for _ in range(40):
+            f = random_ratfun(F, rng)
+            if f.is_zero():
+                continue
+            for p in all_points(F):
+                v, u = f.local(p)
+                assert v == f.valuation(p)
+                if p.is_infinity:
+                    assert u == (f.num.leading() / f.den.leading()).enc
+                elif f.den.eval(p.finite).enc:
+                    assert v >= 0
+                    assert (f.num.eval(p.finite) / f.den.eval(p.finite)).enc == \
+                        f.eval_at(p).enc
+                for budget in range(3):
+                    if v + budget < 0:
+                        where = "infinity" if p.is_infinity else p.finite.enc
+                        with pytest.raises(ValueError, match=f"pole of order {-v} at {where} "):
+                            f.eval_at(p, budget)
+                        continue
+                    want = 0 if v + budget else u
+                    assert f.eval_at(p, budget).enc == f.eval_enc(p, budget) == want
+
+
 def test_valuation_and_divisor():
     F5 = field_create(5, 1)
     x = RationalFunction.x(F5)
