@@ -5,7 +5,7 @@ opaque label per coordinate.  Labels are first-class: stripe conversion
 is about which physical symbol stays put, and positional indices alone
 invite off-by-one corruption when coordinates are reordered or dropped.
 
-Distance verification is exact or it refuses: each strategy has a hard
+Distance verification is exact or it refuses: the subset walk has a hard
 work budget and raises InfeasibleCheck instead of guessing.  For a code
 that carries its evaluation places, is_mds and is_optimal_lrc first try
 grs_certificate, one kernel solve that can only prove a distance, on
@@ -15,7 +15,6 @@ hands over to the budgeted subset walk of distance_at_least.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -25,7 +24,6 @@ from .field import ColumnSums, FieldCtx, FieldElem
 from .matrix import MatQ, rank_of_rows
 from .schema import as_int, as_ints, as_list, as_object, within
 
-ENUM_BUDGET = 10 ** 7
 SUBSET_BUDGET = 5 * 10 ** 6
 
 
@@ -161,14 +159,6 @@ class LinearCode:
         """
         return len(word) == self.n and self.checks.vanishes(self.field.encodings(word))
 
-    def dual(self) -> LinearCode:
-        return LinearCode(self.field, generator=self.parity,
-                          parity=self.generator, labels=self.labels)
-
-    def restricted_dim(self, gamma: Sequence[int]) -> int:
-        cols = sorted(set(gamma))
-        return self.generator.submatrix_cols(cols).rank()
-
     def to_obj(self) -> dict:
         obj = {"n": self.n, "k": self.k, "labels": list(self.labels)}
         for key in self._given:
@@ -253,38 +243,13 @@ def distance_at_least(code: LinearCode, d: int, budget: int = SUBSET_BUDGET) -> 
     return walk([[h.data[i][j] for i in range(h.rows)] for j in range(n)], 0, w)
 
 
-def min_distance(code: LinearCode, strategy: str = "parity_subsets") -> int:
-    """Exact minimum Hamming weight of nonzero codewords."""
+def min_distance(code: LinearCode) -> int:
+    """Exact minimum Hamming weight of nonzero codewords: the first w for
+    which distance_at_least(code, w + 1) fails, w = n - k + 1 at the latest
+    (Singleton bound)."""
     if code.k == 0:
         raise ValueError("distance of the zero code is undefined")
-    if strategy == "enumerate":
-        q = code.field.q
-        if q ** code.k > ENUM_BUDGET:
-            raise InfeasibleCheck(f"q^k = {q ** code.k} exceeds budget {ENUM_BUDGET}")
-        f = code.field
-        g = code.generator.data
-        best = code.n + 1
-        for msg in itertools.product(range(q), repeat=code.k):
-            if not any(msg):
-                continue
-            weight = 0
-            for j in range(code.n):
-                acc = 0
-                for i in range(code.k):
-                    if msg[i] and g[i][j]:
-                        acc = f.add_enc(acc, f.mul_enc(msg[i], g[i][j]))
-                if acc:
-                    weight += 1
-                    if weight >= best:
-                        break
-            best = min(best, weight)
-            if best == 1:
-                return 1
-        return best
-    if strategy == "parity_subsets":
-        # w = n-k+1 always ends the search (Singleton bound)
-        return next(w for w in range(1, code.n + 1) if not distance_at_least(code, w + 1))
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return next(w for w in range(1, code.n + 1) if not distance_at_least(code, w + 1))
 
 
 def grs_certificate(code: LinearCode, d: int) -> bool:

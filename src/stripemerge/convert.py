@@ -19,10 +19,12 @@ off those same rows; the simulator charges the storage reads to nodes.
 execute, the one fast path, runs the writes in one ColumnSums with every
 initial's parity rows, so that one table sum per conversion checks every
 input and gives every written symbol.  The evaluation builders also
-evaluate each rational-function term directly at every final place, as
-its stripe factor's value times a basis function's value at the
-Moebius-moved place, read the written-symbol coefficients from those
-values, and assert that the direct values equal generator_rows.
+evaluate each rational-function term directly at every final place,
+from the valuation and unit value that RationalFunction.local, the one
+place-local evaluator, gives for its stripe factor at the place and for
+a basis function at the Moebius-moved place, read the written-symbol
+coefficients from those values, and assert that the direct values equal
+generator_rows.
 Builders give each code its evaluation places, repeats included, so that
 grs_certificate proves every component distance; a bundle read from JSON
 has none and is walked.
@@ -434,36 +436,23 @@ def _term_coefficient(field: FieldCtx, wvals: Sequence[int], rvals: Sequence[int
     raise AssertionError("all basis read values vanish")
 
 
-def _pole_column(factor: RationalFunction, basis: Sequence[RationalFunction], move: Mobius,
-                 pt: ProjPoint, pole_budget: int) -> list[int]:
-    """(factor * (f o move)).eval_at(pt, pole_budget).enc for each f in
-    basis, from valuations: f o move has f's valuation at img = move(pt),
-    and its unit value there times c^v, where c is the value at pt of
-    (pi_img o move) / pi_pt, the derivative of move in the two uniformizers."""
-    field = factor.field
+def _derivative(move: Mobius, pt: ProjPoint, img: ProjPoint) -> int:
+    """The value at pt of (pi_img o move) / pi_pt, the derivative of move
+    in the uniformizers of pt and img = move(pt), as an encoding."""
+    field = move.field
     mul = field.mul_enc
     a, b, c, d = move.m
-    img = move.point_action(pt)
     if pt.finite is None:
         # c = 0: pi_img o move = d / (a x + b); else (bc - ad) / (c (c x + d))
-        ratio = mul(d, field.inv_enc(a)) if img.finite is None else \
-            mul(field.sub_enc(mul(b, c), mul(a, d)), field.inv_enc(mul(c, c)))
-    elif img.finite is None:
+        if img.finite is None:
+            return mul(d, field.inv_enc(a))
+        return mul(field.sub_enc(mul(b, c), mul(a, d)), field.inv_enc(mul(c, c)))
+    if img.finite is None:
         # c x + d = c (x - beta): pi_img o move = c (x - beta) / (a x + b)
-        ratio = mul(c, field.inv_enc(field.add_enc(mul(a, pt.finite.enc), b)))
-    else:
-        # move(x) - move(beta) = det (x - beta) / ((c x + d) (c beta + d))
-        den = field.add_enc(mul(c, pt.finite.enc), d)
-        ratio = mul(field.sub_enc(mul(a, d), mul(b, c)), field.inv_enc(mul(den, den)))
-    v_factor, u_factor = factor.local(pt)
-    column = []
-    for f in basis:
-        v, u = f.local(img)
-        net = v_factor + v + pole_budget
-        if net < 0:
-            raise pole_budget_error(-(v_factor + v), pt, pole_budget)
-        column.append(0 if net else mul(u_factor, mul(u, field.pow_enc(ratio, v))))
-    return column
+        return mul(c, field.inv_enc(field.add_enc(mul(a, pt.finite.enc), b)))
+    # move(x) - move(beta) = det (x - beta) / ((c x + d) (c beta + d))
+    den = field.add_enc(mul(c, pt.finite.enc), d)
+    return mul(field.sub_enc(mul(a, d), mul(b, c)), field.inv_enc(mul(den, den)))
 
 
 def _stripe_rows(
@@ -476,32 +465,39 @@ def _stripe_rows(
 ) -> list[list[int]]:
     """Row f, column P: (factor * (f o move)).eval_at(P, budget).enc.
 
-    A Moebius move acts on places by (f o move)(P) = f(move(P)), so the
-    value is factor(P) * f(move(P)), with each f's values kept in
-    cache[f] by the encoding of the moved point, to be shared by every
-    stripe with that basis function.  The composition falls back to
-    _pole_column where a factor may be undefined: at infinity, at a place
-    with a pole budget, at move^-1(infinity), and where the factor has a
-    pole at P or f has one at move(P).
+    A Moebius move is unramified, so f o move has f's valuation v at
+    P and its unit value at move(P) times c^v, c = _derivative(move, P,
+    move(P)): the term has valuation v_factor + v and unit value
+    u_factor * u * c^v, all read off RationalFunction.local.  Each f's
+    local(move(P)) is kept in cache[f] by the encoding of move(P), None
+    for infinity, to be shared by every stripe with that basis function.
     """
-    mul = factor.field.mul_enc
+    field = factor.field
+    mul = field.mul_enc
     tables = [cache.setdefault(f, {}) for f in basis]
     columns = []
     for pt, budget in zip(places, budgets):
         img = move.point_action(pt)
-        if not (budget or pt.finite is None or img.finite is None):
-            x = img.finite.enc
-            try:
-                at_pt = factor.eval_enc(pt)
-                column = []
-                for f, table in zip(basis, tables):
-                    if x not in table:
-                        table[x] = f.eval_enc(img)
-                    column.append(mul(at_pt, table[x]))
-            except ValueError:  # a pole of the factor at pt, or of f at img
-                column = _pole_column(factor, basis, move, pt, budget)
-        else:
-            column = _pole_column(factor, basis, move, pt, budget)
+        key = None if img.finite is None else img.finite.enc
+        v_factor, u_factor = factor.local(pt)
+        deriv = None
+        column = []
+        for f, table in zip(basis, tables):
+            local = table.get(key)
+            if local is None:
+                local = table[key] = f.local(img)
+            v, u = local
+            net = v_factor + v + budget
+            if net < 0:
+                raise pole_budget_error(-(v_factor + v), pt, budget)
+            if net:
+                column.append(0)
+            elif v:
+                if deriv is None:
+                    deriv = _derivative(move, pt, img)
+                column.append(mul(u_factor, mul(u, field.pow_enc(deriv, v))))
+            else:
+                column.append(mul(u_factor, u))
         columns.append(column)
     return [list(row) for row in zip(*columns)]
 
@@ -529,14 +525,13 @@ def _merge_by_evaluation(
     infinity.  A term divided by its own stripe's factor must give back
     the stored symbols on its kept places and must vanish on every other
     stripe's.  The terms are never built: _stripe_rows composes each
-    term's value at P as factors[j](P) * f(moves[j](P)), and falls back
-    to valuations and unit values at infinity, at moves[j]^-1(infinity)
-    and at any pole of a factor or of a moved basis function.  Written
-    place P reads stripe j at read_base[j] plus the index of
-    moves[j]^-1(P) in `written`, with the coefficient read off the first
-    basis function whose read value is nonzero.  The final generator is
-    the plan's generator_rows; it must equal the direct evaluation, which
-    checks every coefficient on every basis function.
+    term's valuation and unit value at P, on one path for every place,
+    from RationalFunction.local of factors[j] at P and of f at
+    moves[j](P).  Written place P reads stripe j at read_base[j] plus
+    the index of moves[j](P) in `written`, with the coefficient read off
+    the first basis function whose read value is nonzero.  The final
+    generator is the plan's generator_rows; it must equal the direct
+    evaluation, which checks every coefficient on every basis function.
     """
     inv = field.inv_enc
     mul = field.mul_enc
@@ -558,7 +553,7 @@ def _merge_by_evaluation(
     for w_idx, pt in enumerate(written):
         triples = []
         for j, (move, code) in enumerate(zip(moves, init_codes)):
-            src = read_base[j] + index[move.inverse().place_action(pt).sort_key()]
+            src = read_base[j] + index[move.point_action(pt).sort_key()]
             coeff = _term_coefficient(
                 field,
                 [row[base + w_idx] for row in direct[j]],
@@ -608,11 +603,11 @@ def build_mds_merge(
     """
     el = group.order
     q = field.q
+    if t < 1 or t > el:
+        raise ValueError(f"need 1 <= t <= {el}")
     dims = tuple(per_initial_dims) if per_initial_dims is not None else (k,) * t
     if len(dims) != t or any(not 1 <= d <= k for d in dims):
         raise ValueError("per-initial dimensions must lie in [1, k]")
-    if t < 1 or t > el:
-        raise ValueError(f"need 1 <= t <= {el}")
     if el > min(dims) or lprime < el:
         raise ValueError("need group order <= every dimension and <= extra redundancy")
     if k + lprime > q + 1:

@@ -356,17 +356,25 @@ class RationalFunction:
     def local(self, pt: ProjPoint) -> tuple[int, int]:
         """(v, u) for a nonzero f: its valuation v at pt, and the encoding
         of the value there of pi^-v f, with pi = x - beta at finite beta
-        and 1/x at infinity."""
-        if self.is_zero():
+        and 1/x at infinity.  At finite beta it is two Horner passes,
+        v = 0 and u = num(beta) / den(beta) when neither vanishes, as f is
+        kept reduced; the one that vanishes has its root split off."""
+        if not self.num.coeffs:
             raise ValueError("valuation of the zero function")
-        f = self.field
-        if pt.is_infinity:
+        f = self.num.field
+        if pt.finite is None:
             v = self.den.degree - self.num.degree
             num, den = self.num.coeffs[-1], self.den.coeffs[-1]
         else:
-            mn, nval = self.num.split_root(pt.finite)
-            md, dval = self.den.split_root(pt.finite)
-            v, num, den = mn - md, nval.enc, dval.enc
+            v, x = 0, pt.finite.enc
+            num = f.horner(self.num.coeffs[::-1], x)[-1]
+            den = f.horner(self.den.coeffs[::-1], x)[-1]
+            if not num:
+                v, val = self.num.split_root(pt.finite)
+                num = val.enc
+            elif not den:
+                m, val = self.den.split_root(pt.finite)
+                v, den = -m, val.enc
         return v, f.mul_enc(num, f.inv_enc(den))
 
     def valuation(self, pt: ProjPoint) -> int:
@@ -377,20 +385,13 @@ class RationalFunction:
         return FieldElem(self.field, self.eval_enc(pt, pole_budget))
 
     def eval_enc(self, pt: ProjPoint, pole_budget: int = 0) -> int:
-        """eval_at(pt, pole_budget) as an encoding.  At a finite place where
-        the denominator does not vanish it is num(beta) / den(beta), two
-        Horner passes, as f is kept reduced; anywhere else it is read off
-        local(pt).  A pole of order above pole_budget raises ValueError."""
-        f = self.field
+        """eval_at(pt, pole_budget) as an encoding, read off local(pt): 0
+        where v + pole_budget > 0, the unit value where it is 0.  A pole of
+        order above pole_budget raises ValueError."""
         if not self.num.coeffs:
             return 0
         if pole_budget < 0:
             raise ValueError("pole budget must be >= 0")
-        if pt.finite is not None and not pole_budget:
-            x = pt.finite.enc
-            den = f.horner(self.den.coeffs[::-1], x)[-1]
-            if den:
-                return f.mul_enc(f.horner(self.num.coeffs[::-1], x)[-1], f.inv_enc(den))
         v, u = self.local(pt)
         if v + pole_budget < 0:
             raise pole_budget_error(-v, pt, pole_budget)
@@ -402,17 +403,11 @@ class RationalFunction:
         if self.is_zero():
             raise ValueError("divisor of the zero function")
         support: dict[ProjPoint, int] = {}
-        total = 0
-        for e in self.field.elements():
-            v = self.num.split_root(e)[0] - self.den.split_root(e)[0]
+        for pt in all_points(self.field):
+            v = self.local(pt)[0]
             if v:
-                support[ProjPoint.of(e)] = v
-                total += v
-        v_inf = self.den.degree - self.num.degree
-        if v_inf:
-            support[ProjPoint.infinity()] = v_inf
-            total += v_inf
-        return support, -total
+                support[pt] = v
+        return support, -sum(support.values())
 
     def to_obj(self) -> dict:
         return {"num": self.num.to_obj(), "den": self.den.to_obj()}
@@ -609,17 +604,20 @@ def fixed_field_generator(group: GroupTable) -> RationalFunction:
     field = group.field
     x = RationalFunction.x(field)
     images = [x.substitute(g) for g in group.elements]
-    candidates = []
-    for power in (1, 2, 3):
-        acc = RationalFunction.constant(field.zero)
+
+    def candidates():
+        # built one at a time, as the first one usually wins
+        for power in (1, 2, 3):
+            acc = RationalFunction.constant(field.zero)
+            for img in images:
+                acc = acc + img ** power
+            yield acc
+        prod = RationalFunction.constant(field.one)
         for img in images:
-            acc = acc + img ** power
-        candidates.append(acc)
-    prod = RationalFunction.constant(field.one)
-    for img in images:
-        prod = prod * img
-    candidates.append(prod)
-    for z in candidates:
+            prod = prod * img
+        yield prod
+
+    for z in candidates():
         if not z.is_zero() and z.degree == group.order:
             for g in group.elements:
                 if z.substitute(g) != z:

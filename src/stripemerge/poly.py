@@ -3,14 +3,13 @@
 Coefficients are stored constant-first as integer encodings with no
 trailing zeros; the zero polynomial has an empty coefficient tuple and
 degree -1.  This is shared plumbing for the evaluation-code and
-function-field modules.  Rational functions are evaluated at places
-through split_root (RationalFunction.eval_at); the merge builders
-evaluate by FieldCtx.horner directly where no pole or zero cancels, and
-read valuations and unit values off split_root where one may.
-split_root is repeated synthetic division, one Horner pass per root
-divided out, and long division subtracts multiples of the divisor
-through FieldCtx.sub_scaled.  Operands of different fields raise
-ValueError.
+function-field modules.  Rational functions are evaluated at places by
+one place-local evaluator, RationalFunction.local: a FieldCtx.horner
+pass each for numerator and denominator, and split_root on the one that
+vanishes there.  split_root is repeated synthetic division, one Horner
+pass per root divided out, and long division subtracts multiples of the
+divisor through FieldCtx.sub_scaled.  Operands of different fields
+raise ValueError.
 """
 
 from __future__ import annotations

@@ -9,9 +9,16 @@ the tests:
   GF(q)[x]/(x^2 + a x + b) has multiplicative order q^2 - 1, found by
   raising X to (q^2 - 1)/l for each prime l | q^2 - 1 on FieldElem pairs;
 * multiplicative_subgroup and subfield_elements: the order-u subgroup of
-  GF(q)* and the subfield GF(p^v), by scanning the field.
+  GF(q)* and the subfield GF(p^v), by scanning the field;
+* enumerated_min_distance: the least weight of m * G over every nonzero
+  message m, which codes.min_distance's parity-subset walk is checked
+  against;
+* restricted_dim: the dimension of a code restricted to a coordinate set.
 """
 
+import itertools
+
+from stripemerge.codes import LinearCode
 from stripemerge.field import FieldCtx, FieldElem, _factorize
 
 
@@ -69,3 +76,30 @@ def subfield_elements(field: FieldCtx, v: int) -> list[FieldElem]:
         raise ValueError(f"GF({field.p}^{v}) is not a subfield of GF({field.q})")
     size = field.p ** v
     return [e for e in field.elements() if e ** size == e]
+
+
+def enumerated_min_distance(code: LinearCode) -> int:
+    """Least Hamming weight over the q^k - 1 nonzero messages times G."""
+    f = code.field
+    g = code.generator.data
+    best = code.n + 1
+    for msg in itertools.product(range(f.q), repeat=code.k):
+        if not any(msg):
+            continue
+        weight = 0
+        for j in range(code.n):
+            acc = 0
+            for i in range(code.k):
+                if msg[i] and g[i][j]:
+                    acc = f.add_enc(acc, f.mul_enc(msg[i], g[i][j]))
+            if acc:
+                weight += 1
+                if weight >= best:
+                    break
+        best = min(best, weight)
+    return best
+
+
+def restricted_dim(code: LinearCode, gamma) -> int:
+    """dim of the code punctured to the coordinates in gamma."""
+    return code.generator.submatrix_cols(sorted(set(gamma))).rank()

@@ -22,7 +22,6 @@ from stripemerge.codes import (
     LinearCode,
     is_mds,
     is_optimal_lrc,
-    min_distance,
 )
 from stripemerge.convert import (
     build_lrc_merge,
@@ -44,6 +43,8 @@ from stripemerge.pgl import (
     subgroup_dihedral,
 )
 from stripemerge.poly import Poly
+
+from paper_lemmas import enumerated_min_distance, restricted_dim
 
 
 class Budget:
@@ -250,9 +251,9 @@ def test_criterion_6_property_suites(group23):
             if g.rank() < k:
                 continue
             code = LinearCode(F, generator=g)
-            d = min_distance(code, "enumerate")
+            d = enumerated_min_distance(code)
             gamma = rng.sample(range(n), n - d + 1)
-            assert code.restricted_dim(gamma) == k
+            assert restricted_dim(code, gamma) == k
             cases += 1
 
     # greedy generation-set construction: postconditions on 100+ cases

@@ -161,11 +161,13 @@ def test_cli_construct_lrc_with_subgroup_order(tmp_path, capsys):
 
 
 def test_cli_construct_validation_error(tmp_path, capsys):
-    bad = dict(Q23_REQUEST, params=dict(Q23_REQUEST["params"], t=5))  # t > group order
-    path = write_json(tmp_path / "bad.json", bad)
-    assert main(["construct", "--request", path]) == 2
-    err = json.loads(capsys.readouterr().out)
-    assert "error" in err
+    # t above the group order; t = 2^62 used to exhaust memory building the
+    # default dimensions (k,) * t before t was checked
+    for params in (dict(Q23_REQUEST["params"], t=5), {"k": 4, "t": 2 ** 62, "lprime": 4}):
+        path = write_json(tmp_path / "bad.json", dict(Q23_REQUEST, params=params))
+        assert main(["construct", "--request", path]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["message"] == "need 1 <= t <= 4"
 
 
 def test_cli_verify_detects_corruption(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -19,24 +18,13 @@ from stripemerge.codes import (
 from stripemerge.convert import build_mds_to_lrc
 from stripemerge.field import field_create
 from stripemerge.grs import GrsSpec, grs_code
-from stripemerge.matrix import MatQ, rank_of_rows, vandermonde
+from stripemerge.matrix import MatQ, rank_of_rows
+
+from paper_lemmas import enumerated_min_distance, restricted_dim
 
 
 def elems(F, *encs):
     return [F.element(e) for e in encs]
-
-
-def brute_min_weight(code):
-    """Independent oracle: enumerate all messages, count nonzero symbols."""
-    F = code.field
-    best = None
-    for msg in itertools.product(range(F.q), repeat=code.k):
-        if not any(msg):
-            continue
-        word = code.encode([F.element(m) for m in msg])
-        w = sum(1 for e in word if e.enc)
-        best = w if best is None else min(best, w)
-    return best
 
 
 def test_encode_identity_generator():
@@ -59,7 +47,8 @@ def test_generator_parity_orthogonal():
 def test_dual_involution():
     F = field_create(5, 1)
     code = grs_code(F, GrsSpec(locators=tuple(elems(F, 0, 1, 2, 3, 4)), k=2))
-    double = code.dual().dual()
+    dual = LinearCode(F, generator=code.parity)
+    double = LinearCode(F, generator=dual.parity)
     # same codeword set: generators row-reduce identically
     assert code.generator.rref()[0].to_obj() == double.generator.rref()[0].to_obj()
 
@@ -67,16 +56,15 @@ def test_dual_involution():
 def test_min_distance_enumerate_grs():
     F = field_create(5, 1)
     code = grs_code(F, GrsSpec(locators=tuple(elems(F, 0, 1, 2, 3, 4)), k=2))
-    assert min_distance(code, "enumerate") == 4
-    assert min_distance(code, "parity_subsets") == 4
-    assert brute_min_weight(code) == 4
+    assert enumerated_min_distance(code) == 4
+    assert min_distance(code) == 4
 
 
 def test_min_distance_repetition():
     F = field_create(3, 1)
     code = LinearCode(F, generator=MatQ(F, [[1, 1, 1, 1, 1, 1]]))
-    assert min_distance(code, "enumerate") == 6
-    assert min_distance(code, "parity_subsets") == 6
+    assert enumerated_min_distance(code) == 6
+    assert min_distance(code) == 6
 
 
 def test_min_distance_strategies_agree_random():
@@ -99,21 +87,13 @@ def test_min_distance_strategies_agree_random():
             if g.rank() < k:
                 continue
             code = LinearCode(F, generator=g)
-            d = min_distance(code, "enumerate")
-            assert min_distance(code, "parity_subsets") == d
+            d = enumerated_min_distance(code)
+            assert min_distance(code) == d
             assert distance_at_least(code, d) and not distance_at_least(code, d + 1)
             # from d + 2 on, a dependent set can end before the subset's last
             # column, so the walk refutes it at an inner level
             assert not any(distance_at_least(code, e) for e in range(d + 2, n - k + 3))
             done += 1
-
-
-def test_min_distance_infeasible():
-    F = field_create(23, 1)
-    gen = vandermonde(F, 7, elems(F, *range(20)))
-    code = LinearCode(F, generator=gen)
-    with pytest.raises(InfeasibleCheck):
-        min_distance(code, "enumerate")  # 23^7 > 10^7
 
 
 def test_is_mds():
@@ -194,8 +174,8 @@ def test_is_optimal_lrc_shrunk_r_fails():
 def test_restricted_dim_basics():
     F = field_create(5, 1)
     code = grs_code(F, GrsSpec(locators=tuple(elems(F, 0, 1, 2, 3)), k=2))
-    assert code.restricted_dim(range(4)) == 2
-    assert code.restricted_dim([2]) == 1
+    assert restricted_dim(code, range(4)) == 2
+    assert restricted_dim(code, [2]) == 1
 
 
 def test_restricted_dim_full_recovery_property():
@@ -211,12 +191,12 @@ def test_restricted_dim_full_recovery_property():
             if g.rank() < k:
                 continue
             code = LinearCode(F, generator=g)
-            d = min_distance(code, "enumerate")
+            d = enumerated_min_distance(code)
             size = n - d + 1
             for _ in range(3):
                 gamma = rng.sample(range(n), size) if size else []
                 if gamma:
-                    assert code.restricted_dim(gamma) == k
+                    assert restricted_dim(code, gamma) == k
             cases += 1
 
 

@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,7 @@ from stripemerge.pgl import (
     Mobius,
     ProjPoint,
     RationalFunction,
+    all_points,
     cyclic_subgroup_of_order,
     subgroup_affine,
     subgroup_cyclic_qplus1,
@@ -104,7 +107,7 @@ def test_mds_merge_q23_verify(cc_q23):
 
 
 def test_mds_merge_q23_distance(cc_q23):
-    assert min_distance(cc_q23.final, "parity_subsets") == 5
+    assert min_distance(cc_q23.final) == 5
     assert all(is_mds(c) for c in cc_q23.initials)
 
 
@@ -194,7 +197,7 @@ def test_lrc_merge_q32_verify(cc_q32):
 def test_lrc_merge_q32_optimal_components(cc_q32):
     assert is_optimal_lrc(cc_q32.initials[0], cc_q32.initial_cert)
     assert is_optimal_lrc(cc_q32.final, cc_q32.final_cert)
-    assert min_distance(cc_q32.initials[0], "parity_subsets") == 8
+    assert min_distance(cc_q32.initials[0]) == 8
 
 
 def test_lrc_merge_schedule_reconstruction(cc_q32):
@@ -306,7 +309,7 @@ def test_mds_to_lrc_vi_bounds(cc_vi):
 def test_mds_to_lrc_vi_components(cc_vi):
     assert all(is_mds(c) for c in cc_vi.initials)
     assert is_optimal_lrc(cc_vi.final, cc_vi.final_cert)
-    assert min_distance(cc_vi.final, "parity_subsets") == 4
+    assert min_distance(cc_vi.final) == 4
 
 
 def test_mds_to_lrc_written_block_invertible(cc_vi):
@@ -470,6 +473,65 @@ def test_composed_values_at_a_pole_of_the_factor():
         assert rows == built_term_rows(factor, shift, basis[:2], places, budgets)
     with pytest.raises(ValueError, match="pole of order 1 at 1 exceeds budget 0"):
         convert._stripe_rows(factor, shift, basis, places, [0] * 7, cache)
+
+
+def function_with_divisor(F, rng):
+    """c * prod (x - beta)^e over three random finite places, e in +-1, +-2:
+    zeros and poles at chosen places, and at infinity unless the e sum to 0."""
+    x = RationalFunction.x(F)
+    f = RationalFunction.constant(F.element(rng.randrange(1, F.q)))
+    for beta in rng.sample(list(F.elements()), 3):
+        f = f * (x - RationalFunction.constant(beta)) ** rng.choice((-2, -1, 1, 2))
+    return f
+
+
+@pytest.mark.parametrize("p, s", [(7, 1), (2, 3), (3, 2)])
+def test_stripe_rows_at_every_place(p, s, monkeypatch):
+    """_stripe_rows equals the built terms at every place of the line, with
+    budgets 0 to 2, for seeded random Moebius moves, every other one fixing
+    infinity, and factors and basis functions with zeros and poles at chosen
+    places; a pole beyond the budget raises the built terms' message."""
+    F = field_create(p, s)
+    rng = random.Random(F.q)
+    reached = set()
+    derivative = convert._derivative
+
+    def recording(move, pt, img):
+        reached.add((pt.is_infinity, img.is_infinity))
+        return derivative(move, pt, img)
+
+    monkeypatch.setattr(convert, "_derivative", recording)
+    raised = 0
+    for trial in range(16):
+        c = rng.randrange(1, F.q) if trial % 2 else 0
+        while True:
+            try:
+                move = Mobius(F, rng.randrange(F.q), rng.randrange(F.q), c, rng.randrange(F.q))
+                break
+            except ValueError:  # a singular matrix
+                continue
+        factor = function_with_divisor(F, rng)
+        basis = [function_with_divisor(F, rng) for _ in range(3)]
+        cache: dict = {}
+        # one basis function a call, so that a pole of one does not hide the
+        # others; the shared cache still serves every place and budget
+        for f in basis:
+            term = factor * f.substitute(move)  # as built_term_rows builds it
+            for pt, budget in itertools.product(all_points(F), range(3)):
+                rows = functools.partial(convert._stripe_rows, factor, move, [f], [pt], [budget])
+                try:
+                    want = term.eval_at(pt, budget).enc
+                except ValueError as exc:
+                    raised += 1
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                        rows(cache)
+                    continue
+                assert rows(cache) == [[want]]
+    # _derivative runs only where a basis function has v != 0 at the moved
+    # place: reached with infinity fixed, infinity moved, a finite place
+    # moved to infinity, and both places finite
+    assert reached == {(True, True), (True, False), (False, True), (False, False)}, reached
+    assert raised
 
 
 def test_construction_is_deterministic():

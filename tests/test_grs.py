@@ -8,6 +8,8 @@ from stripemerge.field import field_create
 from stripemerge.grs import GrsSpec, annihilator, grs_code, grs_dual_prescribed
 from stripemerge.matrix import vandermonde
 
+from paper_lemmas import enumerated_min_distance
+
 
 def elems(F, *encs):
     return [F.element(e) for e in encs]
@@ -17,14 +19,14 @@ def test_grs_basic_mds():
     F = field_create(5, 1)
     code = grs_code(F, GrsSpec(locators=tuple(elems(F, 0, 1, 2, 3, 4)), k=2))
     assert (code.n, code.k) == (5, 2)
-    assert min_distance(code, "enumerate") == 4
+    assert enumerated_min_distance(code) == 4
     assert is_mds(code)
 
 
 def test_grs_single_parity():
     F = field_create(7, 1)
     code = grs_code(F, GrsSpec(locators=tuple(elems(F, 1, 2, 3, 4, 5)), k=4))
-    assert min_distance(code, "parity_subsets") == 2
+    assert min_distance(code) == 2
 
 
 def test_grs_all_one_multipliers_is_plain_evaluation():

@@ -315,7 +315,8 @@ def test_ratfun_eval_examples():
 def test_eval_at_reads_local_expansion():
     """eval_at(P, m) is 0 when v_P(f) + m > 0, raises when it is < 0, and
     is otherwise the unit value of local(P); where the denominator does
-    not vanish it is num(beta) / den(beta), and eval_enc is its encoding."""
+    not vanish it is num(beta) / den(beta), local splits off any root of
+    the numerator, and eval_enc is its encoding."""
     for F, seed in ((field_create(5, 1), 11), (field_create(3, 2), 12)):
         rng = random.Random(seed)
         for _ in range(40):
@@ -331,6 +332,14 @@ def test_eval_at_reads_local_expansion():
                     assert v >= 0
                     assert (f.num.eval(p.finite) / f.den.eval(p.finite)).enc == \
                         f.eval_at(p).enc
+                    # at a root of num, v is its multiplicity and u the value
+                    # of num / (x - beta)^v over den
+                    lin = Poly(F, (F.neg_enc(p.finite.enc), 1))
+                    rest, m = f.num, 0
+                    while not rest.eval(p.finite).enc:
+                        rest, m = rest // lin, m + 1
+                    assert v == m
+                    assert u == (rest.eval(p.finite) / f.den.eval(p.finite)).enc
                 for budget in range(3):
                     if v + budget < 0:
                         where = "infinity" if p.is_infinity else p.finite.enc
