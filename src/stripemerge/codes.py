@@ -8,9 +8,10 @@ invite off-by-one corruption when coordinates are reordered or dropped.
 Distance verification is exact or it refuses: the subset walk has a hard
 work budget and raises InfeasibleCheck instead of guessing.  For a code
 that carries its evaluation places, is_mds and is_optimal_lrc first try
-grs_certificate, one kernel solve that can only prove a distance, on
-distinct or repeated places.  A failed certificate proves nothing and
-hands over to the budgeted subset walk of distance_at_least.
+grs_certificate, on distinct or repeated places: it filters the dual
+code for a GRS dual that contains the code, which can only prove a
+distance.  A failed certificate proves nothing and hands over to the
+budgeted subset walk of distance_at_least.
 """
 
 from __future__ import annotations
@@ -257,17 +258,31 @@ def grs_certificate(code: LinearCode, d: int) -> bool:
 
     code.places holds one field encoding per coordinate, None for the
     place at infinity; places may repeat.  With w = d - 1, fold the
-    coordinates that share a place by summing them, and solve
-    sum_P v_P a_P^m sum_{j at P} g_ij = 0 over generator rows i and m < w,
-    one unknown per distinct place P, infinity's powers being (0, ..., 0, 1).
-    Only a kernel basis vector v with no zero entry is accepted, and the
-    parity columns at the coordinates R whose place repeats must have rank
-    |R|.  Proof: a codeword of weight < d folds to a word of weight < d in
-    the dual of the MDS code GRS_w(distinct places, v), of distance d, so
-    the folded word is 0; the codeword therefore lives on R, and the rank
-    condition makes it 0.  With distinct places R is empty.  False proves
-    nothing: it is also the answer for missing or out-of-range places and
-    for w > n - k.
+    coordinates that share a place by summing them into F, one column
+    per distinct place P.  The certificate is a v with no zero entry and
+    pi_m * v in K = ker F for every m < w, where pi_m(P) = a_P^m and
+    pi_m(infinity) is 1 for m = w - 1 and 0 otherwise; the parity
+    columns at the coordinates R whose place repeats must also have rank
+    |R|.  Proof: a codeword of weight < d folds to a word of weight < d
+    in the dual of the MDS code GRS_w(distinct places, v), of distance
+    d, so the folded word is 0; the codeword therefore lives on R, and
+    the rank condition makes it 0.  With distinct places R is empty.
+    False proves nothing: it is also the answer for missing or
+    out-of-range places and for w > n - k.
+
+    The v form a space V that is found by filtering the dual rather than
+    by solving the k*w equations in one elimination.  It starts from a
+    reduced basis of K (the rows of code.parity with distinct places),
+    plus e_infinity when infinity is a place and w > 1, since pi_0 leaves
+    out only that entry.  Each m < w then keeps the combinations whose
+    pi_m * v reduces to 0 modulo K.  That costs about
+    w * dim(K)^2 * |P| field operations, against about k * w * |P|^2 for
+    the full system; dim V is 1 for every builder code.  The verdict is
+    "dim V = 1 and its vector has full support", which is the rule "some
+    kernel basis vector of the system has full support": the kernel
+    basis that MatQ.kernel reads off the system's RREF is a reduced
+    echelon basis of V, and with two or more rows each row is 0 at the
+    other rows' pivots.
     """
     f = code.field
     n, k, w = code.n, code.k, d - 1
@@ -281,26 +296,75 @@ def grs_certificate(code: LinearCode, d: int) -> bool:
     if w > n - k:
         return False
     count = Counter(places)  # distinct places in first-appearance order
-    slot = {p: s for s, p in enumerate(count)}
-    folded = [[0] * len(slot) for _ in range(k)]
-    for frow, grow in zip(folded, code.generator.data):
-        for p, g in zip(places, grow):
-            frow[slot[p]] = f.add_enc(frow[slot[p]], g)
-    powers = []  # powers[m][s] = a_s^m; infinity's column is (0, ..., 0, 1)
-    row = [1] * len(slot)
+    if len(count) == n:
+        kernel = code.parity.data
+    else:
+        slot = {p: s for s, p in enumerate(count)}
+        folded = [[0] * len(slot) for _ in range(k)]
+        for frow, grow in zip(folded, code.generator.data):
+            for p, g in zip(places, grow):
+                frow[slot[p]] = f.add_enc(frow[slot[p]], g)
+        kernel = MatQ(f, folded).kernel()
+    reduced = _echelon(f, kernel)
+    dual = [(p, f.row_logs(row)) for p, row in reduced]
+    basis = [row for _, row in reduced]
+    if None in count and w > 1:
+        basis.append([int(p is None) for p in count])
+    width = len(count)
+    power = [1] * width  # a_P^m at the finite places
     for m in range(w):
-        powers.append([int(m == w - 1) if p is None else e for p, e in zip(count, row)])
-        row = [e if p is None else f.mul_enc(e, p) for p, e in zip(count, row)]
-    system = MatQ(f, [
-        [f.mul_enc(g, a) for g, a in zip(frow, prow)]
-        for frow in folded
-        for prow in powers
-    ])
-    if not any(all(v) for v in system.kernel()):
+        # eliminate on the pairs (residue of pi_m * b modulo K, b), keeping
+        # the b whose residue reduces to 0: a basis of {v in V : pi_m * v in K}
+        pi = [int(m == w - 1) if p is None else a for p, a in zip(count, power)]
+        pivots: list[tuple[int, int, list[tuple[int, int]]]] = []
+        kept = []
+        for b in basis:
+            row = [f.mul_enc(a, e) for a, e in zip(pi, b)]
+            for p, logs in dual:
+                f.sub_scaled(row, row[p], logs)
+            row += b
+            for c, inv, logs in pivots:
+                f.sub_scaled(row, f.mul_enc(row[c], inv), logs)
+            c = next((j for j in range(width) if row[j]), None)
+            if c is None:
+                kept.append(row[width:])
+            else:
+                pivots.append((c, f.inv_enc(row[c]), f.row_logs(row)))
+        if not kept:
+            return False
+        basis = kept
+        power = [a if p is None else f.mul_enc(a, p) for p, a in zip(count, power)]
+    if len(basis) > 1 or not all(basis[0]):
         return False
     repeated = [j for j, p in enumerate(places) if count[p] > 1]
     h = code.parity.data if repeated else ()
     return rank_of_rows(f, [[hrow[j] for hrow in h] for j in repeated]) == len(repeated)
+
+
+def _echelon(f: FieldCtx, rows: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
+    """(pivot, row) pairs spanning the rows' space, each row ending in a 1
+    at its pivot, where every other row is 0: the reduced echelon form
+    read from the last column.  Rows already in that form, as
+    MatQ.kernel returns them, cost one scan each."""
+    out: list[tuple[int, list[int]]] = []
+    for row in rows:
+        row = list(row)
+        for p, other in out:
+            if row[p]:
+                f.sub_scaled(row, row[p], f.row_logs(other))
+        p = next((j for j in range(len(row) - 1, -1, -1) if row[j]), None)
+        if p is None:
+            continue
+        if row[p] != 1:
+            inv = f.inv_enc(row[p])
+            row = [f.mul_enc(inv, e) for e in row]
+        logs = None
+        for _, other in out:
+            if other[p]:
+                logs = logs or f.row_logs(row)
+                f.sub_scaled(other, other[p], logs)
+        out.append((p, row))
+    return out
 
 
 def is_mds(code: LinearCode) -> bool:

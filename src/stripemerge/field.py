@@ -50,6 +50,7 @@ any cross-field operation raises ValueError instead of coercing.
 
 from __future__ import annotations
 
+import functools
 import math
 from operator import getitem
 from typing import Iterable, Iterator, Optional, Sequence
@@ -379,12 +380,16 @@ class FieldCtx:
 
     @classmethod
     def from_obj(cls, obj: dict) -> FieldCtx:
+        """The field that obj names, validated.  Each (p, s, modulus) read
+        gives one context per process, shared by every later read of it,
+        so a field named by many requests and bundles builds its tables
+        once; FieldCtx(p, s, modulus) still builds a new one."""
         obj = as_object(obj, "field")
         s = as_int(obj["s"], "s")
         modulus = obj.get("modulus") if s > 1 else None
         if modulus is not None:
-            modulus = as_ints(modulus, "modulus")
-        return cls(as_int(obj["p"], "p"), s, modulus)
+            modulus = tuple(as_ints(modulus, "modulus"))
+        return _shared_field(as_int(obj["p"], "p"), s, modulus)
 
 
 class ColumnSums:
@@ -613,6 +618,13 @@ class FieldElem:
 
     def __repr__(self) -> str:
         return f"<{self.enc} in GF({self.field.q})>"
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_field(p: int, s: int, modulus: Optional[tuple[int, ...]]) -> FieldCtx:
+    """FieldCtx(p, s, modulus), built once per arguments while among the
+    16 most recently read; a refused field raises again on every read."""
+    return FieldCtx(p, s, modulus)
 
 
 def field_create(p: int, s: int, modulus: Optional[Sequence[int]] = None) -> FieldCtx:

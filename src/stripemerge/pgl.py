@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .field import FieldCtx, FieldElem, primitive_quadratic_check, primitive_quadratic_search
-from .poly import Poly
+from .poly import Poly, divide_out
 from .schema import as_encs, as_int, as_list, as_object
 
 
@@ -358,24 +358,25 @@ class RationalFunction:
         of the value there of pi^-v f, with pi = x - beta at finite beta
         and 1/x at infinity.  At finite beta it is two Horner passes,
         v = 0 and u = num(beta) / den(beta) when neither vanishes, as f is
-        kept reduced; the one that vanishes has its root split off."""
+        kept reduced; the one that vanishes is divided on from its first
+        pass (divide_out), so a root of multiplicity m costs it m + 1."""
         if not self.num.coeffs:
             raise ValueError("valuation of the zero function")
         f = self.num.field
         if pt.finite is None:
             v = self.den.degree - self.num.degree
-            num, den = self.num.coeffs[-1], self.den.coeffs[-1]
+            a, b = self.num.coeffs[-1], self.den.coeffs[-1]
         else:
-            v, x = 0, pt.finite.enc
-            num = f.horner(self.num.coeffs[::-1], x)[-1]
-            den = f.horner(self.den.coeffs[::-1], x)[-1]
-            if not num:
-                v, val = self.num.split_root(pt.finite)
-                num = val.enc
-            elif not den:
-                m, val = self.den.split_root(pt.finite)
-                v, den = -m, val.enc
-        return v, f.mul_enc(num, f.inv_enc(den))
+            x = pt.finite.enc
+            num = f.horner(self.num.coeffs[::-1], x)
+            den = f.horner(self.den.coeffs[::-1], x)
+            v, a, b = 0, num[-1], den[-1]
+            if not a:
+                v, a = divide_out(f, num, x)
+            elif not b:
+                m, b = divide_out(f, den, x)
+                v = -m
+        return v, f.mul_enc(a, f.inv_enc(b))
 
     def valuation(self, pt: ProjPoint) -> int:
         return self.local(pt)[0]

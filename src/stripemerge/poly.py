@@ -5,10 +5,10 @@ trailing zeros; the zero polynomial has an empty coefficient tuple and
 degree -1.  This is shared plumbing for the evaluation-code and
 function-field modules.  Rational functions are evaluated at places by
 one place-local evaluator, RationalFunction.local: a FieldCtx.horner
-pass each for numerator and denominator, and split_root on the one that
-vanishes there.  split_root is repeated synthetic division, one Horner
-pass per root divided out, and long division subtracts multiples of the
-divisor through FieldCtx.sub_scaled.  Operands of different fields
+pass each for numerator and denominator, continued by divide_out on the
+one that vanishes there.  divide_out is repeated synthetic division, one
+Horner pass per root divided out, and long division subtracts multiples
+of the divisor through FieldCtx.sub_scaled.  Operands of different fields
 raise ValueError.
 """
 
@@ -167,32 +167,35 @@ class Poly:
         return FieldElem(f, partial[-1] if partial else 0)
 
     def split_root(self, x: FieldElem) -> tuple[int, FieldElem]:
-        """(m, c(x)) where self = (X - x)^m * c and c(x) != 0.
-
-        m is the multiplicity of x as a root (0 if it is not one).  It is
-        repeated synthetic division: a Horner pass at x from the leading
-        coefficient down gives partial sums whose last is the value at x
-        and whose others are the quotient by X - x, leading first.  So
-        one pass divides out a root, and a non-root costs one pass.
-        """
+        """(m, c(x)) where self = (X - x)^m * c and c(x) != 0: divide_out
+        from a first Horner pass at x."""
         f = self.field
         _check_field(f, x.field)
         if self.is_zero():
             raise ValueError("zero polynomial")
-        high_first, m = self.coeffs[::-1], 0
-        while True:
-            partial = f.horner(high_first, x.enc)
-            if partial[-1]:
-                return m, FieldElem(f, partial[-1])
-            # a nonzero polynomial has at most deg roots, so the quotient
-            # is never empty here
-            high_first, m = partial[:-1], m + 1
+        m, value = divide_out(f, f.horner(self.coeffs[::-1], x.enc), x.enc)
+        return m, FieldElem(f, value)
 
     def to_obj(self) -> list[int]:
         return list(self.coeffs)
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)} over GF({self.field.q}))"
+
+
+def divide_out(field: FieldCtx, partial: list[int], x: int) -> tuple[int, int]:
+    """(m, c(x)) for a nonzero polynomial (X - x)^m * c with c(x) != 0,
+    given its Horner partial sums at x (FieldCtx.horner), whose last is
+    the value at x and whose others are the quotient by X - x, leading
+    first.  Repeated synthetic division: while the value is 0, one more
+    pass on the quotient divides out one more root, so a root of
+    multiplicity m costs m passes beyond the one given."""
+    m = 0
+    while not partial[-1]:
+        # a nonzero polynomial has at most deg roots, so the quotient
+        # is never empty here
+        partial, m = field.horner(partial[:-1], x), m + 1
+    return m, partial[-1]
 
 
 def poly_from_roots(field: FieldCtx, roots: Iterable[FieldElem]) -> Poly:

@@ -13,13 +13,20 @@ the tests:
 * enumerated_min_distance: the least weight of m * G over every nonzero
   message m, which codes.min_distance's parity-subset walk is checked
   against;
-* restricted_dim: the dimension of a code restricted to a coordinate set.
+* restricted_dim: the dimension of a code restricted to a coordinate set;
+* reference_grs_certificate: the GRS-dual certificate as one kernel solve
+  of the k·w × N system over the folded generator, which
+  codes.grs_certificate's dual filter is checked against, on the seeded
+  codes of certificate_cases by certificate_disagreements;
+* grs_generator: the rows v_j a_j^m of a GRS generator on given places.
 """
 
 import itertools
+from collections import Counter
 
-from stripemerge.codes import LinearCode
+from stripemerge.codes import LinearCode, grs_certificate
 from stripemerge.field import FieldCtx, FieldElem, _factorize
+from stripemerge.matrix import MatQ, rank_of_rows
 
 
 def _quad_mul(x, y, a: FieldElem, b: FieldElem):
@@ -103,3 +110,149 @@ def enumerated_min_distance(code: LinearCode) -> int:
 def restricted_dim(code: LinearCode, gamma) -> int:
     """dim of the code punctured to the coordinates in gamma."""
     return code.generator.submatrix_cols(sorted(set(gamma))).rank()
+
+
+def grs_generator(F: FieldCtx, places, k: int, mults) -> MatQ:
+    """Rows m < k of v_j * a_j^m; the place None (infinity) has column
+    (0, ..., 0, 1) before its multiplier."""
+    return MatQ(F, [
+        [F.mul_enc(v, int(m == k - 1) if a is None else F.pow_enc(a, m))
+         for a, v in zip(places, mults)]
+        for m in range(k)
+    ])
+
+
+def reference_grs_kernel(code: LinearCode, w: int) -> list[list[int]]:
+    """The kernel basis, from MatQ.kernel, of the system
+    sum_P v_P a_P^m sum_{j at P} g_ij = 0 over generator rows i and
+    m < w: one unknown per distinct place P of code.places, in order of
+    first appearance, infinity's powers being (0, ..., 0, 1)."""
+    f = code.field
+    count = Counter(code.places)
+    slot = {p: s for s, p in enumerate(count)}
+    folded = [[0] * len(slot) for _ in range(code.k)]
+    for frow, grow in zip(folded, code.generator.data):
+        for p, g in zip(code.places, grow):
+            frow[slot[p]] = f.add_enc(frow[slot[p]], g)
+    powers = []  # powers[m][s] = a_s^m; infinity's column is (0, ..., 0, 1)
+    row = [1] * len(slot)
+    for m in range(w):
+        powers.append([int(m == w - 1) if p is None else e for p, e in zip(count, row)])
+        row = [e if p is None else f.mul_enc(e, p) for p, e in zip(count, row)]
+    return MatQ(f, [
+        [f.mul_enc(g, a) for g, a in zip(frow, prow)]
+        for frow in folded
+        for prow in powers
+    ]).kernel()
+
+
+def reference_grs_certificate(code: LinearCode, d: int) -> bool:
+    """codes.grs_certificate by its definition: with w = d - 1, True iff
+    some vector of reference_grs_kernel(code, w) has no zero entry and
+    the parity columns at the coordinates whose place repeats have full
+    rank; False for missing or out-of-range places and for w > n - k."""
+    f = code.field
+    n, k, w = code.n, code.k, d - 1
+    places = code.places
+    if places is None or len(places) != n:
+        return False
+    if any(p is not None and not (isinstance(p, int) and 0 <= p < f.q) for p in places):
+        return False
+    if w < 1:
+        return True
+    if w > n - k:
+        return False
+    if not any(all(v) for v in reference_grs_kernel(code, w)):
+        return False
+    count = Counter(places)
+    repeated = [j for j, p in enumerate(places) if count[p] > 1]
+    h = code.parity.data if repeated else ()
+    return rank_of_rows(f, [[hrow[j] for hrow in h] for j in repeated]) == len(repeated)
+
+
+CASE_KINDS = ("grs", "subcode", "repeated", "random", "forged", "changed")
+
+
+def certificate_cases(F: FieldCtx, rng, count: int) -> list[tuple[str, LinearCode]]:
+    """count (kind, code) pairs over F, each code carrying places, the
+    kinds in turn: a GRS code on distinct places, every other one given
+    by a random basis of its dual; a random subcode of one; a parity
+    matrix stacking the GRS_w rows of places with repeats (one multiplier
+    per place) on random rows; a random generator; a GRS code with a
+    forged witness (its places shuffled, or one copied onto another
+    coordinate); a GRS code with one generator entry changed.  Every
+    other case has a place at infinity, and two in four one at 0."""
+    q = F.q
+    out = []
+    while len(out) < count:
+        i = len(out)
+        kind = CASE_KINDS[i % len(CASE_KINDS)]
+        forced = [p for p, on in ((None, i % 2), (0, i % 4 < 2)) if on]
+        size = rng.randrange(4, min(q + 1, 10) + 1)
+        pool = [p for p in [*range(q), None] if p not in forced]
+        distinct = forced + rng.sample(pool, size - len(forced))
+        rng.shuffle(distinct)
+        n = len(distinct)
+        mults = [rng.randrange(1, q) for _ in range(n)]
+        if kind == "repeated":
+            places = distinct + [rng.choice(distinct) for _ in range(rng.randrange(1, 4))]
+            rng.shuffle(places)
+            mult = dict(zip(distinct, mults))
+            w = rng.randrange(1, n)
+            extra = [[rng.randrange(q) for _ in places] for _ in range(rng.randrange(1, 4))]
+            rows = grs_generator(F, places, w, [mult[a] for a in places]).data + extra
+            if rank_of_rows(F, rows) == len(rows) < len(places):
+                out.append((kind, LinearCode(F, parity=MatQ(F, rows), places=places)))
+            continue
+        k = rng.randrange(1, n)
+        if kind == "random":
+            gen = MatQ(F, [[rng.randrange(q) for _ in range(n)] for _ in range(k)])
+        else:
+            gen = grs_generator(F, distinct, k, mults)
+        places = list(distinct)
+        if kind == "subcode" and k > 1:
+            mix = MatQ(F, [[rng.randrange(q) for _ in range(k)] for _ in range(rng.randrange(1, k))])
+            gen = mix @ gen
+        elif kind == "forged":
+            if i % 4 < 2:
+                rng.shuffle(places)
+            else:
+                a, b = rng.sample(range(n), 2)
+                places[b] = places[a]
+        elif kind == "changed":
+            data = gen.to_obj()
+            r, j = rng.randrange(k), rng.randrange(n)
+            data[r][j] = rng.choice([e for e in range(q) if e != data[r][j]])
+            gen = MatQ(F, data)
+        if gen.rank() != gen.rows:
+            continue
+        code = LinearCode(F, generator=gen, places=places)
+        if kind == "grs" and i % 4:
+            mix = MatQ(F, [[rng.randrange(q) for _ in range(n - k)] for _ in range(n - k)])
+            if mix.rank() < n - k:
+                continue
+            code = LinearCode(F, parity=mix @ code.parity, places=places)
+        out.append((kind, code))
+    return out
+
+
+def certificate_disagreements(F: FieldCtx, rng, count: int):
+    """Compare codes.grs_certificate with reference_grs_certificate for
+    d = 1 .. n - k + 2 on certificate_cases(F, rng, count).  Returns the
+    checks made, the number that certified a distance d >= 2, the largest
+    kernel dimension of the system for such a d, and the disagreements
+    as (kind, places, d, fast, reference).  A kernel of dimension >= 2
+    never certifies: each of its echelon basis vectors is 0 at the
+    others' pivots."""
+    checks = certified = widest = 0
+    bad = []
+    for kind, code in certificate_cases(F, rng, count):
+        for d in range(1, code.n - code.k + 3):
+            fast, ref = grs_certificate(code, d), reference_grs_certificate(code, d)
+            checks += 1
+            if fast != ref:
+                bad.append((kind, code.places, d, fast, ref))
+            if 2 <= d <= code.n - code.k + 1:
+                certified += fast
+                widest = max(widest, len(reference_grs_kernel(code, d - 1)))
+    return checks, certified, widest, bad

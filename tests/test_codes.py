@@ -20,7 +20,12 @@ from stripemerge.field import field_create
 from stripemerge.grs import GrsSpec, grs_code
 from stripemerge.matrix import MatQ, rank_of_rows
 
-from paper_lemmas import enumerated_min_distance, restricted_dim
+from paper_lemmas import (
+    certificate_disagreements,
+    enumerated_min_distance,
+    grs_generator,
+    restricted_dim,
+)
 
 
 def elems(F, *encs):
@@ -236,16 +241,6 @@ def test_distance_at_least_spends_one_row_per_subset(monkeypatch):
     assert sum(calls) == 495 * 8
 
 
-def grs_generator(F, places, k, mults):
-    """Rows m < k of v_j * a_j^m; the place None (infinity) has column
-    (0, ..., 0, 1) before its multiplier."""
-    return MatQ(F, [
-        [F.mul_enc(v, int(m == k - 1) if a is None else F.pow_enc(a, m))
-         for a, v in zip(places, mults)]
-        for m in range(k)
-    ])
-
-
 def random_grs(rng, F, with_infinity):
     """A GRS [n, k] code with 2 <= k <= n - 2 on random places, which it
     carries, random nonzero multipliers, and its places."""
@@ -282,6 +277,17 @@ def test_grs_certificate_proves_only_true_distances():
                     assert distance_at_least(sub, d)
                     subcodes_certified += 1
     assert subcodes_certified > 0
+
+
+@pytest.mark.parametrize("p, s", ((2, 3), (3, 2), (13, 1), (5, 2), (3, 3), (2, 5)))
+def test_grs_certificate_equals_the_reference_solve(p, s):
+    # every kind of certificate_cases, at d = 1 .. n - k + 2: the dual
+    # filter gives the verdict of the k*w x N kernel solve, certifies some
+    # distances, and meets systems whose kernel has dimension >= 2
+    F = field_create(p, s)
+    checks, certified, widest, bad = certificate_disagreements(F, random.Random(100 * p + s), 12)
+    assert bad == []
+    assert checks > 60 and certified > 0 and widest >= 2
 
 
 def test_grs_certificate_rejects_a_changed_entry():

@@ -249,6 +249,23 @@ def test_serialization_roundtrip():
     assert G.to_obj() == {"p": 23, "s": 1, "modulus": [0, 1]}
 
 
+def test_from_obj_shares_one_context_per_field():
+    # one context per (p, s, modulus) read, which builds its tables once;
+    # the constructor still builds a new one, and a refused field raises
+    # on every read
+    F = field_create(2, 5)
+    shared = FieldCtx.from_obj(F.to_obj())
+    assert shared is not F and shared == F
+    assert FieldCtx.from_obj(F.to_obj()) is shared
+    prime = FieldCtx.from_obj({"p": 23, "s": 1})
+    assert FieldCtx.from_obj({"p": 23, "s": 1, "modulus": [4, 5]}) is prime  # unread at s = 1
+    assert FieldCtx.from_obj({"p": 2, "s": 5}) is not shared  # no modulus: read as another key
+    assert FieldCtx(2, 5, F.modulus) is not shared
+    for _ in range(2):
+        with pytest.raises(ValueError, match="reducible"):
+            FieldCtx.from_obj({"p": 2, "s": 2, "modulus": [1, 0, 1]})
+
+
 # -- the table set against table-free references -------------------------------
 
 

@@ -17,7 +17,7 @@ from stripemerge.pgl import (
     subgroup_cyclic_qplus1,
     subgroup_dihedral,
 )
-from stripemerge.poly import Poly
+from stripemerge.poly import Poly, poly_from_roots
 
 from paper_lemmas import multiplicative_subgroup, subfield_elements
 
@@ -348,6 +348,51 @@ def test_eval_at_reads_local_expansion():
                         continue
                     want = 0 if v + budget else u
                     assert f.eval_at(p, budget).enc == f.eval_enc(p, budget) == want
+
+
+def divided_local(f, p):
+    """(v, u) of local(p) by long division: at finite beta, divide each of
+    num and den by X - beta while the remainder, the value at beta, is 0."""
+    F = f.field
+    if p.is_infinity:
+        return f.den.degree - f.num.degree, F.mul_enc(f.num.coeffs[-1], F.inv_enc(f.den.coeffs[-1]))
+    lin = Poly(F, (F.neg_enc(p.finite.enc), 1))
+
+    def split(poly):
+        m = 0
+        while True:
+            quot, rem = poly.divmod(lin)
+            if rem.coeffs:
+                return m, rem.coeffs[0]
+            poly, m = quot, m + 1
+
+    (m_num, a), (m_den, b) = split(f.num), split(f.den)
+    return m_num - m_den, F.mul_enc(a, F.inv_enc(b))
+
+
+@pytest.mark.parametrize("p, s", ((7, 1), (3, 2)))
+def test_local_divides_on_from_the_first_horner_pass(p, s, monkeypatch):
+    # seeded functions with zeros and poles of multiplicity up to 3: at
+    # every place local gives the (v, u) of long division, and at finite
+    # beta it runs |v| + 2 Horner passes, m + 1 on the polynomial with a
+    # root of multiplicity m there and one on the other
+    F = field_create(p, s)
+    rng = random.Random(36 + F.q)
+    passes = []
+    horner = F.horner
+    monkeypatch.setattr(F, "horner", lambda high_first, x: passes.append(x) or horner(high_first, x))
+    for _ in range(25):
+        zeros, poles = (rng.sample(range(F.q), rng.randrange(0, 3)) for _ in range(2))
+        num = poly_from_roots(F, [F.element(r) for r in zeros for _ in range(rng.randrange(1, 4))])
+        den = poly_from_roots(F, [F.element(r) for r in poles for _ in range(rng.randrange(1, 4))])
+        num = num * Poly(F, [rng.randrange(1, F.q), rng.randrange(F.q)])
+        f = RationalFunction(num, den)
+        for place in all_points(F):
+            want = divided_local(f, place)
+            passes.clear()
+            assert f.local(place) == want
+            if not place.is_infinity:
+                assert len(passes) == abs(want[0]) + 2
 
 
 def test_valuation_and_divisor():
