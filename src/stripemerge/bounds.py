@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Sequence
 
-from .codes import LinearCode, LocalityCertificate
+from .codes import LinearCode, LocalityCertificate, singleton_lrc_bound
 from .matrix import rank_of_rows
 from .schema import as_int, as_ints, as_object
 
@@ -180,9 +180,7 @@ def rdel_lower(params: MergeParams) -> BoundReport:
     if any(k_i % r for k_i in params.k_initial):
         raise ValueError("every initial dimension must be a multiple of r")
     m = [k_i // r for k_i in params.k_initial]
-    expected_d = (
-        params.n_final - params.k_final + 1 - (ceil_div(params.k_final, r) - 1) * (delta - 1)
-    )
+    expected_d = singleton_lrc_bound(params.n_final, params.k_final, r, delta)
     if params.d_final != expected_d:
         raise ValueError(
             f"final code is not an optimal LRC: d = {params.d_final}, bound = {expected_d}"

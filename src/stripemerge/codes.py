@@ -9,9 +9,9 @@ Distance verification is exact or it refuses: the subset walk has a hard
 work budget and raises InfeasibleCheck instead of guessing.  For a code
 that carries its evaluation places, is_mds and is_optimal_lrc first try
 grs_certificate, on distinct or repeated places: it filters the dual
-code for a GRS dual that contains the code, which can only prove a
-distance.  A failed certificate proves nothing and hands over to the
-budgeted subset walk of distance_at_least.
+code, taken from the parity rows, for a GRS dual that contains the
+code, which can only prove a distance.  A failed certificate proves
+nothing and hands over to the budgeted subset walk of distance_at_least.
 """
 
 from __future__ import annotations
@@ -137,18 +137,19 @@ class LinearCode:
         return self._checks
 
     def encode(self, message: Sequence[FieldElem]) -> tuple[FieldElem, ...]:
-        """message * G, by the column-table kernel of G's transpose: the
-        message coordinates are its columns.  Raises ValueError, naming
-        the coordinate and both fields, for a symbol of another field."""
+        """message * G, by the column-table kernel of G's transpose, with
+        no checked rows: the message coordinates are its columns, and
+        run's values are the codeword.  Raises ValueError, naming the
+        coordinate and both fields, for a symbol of another field."""
         if len(message) != self.k:
             raise ValueError(f"message length {len(message)} != k = {self.k}")
         if self._encoder is None:
             g = self.generator.data
             self._encoder = ColumnSums(
                 self.field, [[(i, row[j]) for i, row in enumerate(g)] for j in range(self.n)],
-                self.k,
+                self.k, checked=0,
             )
-        return self.field.word(self._encoder.values(self.field.encodings(message)))
+        return self.field.word(self._encoder.run(self.field.encodings(message))[1])
 
     def contains(self, word: Sequence[FieldElem]) -> bool:
         """True iff H * word = 0.  Raises ValueError, naming the coordinate
@@ -257,29 +258,33 @@ def grs_certificate(code: LinearCode, d: int) -> bool:
     """True only if code.places prove d(C) >= d.
 
     code.places holds one field encoding per coordinate, None for the
-    place at infinity; places may repeat.  With w = d - 1, fold the
-    coordinates that share a place by summing them into F, one column
-    per distinct place P.  The certificate is a v with no zero entry and
-    pi_m * v in K = ker F for every m < w, where pi_m(P) = a_P^m and
-    pi_m(infinity) is 1 for m = w - 1 and 0 otherwise; the parity
-    columns at the coordinates R whose place repeats must also have rank
-    |R|.  Proof: a codeword of weight < d folds to a word of weight < d
-    in the dual of the MDS code GRS_w(distinct places, v), of distance
-    d, so the folded word is 0; the codeword therefore lives on R, and
-    the rank condition makes it 0.  With distinct places R is empty.
-    False proves nothing: it is also the answer for missing or
-    out-of-range places and for w > n - k.
+    place at infinity; places may repeat.  With w = d - 1, let K be the
+    words of the dual code that are equal on all coordinates of each
+    place, folded to one entry per distinct place P.  The certificate is
+    a v with no zero entry and pi_m * v in K for every m < w, where
+    pi_m(P) = a_P^m and pi_m(infinity) is 1 for m = w - 1 and 0
+    otherwise; the parity columns at the coordinates R whose place
+    repeats must also have rank |R|.  Proof: K is the dual of the code
+    folded by summing the coordinates of each place, so a codeword of
+    weight < d folds to a word of weight < d in the dual of the MDS code
+    GRS_w(distinct places, v), of distance d, and the folded word is 0;
+    the codeword therefore lives on R, and the rank condition makes it
+    0.  With distinct places R is empty and K is the dual itself.  False
+    proves nothing: it is also the answer for missing or out-of-range
+    places and for w > n - k.
 
-    The v form a space V that is found by filtering the dual rather than
-    by solving the k*w equations in one elimination.  It starts from a
-    reduced basis of K (the rows of code.parity with distinct places),
-    plus e_infinity when infinity is a place and w > 1, since pi_0 leaves
-    out only that entry.  Each m < w then keeps the combinations whose
-    pi_m * v reduces to 0 modulo K.  That costs about
-    w * dim(K)^2 * |P| field operations, against about k * w * |P|^2 for
-    the full system; dim V is 1 for every builder code.  The verdict is
+    K and the v both come from _kept, one elimination.  K keeps the
+    combinations of code.parity's rows whose differences on the
+    coordinates of each repeated place vanish, which is no constraint
+    at all with distinct places.  The v form a space V that starts from
+    K, plus e_infinity when infinity is a place and w > 1, since pi_0
+    leaves out only that entry; each m < w then keeps the combinations
+    whose pi_m * v reduces to 0 modulo K.  That costs about
+    w * dim(K)^2 * |P| field operations, against about k * w * |P|^2
+    for solving the k*w equations of the folded generator in one
+    elimination; dim V is 1 for every builder code.  The verdict is
     "dim V = 1 and its vector has full support", which is the rule "some
-    kernel basis vector of the system has full support": the kernel
+    kernel basis vector of that system has full support": the kernel
     basis that MatQ.kernel reads off the system's RREF is a reduced
     echelon basis of V, and with two or more rows each row is 0 at the
     other rows' pivots.
@@ -296,43 +301,31 @@ def grs_certificate(code: LinearCode, d: int) -> bool:
     if w > n - k:
         return False
     count = Counter(places)  # distinct places in first-appearance order
-    if len(count) == n:
-        kernel = code.parity.data
-    else:
-        slot = {p: s for s, p in enumerate(count)}
-        folded = [[0] * len(slot) for _ in range(k)]
-        for frow, grow in zip(folded, code.generator.data):
-            for p, g in zip(places, grow):
-                frow[slot[p]] = f.add_enc(frow[slot[p]], g)
-        kernel = MatQ(f, folded).kernel()
-    reduced = _echelon(f, kernel)
-    dual = [(p, f.row_logs(row)) for p, row in reduced]
-    basis = [row for _, row in reduced]
+    first = {}
+    for j, p in enumerate(places):
+        first.setdefault(p, j)
+    pairs = [(j, first[p]) for j, p in enumerate(places) if j != first[p]]
+    kernel = _kept(f, [[f.sub_enc(h[j], h[i]) for j, i in pairs] + [h[first[p]] for p in count]
+                       for h in code.parity.data], len(pairs))
+    dual = _echelon(f, kernel)
+    basis = [row for _, row, _ in dual]
     if None in count and w > 1:
         basis.append([int(p is None) for p in count])
     width = len(count)
     power = [1] * width  # a_P^m at the finite places
     for m in range(w):
-        # eliminate on the pairs (residue of pi_m * b modulo K, b), keeping
-        # the b whose residue reduces to 0: a basis of {v in V : pi_m * v in K}
+        # the b whose pi_m * b reduces to 0 modulo K: a basis of
+        # {v in V : pi_m * v in K}
         pi = [int(m == w - 1) if p is None else a for p, a in zip(count, power)]
-        pivots: list[tuple[int, int, list[tuple[int, int]]]] = []
-        kept = []
+        rows = []
         for b in basis:
             row = [f.mul_enc(a, e) for a, e in zip(pi, b)]
-            for p, logs in dual:
+            for p, _, logs in dual:
                 f.sub_scaled(row, row[p], logs)
-            row += b
-            for c, inv, logs in pivots:
-                f.sub_scaled(row, f.mul_enc(row[c], inv), logs)
-            c = next((j for j in range(width) if row[j]), None)
-            if c is None:
-                kept.append(row[width:])
-            else:
-                pivots.append((c, f.inv_enc(row[c]), f.row_logs(row)))
-        if not kept:
+            rows.append(row + b)
+        basis = _kept(f, rows, width)
+        if not basis:
             return False
-        basis = kept
         power = [a if p is None else f.mul_enc(a, p) for p, a in zip(count, power)]
     if len(basis) > 1 or not all(basis[0]):
         return False
@@ -341,29 +334,43 @@ def grs_certificate(code: LinearCode, d: int) -> bool:
     return rank_of_rows(f, [[hrow[j] for hrow in h] for j in repeated]) == len(repeated)
 
 
-def _echelon(f: FieldCtx, rows: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
-    """(pivot, row) pairs spanning the rows' space, each row ending in a 1
-    at its pivot, where every other row is 0: the reduced echelon form
-    read from the last column.  Rows already in that form, as
-    MatQ.kernel returns them, cost one scan each."""
-    out: list[tuple[int, list[int]]] = []
+def _kept(f: FieldCtx, rows: Sequence[list[int]], width: int) -> list[list[int]]:
+    """A basis of the combinations of rows that are 0 on their first
+    width entries, as the rest of each: eliminate on those entries,
+    keeping the rest of every row that reduces to 0 there.  The rows are
+    reduced in place."""
+    pivots: list[tuple[int, int, list[tuple[int, int]]]] = []
+    kept = []
+    for row in rows:
+        for c, inv, logs in pivots:
+            f.sub_scaled(row, f.mul_enc(row[c], inv), logs)
+        c = next((j for j in range(width) if row[j]), None)
+        if c is None:
+            kept.append(row[width:])
+        else:
+            pivots.append((c, f.inv_enc(row[c]), f.row_logs(row)))
+    return kept
+
+
+def _echelon(f: FieldCtx, rows: Sequence[Sequence[int]]) -> list[tuple[int, list[int], list]]:
+    """(pivot, row, logs) triples spanning the rows' space, each row
+    ending in a 1 at its pivot, where every later row is 0, with logs =
+    f.row_logs(row).  Subtracting row[p] times each row in this order
+    leaves a vector 0 at every pivot: its residue modulo the space,
+    which does not depend on the order of the given rows, because the
+    pivots are the last nonzero entries of the space's vectors."""
+    out: list[tuple[int, list[int], list]] = []
     for row in rows:
         row = list(row)
-        for p, other in out:
-            if row[p]:
-                f.sub_scaled(row, row[p], f.row_logs(other))
+        for p, _, logs in out:
+            f.sub_scaled(row, row[p], logs)
         p = next((j for j in range(len(row) - 1, -1, -1) if row[j]), None)
         if p is None:
             continue
         if row[p] != 1:
             inv = f.inv_enc(row[p])
             row = [f.mul_enc(inv, e) for e in row]
-        logs = None
-        for _, other in out:
-            if other[p]:
-                logs = logs or f.row_logs(row)
-                f.sub_scaled(other, other[p], logs)
-        out.append((p, row))
+        out.append((p, row, f.row_logs(row)))
     return out
 
 

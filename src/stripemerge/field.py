@@ -404,7 +404,9 @@ class ColumnSums:
     packed digits of the products e * M[r][j] of the column's nonzeros,
     read off the field's digit table at stride S (FieldCtx.packed_exp).
     M * w is then sum(table_j[w_j]): one C-level lookup and one integer
-    addition per coordinate.
+    addition per coordinate.  vanishes is the zero test alone, the
+    membership check; run also reduces the unchecked rows, so with
+    checked = 0 run(w)[1] is all of M * w, which is how encode reads it.
 
     The slot width w is the least with (p - 1) * m < 2^w, where m is the
     most terms in one row, so every slot sum x is exact.  In odd
@@ -444,7 +446,6 @@ class ColumnSums:
         # from a short integer, acc & _values_mask
         unchecked = len(rows) - checked
         shifts = [i * block for i in (*range(unchecked, len(rows)), *range(unchecked))]
-        self._shifts = tuple(shifts)
         self._unchecked = tuple(shifts[checked:])
         self._values_mask = (1 << unchecked * block) - 1
         self._first_checked = unchecked
@@ -513,16 +514,6 @@ class ColumnSums:
     # vanishes and run repeat the warm sum and the zero test inline: they
     # are the hot path of every membership check and conversion, and a
     # helper call would cost about as much as the lookups of a short word
-
-    def values(self, encs: Sequence[int]) -> list[int]:
-        """The encodings of M * w, row by row, where encs[j] encodes w_j."""
-        if len(encs) != self.cols:
-            raise ValueError(f"word of length {len(encs)} for {self.cols} columns")
-        try:
-            acc = sum(map(getitem, self._tables, encs))
-        except KeyError:
-            acc = self._fill(encs)
-        return self._reduce(acc, self._shifts)
 
     def vanishes(self, encs: Sequence[int]) -> bool:
         """True iff every checked row of M * w is 0, where encs[j] encodes w_j."""
@@ -604,10 +595,6 @@ class FieldElem:
 
     def __bool__(self) -> bool:
         return self.enc != 0
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return tuple(_digits(self.enc, self.field.p, self.field.s))
 
     def multiplicative_order(self) -> int:
         """Least e >= 1 with self^e = 1: (q - 1) / gcd(log self, q - 1)."""

@@ -26,23 +26,18 @@ class MatQ:
 
     def __init__(self, field: FieldCtx, data: Sequence[Sequence[int]]):
         self.field = field
-        self.data = [list(int(e) for e in row) for row in data]
+        self.data = [list(row) for row in data]
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
+        q = field.q
         for row in self.data:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix rows")
             for e in row:
-                if not 0 <= e < field.q:
-                    raise ValueError(f"entry {e} out of range for GF({field.q})")
-
-    @classmethod
-    def zeros(cls, field: FieldCtx, rows: int, cols: int) -> MatQ:
-        return cls(field, [[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, field: FieldCtx, n: int) -> MatQ:
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+                # an exact int: neither a float nor a bool is coerced
+                if type(e) is not int or not 0 <= e < q:
+                    what = "out of range for" if type(e) is int else "is not an encoding in"
+                    raise ValueError(f"entry {e!r} {what} GF({q})")
 
     def __eq__(self, other: object) -> bool:
         return (

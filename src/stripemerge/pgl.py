@@ -321,11 +321,6 @@ class RationalFunction:
     def __mul__(self, other: RationalFunction) -> RationalFunction:
         return RationalFunction(self.num * other.num, self.den * other.den)
 
-    def __truediv__(self, other: RationalFunction) -> RationalFunction:
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
     def __pow__(self, e: int) -> RationalFunction:
         if e < 0:
             return (RationalFunction(self.den, self.num)) ** (-e)

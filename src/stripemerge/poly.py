@@ -166,16 +166,6 @@ class Poly:
         partial = f.horner(self.coeffs[::-1], x.enc)
         return FieldElem(f, partial[-1] if partial else 0)
 
-    def split_root(self, x: FieldElem) -> tuple[int, FieldElem]:
-        """(m, c(x)) where self = (X - x)^m * c and c(x) != 0: divide_out
-        from a first Horner pass at x."""
-        f = self.field
-        _check_field(f, x.field)
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        m, value = divide_out(f, f.horner(self.coeffs[::-1], x.enc), x.enc)
-        return m, FieldElem(f, value)
-
     def to_obj(self) -> list[int]:
         return list(self.coeffs)
 

@@ -7,6 +7,8 @@ and GF(32), every kind that paper_lemmas.certificate_cases makes (GRS
 codes, subcodes, repeated places, random codes, forged witnesses, changed
 entries, places at infinity and at 0), the dual filter must give the
 verdict of the k*w x N system's kernel basis for every d = 1 .. n - k + 2.
+Codes with repeated places come given by a parity matrix, by a generator
+and by both, so the filter's K is built from given and derived parity.
 It takes seconds, so it runs as its own CI step; pytest does not collect
 it, and the tier-1 tests run the same comparison on 12 codes per field.
 Exits 1 and lists the cases that disagree.

@@ -174,18 +174,21 @@ CASE_KINDS = ("grs", "subcode", "repeated", "random", "forged", "changed")
 
 
 def certificate_cases(F: FieldCtx, rng, count: int) -> list[tuple[str, LinearCode]]:
-    """count (kind, code) pairs over F, each code carrying places, the
-    kinds in turn: a GRS code on distinct places, every other one given
-    by a random basis of its dual; a random subcode of one; a parity
-    matrix stacking the GRS_w rows of places with repeats (one multiplier
-    per place) on random rows; a random generator; a GRS code with a
-    forged witness (its places shuffled, or one copied onto another
-    coordinate); a GRS code with one generator entry changed.  Every
-    other case has a place at infinity, and two in four one at 0."""
+    """(kind, code) pairs over F from count cases, each code carrying
+    places, the kinds in turn: a GRS code on distinct places, every other
+    one given by a random basis of its dual; a random subcode of one; a
+    parity matrix stacking the GRS_w rows of places with repeats (one
+    multiplier per place) on random rows; a random generator; a GRS code
+    with a forged witness (its places shuffled, or one copied onto another
+    coordinate); a GRS code with one generator entry changed.  A case
+    with repeated places gives three codes: the parity matrix alone, a
+    random generator of the code alone (so code.parity is derived from
+    it), and both.  Every other case has a place at infinity, and two in four
+    one at 0."""
     q = F.q
     out = []
-    while len(out) < count:
-        i = len(out)
+    i = 0
+    while i < count:
         kind = CASE_KINDS[i % len(CASE_KINDS)]
         forced = [p for p, on in ((None, i % 2), (0, i % 4 < 2)) if on]
         size = rng.randrange(4, min(q + 1, 10) + 1)
@@ -202,7 +205,15 @@ def certificate_cases(F: FieldCtx, rng, count: int) -> list[tuple[str, LinearCod
             extra = [[rng.randrange(q) for _ in places] for _ in range(rng.randrange(1, 4))]
             rows = grs_generator(F, places, w, [mult[a] for a in places]).data + extra
             if rank_of_rows(F, rows) == len(rows) < len(places):
-                out.append((kind, LinearCode(F, parity=MatQ(F, rows), places=places)))
+                parity = MatQ(F, rows)
+                code = LinearCode(F, parity=parity, places=places)
+                k = code.k
+                mix = MatQ(F, [[rng.randrange(q) for _ in range(k)] for _ in range(k)])
+                if mix.rank() == k:
+                    gen = mix @ code.generator
+                    out += [(kind, code), (kind, LinearCode(F, generator=gen, places=places)),
+                            (kind, LinearCode(F, generator=gen, parity=parity, places=places))]
+                    i += 1
             continue
         k = rng.randrange(1, n)
         if kind == "random":
@@ -233,6 +244,7 @@ def certificate_cases(F: FieldCtx, rng, count: int) -> list[tuple[str, LinearCod
                 continue
             code = LinearCode(F, parity=mix @ code.parity, places=places)
         out.append((kind, code))
+        i += 1
     return out
 
 

@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import os
 import random
@@ -9,13 +10,16 @@ from pathlib import Path
 
 import pytest
 
+from stripemerge import codes
 from stripemerge.cli import main
+from stripemerge.codes import LocalityCertificate, check_locality, is_optimal_lrc
 from stripemerge.convert import (
     ConvertibleCode,
     build_lrc_merge,
     build_mds_merge,
     build_mds_to_lrc,
     execute,
+    verify_convertible,
 )
 from stripemerge.field import field_create
 from stripemerge.pgl import cyclic_subgroup_of_order, subgroup_cyclic_qplus1, subgroup_dihedral
@@ -106,6 +110,79 @@ def test_simulate_with_words_and_missing_placement(cc_q23):
     bad = ClusterLayout(("n",), {})
     with pytest.raises(ValueError):
         simulate(cc_q23, bad)
+
+
+def test_simulate_reports_an_unchanged_symbol_off_its_node(cc_q23):
+    # plan.validate gives an unchanged pair one label on both sides, so
+    # a layout, keyed by label, moves the initial and the final symbol
+    # together; only a final coordinate relabelled after validation can
+    # land on another node than its source
+    i, (src, dst) = next((i, pairs[0]) for i, pairs in enumerate(cc_q23.plan.unchanged) if pairs)
+    label = cc_q23.initials[i].labels[src]
+    base = layout_single_node(cc_q23)
+    moved = ClusterLayout(("node0", "node1"), dict(base.placement, **{label: "node1"}))
+    assert simulate(cc_q23, moved).unchanged_in_place
+    cc = ConvertibleCode.from_obj(cc_q23.to_obj())
+    labels = list(cc.final.labels)
+    labels[dst] = "relabelled"
+    cc.final.labels = tuple(labels)
+    off = ClusterLayout(("node0", "node1"), dict(base.placement, relabelled="node1"))
+    report = simulate(cc, off)
+    assert not report.unchanged_in_place
+    assert report.to_obj()["unchanged_in_place"] is False
+    assert report.totals == simulate(cc_q23, base).totals
+
+
+def test_forged_locality_certificate_fails_verify(tmp_path, capsys):
+    # swapping two coordinates across repair groups leaves groups of full
+    # spread, and claiming delta = 3 for the true groups a local distance
+    # of 2: check_locality refuses both, so the final code is not an
+    # optimal LRC and verify exits 3
+    req = write_json(tmp_path / "req.json", Q32_REQUEST)
+    bundle = tmp_path / "bundle.json"
+    assert main(["construct", "--request", req, "--out", str(bundle)]) == 0
+    capsys.readouterr()
+    obj = json.loads(bundle.read_text())
+    cc = ConvertibleCode.from_obj(obj)
+    groups = [list(g) for g in obj["final_cert"]["groups"]]
+    groups[0][-1], groups[1][0] = groups[1][0], groups[0][-1]
+    swapped = LocalityCertificate(cc.final_cert.r, cc.final_cert.delta, tuple(map(tuple, groups)))
+    for group in swapped.groups[:2]:
+        assert cc.final.generator.submatrix_cols(list(group)).kernel() == []
+    wider = LocalityCertificate(cc.final_cert.r, 3, cc.final_cert.groups)
+    assert is_optimal_lrc(cc.final, cc.final_cert)
+    for forged in (swapped, wider):
+        assert not check_locality(cc.final, forged)
+        assert not is_optimal_lrc(cc.final, forged)
+    obj["final_cert"]["groups"] = groups
+    assert main(["verify", "--bundle", write_json(tmp_path / "forged.json", obj)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["components_ok"] is False and report["ok"] is False
+    assert report["bijective"] and report["membership_ok"] and report["unchanged_ok"]
+
+
+def test_component_walk_over_budget_leaves_components_unknown(cc_q23, tmp_path, capsys,
+                                                               monkeypatch):
+    # a bundle carries no places, so its components take the subset walk;
+    # with a budget of one rank check it gives up, and verify reports
+    # components_ok null, still ok; the builder's MDS codes carry their
+    # places, and grs_certificate proves them without a walk
+    monkeypatch.setattr(codes, "distance_at_least",
+                        functools.partial(codes.distance_at_least, budget=1))
+    req = write_json(tmp_path / "req.json", VI_REQUEST)
+    bundle = str(tmp_path / "bundle.json")
+    assert main(["construct", "--request", req, "--out", bundle]) == 0
+    capsys.readouterr()
+    with open(bundle, encoding="utf-8") as fh:
+        loaded = ConvertibleCode.from_obj(json.load(fh))
+    with pytest.raises(codes.InfeasibleCheck):
+        codes.is_mds(loaded.initials[0])
+    report = verify_convertible(loaded)
+    assert report.components_ok is None and report.ok
+    assert verify_convertible(cc_q23).components_ok is True
+    assert main(["verify", "--bundle", bundle]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["components_ok"] is None and out["ok"] is True
 
 
 def test_cli_bounds(tmp_path, capsys):

@@ -21,6 +21,7 @@ from stripemerge.grs import GrsSpec, grs_code
 from stripemerge.matrix import MatQ, rank_of_rows
 
 from paper_lemmas import (
+    certificate_cases,
     certificate_disagreements,
     enumerated_min_distance,
     grs_generator,
@@ -32,9 +33,13 @@ def elems(F, *encs):
     return [F.element(e) for e in encs]
 
 
+def identity(F, n):
+    return MatQ(F, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def test_encode_identity_generator():
     F = field_create(5, 1)
-    code = LinearCode(F, generator=MatQ.identity(F, 3))
+    code = LinearCode(F, generator=identity(F, 3))
     msg = elems(F, 2, 0, 4)
     assert list(code.encode(msg)) == msg
 
@@ -46,7 +51,7 @@ def test_generator_parity_orthogonal():
     # explicit both-matrices constructor validates orthogonality
     LinearCode(F, generator=code.generator, parity=code.parity)
     with pytest.raises(ValueError):
-        LinearCode(F, generator=code.generator, parity=MatQ.identity(F, 5).submatrix_cols([0, 1, 2]).transpose())
+        LinearCode(F, generator=code.generator, parity=identity(F, 5).submatrix_cols([0, 1, 2]).transpose())
 
 
 def test_dual_involution():
@@ -283,11 +288,17 @@ def test_grs_certificate_proves_only_true_distances():
 def test_grs_certificate_equals_the_reference_solve(p, s):
     # every kind of certificate_cases, at d = 1 .. n - k + 2: the dual
     # filter gives the verdict of the k*w x N kernel solve, certifies some
-    # distances, and meets systems whose kernel has dimension >= 2
+    # distances, and meets systems whose kernel has dimension >= 2; codes
+    # with repeated places come given by parity, by generator and by both,
+    # so K is taken from a given and from a derived parity matrix
     F = field_create(p, s)
     checks, certified, widest, bad = certificate_disagreements(F, random.Random(100 * p + s), 12)
     assert bad == []
     assert checks > 60 and certified > 0 and widest >= 2
+    given = {tuple(key for key in ("generator", "parity") if key in code.to_obj())
+             for kind, code in certificate_cases(F, random.Random(100 * p + s), 12)
+             if kind == "repeated"}
+    assert given == {("parity",), ("generator",), ("generator", "parity")}
 
 
 def test_grs_certificate_rejects_a_changed_entry():
@@ -424,10 +435,10 @@ def test_is_mds_falls_through_to_the_walk(monkeypatch):
 
 def test_labels_roundtrip_and_errors():
     F = field_create(5, 1)
-    code = LinearCode(F, generator=MatQ.identity(F, 2), labels=["a", "b"])
+    code = LinearCode(F, generator=identity(F, 2), labels=["a", "b"])
     again = LinearCode.from_obj(F, code.to_obj())
     assert again.labels == ("a", "b")
     with pytest.raises(ValueError):
-        LinearCode(F, generator=MatQ.identity(F, 2), labels=["a", "a"])
+        LinearCode(F, generator=identity(F, 2), labels=["a", "a"])
     with pytest.raises(ValueError):
         LinearCode(F)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -10,13 +11,30 @@ def elems(F, *encs):
     return [F.element(e) for e in encs]
 
 
+def identity(F, n):
+    return MatQ(F, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def test_rref_identity_and_zero():
     F = field_create(5, 1)
-    eye = MatQ.identity(F, 4)
+    eye = identity(F, 4)
     R, rank, pivots = eye.rref()
     assert rank == 4 and R == eye and pivots == (0, 1, 2, 3)
-    Z = MatQ.zeros(F, 3, 4)
+    Z = MatQ(F, [[0] * 4 for _ in range(3)])
     assert Z.rref()[1] == 0
+
+
+def test_entries_must_be_int_encodings():
+    # a float or a bool is refused by name, not truncated or coerced to an int
+    F = field_create(7, 1)
+    for bad in (2.7, True, False, 3.0, "3", None):
+        with pytest.raises(ValueError, match=re.escape(f"entry {bad!r} is not an encoding")):
+            MatQ(F, [[1, 2], [bad, 1]])
+    with pytest.raises(ValueError, match="entry 7 out of range for GF"):
+        MatQ(F, [[1, 7]])
+    with pytest.raises(ValueError, match="ragged"):
+        MatQ(F, [[1, 2], [3]])
+    assert MatQ(F, [(2, 1), [0, 6]]).data == [[2, 1], [0, 6]]
 
 
 def test_rref_vandermonde_rank():
@@ -27,7 +45,7 @@ def test_rref_vandermonde_rank():
 
 def test_invert_identity_and_random():
     F = field_create(7, 1)
-    eye = MatQ.identity(F, 3)
+    eye = identity(F, 3)
     assert eye.invert() == eye
     rng = random.Random(7)
     for _ in range(25):
@@ -37,8 +55,8 @@ def test_invert_identity_and_random():
             with pytest.raises(ValueError):
                 A.invert()
             continue
-        assert A.invert() @ A == MatQ.identity(F, n)
-        assert A @ A.invert() == MatQ.identity(F, n)
+        assert A.invert() @ A == identity(F, n)
+        assert A @ A.invert() == identity(F, n)
 
 
 def test_kernel_examples():

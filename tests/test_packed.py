@@ -110,8 +110,10 @@ def random_matrix(field, rng, rows, cols, density):
     return data
 
 
-def kernel_of(field, data, cols):
-    return ColumnSums(field, [enumerate(row) for row in data], cols)
+def kernel_of(field, data, cols, checked=None):
+    """The kernel of data; with checked=0, run(w)[1] is all of M * w, as
+    LinearCode.encode reads it."""
+    return ColumnSums(field, [enumerate(row) for row in data], cols, checked)
 
 
 @pytest.mark.parametrize("p,s", WIDE_FIELDS, ids=WIDE_IDS)
@@ -121,13 +123,15 @@ def test_column_sums_match_the_fold(p, s, density):
     rng = random.Random(p * 1000 + s * 10 + int(density * 4))
     for rows, cols in ((1, 1), (3, 7), (6, 4), (9, 23)):
         data = random_matrix(F, rng, rows, cols, density)
-        kernel = kernel_of(F, data, cols)
+        kernel, whole = kernel_of(F, data, cols), kernel_of(F, data, cols, checked=0)
         for _ in range(8):
             encs = [rng.randrange(F.q) if rng.random() < 0.7 else 0 for _ in range(cols)]
             want = [fold(F, row, encs) for row in data]
+            first = next((r for r, v in enumerate(want) if v), -1)
             # the first call fills the tables, the second reads them warm
             for _ in range(2):
-                assert kernel.values(encs) == want
+                assert whole.run(encs) == (-1, want)
+                assert kernel.run(encs) == (first, [])
                 assert kernel.vanishes(encs) == (not any(want))
         with pytest.raises(ValueError, match="length"):
             kernel.vanishes(encs[:-1])
@@ -140,18 +144,19 @@ def test_column_sums_reject_every_single_symbol_change(p, s):
     n = 11
     code = LinearCode(F, parity=random_parity(F, rng, 4, n, sparse=True))
     kernel = kernel_of(F, code.parity.data, n)
+    whole = kernel_of(F, code.parity.data, n, checked=0)
     for _ in range(3):
         word = [e.enc for e in code.encode([F.element(rng.randrange(F.q))
                                             for _ in range(code.k)])]
         for _ in range(2):
-            assert kernel.vanishes(word) and not any(kernel.values(word))
+            assert kernel.vanishes(word) and not any(whole.run(word)[1])
         for j in range(n):
             for delta in (1, rng.randrange(1, F.q)):
                 bad = list(word)
                 bad[j] = F.add_enc(bad[j], delta)
                 assert not fold_contains(code, bad)
                 assert not kernel.vanishes(bad)
-                assert kernel.values(bad) == [fold(F, row, bad) for row in code.parity.data]
+                assert whole.run(bad)[1] == [fold(F, row, bad) for row in code.parity.data]
 
 
 @pytest.mark.parametrize("p,s", FIELDS, ids=FIELD_IDS)
@@ -163,7 +168,7 @@ def test_dot_matches_the_fold(p, s):
         terms = rng.randrange(0, 40)
         coeffs = [rng.randrange(F.q) for _ in range(terms)]
         encs = [rng.randrange(F.q) for _ in range(terms)]
-        assert kernel_of(F, [coeffs], terms).values(encs) == [fold(F, coeffs, encs)]
+        assert kernel_of(F, [coeffs], terms, checked=0).run(encs) == (-1, [fold(F, coeffs, encs)])
 
 
 @pytest.mark.parametrize("p,s", FIELDS, ids=FIELD_IDS)
@@ -177,9 +182,9 @@ def test_longest_allowed_row_reduces_exactly(p, s):
     want = sum(digit * p ** i for i in range(s))
     # two rows of all-(q - 1) columns, so that the first row's top slot
     # would carry into the second row if the bound were too loose
-    kernel = ColumnSums(F, [[(j, F.q - 1) for j in range(top)]] * 2, top)
-    assert kernel.values([1] * top) == [want, want]
-    assert kernel.vanishes([1] * top) == (want == 0)
+    rows = [[(j, F.q - 1) for j in range(top)]] * 2
+    assert ColumnSums(F, rows, top, checked=0).run([1] * top) == (-1, [want, want])
+    assert ColumnSums(F, rows, top).vanishes([1] * top) == (want == 0)
     with pytest.raises(ValueError, match="exceed"):
         ColumnSums(F, [[(j, F.q - 1) for j in range(top + 1)]], top + 1)
 
@@ -281,7 +286,7 @@ def test_log_table_marks_zero_with_none():
             mask = (1 << stride) - 1
             assert len(pexp) == 2 * (F.q - 1)
             assert [[v >> j * stride & mask for j in range(s)] for v in pexp] == [
-                list(F.element(e).coeffs) for e in F._exp
+                [e // p ** j % p for j in range(s)] for e in F._exp
             ]
 
 

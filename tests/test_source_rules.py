@@ -8,6 +8,9 @@ column-table kernel is built only for membership checks and encoding
 (LinearCode.checks and encode) and for execute's one conversion kernel
 (ConvertibleCode._runner); every other map, the plan's generator_rows
 included, stays on the exact field operations it is tested against.
+Every function, method and class of the package is named somewhere in
+the package or the benchmark besides its own definition: library code
+that only its own test calls is deleted.
 """
 
 import ast
@@ -15,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "stripemerge").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "stripemerge").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
@@ -68,3 +73,36 @@ def test_column_sums_is_built_only_by_its_callers():
     stray = [call for call in calls if call[:2] not in COLUMN_SUMS_BUILDERS]
     assert stray == [], f"ColumnSums built outside its callers: {stray}"
     assert {call[:2] for call in calls} == COLUMN_SUMS_BUILDERS
+
+
+def names_used(path, strings):
+    """Every name a file uses: names, attributes and imported names, and
+    with strings its string constants too (the tracer looks its targets
+    up by name with getattr)."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_every_library_name_has_a_caller():
+    # a definition is not a use, so a name only its own test calls fails;
+    # dunder methods are called by the language
+    used = set().union(*(names_used(p, False) for p in SOURCES),
+                       *(names_used(p, True) for p in BENCHMARK))
+    unused = [
+        (path.name, node.lineno, node.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    ]
+    assert unused == [], f"defined but named nowhere else in src/ or perfbench/: {unused}"
