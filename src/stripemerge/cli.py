@@ -81,8 +81,42 @@ def _out_path(path: str) -> str:
     return path
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) with every line after
+    the first indented by indent, byte for byte, by a walk that joins a
+    list of exact ints (a codeword, a matrix row) with one str.join
+    instead of json's pure-Python indenting encoder.  Strings are quoted
+    by json's own ASCII encoder; a dict with a key that is not a str and
+    every other leaf (bools, None, floats) go to json.dumps itself."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if set(map(type, obj)) == {int}:
+            body = sep.join(map(str, obj))
+        else:
+            body = sep.join([_json_text(x, inner) for x in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(obj, dict) and set(map(type, obj)) <= {str}:
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join([_quote(k) + ": " + _json_text(v, inner)
+                                     for k, v in sorted(obj.items())])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if type(obj) is int:
+        return str(obj)
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
 def _emit(obj: dict, out: Optional[str]) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = _json_text(obj)
     if out:
         with open(_out_path(out), "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -312,6 +312,7 @@ def grs_certificate(code: LinearCode, d: int) -> bool:
     if None in count and w > 1:
         basis.append([int(p is None) for p in count])
     width = len(count)
+    mul = f.mul_table
     power = [1] * width  # a_P^m at the finite places
     for m in range(w):
         # the b whose pi_m * b reduces to 0 modulo K: a basis of
@@ -319,9 +320,13 @@ def grs_certificate(code: LinearCode, d: int) -> bool:
         pi = [int(m == w - 1) if p is None else a for p, a in zip(count, power)]
         rows = []
         for b in basis:
-            row = [f.mul_enc(a, e) for a, e in zip(pi, b)]
+            if mul is not None:
+                row = [mul[a][e] for a, e in zip(pi, b)]
+            else:
+                row = [f.mul_enc(a, e) for a, e in zip(pi, b)]
             for p, _, logs in dual:
-                f.sub_scaled(row, row[p], logs)
+                if row[p]:
+                    f.sub_scaled(row, row[p], logs)
             rows.append(row + b)
         basis = _kept(f, rows, width)
         if not basis:
@@ -343,7 +348,8 @@ def _kept(f: FieldCtx, rows: Sequence[list[int]], width: int) -> list[list[int]]
     kept = []
     for row in rows:
         for c, inv, logs in pivots:
-            f.sub_scaled(row, f.mul_enc(row[c], inv), logs)
+            if row[c]:
+                f.sub_scaled(row, f.mul_enc(row[c], inv), logs)
         c = next((j for j in range(width) if row[j]), None)
         if c is None:
             kept.append(row[width:])
@@ -363,7 +369,8 @@ def _echelon(f: FieldCtx, rows: Sequence[Sequence[int]]) -> list[tuple[int, list
     for row in rows:
         row = list(row)
         for p, _, logs in out:
-            f.sub_scaled(row, row[p], logs)
+            if row[p]:
+                f.sub_scaled(row, row[p], logs)
         p = next((j for j in range(len(row) - 1, -1, -1) if row[j]), None)
         if p is None:
             continue

@@ -33,14 +33,29 @@ entry at once store equal values, so codes and plans stay safe to share.
 The kernel reads the field's own exp and log tables; add_enc and mul_enc
 remain the reference it is tested against.
 
+Fields with q <= TABLE_Q = 256 also hold an addition and a product
+table, add_table and mul_table: q rows of q encodings each, row a
+holding a + b and a * b for every b.  They are built at construction,
+never through the *_enc methods: addition digit by digit, each new top
+digit one rotation of the rows below it, and each product row one bytes
+translate of the logs through exp; that takes about 2 ms at q = 256.
+add_enc and mul_enc read them, and so do the scalar kernels: an entry
+of a product, a row update or a Horner step is then two index
+operations, with no method call and no branch.  The tests compare every
+entry with _raw_mul and digit-wise addition.  Larger fields (GF(257) to
+MAX_Q) hold no tables and keep the log/Zech code unchanged.
+
 Elimination and polynomial evaluation use two smaller kernels beside it.
 The row kernel does dst[j] -= c * src[j]: row_logs(src) takes the logs
 of a source row's nonzero entries once, and sub_scaled(dst, c, logs)
 folds the negation into log c, so each entry costs one exp lookup and
-one add_enc.  horner(coeffs, x) gives Horner's partial sums at a fixed
-x, which are the value and the quotient by X - x, with each product by x
-one exp lookup.  add_enc and mul_enc remain their reference too, and no
-module but this one reads the tables.
+one addition, an add_table lookup where the field has one.
+horner(coeffs, x) gives Horner's partial sums at a fixed x, which are
+the value and the quotient by X - x; with tables each step is acc =
+add_table[mul_table[x][acc]][c], otherwise each product by x is one
+exp lookup.  add_enc and mul_enc remain their reference too, and no
+module but this one reads the exp, log and Zech tables; the kernels of
+poly, matrix and codes read add_table and mul_table.
 
 A FieldCtx is immutable after construction and safe to share between
 threads (two threads that build a packed table or the element table at
@@ -59,6 +74,7 @@ from .schema import as_int, as_ints, as_object
 
 MAX_Q = 1 << 16
 PACK_TERMS = 1 << 16  # sets each field's max_terms, the column bound of its kernels
+TABLE_Q = 256  # the largest field that holds addition and product tables
 
 
 def _is_prime(n: int) -> bool:
@@ -180,6 +196,7 @@ class FieldCtx:
             self.modulus = modulus
         self._exp, self._log, self._zech = self._build_tables()
         self._log_minus_one = self._log[p - 1]
+        self.add_table, self.mul_table = self._arith_tables() if q <= TABLE_Q else (None, None)
         # the column bound of every ColumnSums over this field: the most
         # terms whose digit sums fit the bits that PACK_TERMS terms need
         self.max_terms = ((1 << ((p - 1) * PACK_TERMS).bit_length()) - 1) // (p - 1)
@@ -225,6 +242,29 @@ class FieldCtx:
         zech = [log[v + 1 if (v + 1) % p else v + 1 - p] for v in exp]
         return exp + exp, log, zech
 
+    def _arith_tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """The addition and product tables, built as bytes rows (every
+        encoding is below q <= 256) and handed out as tuples of ints.
+
+        Addition is digit-wise mod p, built one digit at a time from the
+        top: with m = p^i, the row of low + m * top over i + 1 digits is
+        the row of low with m * d added to the part where b's top digit
+        is d, rotated by m * top.  Each shift is one translate.  The row
+        of a != 0 in the product table is exp[log a + log b] for b != 0
+        and 0 at b = 0: the bytes of log b translated through the slice
+        of exp from log a, padded with zeros that b = 0 reads."""
+        p, q = self.p, self.q
+        add = [b"\0"]
+        for _ in range(self.s):
+            m = len(add)
+            shifts = [bytes(range(m * d, m * (d + 1))).ljust(256, b"\0") for d in range(p)]
+            flats = [b"".join([row.translate(shift) for shift in shifts]) for row in add]
+            add = [flat[m * top:] + flat[:m * top] for top in range(p) for flat in flats]
+        logs, pad = bytes([q - 1, *self._log[1:]]), bytes(257 - q)
+        exp = bytes(self._exp)
+        mul = [bytes(q)] + [logs.translate(exp[la:la + q - 1] + pad) for la in self._log[1:]]
+        return tuple(map(tuple, add)), tuple(map(tuple, mul))
+
     def _raw_pow(self, a: int, e: int) -> int:
         r = 1
         while e:
@@ -235,6 +275,9 @@ class FieldCtx:
         return r
 
     def add_enc(self, a: int, b: int) -> int:
+        table = self.add_table
+        if table is not None:
+            return table[a][b]
         if self.s == 1:
             return (a + b) % self.p
         if self.p == 2:
@@ -253,6 +296,9 @@ class FieldCtx:
         return self.add_enc(a, self.neg_enc(b))
 
     def mul_enc(self, a: int, b: int) -> int:
+        table = self.mul_table
+        if table is not None:
+            return table[a][b]
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
@@ -279,20 +325,31 @@ class FieldCtx:
         """dst[j] -= c * src[j] in place, where src_logs = row_logs(src).
 
         The negation is folded into the log of c, so each nonzero entry
-        of src costs one exp lookup and one add_enc."""
+        of src costs one exp lookup and one addition: an add_table
+        lookup, or add_enc in a field without tables."""
         if not c:
             return
-        exp, add = self._exp, self.add_enc
+        exp, add = self._exp, self.add_table
         lc = (self._log[c] + self._log_minus_one) % (self.q - 1)
+        if add is not None:
+            for j, ls in src_logs:
+                dst[j] = add[dst[j]][exp[lc + ls]]
+            return
+        add_enc = self.add_enc
         for j, ls in src_logs:
-            dst[j] = add(dst[j], exp[lc + ls])
+            dst[j] = add_enc(dst[j], exp[lc + ls])
 
     def horner(self, high_first: Sequence[int], x: int) -> list[int]:
         """Horner's partial sums at x of the coefficients given leading
         first: the last is the value at x and the others are the quotient
-        by X - x, leading first (synthetic division).  Multiplying by the
+        by X - x, leading first (synthetic division).  With tables a step
+        is add_table[mul_table[x][acc]][c].  Without, multiplying by the
         fixed x is one lookup, exp[log acc + log x]; at x = 0 the partial
         sums are the coefficients themselves."""
+        add = self.add_table
+        if add is not None:
+            times_x, acc = self.mul_table[x], 0
+            return [acc := add[times_x[acc]][c] for c in high_first]
         if not x:
             return list(high_first)
         exp, log, add = self._exp, self._log, self.add_enc

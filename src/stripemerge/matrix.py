@@ -9,8 +9,11 @@ from them are reproducible byte for byte.
 Matrices here stay small (at most a few thousand entries), so plain
 Gaussian elimination on Python lists is enough.  Every row update goes
 through FieldCtx.sub_scaled: the pivot row's logs are taken once per
-pivot (FieldCtx.row_logs), and each entry then costs one table lookup
-and one addition.
+pivot (FieldCtx.row_logs), and each entry then costs one exp lookup and
+one addition, itself one add_table lookup when q <= 256.  A row that is
+already 0 in the pivot column is skipped.  Products read the field's
+add_table and mul_table rows where it has them, and add_enc and mul_enc
+otherwise.
 """
 
 from __future__ import annotations
@@ -56,6 +59,17 @@ class MatQ:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         f = self.field
+        add, mul = f.add_table, f.mul_table
+        if add is not None:
+            out = []
+            for arow in self.data:
+                orow = [0] * other.cols
+                for a, brow in zip(arow, other.data):
+                    if a:
+                        times_a = mul[a]
+                        orow = [add[o][times_a[b]] for o, b in zip(orow, brow)]
+                out.append(orow)
+            return MatQ(f, out)
         out = [[0] * other.cols for _ in range(self.rows)]
         for i in range(self.rows):
             arow = self.data[i]
@@ -95,7 +109,7 @@ class MatQ:
                 m[prow] = [f.mul_enc(inv, e) for e in m[prow]]
             src_logs = f.row_logs(m[prow], col)
             for r in range(self.rows):
-                if r != prow:
+                if r != prow and m[r][col]:
                     f.sub_scaled(m[r], m[r][col], src_logs)
             pivots.append(col)
             prow += 1
@@ -178,7 +192,8 @@ def rank_of_rows(field: FieldCtx, rows: Sequence[Sequence[int]]) -> int:
         inv = field.inv_enc(m[rank][col])
         src_logs = field.row_logs(m[rank], col)
         for r in range(rank + 1, nrows):
-            field.sub_scaled(m[r], field.mul_enc(m[r][col], inv), src_logs)
+            if m[r][col]:
+                field.sub_scaled(m[r], field.mul_enc(m[r][col], inv), src_logs)
         rank += 1
     return rank
 

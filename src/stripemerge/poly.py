@@ -8,8 +8,11 @@ one place-local evaluator, RationalFunction.local: a FieldCtx.horner
 pass each for numerator and denominator, continued by divide_out on the
 one that vanishes there.  divide_out is repeated synthetic division, one
 Horner pass per root divided out, and long division subtracts multiples
-of the divisor through FieldCtx.sub_scaled.  Operands of different fields
-raise ValueError.
+of the divisor through FieldCtx.sub_scaled.  Products read the field's
+add_table and mul_table rows where it has them (q <= 256): each term is
+two index operations, with add_enc and mul_enc as the reference path of
+larger fields.  Coefficients are exact int encodings, copied as given.
+Operands of different fields raise ValueError.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldCtx, coeffs: Sequence[int] = ()):
-        cs = list(int(c) for c in coeffs)
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self.field = field
@@ -96,6 +99,14 @@ class Poly:
         if self.is_zero() or other.is_zero():
             return Poly.zero(f)
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        add, mul = f.add_table, f.mul_table
+        if add is not None:
+            for i, a in enumerate(self.coeffs):
+                if a:
+                    times_a = mul[a]
+                    for j, b in enumerate(other.coeffs, i):
+                        out[j] = add[out[j]][times_a[b]]
+            return Poly(f, out)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
