@@ -62,6 +62,7 @@ from .pgl import (
     Mobius,
     ProjPoint,
     RationalFunction,
+    fixed_field_divisor,
     fixed_field_generator,
     pole_budget_error,
     split_structure,
@@ -757,7 +758,7 @@ def build_lrc_merge(
     a_reps = [plain[i + 1][0] for i in range(k)]
 
     def block(rep: ProjPoint, j: int) -> list[ProjPoint]:
-        return [reps[j].compose(tau).place_action(rep) for tau in taus]
+        return [reps[j].place_action(tau.place_action(rep)) for tau in taus]
 
     z = fixed_field_generator(subgroup)
 
@@ -792,7 +793,7 @@ def build_lrc_merge(
             g2 = one_rf  # rep stabilizes the pole locus of z
         else:
             g2 = rf_z - RationalFunction.constant(z.eval_at(img, 0))
-            _check_pole_swap_divisor(z, g2, reps[j])
+            _check_pole_swap_divisor(subgroup, g2, reps[j])
         hz = one_rf
         for jj in range(t):
             if jj == j:
@@ -900,13 +901,13 @@ def build_lrc_merge(
 
 
 def _check_pole_swap_divisor(
-    z: RationalFunction, g2: RationalFunction, rep: Mobius
+    subgroup: GroupTable, g2: RationalFunction, rep: Mobius
 ) -> None:
-    """div(g2) must be (image of the pole locus of z) - (pole locus of z)."""
-    z_support, _ = z.divisor_support()
+    """div(g2) must be (image of the pole locus of z) - (pole locus of z),
+    for z the subgroup's fixed-field generator."""
     g_support, _ = g2.divisor_support()
     expected: dict = {}
-    for pt, v in z_support.items():
+    for pt, v in fixed_field_divisor(subgroup):
         if v < 0:
             expected[rep.place_action(pt).sort_key()] = -v  # zeros of g2
             expected[pt.sort_key()] = expected.get(pt.sort_key(), 0) + v

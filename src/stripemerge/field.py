@@ -463,7 +463,8 @@ class ColumnSums:
     M * w is then sum(table_j[w_j]): one C-level lookup and one integer
     addition per coordinate.  vanishes is the zero test alone, the
     membership check; run also reduces the unchecked rows, so with
-    checked = 0 run(w)[1] is all of M * w, which is how encode reads it.
+    checked = 0 run(w)[1] is all of M * w, which is how encode reads it;
+    a kernel with no checked rows skips the zero test.
 
     The slot width w is the least with (p - 1) * m < 2^w, where m is the
     most terms in one row, so every slot sum x is exact.  In odd
@@ -592,6 +593,9 @@ class ColumnSums:
             acc = sum(map(getitem, self._tables, encs))
         except KeyError:
             acc = self._fill(encs)
+        if not self._guard:
+            # no checked rows (encode): no zero test, and acc holds only values
+            return -1, self._reduce(acc, self._unchecked)
         bad = ((acc * self._pinv & self._low) + self._bias) & self._guard
         # the lowest flagged bit lies in the block of the first failing row
         first = ((bad & -bad).bit_length() - 1) // self._block - self._first_checked if bad else -1

@@ -17,15 +17,40 @@ With these definitions the contract
 holds exactly, where sigma f substitutes x |-> (ax+b)/(cx+d) into f.
 Composition is automorphism composition (apply the right factor first);
 in matrix terms that reverses the product, which only matters for the
-non-abelian subgroups.
+non-abelian subgroups.  On places it is plain composition:
+(sigma . tau).place_action(P) == sigma.place_action(tau.place_action(P)).
 
 Matrices are canonicalized by scaling the first nonzero entry to 1, so
 each group element has one representation and enumeration order is
 reproducible.
+
+Both actions are read off tables.  A point's index is its encoding, and
+q for infinity; each Mobius holds, from its first use, the index of the
+image of every point, filled from the field's addition and product
+tables where it has them (q <= 256) and one entry at a time, on first
+lookup, above that, so that no lookup in a large field costs O(q).  _coord
+is the arithmetic reference the tables are tested against.  Every lookup
+returns the field's shared ProjPoint (projective_line).  A Mobius map
+that fixes three points is the identity, so the indices of the places
+it sends 0, 1 and infinity to determine an element: element orders, the
+closure checks of a GroupTable and its coset transversals are read off
+those triples, with no product of matrices.
+
+What depends only on a group is derived once per GroupTable and shared:
+its orbit split, left coset representatives, cyclic subgroups,
+fixed-field generator and that generator's divisor.  build_group keeps
+one GroupTable per (field, validated spec) among the 16 most recently
+read, so requests that name one group share all of it.  Rational
+functions stay reduced with a monic denominator, and their products,
+powers and sums keep them so by Henrici's method (Knuth, TAOCP vol. 2,
+4.5.1): cross gcds for a product, none for a power, and for a sum a
+second gcd only when the denominators share a factor.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -65,16 +90,87 @@ class ProjPoint:
         return f"P({self.label()})"
 
 
+class _Line(dict):
+    """One field's projective line: its points by index (the encoding,
+    q for infinity), each made on its first lookup and shared by every
+    later one; and, where the field has a product table, the inverse of
+    every nonzero encoding, which the action tables divide by."""
+
+    __slots__ = ("field", "inverse")
+
+    def __init__(self, field: FieldCtx):
+        super().__init__()
+        self.field = field
+        self.inverse = (
+            None if field.mul_table is None else (None, *map(field.inv_enc, range(1, field.q)))
+        )
+
+    def __missing__(self, i: int) -> ProjPoint:
+        pt = self[i] = ProjPoint(None if i == self.field.q else FieldElem(self.field, i))
+        return pt
+
+
+@functools.lru_cache(maxsize=16)
+def projective_line(field: FieldCtx) -> _Line:
+    """The shared points of field's projective line, one _Line per field
+    while among the 16 most recently used."""
+    return _Line(field)
+
+
 def all_points(field: FieldCtx) -> list[ProjPoint]:
-    pts = [ProjPoint.of(e) for e in field.elements()]
-    pts.append(ProjPoint.infinity())
-    return pts
+    line = projective_line(field)
+    return [line[i] for i in range(field.q + 1)]
+
+
+def _coord(line: _Line, m: tuple[int, int, int, int], pt: ProjPoint) -> ProjPoint:
+    """beta |-> (a beta + b)/(c beta + d) by field arithmetic, as a point
+    of line: the reference the action tables are tested against, and how
+    they fill their entries above TABLE_Q."""
+    a, b, c, d = m
+    f = line.field
+    if pt.finite is None:
+        return line[f.q] if c == 0 else line[f.mul_enc(a, f.inv_enc(c))]
+    x = pt.finite.enc
+    den = f.add_enc(f.mul_enc(c, x), d)
+    num = f.add_enc(f.mul_enc(a, x), b)
+    return line[f.q] if den == 0 else line[f.mul_enc(num, f.inv_enc(den))]
+
+
+class _Images(dict):
+    """The action table of a matrix over a field without product tables:
+    each entry is filled by _coord on its first lookup."""
+
+    __slots__ = ("line", "m")
+
+    def __init__(self, line: _Line, m: tuple[int, int, int, int]):
+        super().__init__()
+        self.line, self.m = line, m
+
+    def __missing__(self, i: int) -> int:
+        img = _coord(self.line, self.m, self.line[i])
+        v = self[i] = self.line.field.q if img.finite is None else img.finite.enc
+        return v
+
+
+def _action_table(line: _Line, m: tuple[int, int, int, int]) -> list[int] | _Images:
+    """Entry i: the index of the image of point i under the coordinate
+    action of m, infinity at index q."""
+    field = line.field
+    q, (a, b, c, d) = field.q, m
+    mul, add, inv = field.mul_table, field.add_table, line.inverse
+    if mul is None:
+        return _Images(line, m)
+    nums = map(add[b].__getitem__, mul[a])  # a x + b, for x = 0 .. q - 1
+    dens = map(add[d].__getitem__, mul[c])
+    table = [mul[n][inv[e]] if e else q for n, e in zip(nums, dens)]
+    table.append(mul[a][inv[c]] if c else q)
+    return table
 
 
 class Mobius:
     """One element of PGL_2(q) in canonical (first-nonzero-is-1) form."""
 
-    __slots__ = ("field", "m")
+    __slots__ = ("field", "m", "_line", "_point", "_place")
 
     def __init__(self, field: FieldCtx, a: int, b: int, c: int, d: int):
         det = field.sub_enc(field.mul_enc(a, d), field.mul_enc(b, c))
@@ -82,11 +178,15 @@ class Mobius:
             raise ValueError("singular matrix does not define a Moebius map")
         for e in (a, b, c, d):
             if e:
-                inv = field.inv_enc(e)
-                a, b, c, d = (field.mul_enc(inv, x) for x in (a, b, c, d))
+                if e != 1:
+                    inv = field.inv_enc(e)
+                    a, b, c, d = (field.mul_enc(inv, x) for x in (a, b, c, d))
                 break
         self.field = field
         self.m = (a, b, c, d)
+        self._line = projective_line(field)
+        self._point: Optional[list[int] | _Images] = None
+        self._place: Optional[list[int] | _Images] = None
 
     @classmethod
     def identity(cls, field: FieldCtx) -> Mobius:
@@ -140,37 +240,37 @@ class Mobius:
         return out
 
     def order(self) -> int:
-        k, cur = 1, self
-        while not cur.is_identity():
-            cur = cur.compose(self)
-            k += 1
-            if k > self.field.q ** 2:
-                raise AssertionError("runaway order computation")
+        """The least k >= 1 with self^k the identity: the first k at which
+        k steps of the place action bring 0, 1 and infinity back."""
+        table = self.place_table()
+        q = self.field.q
+        a, b, c, k = table[0], table[1], table[q], 1
+        while (a, b, c) != (0, 1, q):
+            a, b, c, k = table[a], table[b], table[c], k + 1
         return k
 
-    def _coord(self, m: tuple[int, int, int, int], pt: ProjPoint) -> ProjPoint:
-        a, b, c, d = m
-        f = self.field
-        if pt.is_infinity:
-            if c == 0:
-                return ProjPoint.infinity()
-            return ProjPoint.of(f.element(f.mul_enc(a, f.inv_enc(c))))
-        x = pt.finite.enc
-        den = f.add_enc(f.mul_enc(c, x), d)
-        num = f.add_enc(f.mul_enc(a, x), b)
-        if den == 0:
-            return ProjPoint.infinity()
-        return ProjPoint.of(f.element(f.mul_enc(num, f.inv_enc(den))))
+    def point_table(self) -> list[int] | _Images:
+        """The coordinate action as an index table, made on first use."""
+        if self._point is None:
+            self._point = _action_table(self._line, self.m)
+        return self._point
+
+    def place_table(self) -> list[int] | _Images:
+        """The place action (the adjugate's coordinate action) as an
+        index table, made on first use."""
+        if self._place is None:
+            a, b, c, d = self.m
+            f = self.field
+            self._place = _action_table(self._line, (d, f.neg_enc(b), f.neg_enc(c), a))
+        return self._place
 
     def point_action(self, pt: ProjPoint) -> ProjPoint:
         """Coordinate action beta |-> (a beta + b)/(c beta + d)."""
-        return self._coord(self.m, pt)
+        return self._line[self.point_table()[self.field.q if pt.finite is None else pt.finite.enc]]
 
     def place_action(self, pt: ProjPoint) -> ProjPoint:
         """Image of the place at pt; adjugate coordinate action."""
-        a, b, c, d = self.m
-        f = self.field
-        return self._coord((d, f.neg_enc(b), f.neg_enc(c), a), pt)
+        return self._line[self.place_table()[self.field.q if pt.finite is None else pt.finite.enc]]
 
     def to_obj(self) -> list[int]:
         return list(self.m)
@@ -180,8 +280,35 @@ class Mobius:
         return f"Mobius([{a},{b};{c},{d}] over GF({self.field.q}))"
 
 
+def _signature(g: Mobius) -> tuple[int, int, int]:
+    """The indices of the places g sends 0, 1 and infinity to, which
+    determine g."""
+    table = g.place_table()
+    return table[0], table[1], table[g.field.q]
+
+
+def _once_per_group(fn):
+    """fn(group, *args), computed once per group and args and shared by
+    every later call; a call that raises stores nothing."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def shared(group, *args):
+        key = (name, *args)
+        derived = group._derived
+        if key not in derived:
+            derived[key] = fn(group, *args)
+        return derived[key]
+
+    return shared
+
+
 class GroupTable:
-    """A finite subgroup of PGL_2(q), canonically enumerated, identity first."""
+    """A finite subgroup of PGL_2(q), canonically enumerated, identity first.
+
+    A GroupTable is not changed after construction, so one table, with
+    what is derived from it, can be shared by every build that names it.
+    """
 
     def __init__(self, field: FieldCtx, elements: Iterable[Mobius], recipe: Optional[dict] = None):
         elems = list(elements)
@@ -194,14 +321,18 @@ class GroupTable:
         rest = sorted((e for e in elems if not e.is_identity()), key=Mobius.sort_key)
         self.field = field
         self.elements: tuple[Mobius, ...] = tuple([ident] + rest)
-        self.recipe = recipe
-        index = {e.m: i for i, e in enumerate(self.elements)}
+        self._recipe = copy.deepcopy(recipe)
+        self._derived: dict = {}
+        # g . h lies in the group iff its signature, read off the place
+        # tables, is one of the group's
+        sigs = [_signature(g) for g in self.elements]
+        members = set(sigs)
         for g in self.elements:
-            if g.inverse().m not in index:
+            if g.inverse().m not in seen:
                 raise ValueError("group table not closed under inverse")
-            for h in self.elements:
-                if g.compose(h).m not in index:
-                    raise ValueError("group table not closed under composition")
+            table = g.place_table()
+            if not members.issuperset((table[a], table[b], table[c]) for a, b, c in sigs):
+                raise ValueError("group table not closed under composition")
 
     @classmethod
     def from_generators(cls, field: FieldCtx, gens: Sequence[Mobius],
@@ -227,24 +358,27 @@ class GroupTable:
         mine = {e.m for e in self.elements}
         return all(e.m in mine for e in sub.elements)
 
-    def left_coset_reps(self, sub: GroupTable) -> list[Mobius]:
+    @_once_per_group
+    def left_coset_reps(self, sub: GroupTable) -> tuple[Mobius, ...]:
         """Canonical transversal of self/sub: identity's coset first, then
         minimal representative per coset in canonical element order."""
         if not self.is_subgroup(sub):
             raise ValueError("not a subgroup")
+        sub_sigs = [_signature(h) for h in sub.elements]
         seen: set = set()
         reps: list[Mobius] = []
         for g in self.elements:
-            coset = frozenset(g.compose(h).m for h in sub.elements)
+            table = g.place_table()
+            coset = frozenset((table[a], table[b], table[c]) for a, b, c in sub_sigs)
             if coset not in seen:
                 seen.add(coset)
                 reps.append(g)
         # canonical enumeration already puts the identity first
-        return reps
+        return tuple(reps)
 
     def to_obj(self) -> dict:
-        if self.recipe is not None:
-            return dict(self.recipe)
+        if self._recipe is not None:
+            return copy.deepcopy(self._recipe)
         return {"kind": "explicit", "elements": [e.to_obj() for e in self.elements]}
 
     def __repr__(self) -> str:
@@ -265,13 +399,20 @@ class RationalFunction:
         if num.is_zero():
             num, den = Poly.zero(num.field), Poly.one(num.field)
         else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lead_inv = den.leading().inverse()
-            num, den = num.scale(lead_inv), den.scale(lead_inv)
+            num, den = _cancel(num, den)
+            if den.coeffs[-1] != 1:
+                lead_inv = den.leading().inverse()
+                num, den = num.scale(lead_inv), den.scale(lead_inv)
         self.num = num
         self.den = den
+
+    @classmethod
+    def _reduced(cls, num: Poly, den: Poly) -> RationalFunction:
+        """num/den as given, for coprime num and den with den monic; a
+        zero num gets the denominator 1."""
+        out = object.__new__(cls)
+        out.num, out.den = num, den if num.coeffs else Poly.one(num.field)
+        return out
 
     @classmethod
     def from_poly(cls, p: Poly) -> RationalFunction:
@@ -308,23 +449,41 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __add__(self, other: RationalFunction) -> RationalFunction:
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        """Henrici's sum: with g = gcd(b, d), a/b + c/d is (a d + c b)/(b d)
+        when g = 1; otherwise t = a (d/g) + c (b/g) shares with the
+        denominator only factors of g, and one more gcd cancels them."""
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = b.gcd(d) if b.degree > 0 and d.degree > 0 else None
+        if g is None or g.degree < 1:
+            return RationalFunction._reduced(a * d + c * b, b * d)
+        b, d = b // g, d // g
+        t = a * d + c * b
+        if t.coeffs:
+            t, g = _cancel(t, g)
+        return RationalFunction._reduced(t, b * d * g)
 
     def __neg__(self) -> RationalFunction:
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._reduced(-self.num, self.den)
 
     def __sub__(self, other: RationalFunction) -> RationalFunction:
         return self + (-other)
 
     def __mul__(self, other: RationalFunction) -> RationalFunction:
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        """Henrici's product: (a/b)(c/d) with gcd(a, d) and gcd(c, b)
+        cancelled crosswise is reduced, and its denominator is monic."""
+        a, d = _cancel(self.num, other.den)
+        c, b = _cancel(other.num, self.den)
+        return RationalFunction._reduced(a * c, b * d)
 
     def __pow__(self, e: int) -> RationalFunction:
+        """A power of a reduced fraction is reduced; no gcd is taken."""
+        num, den = self.num, self.den
         if e < 0:
-            return (RationalFunction(self.den, self.num)) ** (-e)
-        return RationalFunction(self.num ** e, self.den ** e)
+            if not num.coeffs:
+                raise ZeroDivisionError("zero denominator")
+            lead_inv = num.leading().inverse()
+            num, den, e = den.scale(lead_inv), num.scale(lead_inv), -e
+        return RationalFunction._reduced(num ** e, den ** e)
 
     def substitute(self, m: Mobius) -> RationalFunction:
         """x |-> (a x + b)/(c x + d); clears denominators to reduced form."""
@@ -410,6 +569,16 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({list(self.num.coeffs)}/{list(self.den.coeffs)})"
+
+
+def _cancel(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """(p/g, q/g) for g = gcd(p, q), which is monic, so q/g is monic
+    when q is; a constant q takes no gcd."""
+    if q.degree > 0 and p.coeffs:
+        g = p.gcd(q)
+        if g.degree > 0:
+            return p // g, q // g
+    return p, q
 
 
 def pole_budget_error(order: int, pt: ProjPoint, pole_budget: int) -> ValueError:
@@ -519,6 +688,7 @@ def subgroup_dihedral(field: FieldCtx, u: int, variant: str) -> GroupTable:
     return table
 
 
+@_once_per_group
 def cyclic_subgroup_of_order(group: GroupTable, m: int) -> GroupTable:
     """Subgroup generated by the first canonical element of order m."""
     for e in group.elements:
@@ -529,25 +699,43 @@ def cyclic_subgroup_of_order(group: GroupTable, m: int) -> GroupTable:
 
 def build_group(field: FieldCtx, obj: dict) -> GroupTable:
     """Rebuild a subgroup from its serialized spec; raises ValueError,
-    naming the key, for a malformed one."""
+    naming the key, for a malformed one.  The spec is validated on every
+    read, and each (field, validated spec) gives one GroupTable, shared
+    by every later read while among the 16 most recently read; a refused
+    spec raises again on every read."""
     obj = as_object(obj, "spec")
     kind = obj["kind"]
     q = field.q
     if kind == "cyclic_qplus1":
-        a, b = (field.element(e) for e in as_encs(obj["quad"], "quad", q, 2))
-        return subgroup_cyclic_qplus1(field, (a, b), as_int(obj["d"], "d"))
-    if kind == "affine":
-        return subgroup_affine(
-            field,
-            [field.element(e) for e in as_encs(obj["mult"], "mult", q)],
-            [field.element(e) for e in as_encs(obj["add"], "add", q)],
-        )
-    if kind == "dihedral":
-        return subgroup_dihedral(field, as_int(obj["u"], "u"), obj["variant"])
-    if kind == "explicit":
+        key = (kind, as_encs(obj["quad"], "quad", q, 2), as_int(obj["d"], "d"))
+    elif kind == "affine":
+        key = (kind, as_encs(obj["mult"], "mult", q), as_encs(obj["add"], "add", q))
+    elif kind == "dihedral":
+        key = (kind, as_int(obj["u"], "u"), obj["variant"])
+        if not isinstance(key[2], str):
+            # a list or object cannot key the cache; the builder refuses it
+            return subgroup_dihedral(field, *key[1:])
+    elif kind == "explicit":
         rows = as_list(obj["elements"], "elements")
-        return GroupTable(field, [Mobius(field, *as_encs(row, "elements", q, 4)) for row in rows])
-    raise ValueError(f"unknown group kind {kind!r}")
+        key = (kind, tuple(Mobius(field, *as_encs(row, "elements", q, 4)).m for row in rows))
+    else:
+        raise ValueError(f"unknown group kind {kind!r}")
+    return _shared_group(field, key)
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_group(field: FieldCtx, key: tuple) -> GroupTable:
+    """The group of a spec that build_group has validated into key."""
+    kind = key[0]
+    if kind == "cyclic_qplus1":
+        quad, d = key[1:]
+        return subgroup_cyclic_qplus1(field, tuple(map(field.element, quad)), d)
+    if kind == "affine":
+        mult, add = key[1:]
+        return subgroup_affine(field, list(map(field.element, mult)), list(map(field.element, add)))
+    if kind == "dihedral":
+        return subgroup_dihedral(field, *key[1:])
+    return GroupTable(field, [Mobius(field, *m) for m in key[1]])
 
 
 # -- orbit structure ---------------------------------------------------------
@@ -566,30 +754,36 @@ class SplitStructure:
     ramified: tuple[ProjPoint, ...]
 
 
+@_once_per_group
 def split_structure(group: GroupTable) -> SplitStructure:
     field = group.field
-    remaining = {pt.sort_key(): pt for pt in all_points(field)}
+    q = field.q
+    line = projective_line(field)
+    tables = [g.place_table() for g in group.elements]
+    placed = bytearray(q + 1)
     free: list[tuple[ProjPoint, ...]] = []
-    ramified: list[ProjPoint] = []
-    while remaining:
-        rep = remaining.pop(min(remaining))
-        images = [g.place_action(rep) for g in group.elements]
-        orbit = {pt.sort_key(): pt for pt in images}
-        for key in orbit:
-            remaining.pop(key, None)
+    ramified: list[int] = []
+    # the least unplaced index is the least point by sort_key, so each
+    # orbit starts at its minimal point and the free orbits come sorted
+    for i in range(q + 1):
+        if placed[i]:
+            continue
+        images = [table[i] for table in tables]
+        orbit = set(images)
+        for j in orbit:
+            placed[j] = 1
         if len(orbit) == group.order:
-            free.append(tuple(images))
+            free.append(tuple(line[j] for j in images))
         else:
-            ramified.extend(orbit.values())
-    ramified.sort(key=ProjPoint.sort_key)
+            ramified.extend(orbit)
     if len(ramified) > max(2 * group.order - 2, 0):
         raise AssertionError(
             f"{len(ramified)} ramified points exceed the Hurwitz cap {2 * group.order - 2}"
         )
-    free.sort(key=lambda orbit: orbit[0].sort_key())
-    return SplitStructure(tuple(free), tuple(ramified))
+    return SplitStructure(tuple(free), tuple(line[j] for j in sorted(ramified)))
 
 
+@_once_per_group
 def fixed_field_generator(group: GroupTable) -> RationalFunction:
     """A degree-|H| rational function fixed by every element of the group.
 
@@ -620,3 +814,10 @@ def fixed_field_generator(group: GroupTable) -> RationalFunction:
                     raise AssertionError("candidate generator is not invariant")
             return z
     raise AssertionError("no fixed-field generator found among candidates")
+
+
+@_once_per_group
+def fixed_field_divisor(group: GroupTable) -> tuple[tuple[ProjPoint, int], ...]:
+    """The (place, valuation) pairs of the rational places where the
+    group's fixed-field generator has a zero or a pole."""
+    return tuple(fixed_field_generator(group).divisor_support()[0].items())

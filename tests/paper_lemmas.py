@@ -18,15 +18,35 @@ the tests:
   of the k·w × N system over the folded generator, which
   codes.grs_certificate's dual filter is checked against, on the seeded
   codes of certificate_cases by certificate_disagreements;
-* grs_generator: the rows v_j a_j^m of a GRS generator on given places.
+* grs_generator: the rows v_j a_j^m of a GRS generator on given places;
+* reference_place_action, reference_order, reference_closure_error,
+  reference_split and reference_coset_reps: a Mobius map's place action
+  by field arithmetic (pgl._coord on the adjugate), and element orders,
+  GroupTable's closure verdict and message, the orbit split and the
+  left coset transversal by composing matrices, which the action tables
+  and the signature-based group code of pgl are checked against, on the
+  groups of group_cases by group_disagreements.
 """
 
 import itertools
+import operator
 from collections import Counter
 
 from stripemerge.codes import LinearCode, grs_certificate
-from stripemerge.field import FieldCtx, FieldElem, _factorize
+from stripemerge.field import FieldCtx, FieldElem, _factorize, primitive_quadratic_search
 from stripemerge.matrix import MatQ, rank_of_rows
+from stripemerge.pgl import (
+    GroupTable,
+    Mobius,
+    _coord,
+    all_points,
+    cyclic_subgroup_of_order,
+    projective_line,
+    split_structure,
+    subgroup_affine,
+    subgroup_cyclic_qplus1,
+    subgroup_dihedral,
+)
 
 
 def _quad_mul(x, y, a: FieldElem, b: FieldElem):
@@ -268,3 +288,184 @@ def certificate_disagreements(F: FieldCtx, rng, count: int):
                 certified += fast
                 widest = max(widest, len(reference_grs_kernel(code, d - 1)))
     return checks, certified, widest, bad
+
+
+# -- groups of Moebius maps, by composing matrices ---------------------------
+
+
+def reference_place_action(g: Mobius, pt):
+    """The place at pt moved by g: the adjugate's coordinate action."""
+    f = g.field
+    a, b, c, d = g.m
+    return _coord(projective_line(f), (d, f.neg_enc(b), f.neg_enc(c), a), pt)
+
+
+def reference_order(g: Mobius) -> int:
+    """Least k >= 1 with g composed k times the identity."""
+    k, cur = 1, g
+    while not cur.is_identity():
+        cur, k = cur.compose(g), k + 1
+        if k > g.field.q ** 2:
+            raise AssertionError("runaway order computation")
+    return k
+
+
+def reference_closure_error(field: FieldCtx, elements):
+    """The ValueError message GroupTable(field, elements) gives, found by
+    composing matrices in its order of checks, or None for a group."""
+    elems = list(elements)
+    seen = {e.m for e in elems}
+    if len(seen) != len(elems):
+        return "duplicate group elements"
+    if (1, 0, 0, 1) not in seen:
+        return "group table lacks the identity"
+    ordered = [Mobius.identity(field)] + sorted(
+        (e for e in elems if not e.is_identity()), key=Mobius.sort_key)
+    for g in ordered:
+        if g.inverse().m not in seen:
+            return "group table not closed under inverse"
+        for h in ordered:
+            if g.compose(h).m not in seen:
+                return "group table not closed under composition"
+    return None
+
+
+def reference_split(group: GroupTable):
+    """(free orbits, ramified points) of the place action, each orbit
+    listed as the group's elements move its least point, by sort_key."""
+    remaining = {pt.sort_key(): pt for pt in all_points(group.field)}
+    free, ramified = [], []
+    while remaining:
+        rep = remaining.pop(min(remaining))
+        images = [reference_place_action(g, rep) for g in group.elements]
+        orbit = {pt.sort_key(): pt for pt in images}
+        for key in orbit:
+            remaining.pop(key, None)
+        if len(orbit) == group.order:
+            free.append(tuple(images))
+        else:
+            ramified.extend(orbit.values())
+    free.sort(key=lambda orbit: orbit[0].sort_key())
+    return tuple(free), tuple(sorted(ramified, key=lambda pt: pt.sort_key()))
+
+
+def reference_coset_reps(group: GroupTable, sub: GroupTable) -> list:
+    """The first element of each left coset g sub, in canonical order,
+    with the cosets found by composing matrices."""
+    seen, reps = set(), []
+    for g in group.elements:
+        coset = frozenset(g.compose(h).m for h in sub.elements)
+        if coset not in seen:
+            seen.add(coset)
+            reps.append(g)
+    return reps
+
+
+def group_cases(F: FieldCtx) -> list:
+    """(name, group) for every subgroup family of pgl over F: the order-d
+    subgroup of the cyclic group of order q + 1 for each d | q + 1; for
+    even q the dihedral groups of order 2u, u | q + 1 (q_plus) and
+    u | q - 1 (q_minus); and the affine groups x |-> a x + b with a in
+    the order-u subgroup of GF(q)* for each u | q - 1, b in {0}, and
+    the translations by the prime field; and for q > 2 the cyclic group
+    of order q - 1 of the maps that fix 0 and 1."""
+    q = F.q
+    cases = []
+    quad = primitive_quadratic_search(F)
+    for d in (d for d in range(1, q + 2) if (q + 1) % d == 0):
+        cases.append((f"cyclic_qplus1 d={d}", subgroup_cyclic_qplus1(F, quad, d)))
+    if F.p == 2:
+        for variant, size in (("q_plus", q + 1), ("q_minus", q - 1)):
+            for u in (u for u in range(1, size + 1) if size % u == 0):
+                cases.append((f"dihedral {variant} u={u}", subgroup_dihedral(F, u, variant)))
+    for u in (u for u in range(1, q) if (q - 1) % u == 0):
+        cases.append((f"affine u={u}", subgroup_affine(F, multiplicative_subgroup(F, u), [F.zero])))
+    prime_field = [F.element(e) for e in range(F.p)] if F.s == 1 else subfield_elements(F, 1)
+    cases.append(("affine translations", subgroup_affine(F, [F.one], prime_field)))
+    if q > 2:
+        # every element fixes 0 and 1, so only infinity tells cosets apart
+        lam = next(e.enc for e in F.elements() if e.enc > 1 and e.multiplicative_order() == q - 1)
+        fixing = Mobius(F, lam, 0, F.sub_enc(lam, 1), 1)
+        cases.append(("explicit fixing 0 and 1", GroupTable.from_generators(F, [fixing])))
+    return cases
+
+
+def group_disagreements(F: FieldCtx, rng, cases=None, quadratic_budget: int = 1 << 10):
+    """Compare pgl's table-based group code with the references over F.
+
+    On 20 seeded random Mobius maps, 9 that fix two of 0, 1 and
+    infinity, and the elements of each (name, group) of cases (by default
+    group_cases(F)), all of them or 16 drawn from a larger group: the
+    point and place tables against pgl._coord on every point, each image
+    the field's shared point, and the element orders.  On each group: the
+    orbit split; the coset reps of each cyclic subgroup of prime order;
+    and the closure verdict and message of the group, of the group
+    without one element and of the group with one more.  A check whose
+    reference would compose more than quadratic_budget pairs is skipped.
+    Returns the comparisons made and the disagreements as (case, what)."""
+    line = projective_line(F)
+    points = all_points(F)
+    bad, checks = [], 0
+
+    def check(case, what, fast, ref):
+        nonlocal checks
+        checks += 1
+        if fast != ref:
+            bad.append((case, what))
+
+    def actions(case, g):
+        fast = [g.point_action(pt) for pt in points] + [g.place_action(pt) for pt in points]
+        ref = [_coord(line, g.m, pt) for pt in points] + [reference_place_action(g, pt) for pt in points]
+        check(case, f"actions of {g!r}", fast, ref)
+        check(case, f"shared points of {g!r}", all(map(operator.is_, fast, ref)), True)
+
+    def random_mobius():
+        while True:
+            m = [rng.randrange(F.q) for _ in range(4)]
+            if F.sub_enc(F.mul_enc(m[0], m[3]), F.mul_enc(m[1], m[2])):
+                return Mobius(F, *m)
+
+    # maps that fix two of 0, 1 and infinity: x |-> l x, l x + 1 - l and
+    # l x / ((l - 1) x + 1), whose powers can bring two of them back
+    # before the third
+    fixing = []
+    for _ in range(3):
+        lam = rng.randrange(2, F.q) if F.q > 2 else 1
+        one_minus = F.sub_enc(1, lam)
+        fixing += [Mobius(F, lam, 0, 0, 1), Mobius(F, lam, one_minus, 0, 1),
+                   Mobius(F, lam, 0, F.neg_enc(one_minus), 1)]
+    for i, g in enumerate([random_mobius() for _ in range(20)] + fixing):
+        actions(f"map {i}", g)
+        check(f"map {i}", f"order of {g!r}", g.order(), reference_order(g))
+    for case, group in group_cases(F) if cases is None else cases:
+        n = group.order
+        elements = group.elements if n <= 16 else rng.sample(group.elements, 16)
+        for g in elements:
+            actions(case, g)
+            check(case, f"order of {g!r}", g.order(), reference_order(g))
+        free, ramified = reference_split(group)
+        split = split_structure(group)
+        check(case, "orbit split", (split.free_orbits, split.ramified), (free, ramified))
+        orders = {g.order() for g in group.elements}
+        for m in sorted(m for m in orders if m > 1 and all(m % r for r in range(2, m))):
+            sub = cyclic_subgroup_of_order(group, m)
+            if n * m <= quadratic_budget:
+                check(case, f"coset reps of order {m}", list(group.left_coset_reps(sub)),
+                      reference_coset_reps(group, sub))
+        # the reference composes every pair of a group, but stops at the
+        # first missing product of a set with one element less or more
+        outside = random_mobius()
+        sets = [list(group.elements)] if n * n <= quadratic_budget else []
+        if n > 1:
+            drop = rng.randrange(1, n)
+            sets.append([g for i, g in enumerate(group.elements) if i != drop])
+        if outside not in group.elements:
+            sets.append([*group.elements, outside])
+        for elems in sets:
+            try:
+                GroupTable(F, elems)
+                fast = None
+            except ValueError as exc:
+                fast = str(exc)
+            check(case, f"closure of {len(elems)} elements", fast, reference_closure_error(F, elems))
+    return checks, bad

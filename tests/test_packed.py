@@ -180,11 +180,14 @@ def test_longest_allowed_row_reduces_exactly(p, s):
     assert (p - 1) * top < 1 << width <= (p - 1) * (top + 1)
     digit = top * (p - 1) % p
     want = sum(digit * p ** i for i in range(s))
-    # two rows of all-(q - 1) columns, so that the first row's top slot
-    # would carry into the second row if the bound were too loose
-    rows = [[(j, F.q - 1) for j in range(top)]] * 2
-    assert ColumnSums(F, rows, top, checked=0).run([1] * top) == (-1, [want, want])
-    assert ColumnSums(F, rows, top).vanishes([1] * top) == (want == 0)
+    # four rows of all-(q - 1) columns in one kernel, two checked and two
+    # not, so that a top slot would carry into the next row if the bound
+    # were too loose: between the unchecked rows, between the checked
+    # rows, and from the top unchecked row into the first checked one
+    rows = [[(j, F.q - 1) for j in range(top)]] * 4
+    kernel = ColumnSums(F, rows, top, checked=2)
+    assert kernel.run([1] * top) == (-1 if want == 0 else 0, [want, want])
+    assert kernel.vanishes([1] * top) == (want == 0)
     with pytest.raises(ValueError, match="exceed"):
         ColumnSums(F, [[(j, F.q - 1) for j in range(top + 1)]], top + 1)
 
@@ -381,6 +384,22 @@ def test_execute_matches_the_reference(name):
         i, n = len(words) - 1, len(words[-1])
         with pytest.raises(ValueError, match=f"^input {i} has {n - 1} symbols, stripe {i} has n = {n}$"):
             execute(cc, short)
+
+
+@pytest.mark.parametrize("name", CONVERSIONS)
+def test_encode_matches_the_fold(name):
+    # encode runs a kernel with no checked rows, which skips the zero
+    # test: each codeword symbol is the fold of the message with its
+    # generator column, on every initial and the final code
+    cc = conversion(name)
+    F = cc.field
+    rng = random.Random(name)
+    for code in (*cc.initials, cc.final):
+        columns = list(zip(*code.generator.data))
+        for _ in range(4):
+            message = [rng.randrange(F.q) for _ in range(code.k)]
+            want = [fold(F, column, message) for column in columns]
+            assert [e.enc for e in code.encode(F.word(message))] == want
 
 
 @pytest.mark.parametrize("name", CONVERSIONS)

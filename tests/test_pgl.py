@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
-from stripemerge.field import field_create
+from stripemerge.convert import build_mds_merge
+from stripemerge.field import FieldCtx, field_create
 from stripemerge.pgl import (
     GroupTable,
     Mobius,
@@ -11,7 +13,9 @@ from stripemerge.pgl import (
     all_points,
     build_group,
     cyclic_subgroup_of_order,
+    fixed_field_divisor,
     fixed_field_generator,
+    projective_line,
     split_structure,
     subgroup_affine,
     subgroup_cyclic_qplus1,
@@ -19,7 +23,12 @@ from stripemerge.pgl import (
 )
 from stripemerge.poly import Poly, poly_from_roots
 
-from paper_lemmas import multiplicative_subgroup, subfield_elements
+from paper_lemmas import (
+    group_cases,
+    group_disagreements,
+    multiplicative_subgroup,
+    subfield_elements,
+)
 
 F23 = field_create(23, 1)
 QUAD23 = (F23.element(21), F23.element(5))  # x^2 - 2x + 5
@@ -430,3 +439,136 @@ def test_group_serialization_roundtrip():
     explicit = GroupTable(F23, group.elements)
     again2 = build_group(F23, explicit.to_obj())
     assert {g.m for g in again2.elements} == {g.m for g in group.elements}
+
+
+# -- tables, shared groups and Henrici arithmetic -----------------------------
+
+
+GROUP_FIELDS = ((2, 3), (3, 2), (23, 1), (5, 2), (2, 6))
+
+
+@pytest.mark.parametrize("p,s", GROUP_FIELDS, ids=[f"GF({p ** s})" for p, s in GROUP_FIELDS])
+def test_group_tables_match_the_references(p, s):
+    # action tables against _coord on every point, element orders, closure
+    # verdicts and messages, the orbit split and the coset reps against
+    # the compose-based references, on every subgroup family over F
+    F = field_create(p, s)
+    checks, bad = group_disagreements(F, random.Random(22 * 1000 + F.q))
+    assert bad == []
+    kinds = {name.split()[0] for name, _ in group_cases(F)}
+    assert kinds == {"cyclic_qplus1", "affine", "explicit"} | ({"dihedral"} if p == 2 else set())
+    assert checks > 100
+
+
+def test_action_tables_above_the_product_table_limit():
+    # GF(257) has no product table: entries are filled on first lookup,
+    # so one lookup in GF(65521) fills one entry, not q of them
+    F = field_create(257, 1)
+    checks, bad = group_disagreements(F, random.Random(257), cases=[])
+    assert bad == [] and checks == 3 * 29
+    big = field_create(65521, 1)
+    line = projective_line(big)
+    m = Mobius(big, 1, 1, 0, 1)  # x |-> x + 1, which moves places by -1
+    assert m.place_action(line[0]) is line[65520]
+    assert m.point_action(line[0]) is line[1]
+    assert len(m.place_table()) == 1 and len(m.point_table()) == 1
+
+
+def test_actions_return_the_shared_points():
+    line = projective_line(F23)
+    assert all_points(F23) == [line[i] for i in range(24)]
+    assert all(a is b for a, b in zip(all_points(F23), all_points(F23)))
+    m = Mobius(F23, 0, 1, 21, 5)
+    assert m.point_action(pt(F23, 9)) is line[7]
+    assert m.place_action(INF) is line[m.place_table()[23]]
+
+
+def test_build_group_shares_one_table_per_spec():
+    spec = {"kind": "cyclic_qplus1", "quad": [21, 5], "d": 4}
+    group = build_group(F23, spec)
+    assert build_group(F23, dict(spec)) is group
+    assert build_group(FieldCtx.from_obj(F23.to_obj()), spec) is group
+    assert build_group(F23, {**spec, "d": 6}) is not group
+    # what depends only on the group is derived once and shared
+    sub = cyclic_subgroup_of_order(group, 2)
+    assert cyclic_subgroup_of_order(group, 2) is sub
+    assert split_structure(group) is split_structure(group)
+    assert group.left_coset_reps(sub) is group.left_coset_reps(sub)
+    assert isinstance(group.left_coset_reps(sub), tuple)
+    assert fixed_field_generator(group) is fixed_field_generator(group)
+    assert fixed_field_divisor(group) is fixed_field_divisor(group)
+    assert dict(fixed_field_divisor(group)) == fixed_field_generator(group).divisor_support()[0]
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"kind": "cyclic_qplus1", "quad": [0, 0], "d": 4}, "not primitive"),
+    ({"kind": "cyclic_qplus1", "quad": [21, 5], "d": 5}, "does not divide"),
+    ({"kind": "dihedral", "u": 3, "variant": ["q_plus"]}, "even characteristic"),
+    ({"kind": "explicit", "elements": [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0]]}, "duplicate"),
+])
+def test_build_group_refuses_a_bad_spec_on_every_read(spec, message):
+    for _ in range(3):
+        with pytest.raises(ValueError, match=message):
+            build_group(F23, spec)
+
+
+def test_refused_cyclic_subgroup_is_refused_again():
+    group = subgroup_cyclic_qplus1(F23, QUAD23, 4)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no element of order 3"):
+            cyclic_subgroup_of_order(group, 3)
+    with pytest.raises(ValueError, match="not a subgroup"):
+        group.left_coset_reps(subgroup_cyclic_qplus1(F23, QUAD23, 3))
+
+
+def test_group_provenance_is_a_copy():
+    # a shared group must not hand out its recipe: a caller that edits
+    # one bundle's provenance would change every later build of the group
+    recipe = {"kind": "cyclic_qplus1", "quad": [21, 5], "d": 4}
+    group = build_group(F23, recipe)
+    recipe["quad"].append(7)
+    obj = group.to_obj()
+    obj["quad"].append(99)
+    assert group.to_obj() == {"kind": "cyclic_qplus1", "quad": [21, 5], "d": 4}
+
+    def build():
+        cc = build_mds_merge(F23, build_group(F23, {"kind": "cyclic_qplus1", "quad": [21, 5], "d": 4}),
+                             k=5, t=4, lprime=4, evaluate_at_pole=True, per_initial_dims=(5, 5, 5, 4))
+        return cc, json.dumps(cc.to_obj(), sort_keys=True)
+
+    first, before = build()
+    first.to_obj()["provenance"]["group"]["quad"].append(3)
+    assert build()[1] == before
+
+
+def ratfun_with_factor(F, rng, common):
+    f = random_ratfun(F, rng)
+    return RationalFunction(f.num * common, f.den * common) if rng.randrange(2) else f
+
+
+@pytest.mark.parametrize("p,s", [(23, 1), (2, 3), (5, 2), (257, 1)], ids=["GF(23)", "GF(8)", "GF(25)", "GF(257)"])
+def test_henrici_arithmetic_matches_full_reduction(p, s):
+    # products, powers, sums and differences, with denominators that
+    # share factors half of the time, against a gcd of the whole result
+    F = field_create(p, s)
+    rng = random.Random(p * 10 + s)
+    for _ in range(60):
+        common = Poly(F, [rng.randrange(F.q) for _ in range(2)] + [1])
+        f, g = ratfun_with_factor(F, rng, common), ratfun_with_factor(F, rng, common)
+        shared = RationalFunction(Poly.one(F), common)
+        f, g = (f * shared, g * shared) if rng.randrange(2) else (f, g)
+        assert f * g == RationalFunction(f.num * g.num, f.den * g.den)
+        assert f + g == RationalFunction(f.num * g.den + g.num * f.den, f.den * g.den)
+        assert f - g == RationalFunction(f.num * g.den - g.num * f.den, f.den * g.den)
+        for e in (0, 1, 2, 3):
+            assert f ** e == RationalFunction(f.num ** e, f.den ** e)
+            if not f.is_zero():
+                assert f ** -e == RationalFunction(f.den ** e, f.num ** e)
+        for h in (f * g, f + g, f - g, f ** 2):
+            assert h.den.coeffs[-1] == 1 and h.num.gcd(h.den).degree == 0
+    zero = RationalFunction.constant(F.zero)
+    f = random_ratfun(F, rng)
+    assert f - f == zero and (f - f).den == Poly.one(F)
+    assert zero * f == zero and f + zero == f and zero ** 0 == RationalFunction.constant(F.one)
+    with pytest.raises(ZeroDivisionError):
+        zero ** -1
