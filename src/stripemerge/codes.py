@@ -320,10 +320,7 @@ def grs_certificate(code: LinearCode, d: int) -> bool:
         pi = [int(m == w - 1) if p is None else a for p, a in zip(count, power)]
         rows = []
         for b in basis:
-            if mul is not None:
-                row = [mul[a][e] for a, e in zip(pi, b)]
-            else:
-                row = [f.mul_enc(a, e) for a, e in zip(pi, b)]
+            row = [mul[a][e] for a, e in zip(pi, b)]
             for p, _, logs in dual:
                 if row[p]:
                     f.sub_scaled(row, row[p], logs)
@@ -331,7 +328,7 @@ def grs_certificate(code: LinearCode, d: int) -> bool:
         basis = _kept(f, rows, width)
         if not basis:
             return False
-        power = [a if p is None else f.mul_enc(a, p) for p, a in zip(count, power)]
+        power = [a if p is None else mul[p][a] for p, a in zip(count, power)]
     if len(basis) > 1 or not all(basis[0]):
         return False
     repeated = [j for j, p in enumerate(places) if count[p] > 1]

@@ -251,9 +251,9 @@ class ConversionPlan:
         Each generator row of stripe i is carried through the map term by
         term: its unchanged symbols are copied, and each written symbol is
         the sum over the writes' triples on stripe i of coefficient times
-        storage symbol, one add_enc and one mul_enc per term.
+        storage symbol, one add_table and one mul_table lookup per term.
         """
-        add, mul = self.field.add_enc, self.field.mul_enc
+        add, mul = self.field.add_table, self.field.mul_table
         rows = []
         for i, code in enumerate(initials):
             own = [(dst, c, e) for dst, triples in self.writes for j, c, e in triples if j == i]
@@ -262,7 +262,7 @@ class ConversionPlan:
                 for src, dst in self.unchanged[i]:
                     row[dst] = g[src]
                 for dst, c, e in own:
-                    row[dst] = add(row[dst], mul(e, g[c]))
+                    row[dst] = add[row[dst]][mul[e][g[c]]]
                 rows.append(row)
         return rows
 
@@ -481,6 +481,7 @@ def _stripe_rows(
         img = move.point_action(pt)
         key = None if img.finite is None else img.finite.enc
         v_factor, u_factor = factor.local(pt)
+        times_u = field.mul_table[u_factor]
         deriv = None
         column = []
         for f, table in zip(basis, tables):
@@ -496,9 +497,9 @@ def _stripe_rows(
             elif v:
                 if deriv is None:
                     deriv = _derivative(move, pt, img)
-                column.append(mul(u_factor, mul(u, field.pow_enc(deriv, v))))
+                column.append(times_u[mul(u, field.pow_enc(deriv, v))])
             else:
-                column.append(mul(u_factor, u))
+                column.append(times_u[u])
         columns.append(column)
     return [list(row) for row in zip(*columns)]
 
@@ -534,8 +535,7 @@ def _merge_by_evaluation(
     generator is the plan's generator_rows; it must equal the direct
     evaluation, which checks every coefficient on every basis function.
     """
-    inv = field.inv_enc
-    mul = field.mul_enc
+    inv, mul = field.inv_enc, field.mul_table
     units = [inv(f.eval_enc(p)) for f, places in zip(factors, kept) for p in places]
     kept_places = [p for places in kept for p in places]
     places = kept_places + list(written)
@@ -545,7 +545,7 @@ def _merge_by_evaluation(
     for move, factor, basis in zip(moves, factors, bases):
         rows = _stripe_rows(factor, move, basis, places, budgets, cache)
         for row in rows:
-            row[: len(units)] = map(mul, units, row)
+            row[: len(units)] = [mul[u][e] for u, e in zip(units, row)]
         direct.append(rows)
 
     base = len(kept_places)
@@ -1163,12 +1163,16 @@ def verify_convertible(cc: ConvertibleCode, check_components: bool = True) -> Ve
     pair (src, dst) of stripe i needs column dst of the rows to be column
     src of G_i on stripe i's rows and 0 on every other stripe's.  When
     membership holds, execute runs once, on the encodings of the all-ones
-    messages, to exercise the public conversion path.  A component that carries its places, as every
-    builder's does, is proved by grs_certificate before any subset walk.
+    messages, and its output must be the column sums of the rows, the
+    word those messages predict; a mismatch raises AssertionError naming
+    the first coordinate that differs.  A component that carries its
+    places, as every builder's does, is proved by grs_certificate before
+    any subset walk.
     """
     field = cc.field
     rows = cc.plan.generator_rows(cc.initials)
-    bijective = MatQ(field, rows).rank() == cc.final.k
+    generator = MatQ(field, rows)
+    bijective = generator.rank() == cc.final.k
     membership_ok = all(map(cc.final.checks.vanishes, rows))
     stripe_rows = [(i, g) for i, code in enumerate(cc.initials) for g in code.generator.data]
     unchanged_ok = all(
@@ -1178,7 +1182,13 @@ def verify_convertible(cc: ConvertibleCode, check_components: bool = True) -> Ve
         for src, dst in pairs
     )
     if membership_ok:
-        execute(cc, [code.encode([field.one] * code.k) for code in cc.initials])
+        word, _ = execute(cc, [code.encode([field.one] * code.k) for code in cc.initials])
+        predicted = (MatQ(field, [[1] * len(rows)]) @ generator).data[0]
+        wrong = [j for j, (w, e) in enumerate(zip(word, predicted)) if w.enc != e]
+        if wrong:
+            j = wrong[0]
+            raise AssertionError(f"execute wrote {word[j].enc} at coordinate {j} of the final "
+                                 f"word, where the generator rows predict {predicted[j]}")
 
     components_ok: Optional[bool] = None
     if check_components:

@@ -9,13 +9,10 @@ Every context, prime fields included, builds one table set at construction
 from a multiplicative generator alpha: a doubled exp table (so that
 log a + log b indexes it without a reduction mod q - 1), the log table
 with None at 0, and the Zech table Z with 1 + alpha^i = alpha^Z(i) (None
-where that sum is 0).  mul_enc, inv_enc, pow_enc and neg_enc are one table
-path for every field: -a = alpha^(log a + log(-1)), where log(-1) is
-(q - 1)/2 for odd p and 0 in characteristic 2.  add_enc is (a + b) mod p
-in prime fields, XOR in characteristic 2 and, in odd-characteristic
-extensions, one Zech lookup: a + b = alpha^(log a + Z(log b - log a)).
-Fields are capped at q <= 2^16, which keeps every table small and every
-scan exhaustive.
+where that sum is 0).  inv_enc, pow_enc and neg_enc are one table path
+for every field: -a = alpha^(log a + log(-1)), where log(-1) is
+(q - 1)/2 for odd p and 0 in characteristic 2.  Fields are capped at
+q <= 2^16, which keeps every table small and every scan exhaustive.
 
 Weighted sums, the inner loop of membership checks, conversion and
 encoding, go through one column-table kernel instead, ColumnSums.
@@ -33,42 +30,46 @@ entry at once store equal values, so codes and plans stay safe to share.
 The kernel reads the field's own exp and log tables; add_enc and mul_enc
 remain the reference it is tested against.
 
-Fields with q <= TABLE_Q = 256 also hold an addition and a product
-table, add_table and mul_table: q rows of q encodings each, row a
-holding a + b and a * b for every b.  They are built at construction,
-never through the *_enc methods: addition digit by digit, each new top
-digit one rotation of the rows below it, and each product row one bytes
-translate of the logs through exp; that takes about 2 ms at q = 256.
-add_enc and mul_enc read them, and so do the scalar kernels: an entry
-of a product, a row update or a Horner step is then two index
-operations, with no method call and no branch.  The tests compare every
-entry with _raw_mul and digit-wise addition.  Larger fields (GF(257) to
-MAX_Q) hold no tables and keep the log/Zech code unchanged.
+Every field also holds an addition and a product table, add_table and
+mul_table, whose row a maps b to a + b and to a * b.  add_enc, mul_enc
+and every scalar kernel index them, so an entry of a product, a row
+update or a Horner step is two index operations; only FieldCtx.__init__
+decides how they are stored.  With q <= TABLE_Q = 256 they are q tuples
+of q encodings, built at construction without the *_enc methods:
+addition digit by digit, each new top digit one rotation of the rows
+below it, and each product row one bytes translate of the logs through
+exp (about 2 ms at q = 256).  Above that each is a _Rows table whose
+row a is made on first lookup and stores no entries.  In a prime field
+a row of sums is the view from a of one shared read-only buffer holding
+0, 1, ..., q - 1 twice (one C-level index per sum); every other row
+computes each entry on lookup: a * b mod p or exp[log a + log b] for
+products, XOR or the Zech step a + b = alpha^(log a + Z(log b - log a))
+for sums.
 
-Elimination and polynomial evaluation use two smaller kernels beside it.
-The row kernel does dst[j] -= c * src[j]: row_logs(src) takes the logs
-of a source row's nonzero entries once, and sub_scaled(dst, c, logs)
-folds the negation into log c, so each entry costs one exp lookup and
-one addition, an add_table lookup where the field has one.
-horner(coeffs, x) gives Horner's partial sums at a fixed x, which are
-the value and the quotient by X - x; with tables each step is acc =
-add_table[mul_table[x][acc]][c], otherwise each product by x is one
-exp lookup.  add_enc and mul_enc remain their reference too, and no
-module but this one reads the exp, log and Zech tables; the kernels of
-poly, matrix and codes read add_table and mul_table.
+Elimination and polynomial evaluation use two smaller kernels beside
+ColumnSums.  The row kernel does dst[j] -= c * src[j]: row_logs(src)
+takes the logs of a source row's nonzero entries once, and
+sub_scaled(dst, c, logs) folds the negation into log c, so each entry
+costs one exp lookup and one add_table lookup.  horner(coeffs, x) gives
+Horner's partial sums at a fixed x, which are the value and the
+quotient by X - x, each step acc = add_table[mul_table[x][acc]][c].
+No module but this one reads the exp, log and Zech tables; the kernels
+of poly, matrix and codes read add_table and mul_table.
 
 A FieldCtx is immutable after construction and safe to share between
-threads (two threads that build a packed table or the element table at
-once build equal ones).  Elements of different contexts never mix:
-any cross-field operation raises ValueError instead of coercing.
+threads (two threads that build a packed table, the element table or a
+table row at once build equal ones).  Elements of different contexts
+never mix: any cross-field operation raises ValueError instead of
+coercing.
 """
 
 from __future__ import annotations
 
 import functools
+from array import array
 import math
 from operator import getitem
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .schema import as_int, as_ints, as_object
 
@@ -167,6 +168,69 @@ def _first_irreducible(p: int, s: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+class _Rows(dict):
+    """The addition or product table of a field with q > TABLE_Q: row a
+    is make(a), made on its first lookup and shared by every later one."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[int], Sequence[int]]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, a: int) -> Sequence[int]:
+        row = self[a] = self.make(a)
+        return row
+
+
+class _Row:
+    """Row a of a _Rows table: entry b is computed on each lookup, by
+    integer or log/Zech arithmetic, and no entry is stored."""
+
+    __slots__ = ("a", "la", "p", "exp", "log", "zech")
+
+    def __init__(self, field: FieldCtx, a: int):
+        self.a, self.la, self.p = a, field._log[a], field.p
+        self.exp, self.log, self.zech = field._exp, field._log, field._zech
+
+
+class _PrimeProducts(_Row):
+    __slots__ = ()
+
+    def __getitem__(self, b: int) -> int:
+        return self.a * b % self.p
+
+
+class _XorSums(_Row):
+    __slots__ = ()
+
+    def __getitem__(self, b: int) -> int:
+        return self.a ^ b
+
+
+class _ZechSums(_Row):
+    """a + b = alpha^(log a + Z(log b - log a)) in an odd-characteristic
+    extension."""
+
+    __slots__ = ()
+
+    def __getitem__(self, b: int) -> int:
+        la = self.la
+        if la is None or not b:
+            return self.a + b
+        # log b - log a may be negative; the list index wraps it mod q - 1
+        z = self.zech[self.log[b] - la]
+        return 0 if z is None else self.exp[la + z]
+
+
+class _LogProducts(_Row):
+    __slots__ = ()
+
+    def __getitem__(self, b: int) -> int:
+        la = self.la
+        return 0 if la is None or not b else self.exp[la + self.log[b]]
+
+
 class FieldCtx:
     """The field GF(p^s) with a fixed monic irreducible modulus."""
 
@@ -196,7 +260,16 @@ class FieldCtx:
             self.modulus = modulus
         self._exp, self._log, self._zech = self._build_tables()
         self._log_minus_one = self._log[p - 1]
-        self.add_table, self.mul_table = self._arith_tables() if q <= TABLE_Q else (None, None)
+        if q <= TABLE_Q:
+            self.add_table, self.mul_table = self._arith_tables()
+        elif s == 1:
+            # row a of the sums is a view of 0, 1, ..., q - 1 twice, from a
+            cycle = memoryview(array("l", range(q)) * 2).toreadonly()
+            self.add_table = _Rows(lambda a: cycle[a:a + q])
+            self.mul_table = _Rows(functools.partial(_PrimeProducts, self))
+        else:
+            self.add_table = _Rows(functools.partial(_XorSums if p == 2 else _ZechSums, self))
+            self.mul_table = _Rows(functools.partial(_LogProducts, self))
         # the column bound of every ColumnSums over this field: the most
         # terms whose digit sums fit the bits that PACK_TERMS terms need
         self.max_terms = ((1 << ((p - 1) * PACK_TERMS).bit_length()) - 1) // (p - 1)
@@ -275,19 +348,7 @@ class FieldCtx:
         return r
 
     def add_enc(self, a: int, b: int) -> int:
-        table = self.add_table
-        if table is not None:
-            return table[a][b]
-        if self.s == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        if a == 0 or b == 0:
-            return a + b
-        la = self._log[a]
-        # log b - log a may be negative; the list index wraps it mod q - 1
-        z = self._zech[self._log[b] - la]
-        return 0 if z is None else self._exp[la + z]
+        return self.add_table[a][b]
 
     def neg_enc(self, a: int) -> int:
         return self._exp[self._log[a] + self._log_minus_one] if a else 0
@@ -296,12 +357,7 @@ class FieldCtx:
         return self.add_enc(a, self.neg_enc(b))
 
     def mul_enc(self, a: int, b: int) -> int:
-        table = self.mul_table
-        if table is not None:
-            return table[a][b]
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
+        return self.mul_table[a][b]
 
     def inv_enc(self, a: int) -> int:
         if a == 0:
@@ -325,41 +381,21 @@ class FieldCtx:
         """dst[j] -= c * src[j] in place, where src_logs = row_logs(src).
 
         The negation is folded into the log of c, so each nonzero entry
-        of src costs one exp lookup and one addition: an add_table
-        lookup, or add_enc in a field without tables."""
+        of src costs one exp lookup and one add_table lookup."""
         if not c:
             return
         exp, add = self._exp, self.add_table
         lc = (self._log[c] + self._log_minus_one) % (self.q - 1)
-        if add is not None:
-            for j, ls in src_logs:
-                dst[j] = add[dst[j]][exp[lc + ls]]
-            return
-        add_enc = self.add_enc
         for j, ls in src_logs:
-            dst[j] = add_enc(dst[j], exp[lc + ls])
+            dst[j] = add[dst[j]][exp[lc + ls]]
 
     def horner(self, high_first: Sequence[int], x: int) -> list[int]:
         """Horner's partial sums at x of the coefficients given leading
         first: the last is the value at x and the others are the quotient
-        by X - x, leading first (synthetic division).  With tables a step
-        is add_table[mul_table[x][acc]][c].  Without, multiplying by the
-        fixed x is one lookup, exp[log acc + log x]; at x = 0 the partial
-        sums are the coefficients themselves."""
-        add = self.add_table
-        if add is not None:
-            times_x, acc = self.mul_table[x], 0
-            return [acc := add[times_x[acc]][c] for c in high_first]
-        if not x:
-            return list(high_first)
-        exp, log, add = self._exp, self._log, self.add_enc
-        lx = log[x]
-        acc = 0
-        out = []
-        for c in high_first:
-            acc = add(exp[log[acc] + lx], c) if acc else c
-            out.append(acc)
-        return out
+        by X - x, leading first (synthetic division).  Each step is
+        add_table[mul_table[x][acc]][c]."""
+        add, times_x, acc = self.add_table, self.mul_table[x], 0
+        return [acc := add[times_x[acc]][c] for c in high_first]
 
     def packed_exp(self, stride: int) -> list[int]:
         """The doubled exp table with each power's GF(p) digits in

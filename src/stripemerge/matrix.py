@@ -10,10 +10,8 @@ Matrices here stay small (at most a few thousand entries), so plain
 Gaussian elimination on Python lists is enough.  Every row update goes
 through FieldCtx.sub_scaled: the pivot row's logs are taken once per
 pivot (FieldCtx.row_logs), and each entry then costs one exp lookup and
-one addition, itself one add_table lookup when q <= 256.  A row that is
-already 0 in the pivot column is skipped.  Products read the field's
-add_table and mul_table rows where it has them, and add_enc and mul_enc
-otherwise.
+one add_table lookup.  A row that is already 0 in the pivot column is
+skipped.  Products read the field's add_table and mul_table rows.
 """
 
 from __future__ import annotations
@@ -60,29 +58,14 @@ class MatQ:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         f = self.field
         add, mul = f.add_table, f.mul_table
-        if add is not None:
-            out = []
-            for arow in self.data:
-                orow = [0] * other.cols
-                for a, brow in zip(arow, other.data):
-                    if a:
-                        times_a = mul[a]
-                        orow = [add[o][times_a[b]] for o, b in zip(orow, brow)]
-                out.append(orow)
-            return MatQ(f, out)
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if a == 0:
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b:
-                        orow[j] = f.add_enc(orow[j], f.mul_enc(a, b))
+        out = []
+        for arow in self.data:
+            orow = [0] * other.cols
+            for a, brow in zip(arow, other.data):
+                if a:
+                    times_a = mul[a]
+                    orow = [add[o][times_a[b]] for o, b in zip(orow, brow)]
+            out.append(orow)
         return MatQ(f, out)
 
     def submatrix_cols(self, cols: Sequence[int]) -> MatQ:
@@ -106,7 +89,8 @@ class MatQ:
             m[prow], m[sel] = m[sel], m[prow]
             inv = f.inv_enc(m[prow][col])
             if inv != 1:
-                m[prow] = [f.mul_enc(inv, e) for e in m[prow]]
+                times_inv = f.mul_table[inv]
+                m[prow] = [times_inv[e] for e in m[prow]]
             src_logs = f.row_logs(m[prow], col)
             for r in range(self.rows):
                 if r != prow and m[r][col]:
@@ -189,11 +173,11 @@ def rank_of_rows(field: FieldCtx, rows: Sequence[Sequence[int]]) -> int:
             return rank + 1  # no row below the last pivot left to eliminate
         # the pivot row is not normalised: each row below subtracts
         # (its entry / the pivot) times it
-        inv = field.inv_enc(m[rank][col])
+        times_inv = field.mul_table[field.inv_enc(m[rank][col])]
         src_logs = field.row_logs(m[rank], col)
         for r in range(rank + 1, nrows):
             if m[r][col]:
-                field.sub_scaled(m[r], field.mul_enc(m[r][col], inv), src_logs)
+                field.sub_scaled(m[r], times_inv[m[r][col]], src_logs)
         rank += 1
     return rank
 

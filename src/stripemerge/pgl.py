@@ -25,11 +25,10 @@ each group element has one representation and enumeration order is
 reproducible.
 
 Both actions are read off tables.  A point's index is its encoding, and
-q for infinity; each Mobius holds, from its first use, the index of the
-image of every point, filled from the field's addition and product
-tables where it has them (q <= 256) and one entry at a time, on first
-lookup, above that, so that no lookup in a large field costs O(q).  _coord
-is the arithmetic reference the tables are tested against.  Every lookup
+q for infinity; each Mobius holds, from its first use, a table of the
+index of the image of each point, filled one entry at a time on first
+lookup by field arithmetic (_coord), so that no lookup costs O(q) in any
+field and a table holds only the points asked for.  Every lookup
 returns the field's shared ProjPoint (projective_line).  A Mobius map
 that fixes three points is the identity, so the indices of the places
 it sends 0, 1 and infinity to determine an element: element orders, the
@@ -93,17 +92,13 @@ class ProjPoint:
 class _Line(dict):
     """One field's projective line: its points by index (the encoding,
     q for infinity), each made on its first lookup and shared by every
-    later one; and, where the field has a product table, the inverse of
-    every nonzero encoding, which the action tables divide by."""
+    later one."""
 
-    __slots__ = ("field", "inverse")
+    __slots__ = ("field",)
 
     def __init__(self, field: FieldCtx):
         super().__init__()
         self.field = field
-        self.inverse = (
-            None if field.mul_table is None else (None, *map(field.inv_enc, range(1, field.q)))
-        )
 
     def __missing__(self, i: int) -> ProjPoint:
         pt = self[i] = ProjPoint(None if i == self.field.q else FieldElem(self.field, i))
@@ -124,8 +119,7 @@ def all_points(field: FieldCtx) -> list[ProjPoint]:
 
 def _coord(line: _Line, m: tuple[int, int, int, int], pt: ProjPoint) -> ProjPoint:
     """beta |-> (a beta + b)/(c beta + d) by field arithmetic, as a point
-    of line: the reference the action tables are tested against, and how
-    they fill their entries above TABLE_Q."""
+    of line: how the action tables fill their entries."""
     a, b, c, d = m
     f = line.field
     if pt.finite is None:
@@ -137,8 +131,9 @@ def _coord(line: _Line, m: tuple[int, int, int, int], pt: ProjPoint) -> ProjPoin
 
 
 class _Images(dict):
-    """The action table of a matrix over a field without product tables:
-    each entry is filled by _coord on its first lookup."""
+    """The action table of a matrix: entry i, the index of the image of
+    point i (infinity at index q), is filled by _coord on its first
+    lookup."""
 
     __slots__ = ("line", "m")
 
@@ -150,21 +145,6 @@ class _Images(dict):
         img = _coord(self.line, self.m, self.line[i])
         v = self[i] = self.line.field.q if img.finite is None else img.finite.enc
         return v
-
-
-def _action_table(line: _Line, m: tuple[int, int, int, int]) -> list[int] | _Images:
-    """Entry i: the index of the image of point i under the coordinate
-    action of m, infinity at index q."""
-    field = line.field
-    q, (a, b, c, d) = field.q, m
-    mul, add, inv = field.mul_table, field.add_table, line.inverse
-    if mul is None:
-        return _Images(line, m)
-    nums = map(add[b].__getitem__, mul[a])  # a x + b, for x = 0 .. q - 1
-    dens = map(add[d].__getitem__, mul[c])
-    table = [mul[n][inv[e]] if e else q for n, e in zip(nums, dens)]
-    table.append(mul[a][inv[c]] if c else q)
-    return table
 
 
 class Mobius:
@@ -185,8 +165,8 @@ class Mobius:
         self.field = field
         self.m = (a, b, c, d)
         self._line = projective_line(field)
-        self._point: Optional[list[int] | _Images] = None
-        self._place: Optional[list[int] | _Images] = None
+        self._point: Optional[_Images] = None
+        self._place: Optional[_Images] = None
 
     @classmethod
     def identity(cls, field: FieldCtx) -> Mobius:
@@ -249,19 +229,19 @@ class Mobius:
             a, b, c, k = table[a], table[b], table[c], k + 1
         return k
 
-    def point_table(self) -> list[int] | _Images:
+    def point_table(self) -> _Images:
         """The coordinate action as an index table, made on first use."""
         if self._point is None:
-            self._point = _action_table(self._line, self.m)
+            self._point = _Images(self._line, self.m)
         return self._point
 
-    def place_table(self) -> list[int] | _Images:
+    def place_table(self) -> _Images:
         """The place action (the adjugate's coordinate action) as an
         index table, made on first use."""
         if self._place is None:
             a, b, c, d = self.m
             f = self.field
-            self._place = _action_table(self._line, (d, f.neg_enc(b), f.neg_enc(c), a))
+            self._place = _Images(self._line, (d, f.neg_enc(b), f.neg_enc(c), a))
         return self._place
 
     def point_action(self, pt: ProjPoint) -> ProjPoint:
@@ -530,7 +510,7 @@ class RationalFunction:
             elif not b:
                 m, b = divide_out(f, den, x)
                 v = -m
-        return v, f.mul_enc(a, f.inv_enc(b))
+        return v, f.mul_table[a][f.inv_enc(b)]
 
     def valuation(self, pt: ProjPoint) -> int:
         return self.local(pt)[0]

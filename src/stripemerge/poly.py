@@ -9,9 +9,8 @@ pass each for numerator and denominator, continued by divide_out on the
 one that vanishes there.  divide_out is repeated synthetic division, one
 Horner pass per root divided out, and long division subtracts multiples
 of the divisor through FieldCtx.sub_scaled.  Products read the field's
-add_table and mul_table rows where it has them (q <= 256): each term is
-two index operations, with add_enc and mul_enc as the reference path of
-larger fields.  Coefficients are exact int encodings, copied as given.
+add_table and mul_table rows: each term is two index operations.
+Coefficients are exact int encodings, copied as given.
 Operands of different fields raise ValueError.
 """
 
@@ -100,19 +99,11 @@ class Poly:
             return Poly.zero(f)
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         add, mul = f.add_table, f.mul_table
-        if add is not None:
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    times_a = mul[a]
-                    for j, b in enumerate(other.coeffs, i):
-                        out[j] = add[out[j]][times_a[b]]
-            return Poly(f, out)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = f.add_enc(out[i + j], f.mul_enc(a, b))
+            if a:
+                times_a = mul[a]
+                for j, b in enumerate(other.coeffs, i):
+                    out[j] = add[out[j]][times_a[b]]
         return Poly(f, out)
 
     def scale(self, c: FieldElem) -> Poly:

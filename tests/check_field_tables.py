@@ -1,30 +1,33 @@
 """Check the addition and product tables, and the kernels that read them,
-against a reference on every field with q <= 256.
+against a reference on every field with q <= 256 and on six larger ones.
 
     PYTHONPATH=src python3 tests/check_field_tables.py
 
-For each prime power q <= 256, every entry of FieldCtx.add_table and
-FieldCtx.mul_table must equal a reference built here without them:
-addition digit by digit mod p, and the product of a by b as the sum,
-over b's digits b_i, of b_i copies of _raw_mul(a, x^i).  Then
-sub_scaled, horner (x = 0 included), Poly.__mul__, MatQ.__matmul__,
-rank_of_rows and rref must agree with the same computation done on the
-reference tables, on seeded random inputs.  It takes seconds, so it runs
-as its own CI step; pytest does not collect it, and the tier-1 tests
-(test_field_tables.py) run the same comparison on one field of each
-family and on every field the builders use.  Exits 1 and lists the
-disagreements.
+For each prime power q <= 256, and for GF(257), GF(289), GF(343),
+GF(512), GF(625) and GF(729), whose table rows compute each entry on
+lookup (the Zech step in the odd extensions), every entry of
+FieldCtx.add_table and FieldCtx.mul_table, read by index, must equal a
+reference built here without them: addition digit by digit mod p, and
+the product of a by b as the sum, over b's digits b_i, of b_i copies of
+_raw_mul(a, x^i).  Then sub_scaled, horner (x = 0 included),
+Poly.__mul__, MatQ.__matmul__, rank_of_rows and rref must agree with the
+same computation done on the reference tables, on seeded random inputs.
+It takes seconds, so it runs as its own CI step; pytest does not collect
+it, and the tier-1 tests (test_field_tables.py) run the same comparison
+on one field of each family, on every field the builders use and on
+GF(257) and GF(289).  Exits 1 and lists the disagreements.
 """
 
 import random
 import sys
 
-from stripemerge.field import TABLE_Q, _digits, _factorize, field_create
+from stripemerge.field import _digits, _factorize, field_create
 from stripemerge.matrix import MatQ, rank_of_rows
 from stripemerge.poly import Poly
 
 SEED = 21
 CASES = 20
+LARGE = [(257, 1), (17, 2), (7, 3), (2, 9), (5, 4), (3, 6)]
 
 
 class Reference:
@@ -119,7 +122,7 @@ def table_disagreements(F, rng, cases=CASES):
     bad = []
     for name, table, want in (("add_table", F.add_table, ref.add),
                               ("mul_table", F.mul_table, ref.mul)):
-        if table is None or [list(row) for row in table] != want:
+        if any(table[a][b] != want[a][b] for a in range(q) for b in range(q)):
             bad.append(f"GF({q}) {name} differs from the reference")
     for _ in range(cases):
         n = rng.randrange(1, 12)
@@ -160,12 +163,12 @@ def prime_powers(limit):
 
 def main() -> int:
     bad = []
-    fields = prime_powers(TABLE_Q)
+    fields = prime_powers(256) + LARGE
     for p, s in fields:
         F = field_create(p, s)
         bad += table_disagreements(F, random.Random(SEED * 1000 + F.q))
-    print(f"{len(fields)} fields with q <= {TABLE_Q}: tables and 6 kernels against "
-          f"the reference, {CASES} seeded cases each, {len(bad)} disagree")
+    print(f"{len(fields)} fields, every q <= 256 and {len(LARGE)} larger: tables and 6 kernels "
+          f"against the reference, {CASES} seeded cases each, {len(bad)} disagree")
     for line in bad:
         print(line)
     return 1 if bad else 0

@@ -6,9 +6,11 @@ For each prime power q <= 256, paper_lemmas.group_disagreements compares,
 on the groups of paper_lemmas.group_cases (the order-d subgroup of the
 cyclic group of order q + 1 for each d | q + 1, the dihedral groups
 q_plus and q_minus of every order for even q, and affine groups) and on
-20 seeded random Mobius maps: the point and place tables with pgl._coord
-on every point, element orders, closure verdicts and messages, the orbit
-split and the coset reps, against references that compose matrices.  It
+20 seeded random Mobius maps: the point and place tables with
+reference_image on every point (homogeneous coordinates and inverses
+from the powers of a generator, not pgl._coord, which fills the
+tables), and element orders, closure verdicts and messages, the orbit
+split and the coset reps against references that compose matrices.  It
 takes seconds, so it runs as its own CI step; pytest does not collect
 it, and the tier-1 tests (test_pgl.py) run the same comparison on five
 small fields and the action tables on GF(257).  Exits 1 and lists the

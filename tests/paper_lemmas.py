@@ -19,13 +19,15 @@ the tests:
   codes.grs_certificate's dual filter is checked against, on the seeded
   codes of certificate_cases by certificate_disagreements;
 * grs_generator: the rows v_j a_j^m of a GRS generator on given places;
-* reference_place_action, reference_order, reference_closure_error,
-  reference_split and reference_coset_reps: a Mobius map's place action
-  by field arithmetic (pgl._coord on the adjugate), and element orders,
-  GroupTable's closure verdict and message, the orbit split and the
-  left coset transversal by composing matrices, which the action tables
-  and the signature-based group code of pgl are checked against, on the
-  groups of group_cases by group_disagreements.
+* reference_inverses, reference_image, reference_place_action,
+  reference_order, reference_closure_error, reference_split and
+  reference_coset_reps: a Mobius map's point and place actions on
+  homogeneous coordinates, with inverses read off the powers of a
+  generator (not through pgl._coord, which fills the action tables),
+  and element orders, GroupTable's closure verdict and message, the
+  orbit split and the left coset transversal by composing matrices,
+  which the action tables and the signature-based group code of pgl are
+  checked against, on the groups of group_cases by group_disagreements.
 """
 
 import itertools
@@ -38,7 +40,6 @@ from stripemerge.matrix import MatQ, rank_of_rows
 from stripemerge.pgl import (
     GroupTable,
     Mobius,
-    _coord,
     all_points,
     cyclic_subgroup_of_order,
     projective_line,
@@ -293,11 +294,40 @@ def certificate_disagreements(F: FieldCtx, rng, count: int):
 # -- groups of Moebius maps, by composing matrices ---------------------------
 
 
-def reference_place_action(g: Mobius, pt):
-    """The place at pt moved by g: the adjugate's coordinate action."""
+def reference_inverses(field: FieldCtx) -> list[int]:
+    """inverses[v], the w with v w = 1 (0 at v = 0), paired off along the
+    powers of a generator g found by repeated multiplication, since
+    g^i g^(q - 1 - i) = 1: no inv_enc, exp or log lookup."""
+    q = field.q
+    for g in range(1, q):
+        powers = [1]
+        while len(powers) < q - 1 and (x := field.mul_enc(powers[-1], g)) != 1:
+            powers.append(x)
+        if len(powers) == q - 1:
+            break
+    inverses = [0] * q
+    for i, x in enumerate(powers):
+        inverses[x] = powers[-i]
+    return inverses
+
+
+def reference_image(field: FieldCtx, m, pt, inverses):
+    """The point pt moved by the matrix m = (a, b, c, d), on homogeneous
+    coordinates: beta is (beta : 1) and infinity (1 : 0), (x : z) goes to
+    (a x + b z : c x + d z), and (u : v) is infinity at v = 0 and
+    u inverses[v] otherwise.  pgl._coord is not used."""
+    a, b, c, d = m
+    mul, add = field.mul_enc, field.add_enc
+    x, z = (1, 0) if pt.finite is None else (pt.finite.enc, 1)
+    u, v = add(mul(a, x), mul(b, z)), add(mul(c, x), mul(d, z))
+    return projective_line(field)[mul(u, inverses[v]) if v else field.q]
+
+
+def reference_place_action(g: Mobius, pt, inverses):
+    """The place at pt moved by g: the adjugate's image of pt."""
     f = g.field
     a, b, c, d = g.m
-    return _coord(projective_line(f), (d, f.neg_enc(b), f.neg_enc(c), a), pt)
+    return reference_image(f, (d, f.neg_enc(b), f.neg_enc(c), a), pt, inverses)
 
 
 def reference_order(g: Mobius) -> int:
@@ -334,10 +364,11 @@ def reference_split(group: GroupTable):
     """(free orbits, ramified points) of the place action, each orbit
     listed as the group's elements move its least point, by sort_key."""
     remaining = {pt.sort_key(): pt for pt in all_points(group.field)}
+    inverses = reference_inverses(group.field)
     free, ramified = [], []
     while remaining:
         rep = remaining.pop(min(remaining))
-        images = [reference_place_action(g, rep) for g in group.elements]
+        images = [reference_place_action(g, rep, inverses) for g in group.elements]
         orbit = {pt.sort_key(): pt for pt in images}
         for key in orbit:
             remaining.pop(key, None)
@@ -396,15 +427,15 @@ def group_disagreements(F: FieldCtx, rng, cases=None, quadratic_budget: int = 1 
     On 20 seeded random Mobius maps, 9 that fix two of 0, 1 and
     infinity, and the elements of each (name, group) of cases (by default
     group_cases(F)), all of them or 16 drawn from a larger group: the
-    point and place tables against pgl._coord on every point, each image
-    the field's shared point, and the element orders.  On each group: the
+    point and place tables against reference_image on every point, each
+    image the field's shared point, and the element orders.  On each group: the
     orbit split; the coset reps of each cyclic subgroup of prime order;
     and the closure verdict and message of the group, of the group
     without one element and of the group with one more.  A check whose
     reference would compose more than quadratic_budget pairs is skipped.
     Returns the comparisons made and the disagreements as (case, what)."""
-    line = projective_line(F)
     points = all_points(F)
+    inverses = reference_inverses(F)
     bad, checks = [], 0
 
     def check(case, what, fast, ref):
@@ -415,7 +446,8 @@ def group_disagreements(F: FieldCtx, rng, cases=None, quadratic_budget: int = 1 
 
     def actions(case, g):
         fast = [g.point_action(pt) for pt in points] + [g.place_action(pt) for pt in points]
-        ref = [_coord(line, g.m, pt) for pt in points] + [reference_place_action(g, pt) for pt in points]
+        ref = ([reference_image(F, g.m, pt, inverses) for pt in points]
+               + [reference_place_action(g, pt, inverses) for pt in points])
         check(case, f"actions of {g!r}", fast, ref)
         check(case, f"shared points of {g!r}", all(map(operator.is_, fast, ref)), True)
 

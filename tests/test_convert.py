@@ -634,6 +634,23 @@ def test_verify_executes_once_when_membership_holds(cc_vi, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_compares_the_executed_word_with_the_generator_rows(cc_vi, monkeypatch):
+    # the zero word is a codeword, so the final parity check in execute
+    # passes it; only the word the all-ones messages predict tells it apart
+    F = cc_vi.field
+    rows = cc_vi.plan.generator_rows(cc_vi.initials)
+    predicted = [functools.reduce(F.add_enc, col, 0) for col in zip(*rows)]
+    first = next(j for j, e in enumerate(predicted) if e)
+
+    def zero(cc, words):
+        return F.word([0] * cc.final.n), cc.plan.access
+
+    monkeypatch.setattr(convert, "execute", zero)
+    with pytest.raises(AssertionError, match=rf"at coordinate {first} of the final word, "
+                                             rf"where the generator rows predict {predicted[first]}$"):
+        verify_convertible(cc_vi, check_components=False)
+
+
 def test_compiled_plan_folds_the_schedule(cc_q32):
     compiled = cc_q32.plan
     assert compiled.storage == tuple(s.storage for s in cc_q32.plan.schedule)

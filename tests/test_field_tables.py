@@ -1,24 +1,28 @@
-"""The addition and product tables of fields with q <= 256, and the
-kernels that read them.
+"""The addition and product tables of every field, and the kernels that
+read them.
 
 Every table entry, and sub_scaled, horner, Poly.__mul__, MatQ.__matmul__,
 rank_of_rows and rref on seeded random inputs, must equal a reference
 computed without the tables (check_field_tables.Reference), on one field
-of each family and on every field the builders use; the CI step
-check_field_tables.py does the same on every q <= 256.  Larger fields
-hold no tables and keep the log/Zech arithmetic, checked here against
-integer and schoolbook arithmetic.  Building the tables calls no public
-*_enc method, which the benchmark's tracer counts, and stays cheap.
+of each family, on every field the builders use and on GF(257) and
+GF(289), whose rows compute each entry on lookup; the CI step
+check_field_tables.py does the same on every q <= 256 and on six larger
+fields.  Above 256 a table starts with no rows and a lookup makes one
+row that stores no entry; the kernels are checked there against integer
+and schoolbook arithmetic too, up to GF(65521).  Building the tables
+calls no public *_enc method, which the benchmark's tracer counts, and
+stays cheap.
 """
 
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from stripemerge.field import TABLE_Q, FieldCtx, field_create
+from stripemerge.field import FieldCtx, field_create
 from stripemerge.matrix import MatQ, rank_of_rows
 
 from check_field_tables import table_disagreements
@@ -26,15 +30,16 @@ from check_field_tables import table_disagreements
 ROOT = Path(__file__).resolve().parent.parent
 
 # GF(2), GF(23): prime; GF(4) .. GF(256): characteristic 2; GF(9) .. GF(243):
-# odd extensions; with every field of perfbench/instances.json among them
+# odd extensions; with every field of perfbench/instances.json among them;
+# GF(257) and GF(289) = 17^2: rows that compute each entry on lookup, the
+# latter by the Zech step
 FIELDS = [(2, 1), (2, 2), (2, 3), (3, 2), (2, 4), (23, 1), (5, 2), (3, 3), (2, 5), (7, 2),
-          (2, 6), (3, 5), (2, 8)]
+          (2, 6), (3, 5), (2, 8), (257, 1), (17, 2)]
 
 
 @pytest.mark.parametrize("p, s", FIELDS, ids=[f"GF({p ** s})" for p, s in FIELDS])
 def test_tables_and_kernels_equal_the_reference(p, s):
     F = field_create(p, s)
-    assert F.q <= TABLE_Q
     assert table_disagreements(F, random.Random(p ** s), cases=8) == []
 
 
@@ -43,11 +48,18 @@ LARGE = [(257, 1), (2, 9), (65521, 1)]
 
 @pytest.mark.parametrize("p, s", LARGE, ids=[f"GF({p ** s})" for p, s in LARGE])
 def test_fields_above_256_hold_no_tables_and_still_compute(p, s):
-    F = field_create(p, s)
-    assert F.add_table is None and F.mul_table is None
-
     def add(a, b):  # digit-wise: integers mod p, or XOR in characteristic 2
         return (a + b) % p if s == 1 else a ^ b
+
+    # the tables start with no rows; a lookup makes one row, which stores
+    # no entry: its size does not grow with q
+    F = field_create(p, s)
+    assert len(F.add_table) == len(F.mul_table) == 0
+    for table, op in ((F.mul_table, F._raw_mul), (F.add_table, add)):
+        row = table[3]
+        assert row[F.q - 1] == op(3, F.q - 1) and len(table) == 1 and table[3] is row
+        assert sys.getsizeof(row) < 256 and not hasattr(row, "__dict__")
+    assert len(F.add_table) == len(F.mul_table) == 1
 
     rng = random.Random(F.q)
     x, y, z, w, c = (rng.randrange(1, F.q) for _ in range(5))

@@ -449,9 +449,9 @@ GROUP_FIELDS = ((2, 3), (3, 2), (23, 1), (5, 2), (2, 6))
 
 @pytest.mark.parametrize("p,s", GROUP_FIELDS, ids=[f"GF({p ** s})" for p, s in GROUP_FIELDS])
 def test_group_tables_match_the_references(p, s):
-    # action tables against _coord on every point, element orders, closure
-    # verdicts and messages, the orbit split and the coset reps against
-    # the compose-based references, on every subgroup family over F
+    # action tables against reference_image on every point, element
+    # orders, closure verdicts and messages, the orbit split and the coset
+    # reps against the compose-based references, on every subgroup family
     F = field_create(p, s)
     checks, bad = group_disagreements(F, random.Random(22 * 1000 + F.q))
     assert bad == []
@@ -461,17 +461,17 @@ def test_group_tables_match_the_references(p, s):
 
 
 def test_action_tables_above_the_product_table_limit():
-    # GF(257) has no product table: entries are filled on first lookup,
-    # so one lookup in GF(65521) fills one entry, not q of them
+    # entries are filled on first lookup in every field, so one lookup
+    # fills one entry, not q of them, in GF(23) as in GF(65521)
     F = field_create(257, 1)
     checks, bad = group_disagreements(F, random.Random(257), cases=[])
     assert bad == [] and checks == 3 * 29
-    big = field_create(65521, 1)
-    line = projective_line(big)
-    m = Mobius(big, 1, 1, 0, 1)  # x |-> x + 1, which moves places by -1
-    assert m.place_action(line[0]) is line[65520]
-    assert m.point_action(line[0]) is line[1]
-    assert len(m.place_table()) == 1 and len(m.point_table()) == 1
+    for big in (field_create(23, 1), field_create(65521, 1)):
+        line = projective_line(big)
+        m = Mobius(big, 1, 1, 0, 1)  # x |-> x + 1, which moves places by -1
+        assert m.place_action(line[0]) is line[big.q - 1]
+        assert m.point_action(line[0]) is line[1]
+        assert len(m.place_table()) == 1 and len(m.point_table()) == 1
 
 
 def test_actions_return_the_shared_points():
