@@ -16,9 +16,11 @@ the map term by term, one add_enc and mul_enc per term, and is the exact
 reference: it gives the builders the final generator, blockdiag(G_i) * P;
 the verifier reads bijectivity, membership and the unchanged contract
 off those same rows; the simulator charges the storage reads to nodes.
-execute, the one fast path, runs the writes in one ColumnSums with every
-initial's parity rows, so that one table sum per conversion checks every
-input and gives every written symbol.  The evaluation builders also
+execute, the one fast path, runs one ColumnSums per conversion, whose
+one table sum checks every input against its parity rows, gives every
+written symbol, and, with those symbols fed back, tests the final word
+against the final parity rows carried onto the input columns that the
+unchanged symbols copy.  The evaluation builders also
 evaluate each rational-function term directly at every final place,
 from the valuation and unit value that RationalFunction.local, the one
 place-local evaluator, gives for its stripe factor at the place and for
@@ -43,6 +45,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from itertools import accumulate
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .bounds import BoundReport, MergeParams, mds_merge_lower, rdel_lower, total_lower
@@ -312,7 +315,7 @@ class ConvertibleCode:
     field: FieldCtx = dc_field(init=False)
     kind: str = dc_field(init=False)
     params: MergeParams = dc_field(init=False, repr=False, compare=False)
-    # execute's stripe lengths, kernel, checked-row ends and output order
+    # execute's stripe lengths, kernel, input-row ends and output gather
     _run: Optional[tuple] = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -342,27 +345,35 @@ class ConvertibleCode:
 
     def _runner(self) -> tuple:
         """execute's one kernel, built on first use.  Its columns are the
-        concatenated input word; its checked rows are every initial's
-        parity rows, shifted to the stripe's offset, and its other rows the
-        plan's writes over the same columns.  order maps each final
-        coordinate to its source in the input word followed by the written
-        values."""
+        concatenated input word, then one fed-back column per written
+        symbol; its unchecked rows are the plan's writes over the input,
+        and its checked rows every initial's parity rows, shifted to the
+        stripe's offset, then the final parity rows carried onto those
+        columns.  source maps each final coordinate to the column that
+        holds it, an unchanged symbol's input column or a written
+        symbol's fed-back one, so that the carried rows test H_F y for the
+        word that gather picks out of the input and the written values."""
         if self._run is None:
             ns = [code.n for code in self.initials]
             offsets = list(accumulate(ns, initial=0))
-            checked = [[(off + j, c) for j, c in enumerate(row)]
-                       for code, off in zip(self.initials, offsets)
-                       for row in code.parity.data]
+            inputs = [[(off + j, c) for j, c in enumerate(row)]
+                      for code, off in zip(self.initials, offsets)
+                      for row in code.parity.data]
             written = [[(offsets[i] + c, e) for i, c, e in triples]
                        for _, triples in self.plan.writes]
             source = {dst: off + src for off, pairs in zip(offsets, self.plan.unchanged)
                       for src, dst in pairs}
             source.update((dst, offsets[-1] + k) for k, (dst, _) in enumerate(self.plan.writes))
+            order = [source[dst] for dst in range(self.final.n)]
+            carried = [[(order[dst], c) for dst, c in enumerate(row)]
+                       for row in self.final.parity.data]
             self._run = (
                 ns,
-                ColumnSums(self.field, checked + written, offsets[-1], checked=len(checked)),
+                ColumnSums(self.field, inputs + carried + written, offsets[-1],
+                           checked=len(inputs) + len(carried)),
                 list(accumulate(code.parity.rows for code in self.initials)),
-                [source[dst] for dst in range(self.final.n)],
+                # MergeParams makes n_F >= 2, so this gathers a tuple
+                itemgetter(*order),
             )
         return self._run
 
@@ -1073,17 +1084,21 @@ def execute(
     """Run the conversion on one codeword per initial stripe.
 
     The inputs' encodings are taken once, as one concatenated word, and
-    one sum over the conversion's kernel (ConvertibleCode._runner) gives
-    both every input's membership verdict, from the zero test of its
-    parity rows, and the written symbols.  The unchanged symbols are
-    copied, and the final word is membership-checked against the final
-    parity before it is returned.  Costs count coordinates touched, not
-    values; the report is the plan's one access object.  Raises
-    ValueError, naming the stripe, for an input of the wrong length or
-    off its stripe's code, and naming the coordinate too for a symbol of
-    another field.
+    one run of the conversion's kernel (ConvertibleCode._runner) checks
+    the inputs, writes the symbols and tests the final word: it sums the
+    input word, reduces the written symbols, adds one lookup per written
+    symbol, and zero-tests every input's parity rows and the final
+    parity rows at once, so that the final word, the unchanged symbols
+    gathered with the written ones, is tested as H_F y = H_F[:, U] y_U +
+    H_F[:, W] y_W.  Costs count coordinates touched, not values; the
+    report is the plan's one access object.  Raises ValueError, naming
+    the stripe, for an input of the wrong length or off its stripe's
+    code (the inputs' rows come first, so a bad input is named before
+    any final row), naming the coordinate too for a symbol of another
+    field, and AssertionError when the converted word violates the final
+    parity.
     """
-    ns, kernel, row_ends, order = cc._runner()
+    ns, kernel, row_ends, gather = cc._runner()
     if len(words) != len(ns):
         raise ValueError("need one codeword per initial stripe")
     field = cc.field
@@ -1101,13 +1116,12 @@ def execute(
     bad, written = kernel.run(encs)
     if bad >= 0:
         i = bisect_right(row_ends, bad)
+        if i == len(ns):
+            raise AssertionError("converted word violates the final parity")
         row = bad - (row_ends[i - 1] if i else 0)
         raise ValueError(f"input {i} is not a codeword of stripe {i}: parity row {row} fails")
     encs += written
-    final_encs = [encs[k] for k in order]
-    if not cc.final.checks.vanishes(final_encs):
-        raise AssertionError("converted word violates the final parity")
-    return field.word(final_encs), cc.plan.access
+    return field.word(gather(encs)), cc.plan.access
 
 
 # -- verification --------------------------------------------------------------
@@ -1162,10 +1176,11 @@ def verify_convertible(cc: ConvertibleCode, check_components: bool = True) -> Ve
     is membership (all codewords follow by linearity), and each unchanged
     pair (src, dst) of stripe i needs column dst of the rows to be column
     src of G_i on stripe i's rows and 0 on every other stripe's.  When
-    membership holds, execute runs once, on the encodings of the all-ones
-    messages, and its output must be the column sums of the rows, the
-    word those messages predict; a mismatch raises AssertionError naming
-    the first coordinate that differs.  A component that carries its
+    membership holds, execute runs once, on the codewords of the all-ones
+    messages (each initial generator's column sums), and its output must
+    be the column sums of the rows, the word those messages predict; a
+    mismatch raises AssertionError naming the first coordinate that
+    differs.  A component that carries its
     places, as every builder's does, is proved by grs_certificate before
     any subset walk.
     """
@@ -1182,7 +1197,9 @@ def verify_convertible(cc: ConvertibleCode, check_components: bool = True) -> Ve
         for src, dst in pairs
     )
     if membership_ok:
-        word, _ = execute(cc, [code.encode([field.one] * code.k) for code in cc.initials])
+        ones = [field.word((MatQ(field, [[1] * code.k]) @ code.generator).data[0])
+                for code in cc.initials]
+        word, _ = execute(cc, ones)
         predicted = (MatQ(field, [[1] * len(rows)]) @ generator).data[0]
         wrong = [j for j, (w, e) in enumerate(zip(word, predicted)) if w.enc != e]
         if wrong:

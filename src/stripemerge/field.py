@@ -22,11 +22,16 @@ c_j * w_j is one integer addition per term.  ColumnSums gives
 each row of a fixed matrix M its own block of slots in one integer and
 each column j a table from a symbol w_j to the packed products
 w_j * M[r][j] of the whole column, so M * w is one lookup and one
-addition per coordinate of w.  Its slots are as wide as its heaviest row
-needs, so no carry crosses a slot, and one multiply by p^-1 tests every
-slot for 0 mod p at once (the divisibility test of Granlund and
-Montgomery).  Tables fill on first use, and two threads that fill one
-entry at once store equal values, so codes and plans stay safe to share.
+addition per coordinate of w.  A kernel may also feed the values of its
+unchecked rows back as extra columns that only its checked rows read,
+one more lookup per value, so that one sum checks a word, computes
+values from it and tests rows over both (execute checks the inputs,
+writes the symbols and tests the final word this way).  Its slots are as
+wide as its heaviest row needs, fed-back terms included, so no carry
+crosses a slot, and one multiply by p^-1 tests every slot for 0 mod p at
+once (the divisibility test of Granlund and Montgomery).  Tables fill on
+first use, and two threads that fill one entry at once store equal
+values, so codes and plans stay safe to share.
 The kernel reads the field's own exp and log tables; add_enc and mul_enc
 remain the reference it is tested against.
 
@@ -490,29 +495,41 @@ class ColumnSums:
     per column, and a zero test of all of M's first `checked` rows at once.
 
     rows[r] lists row r of M as (column, coefficient encoding) pairs, and
-    cols is M's column count; checked defaults to every row.  Each GF(p)
-    digit of a row's sum has its own slot of S bits in one integer, a row
-    owning a block of s adjacent slots (the unchecked rows the lowest
-    blocks), and the table of column j maps a symbol encoding e to the
-    packed digits of the products e * M[r][j] of the column's nonzeros,
-    read off the field's digit table at stride S (FieldCtx.packed_exp).
+    cols is the length of a word w; checked defaults to every row.  Each
+    GF(p) digit of a row's sum has its own slot of S bits in one integer,
+    a row owning a block of s adjacent slots (the unchecked rows the
+    lowest blocks), and the table of column j maps a symbol encoding e
+    to the packed digits of the products e * M[r][j] of the column's
+    nonzeros, read off the field's digit table at stride S
+    (FieldCtx.packed_exp).
     M * w is then sum(table_j[w_j]): one C-level lookup and one integer
     addition per coordinate.  vanishes is the zero test alone, the
     membership check; run also reduces the unchecked rows, so with
     checked = 0 run(w)[1] is all of M * w, which is how encode reads it;
     a kernel with no checked rows skips the zero test.
 
+    A checked row may also read fed-back columns: column cols + k holds
+    the value v_k of the k-th unchecked row.  run then sums w, reduces
+    the values, adds table_{cols+k}[v_k] for each and zero-tests the
+    checked rows once, so a checked row tests a sum over the word and the
+    values computed from it together.  An unchecked row reads the word
+    alone, so those tables fill only checked blocks; a row that names a
+    column past what it may read is refused, and so is vanishes, which
+    has no values, on a kernel with fed-back columns.
+
     The slot width w is the least with (p - 1) * m < 2^w, where m is the
-    most terms in one row, so every slot sum x is exact.  In odd
-    characteristic S = 2w, and p | x iff x * p^-1 mod 2^w is at most
-    (2^w - 1) // p: multiplying by p^-1 permutes the residues mod 2^w and
-    sends each multiple i * p < 2^w to i.  So acc * p^-1, masked to the
-    low w bits of every checked slot, plus the bias 2^w - 1 - (2^w - 1)
-    // p in each, sets bit w of exactly the slots that are nonzero mod p.
+    most terms in one row, fed-back terms included, so every slot sum x
+    is exact.  In odd characteristic S = 2w, and p | x iff x * p^-1 mod
+    2^w is at most (2^w - 1) // p: multiplying by p^-1 permutes the
+    residues mod 2^w and sends each multiple i * p < 2^w to i.  So
+    acc * p^-1, masked to the low w bits of every checked slot, plus the
+    bias 2^w - 1 - (2^w - 1) // p in each, sets bit w of exactly the
+    slots that are nonzero mod p.
     No carry crosses a slot: x * p^-1 <= (2^w - 1)^2 < 2^2w, and the
     biased value is below 2^(w+1).  In characteristic 2, S = max(w, s),
     and a digit is zero iff its slot's low bit is clear.  More than the
-    field's max_terms columns are refused.
+    field's max_terms columns, the fed-back ones that rows read included,
+    are refused.
 
     A table starts with only 0 in it.  A word that misses fills all its
     missing entries in one loop and is summed again, so a cold word costs
@@ -524,13 +541,10 @@ class ColumnSums:
 
     def __init__(self, field: FieldCtx, rows: Sequence[Iterable[tuple[int, int]]], cols: int,
                  checked: Optional[int] = None):
-        if cols > field.max_terms:
-            raise ValueError(
-                f"{cols} columns exceed the {field.max_terms} that a kernel over GF({field.p}) takes"
-            )
         p, s = field.p, field.s
         rows = [[(j, c) for j, c in row if c] for row in rows]
         checked = len(rows) if checked is None else checked
+        unchecked = len(rows) - checked
         w = ((p - 1) * max([1, *map(len, rows)])).bit_length()
         stride = max(w, s) if p == 2 else 2 * w
         block = s * stride
@@ -538,7 +552,6 @@ class ColumnSums:
         self._p, self._s, self._block = p, s, block
         # the unchecked rows own the lowest blocks, so that run reduces them
         # from a short integer, acc & _values_mask
-        unchecked = len(rows) - checked
         shifts = [i * block for i in (*range(unchecked, len(rows)), *range(unchecked))]
         self._unchecked = tuple(shifts[checked:])
         self._values_mask = (1 << unchecked * block) - 1
@@ -546,41 +559,66 @@ class ColumnSums:
         self._slot_mask = (1 << w) - 1
         offsets = [j * stride for j in range(s)]  # of a row's digit slots in its block
         self._top_first = offsets[::-1]
+        digit_bits = sum(1 << offset for offset in offsets)  # bit 0 of each slot of a block
         if s > 1 and p == 2:
             # gathers the low bits of a row's slots into s adjacent bits
             self._top = offsets[-1]
             self._gather = sum(1 << (self._top - offset + j) for j, offset in enumerate(offsets))
-            self._low_digits = sum(1 << offset for offset in offsets)
-        slots = [shift + offset for shift in shifts[:checked] for offset in offsets]
+            self._low_digits = digit_bits
+        # bit 0 of every checked slot: the checked rows own consecutive blocks,
+        # and (2^(checked * block) - 1) / (2^block - 1) has bit 0 of each set
+        block_bits = ((1 << checked * block) - 1) // ((1 << block) - 1) << unchecked * block
+        slot_bits = block_bits * digit_bits
         if p == 2:
             # the same test reads acc & low: p^-1 = 1, no bias, bit 0 guards
             self._pinv, self._bias = 1, 0
-            self._low = self._guard = sum(1 << slot for slot in slots)
+            self._low = self._guard = slot_bits
         else:
+            # a slot holds its w low bits, the bias or bit w, with no overlap
             self._pinv = pow(p, -1, 1 << w)
-            self._low = sum(self._slot_mask << slot for slot in slots)
-            self._bias = sum((self._slot_mask - self._slot_mask // p) << slot for slot in slots)
-            self._guard = sum(1 << (slot + w) for slot in slots)
+            self._low = self._slot_mask * slot_bits
+            self._bias = (self._slot_mask - self._slot_mask // p) * slot_bits
+            self._guard = slot_bits << w
         log = self._log = field._log
         self._pexp = field.packed_exp(stride)
-        entries: list[list[tuple[int, int]]] = [[] for _ in range(cols)]
-        for shift, row in zip(shifts, rows):
-            for j, c in row:
-                entries[j].append((shift, log[c]))
+        # a checked row may read every column, the fed-back ones included,
+        # an unchecked row the word's alone: it fills through a list that
+        # shares only the word columns' entries
+        entries: list[list[tuple[int, int]]] = [[] for _ in range(cols + unchecked)]
+        for reach, first, last in ((entries, 0, checked), (entries[:cols], checked, len(rows))):
+            for r in range(first, last):
+                shift = shifts[r]
+                try:
+                    for j, c in rows[r]:
+                        reach[j].append((shift, log[c]))
+                except IndexError:
+                    raise ValueError(
+                        f"row {r} names column {j} of the {len(reach)} it may read"
+                    ) from None
+        while len(entries) > cols and not entries[-1]:
+            entries.pop()  # a fed-back column that no row reads
+        columns = len(entries)
+        if columns > field.max_terms:
+            raise ValueError(
+                f"{columns} columns exceed the {field.max_terms} that a kernel over GF({p}) takes"
+            )
         self._entries = entries
-        self._tables = [{0: 0} for _ in range(cols)]
+        self._tables = [{0: 0} for _ in entries]
+        self._fed = self._tables[cols:]  # the fed-back columns' tables
 
-    def _fill(self, encs: Sequence[int]) -> int:
-        """Fill every entry that encs misses in one loop, then sum again."""
+    def _fill(self, encs: Sequence[int], start: int = 0) -> int:
+        """Fill every entry that encs misses in the tables of columns
+        start, start + 1, ... in one loop, then sum again."""
         log, pexp = self._log, self._pexp
-        for table, entries, e in zip(self._tables, self._entries, encs):
+        tables = self._tables[start:]
+        for table, entries, e in zip(tables, self._entries[start:], encs):
             if e not in table:
                 le = log[e]
                 v = 0
                 for shift, lc in entries:
                     v += pexp[le + lc] << shift
                 table[e] = v
-        return sum(map(getitem, self._tables, encs))
+        return sum(map(getitem, tables, encs))
 
     def _reduce(self, acc: int, shifts: Sequence[int]) -> list[int]:
         """The encodings of the rows whose blocks start at shifts."""
@@ -613,6 +651,8 @@ class ColumnSums:
         """True iff every checked row of M * w is 0, where encs[j] encodes w_j."""
         if len(encs) != self.cols:
             raise ValueError(f"word of length {len(encs)} for {self.cols} columns")
+        if self._fed:
+            raise ValueError("a kernel with fed-back columns tests its checked rows through run")
         try:
             acc = sum(map(getitem, self._tables, encs))
         except KeyError:
@@ -620,22 +660,29 @@ class ColumnSums:
         return not ((acc * self._pinv & self._low) + self._bias) & self._guard
 
     def run(self, encs: Sequence[int]) -> tuple[int, list[int]]:
-        """(r, values) from one sum: r is the first checked row of M * w
-        that is not 0, or -1 when they all are, and values are the
-        encodings of the unchecked rows."""
+        """(r, values) from one sum: values are the encodings of the
+        unchecked rows, and r is the first checked row of M * w (with the
+        values in the fed-back columns) that is not 0, or -1 when they
+        all are."""
         if len(encs) != self.cols:
             raise ValueError(f"word of length {len(encs)} for {self.cols} columns")
         try:
             acc = sum(map(getitem, self._tables, encs))
         except KeyError:
             acc = self._fill(encs)
+        values = self._reduce(acc & self._values_mask, self._unchecked)
         if not self._guard:
-            # no checked rows (encode): no zero test, and acc holds only values
-            return -1, self._reduce(acc, self._unchecked)
+            # no checked rows (encode): no zero test
+            return -1, values
+        if self._fed:
+            try:
+                acc += sum(map(getitem, self._fed, values))
+            except KeyError:
+                acc += self._fill(values, self.cols)
         bad = ((acc * self._pinv & self._low) + self._bias) & self._guard
         # the lowest flagged bit lies in the block of the first failing row
         first = ((bad & -bad).bit_length() - 1) // self._block - self._first_checked if bad else -1
-        return first, self._reduce(acc & self._values_mask, self._unchecked)
+        return first, values
 
 
 class FieldElem:

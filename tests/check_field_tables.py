@@ -10,7 +10,8 @@ FieldCtx.add_table and FieldCtx.mul_table, read by index, must equal a
 reference built here without them: addition digit by digit mod p, and
 the product of a by b as the sum, over b's digits b_i, of b_i copies of
 _raw_mul(a, x^i).  Then sub_scaled, horner (x = 0 included),
-Poly.__mul__, MatQ.__matmul__, rank_of_rows and rref must agree with the
+Poly.__mul__, MatQ.__matmul__, rank_of_rows, rref and the column-table
+kernel ColumnSums, plain and with fed-back columns, must agree with the
 same computation done on the reference tables, on seeded random inputs.
 It takes seconds, so it runs as its own CI step; pytest does not collect
 it, and the tier-1 tests (test_field_tables.py) run the same comparison
@@ -21,7 +22,7 @@ GF(257) and GF(289).  Exits 1 and lists the disagreements.
 import random
 import sys
 
-from stripemerge.field import _digits, _factorize, field_create
+from stripemerge.field import ColumnSums, _digits, _factorize, field_create
 from stripemerge.matrix import MatQ, rank_of_rows
 from stripemerge.poly import Poly
 
@@ -53,6 +54,22 @@ class Reference:
             self.mul.append(row)
         self.neg = [row.index(0) for row in self.add]
         self.inv = [None] + [row.index(1) for row in self.mul[1:]]
+
+    def dot(self, row, word):
+        """sum row[j] * word[j]."""
+        acc = 0
+        for c, e in zip(row, word):
+            acc = self.add[acc][self.mul[c][e]]
+        return acc
+
+    def vanish_at(self, row, y, rng):
+        """Reset one coefficient of row on a nonzero y[j] so that the row
+        vanishes at y; unchanged when y is 0."""
+        nonzero = [j for j, e in enumerate(y) if e]
+        if nonzero:
+            j = rng.choice(nonzero)
+            row[j] = 0
+            row[j] = self.mul[self.neg[self.dot(row, y)]][self.inv[y[j]]]
 
     def axpy(self, dst, c, src):
         """dst - c * src, entry by entry."""
@@ -153,6 +170,35 @@ def table_disagreements(F, rng, cases=CASES):
             bad.append(f"GF({q}) rref({rows})")
         if rank_of_rows(F, rows) != want[1]:
             bad.append(f"GF({q}) rank_of_rows({rows})")
+        bad += column_sums_disagreements(F, rng, ref)
+    return bad
+
+
+def column_sums_disagreements(F, rng, ref):
+    """ColumnSums on one seeded word, plain and with fed-back columns,
+    against the reference: the values are the unchecked rows' sums over
+    the word, and the checked rows, about half of them made to vanish,
+    are summed over the word followed by the values when fed back."""
+    q, bad = F.q, []
+    cols, nchecked, nvalues = rng.randrange(1, 9), rng.randrange(0, 4), rng.randrange(0, 4)
+    word = [rng.choice((0, rng.randrange(q))) for _ in range(cols)]
+    values_rows = [[rng.choice((0, rng.randrange(q))) for _ in range(cols)] for _ in range(nvalues)]
+    values = [ref.dot(row, word) for row in values_rows]
+    for feedback in (False, True):
+        y = word + values if feedback else word
+        checked_rows = [[rng.choice((0, rng.randrange(q))) for _ in y] for _ in range(nchecked)]
+        for row in checked_rows:
+            if rng.random() < 0.5:
+                ref.vanish_at(row, y, rng)
+        sums = [ref.dot(row, y) for row in checked_rows]
+        want = (next((r for r, v in enumerate(sums) if v), -1), values)
+        kernel = ColumnSums(F, [enumerate(row) for row in checked_rows + values_rows], cols,
+                            nchecked)
+        # cold, then warm
+        if kernel.run(word) != want or kernel.run(word) != want:
+            bad.append(f"GF({q}) ColumnSums of {checked_rows} over {values_rows} at {word}")
+        if not feedback and kernel.vanishes(word) != (want[0] == -1):
+            bad.append(f"GF({q}) ColumnSums.vanishes of {checked_rows} at {word}")
     return bad
 
 
@@ -167,7 +213,7 @@ def main() -> int:
     for p, s in fields:
         F = field_create(p, s)
         bad += table_disagreements(F, random.Random(SEED * 1000 + F.q))
-    print(f"{len(fields)} fields, every q <= 256 and {len(LARGE)} larger: tables and 6 kernels "
+    print(f"{len(fields)} fields, every q <= 256 and {len(LARGE)} larger: tables and 7 kernels "
           f"against the reference, {CASES} seeded cases each, {len(bad)} disagree")
     for line in bad:
         print(line)

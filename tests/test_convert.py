@@ -37,6 +37,7 @@ from stripemerge.pgl import (
 )
 
 from paper_lemmas import subfield_elements
+from test_packed import CONVERSIONS, conversion
 
 BENCH_REQUESTS = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "instances.json").read_text(
@@ -588,10 +589,18 @@ def corrupt_first_term(cc):
     return with_plan(cc, terms=((w, bad_triples),) + cc.plan.terms[1:])
 
 
-def test_execute_detects_corrupt_plan(cc_vi):
-    bad_cc = corrupt_first_term(cc_vi)
-    with pytest.raises(AssertionError):
-        execute(bad_cc, random_words(bad_cc, random.Random(6)))
+@pytest.mark.parametrize("name", CONVERSIONS)
+def test_execute_detects_corrupt_plan(name):
+    # the wrong coefficient changes the first written symbol unless the
+    # symbol it multiplies is 0, so the inputs are drawn until it is not
+    bad_cc = corrupt_first_term(conversion(name))
+    i, coord, _ = bad_cc.plan.terms[0][1][0]
+    rng = random.Random(6)
+    words = random_words(bad_cc, rng)
+    while not words[i][coord]:
+        words = random_words(bad_cc, rng)
+    with pytest.raises(AssertionError, match="^converted word violates the final parity$"):
+        execute(bad_cc, words)
 
 
 def test_verify_reports_membership_apart_from_bijectivity(cc_vi):

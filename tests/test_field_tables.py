@@ -2,7 +2,8 @@
 read them.
 
 Every table entry, and sub_scaled, horner, Poly.__mul__, MatQ.__matmul__,
-rank_of_rows and rref on seeded random inputs, must equal a reference
+rank_of_rows, rref and ColumnSums (plain and with fed-back columns) on
+seeded random inputs, must equal a reference
 computed without the tables (check_field_tables.Reference), on one field
 of each family, on every field the builders use and on GF(257) and
 GF(289), whose rows compute each entry on lookup; the CI step

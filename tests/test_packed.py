@@ -6,11 +6,17 @@ FieldCtx.packed_exp); the reference here is the plain fold of
 add_enc(mul_enc(...)), one field operation per term, which the kernel
 replaced.  The test_column_sums_* tests run each word twice, so that
 both the cold path, which fills the tables, and the warm lookup are
-checked.  test_zero_test_at_slot_boundaries runs the kernel's zero test
-on every slot sum a row can reach, and test_execute_matches_the_reference
-runs execute's one kernel against the fold per input and the fold of the
-plan's writes.  ConversionPlan.generator_rows, one add_enc and mul_enc
-per term, is the reference for the whole conversion map, and
+checked; test_fed_back_columns_match_the_fold does the same for kernels
+whose checked rows also read the values of their unchecked rows, and
+test_fed_back_terms_count_toward_the_slot_width fills a slot to the
+bound with rows that reach it only through those terms.
+test_zero_test_at_slot_boundaries runs the kernel's zero test on every
+slot sum a row can reach, and test_execute_matches_the_reference runs
+execute's one kernel against the fold per input and the fold of the
+plan's writes; execute must fail its final parity test when the
+kernel's first written value is off by one, and run one kernel and no
+membership check per call.  ConversionPlan.generator_rows, one add_enc
+and mul_enc per term, is the reference for the whole conversion map, and
 test_execute_matches_generator_rows runs execute on every initial
 generator row against it.  Row updates in elimination go through
 FieldCtx.row_logs and FieldCtx.sub_scaled, and polynomial evaluation
@@ -30,6 +36,8 @@ from stripemerge.codes import LinearCode
 from stripemerge.convert import build_mds_to_lrc, execute
 from stripemerge.field import PACK_TERMS, ColumnSums, FieldCtx, field_create
 from stripemerge.matrix import MatQ
+
+from check_field_tables import Reference
 
 FIELDS = [(2, 1), (2, 2), (2, 3), (3, 2), (23, 1), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6),
           (3, 4), (5, 3)]
@@ -159,6 +167,42 @@ def test_column_sums_reject_every_single_symbol_change(p, s):
                 assert whole.run(bad)[1] == [fold(F, row, bad) for row in code.parity.data]
 
 
+@pytest.mark.parametrize("p,s", FIELDS + [(257, 1)], ids=FIELD_IDS + ["GF(257)"])
+def test_fed_back_columns_match_the_fold(p, s):
+    # the checked rows read the word and the unchecked rows' values, which
+    # the reference folds from the word first; about half the checked rows
+    # are made to vanish at one word, so the first failing row varies
+    F = field_create(p, s)
+    ref = Reference(F)
+    rng = random.Random(p * 1009 + s)
+    for cols, checked, unchecked in ((1, 1, 1), (4, 3, 2), (9, 5, 4), (6, 2, 7)):
+        values_rows = random_matrix(F, rng, unchecked, cols, 0.6)
+        for _ in range(4):
+            encs = [rng.randrange(F.q) if rng.random() < 0.8 else 0 for _ in range(cols)]
+            values = [fold(F, row, encs) for row in values_rows]
+            y = encs + values
+            checked_rows = random_matrix(F, rng, checked, cols + unchecked, 0.6)
+            for row in checked_rows:
+                if rng.random() < 0.5:
+                    ref.vanish_at(row, y, rng)
+            want = [fold(F, row, y) for row in checked_rows]
+            first = next((r for r, v in enumerate(want) if v), -1)
+            kernel = kernel_of(F, checked_rows + values_rows, cols, checked)
+            # the first call fills the tables, the second reads them warm
+            for _ in range(2):
+                assert kernel.run(encs) == (first, values)
+    with pytest.raises(ValueError, match="length"):
+        kernel.run(encs + [0])
+    # vanishes has no values to feed back; a checked row may read the word
+    # and the fed-back columns, an unchecked row the word alone
+    with pytest.raises(ValueError, match="fed-back"):
+        ColumnSums(F, [[(1, 1)], [(0, 1)]], 1, checked=1).vanishes([1])
+    with pytest.raises(ValueError, match="^row 0 names column 2 of the 2 it may read$"):
+        ColumnSums(F, [[(2, 1)], [(0, 1)]], 1, checked=1)
+    with pytest.raises(ValueError, match="^row 1 names column 1 of the 1 it may read$"):
+        ColumnSums(F, [[(1, 1)], [(1, 1)]], 1, checked=1)
+
+
 @pytest.mark.parametrize("p,s", FIELDS, ids=FIELD_IDS)
 def test_dot_matches_the_fold(p, s):
     # each row's product with a random word, one row at a time
@@ -190,6 +234,39 @@ def test_longest_allowed_row_reduces_exactly(p, s):
     assert kernel.vanishes([1] * top) == (want == 0)
     with pytest.raises(ValueError, match="exceed"):
         ColumnSums(F, [[(j, F.q - 1) for j in range(top + 1)]], top + 1)
+
+
+@pytest.mark.parametrize("p,s", FIELDS, ids=FIELD_IDS)
+def test_fed_back_terms_count_toward_the_slot_width(p, s):
+    # two checked rows of `terms` terms each, `half` on the one input
+    # column and the rest on a fed-back column, with every term adding
+    # p - 1 to every slot: their input terms alone would make the slots a
+    # bit narrower.  terms runs to max_terms, and to the most terms whose
+    # slot sums are multiples of p, where both rows must test 0: a slot
+    # one bit too narrow would drop its top bit, or carry it into the
+    # next, and flag a row
+    F = field_create(p, s)
+    top = F.max_terms
+    half = top // 2
+    while half % p == 0:
+        half -= 1
+    width = ((p - 1) * top).bit_length()
+    assert ((p - 1) * half).bit_length() < width
+    # the unchecked rows' value: half terms of (q - 1) * 1, each digit -half mod p
+    value = sum(-half % p * p ** i for i in range(s))
+    # c * value = q - 1, whose digits are all p - 1
+    c = F.mul_enc(F.q - 1, F.inv_enc(value))
+    unchecked = [[(0, F.q - 1)] * half] * 2
+    for terms in (top, top - top % p):
+        assert ((p - 1) * terms).bit_length() == width
+        carried = [[(0, F.q - 1)] * half + [(1, c)] * (terms - half)] * 2
+        kernel = ColumnSums(F, carried + unchecked, 1, checked=2)
+        assert kernel.run([1]) == (-1 if terms % p == 0 else 0, [value, value])
+    # a fed-back column that a row reads counts toward the column bound, and
+    # one that no row reads does not
+    with pytest.raises(ValueError, match=f"^{top + 1} columns exceed"):
+        ColumnSums(F, [[(top, 1)], [(0, 1)]], top, checked=1)
+    assert ColumnSums(F, [[(0, 1)], [(0, 1)]], top, checked=1).cols == top
 
 
 def multiplicities(weight, p):
@@ -416,6 +493,56 @@ def test_execute_matches_generator_rows(name):
             final, _ = execute(cc, words)
             assert [e.enc for e in final] == next(rows)
     assert next(rows, None) is None
+
+
+@pytest.mark.parametrize("name", CONVERSIONS)
+def test_execute_tests_the_values_it_writes(name, monkeypatch):
+    # with the kernel's first written value off by one, the final parity
+    # check must fail: it tests the values execute returns, not a
+    # re-derivation of them
+    cc = conversion(name)
+    F = cc.field
+    rng = random.Random(name)
+    words = [code.encode([F.element(rng.randrange(F.q)) for _ in range(code.k)])
+             for code in cc.initials]
+    final, _ = execute(cc, words)
+    real = ColumnSums._reduce
+
+    def off_by_one(kernel, acc, shifts):
+        values = real(kernel, acc, shifts)
+        values[0] = (values[0] + 1) % F.q
+        return values
+
+    monkeypatch.setattr(ColumnSums, "_reduce", off_by_one)
+    with pytest.raises(AssertionError, match="^converted word violates the final parity$"):
+        execute(cc, words)
+
+
+@pytest.mark.parametrize("name", CONVERSIONS)
+def test_execute_runs_one_kernel_and_no_membership_check(name, monkeypatch):
+    # every call, the first (which builds the kernel) and one with a bad
+    # input included, is one ColumnSums.run, with no LinearCode.checks
+    # kernel and no vanishes
+    cc = conversion(name)
+    F = cc.field
+    calls = []
+
+    def counted(what, real):
+        def wrapper(*args):
+            calls.append(what)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(ColumnSums, "run", counted("run", ColumnSums.run))
+    monkeypatch.setattr(ColumnSums, "vanishes", counted("vanishes", ColumnSums.vanishes))
+    monkeypatch.setattr(LinearCode, "checks", property(counted("checks", LinearCode.checks.fget)))
+    zeros = [(F.zero,) * code.n for code in cc.initials]
+    execute(cc, zeros)
+    execute(cc, zeros)
+    bad = [(F.one,) + zeros[0][1:]] + zeros[1:]
+    with pytest.raises(ValueError, match="^input 0 is not a codeword of stripe 0:"):
+        execute(cc, bad)
+    assert calls == ["run"] * 3
 
 
 def test_execute_rejects_symbols_of_another_field():
