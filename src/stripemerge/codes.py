@@ -47,6 +47,9 @@ class LocalityCertificate:
         for g in self.groups:
             if len(g) > self.r + self.delta - 1:
                 raise ValueError(f"group {g} larger than r + delta - 1")
+            if len(set(g)) < len(g):
+                repeated = next(j for j in g if g.count(j) > 1)
+                raise ValueError(f"group {g} repeats coordinate {repeated}")
             seen.update(g)
         if seen != set(range(n)):
             raise ValueError("groups do not cover all coordinates")
@@ -108,9 +111,7 @@ class LinearCode:
             raise ValueError("labels must be distinct, one per coordinate")
         # evaluation places for grs_certificate, which re-checks them; never serialized
         self.places = tuple(places) if places is not None else None
-        # column-table kernels of the parity matrix and of the transposed
-        # generator, built on first use
-        self._checks: Optional[ColumnSums] = None
+        # the column-table kernel of the transposed generator, built on first use
         self._encoder: Optional[ColumnSums] = None
 
     @property
@@ -126,15 +127,6 @@ class LinearCode:
             basis = self._generator.kernel()
             self._parity = MatQ(self.field, basis)
         return self._parity
-
-    @property
-    def checks(self) -> ColumnSums:
-        """H as a column-table kernel over the n coordinates: checks.vanishes
-        on a word's encodings is the membership test."""
-        if self._checks is None:
-            self._checks = ColumnSums(self.field, [enumerate(row) for row in self.parity.data],
-                                      self.n)
-        return self._checks
 
     def encode(self, message: Sequence[FieldElem]) -> tuple[FieldElem, ...]:
         """message * G, by the column-table kernel of G's transpose, with
@@ -152,14 +144,12 @@ class LinearCode:
         return self.field.word(self._encoder.run(self.field.encodings(message))[1])
 
     def contains(self, word: Sequence[FieldElem]) -> bool:
-        """True iff H * word = 0.  Raises ValueError, naming the coordinate
-        and both fields, for a symbol of another field.
-
-        The test is one checks.vanishes on the word's encodings: a table
-        lookup and an integer addition per coordinate, then one multiply
-        that tests every digit slot for 0 mod p at once.
-        """
-        return len(word) == self.n and self.checks.vanishes(self.field.encodings(word))
+        """True iff H * word = 0, by the exact product word * H^T on the
+        word's encodings; False for a word of the wrong length.  Raises
+        ValueError, naming the coordinate and both fields, for a symbol of
+        another field."""
+        return len(word) == self.n and (
+            MatQ(self.field, [self.field.encodings(word)]) @ self.parity.transpose()).is_zero()
 
     def to_obj(self) -> dict:
         obj = {"n": self.n, "k": self.k, "labels": list(self.labels)}

@@ -12,10 +12,10 @@ folds the locality schedule's recipes into its terms, so it is the one
 map every consumer reads: the storage coordinates read from each stripe,
 a sparse linear map from them to the final word, and its static access
 cost.  Its generator_rows carries every initial generator row through
-the map term by term, one add_enc and mul_enc per term, and is the exact
-reference: it gives the builders the final generator, blockdiag(G_i) * P;
-the verifier reads bijectivity, membership and the unchanged contract
-off those same rows; the simulator charges the storage reads to nodes.
+the map term by term, one add_table and mul_table lookup per term, and
+is the exact reference: it gives the builders the final generator,
+blockdiag(G_i) * P; the verifier reads bijectivity, membership and the
+unchanged contract off them; the simulator charges storage reads to nodes.
 execute, the one fast path, runs one ColumnSums per conversion, whose
 one table sum checks every input against its parity rows, gives every
 written symbol, and, with those symbols fed back, tests the final word
@@ -141,9 +141,9 @@ class ConversionPlan:
     encoding) triples with every recipe folded in, coefficients landing
     on one storage coordinate summed and zero sums dropped, and access is
     the plan's static access cost.  No coordinate may repeat in written,
-    in the keys of terms, or in one stripe's reads or storage, and no
-    (stripe, coordinate) read in one written symbol's terms.  validate
-    checks the plan against the codes it converts.
+    in the keys of terms, in one stripe's reads, or in its storage and
+    recon targets together, nor a (stripe, coordinate) in one written
+    symbol's terms.  validate checks the plan against its codes.
     """
 
     field: FieldCtx
@@ -173,6 +173,8 @@ class ConversionPlan:
         lists.update((f"plan.reads[{i}]", coords) for i, coords in enumerate(self.reads))
         if self.schedule is not None:
             lists.update((f"plan.schedule[{i}].storage", c) for i, c in enumerate(storage))
+            lists.update((f"plan.schedule[{i}].recon", [c for c, _ in sched.recon])
+                         for i, sched in enumerate(self.schedule))
         for what, coords in lists.items():
             if len(set(coords)) < len(coords):
                 repeated = next(c for c in coords if coords.count(c) > 1)
@@ -182,7 +184,9 @@ class ConversionPlan:
             for c in self.reads[i]:
                 if c not in known[i] and c not in recipe:
                     raise ValueError(f"read coordinate {c} of stripe {i} unreachable")
-            for parts in recipe.values():
+            for c, parts in recipe.items():
+                if c in known[i]:
+                    raise ValueError(f"plan.schedule[{i}].recon rebuilds storage coordinate {c}")
                 for src, coeff in parts:
                     if src not in known[i]:
                         raise ValueError("recipe uses an unread source")
@@ -1172,10 +1176,10 @@ def verify_convertible(cc: ConvertibleCode, check_components: bool = True) -> Ve
     the measured access cost against the lower-bound floors.
 
     The first three verdicts are exact and read off the plan's
-    generator_rows: full rank is bijectivity, every row in the final code
-    is membership (all codewords follow by linearity), and each unchanged
-    pair (src, dst) of stripe i needs column dst of the rows to be column
-    src of G_i on stripe i's rows and 0 on every other stripe's.  When
+    generator_rows: full rank is bijectivity, the exact product rows *
+    H_F^T = 0 is membership (all codewords follow by linearity), and each
+    unchanged pair (src, dst) of stripe i needs column dst of the rows to
+    be column src of G_i on stripe i's rows and 0 on every other's.  When
     membership holds, execute runs once, on the codewords of the all-ones
     messages (each initial generator's column sums), and its output must
     be the column sums of the rows, the word those messages predict; a
@@ -1188,7 +1192,7 @@ def verify_convertible(cc: ConvertibleCode, check_components: bool = True) -> Ve
     rows = cc.plan.generator_rows(cc.initials)
     generator = MatQ(field, rows)
     bijective = generator.rank() == cc.final.k
-    membership_ok = all(map(cc.final.checks.vanishes, rows))
+    membership_ok = (generator @ cc.final.parity.transpose()).is_zero()
     stripe_rows = [(i, g) for i, code in enumerate(cc.initials) for g in code.generator.data]
     unchanged_ok = all(
         row[dst] == (g[src] if j == i else 0)

@@ -14,8 +14,8 @@ for every field: -a = alpha^(log a + log(-1)), where log(-1) is
 (q - 1)/2 for odd p and 0 in characteristic 2.  Fields are capped at
 q <= 2^16, which keeps every table small and every scan exhaustive.
 
-Weighted sums, the inner loop of membership checks, conversion and
-encoding, go through one column-table kernel instead, ColumnSums.
+Weighted sums, the inner loop of conversion and encoding (membership is
+the exact product), go through one column-table kernel, ColumnSums.
 packed_exp(S) stores each power of the generator with its GF(p) digits
 in separate S-bit slots of one Python int, so a sum of products
 c_j * w_j is one integer addition per term.  ColumnSums gives
@@ -495,18 +495,17 @@ class ColumnSums:
     per column, and a zero test of all of M's first `checked` rows at once.
 
     rows[r] lists row r of M as (column, coefficient encoding) pairs, and
-    cols is the length of a word w; checked defaults to every row.  Each
-    GF(p) digit of a row's sum has its own slot of S bits in one integer,
-    a row owning a block of s adjacent slots (the unchecked rows the
-    lowest blocks), and the table of column j maps a symbol encoding e
-    to the packed digits of the products e * M[r][j] of the column's
-    nonzeros, read off the field's digit table at stride S
-    (FieldCtx.packed_exp).
+    cols is the length of a word w.  Each GF(p) digit of a row's sum has
+    its own slot of S bits in one integer, a row owning a block of s
+    adjacent slots (the unchecked rows the lowest blocks), and the table
+    of column j maps a symbol encoding e to the packed digits of the
+    products e * M[r][j] of the column's nonzeros, read off the field's
+    digit table at stride S (FieldCtx.packed_exp).
     M * w is then sum(table_j[w_j]): one C-level lookup and one integer
-    addition per coordinate.  vanishes is the zero test alone, the
-    membership check; run also reduces the unchecked rows, so with
+    addition per coordinate.  run also reduces the unchecked rows, so with
     checked = 0 run(w)[1] is all of M * w, which is how encode reads it;
-    a kernel with no checked rows skips the zero test.
+    a kernel with no checked rows skips the zero test.  Conversion and
+    encoding build it; membership is the exact product, not a kernel.
 
     A checked row may also read fed-back columns: column cols + k holds
     the value v_k of the k-th unchecked row.  run then sums w, reduces
@@ -514,8 +513,7 @@ class ColumnSums:
     checked rows once, so a checked row tests a sum over the word and the
     values computed from it together.  An unchecked row reads the word
     alone, so those tables fill only checked blocks; a row that names a
-    column past what it may read is refused, and so is vanishes, which
-    has no values, on a kernel with fed-back columns.
+    column past what it may read is refused.
 
     The slot width w is the least with (p - 1) * m < 2^w, where m is the
     most terms in one row, fed-back terms included, so every slot sum x
@@ -540,10 +538,9 @@ class ColumnSums:
     """
 
     def __init__(self, field: FieldCtx, rows: Sequence[Iterable[tuple[int, int]]], cols: int,
-                 checked: Optional[int] = None):
+                 checked: int):
         p, s = field.p, field.s
         rows = [[(j, c) for j, c in row if c] for row in rows]
-        checked = len(rows) if checked is None else checked
         unchecked = len(rows) - checked
         w = ((p - 1) * max([1, *map(len, rows)])).bit_length()
         stride = max(w, s) if p == 2 else 2 * w
@@ -642,22 +639,6 @@ class ColumnSums:
                 enc = enc * p + (block >> offset & slot_mask) % p
             out.append(enc)
         return out
-
-    # vanishes and run repeat the warm sum and the zero test inline: they
-    # are the hot path of every membership check and conversion, and a
-    # helper call would cost about as much as the lookups of a short word
-
-    def vanishes(self, encs: Sequence[int]) -> bool:
-        """True iff every checked row of M * w is 0, where encs[j] encodes w_j."""
-        if len(encs) != self.cols:
-            raise ValueError(f"word of length {len(encs)} for {self.cols} columns")
-        if self._fed:
-            raise ValueError("a kernel with fed-back columns tests its checked rows through run")
-        try:
-            acc = sum(map(getitem, self._tables, encs))
-        except KeyError:
-            acc = self._fill(encs)
-        return not ((acc * self._pinv & self._low) + self._bias) & self._guard
 
     def run(self, encs: Sequence[int]) -> tuple[int, list[int]]:
         """(r, values) from one sum: values are the encodings of the

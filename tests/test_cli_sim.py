@@ -161,6 +161,16 @@ def test_forged_locality_certificate_fails_verify(tmp_path, capsys):
     assert report["bijective"] and report["membership_ok"] and report["unchanged_ok"]
 
 
+def test_locality_group_repeating_a_coordinate_fails_verify(tmp_path, capsys):
+    # a repeated column raises a group's local distance: an extra group
+    # (0, 0) used to pass check_locality, and verify exited 0
+    obj = copy.deepcopy(Q32_BUNDLE)
+    obj["final_cert"]["groups"].append([0, 0])
+    assert main(["verify", "--bundle", write_json(tmp_path / "bundle.json", obj)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["message"] == "group (0, 0) repeats coordinate 0"
+
+
 def test_component_walk_over_budget_leaves_components_unknown(cc_q23, tmp_path, capsys,
                                                                monkeypatch):
     # a bundle carries no places, so its components take the subset walk;
@@ -258,7 +268,10 @@ def test_cli_verify_detects_corruption(tmp_path, capsys):
     bad_path = write_json(tmp_path / "corrupt.json", obj)
     code = main(["verify", "--bundle", bad_path, "--skip-distance"])
     assert code == 3
-    capsys.readouterr()
+    # the map stays injective; the exact product with H_F^T flags the rows
+    report = json.loads(capsys.readouterr().out)
+    assert report["bijective"] is True and report["membership_ok"] is False
+    assert report["ok"] is False
 
 
 def test_cli_demo(tmp_path, capsys):
@@ -363,6 +376,15 @@ def split_first_term(bundle):
     return edited(bundle, edit)
 
 
+# stripe 0 of q32 rebuilds coordinate 8 from storage 6 and 7: a second,
+# wrong recipe for it ahead of the first, and a recipe for storage
+# coordinate 6, used to be dropped without a word, and convert and verify
+# exited 0
+RECON_8_TWICE = edited(Q32_BUNDLE, lambda b: b["plan"]["schedule"][0]["recon"].insert(
+    0, [8, [[6, 1], [7, 1]]]))
+RECON_OF_STORAGE_6 = edited(Q32_BUNDLE, lambda b: b["plan"]["schedule"][0]["recon"].append(
+    [6, [[7, 1]]]))
+
 # (bundle, what its error names): a plan coordinate given twice used to
 # verify ok with a per_symbol_read or read_cost that counts it twice, or
 # (written) to exit 2 with the conversion kernel's word-length message
@@ -373,6 +395,8 @@ REPEATED = [
     (repeated(Q32_BUNDLE, ["plan", "schedule", 1, "storage"]),
      r"plan.schedule\[1\].storage repeats coordinate \d+"),
     (split_first_term(Q23_BUNDLE), r"plan.terms of written coordinate \d+ repeats a read"),
+    (RECON_8_TWICE, r"plan.schedule\[0\].recon repeats coordinate 8"),
+    (RECON_OF_STORAGE_6, r"plan.schedule\[0\].recon rebuilds storage coordinate 6"),
 ]
 
 # (bundle, the field its error names): stored n, k and params that disagree
@@ -475,6 +499,8 @@ MALFORMED = [
     # a stored shape the matrices contradict used to exit 0, or 3 for d_final 5
     *(("verify", payload) for payload, _ in SHAPE_MISMATCH),
     *(("verify", payload) for payload, _ in REPEATED),
+    ("convert", RECON_8_TWICE),
+    ("convert", RECON_OF_STORAGE_6),
     # a stored kind the certificates contradict used to exit 0, its own
     # checks run and the other certificate unread
     ("verify", q32_with(["kind"], "mds_to_lrc")),
@@ -517,8 +543,10 @@ MALFORMED = [
                               "params_d_final_5", "params_d_final_3", "params_r_10",
                               "params_n_initial_11", "q32_params_n_initial_14",
                               "repeated_written", "repeated_terms", "repeated_reads_0",
-                              "repeated_storage_1", "split_term",
-                              "q32_kind_mds_to_lrc", "vi_stray_initial_cert",
+                              "repeated_storage_1", "split_term", "recon_8_twice",
+                              "recon_of_storage_6", "recon_8_twice_convert",
+                              "recon_of_storage_6_convert", "q32_kind_mds_to_lrc",
+                              "vi_stray_initial_cert",
                               "str_for_evaluate_at_pole", "int_for_evaluate_at_pole",
                               "field_p_2_61_request", "field_p_2_61_bundle",
                               "five_messages_for_four_stripes", "str_for_random"])
@@ -550,7 +578,8 @@ def test_shape_mismatch_names_the_field(payload, names):
 
 
 @pytest.mark.parametrize("payload, names", REPEATED,
-                         ids=["written", "terms", "reads_0", "storage_1", "split_term"])
+                         ids=["written", "terms", "reads_0", "storage_1", "split_term",
+                              "recon_8_twice", "recon_of_storage_6"])
 def test_repeated_plan_coordinate_names_its_list(tmp_path, capsys, payload, names):
     path = write_json(tmp_path / "bundle.json", payload)
     assert main(["verify", "--bundle", path, "--skip-distance"]) == 2

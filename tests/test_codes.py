@@ -181,6 +181,20 @@ def test_is_optimal_lrc_shrunk_r_fails():
         is_optimal_lrc(code, LocalityCertificate(r=1, delta=2, groups=((0, 1, 2), (3, 4, 5))))
 
 
+def test_locality_group_may_not_repeat_a_coordinate():
+    # a repeated column raises a restriction's distance: the [4, 2, 2] code
+    # fails (r, delta) = (1, 3) on its honest groups, and would pass it on
+    # the same groups with one coordinate of each listed twice
+    F = field_create(5, 1)
+    code = LinearCode(F, generator=MatQ(F, [[1, 1, 0, 0], [0, 0, 1, 1]]))
+    honest = LocalityCertificate(r=1, delta=3, groups=((0, 1), (2, 3)))
+    assert not check_locality(code, honest) and not is_optimal_lrc(code, honest)
+    padded = LocalityCertificate(r=1, delta=3, groups=((0, 0, 1), (2, 2, 3)))
+    for check in (check_locality, is_optimal_lrc):
+        with pytest.raises(ValueError, match=r"^group \(0, 0, 1\) repeats coordinate 0$"):
+            check(code, padded)
+
+
 def test_restricted_dim_basics():
     F = field_create(5, 1)
     code = grs_code(F, GrsSpec(locators=tuple(elems(F, 0, 1, 2, 3)), k=2))

@@ -603,9 +603,10 @@ def test_execute_detects_corrupt_plan(name):
         execute(bad_cc, words)
 
 
-def test_verify_reports_membership_apart_from_bijectivity(cc_vi):
+@pytest.mark.parametrize("name", CONVERSIONS)
+def test_verify_reports_membership_apart_from_bijectivity(name):
     # a wrong coefficient keeps the map injective but leaves the final code
-    report = verify_convertible(corrupt_first_term(cc_vi), check_components=False)
+    report = verify_convertible(corrupt_first_term(conversion(name)), check_components=False)
     assert report.bijective and not report.membership_ok and not report.ok
 
 
@@ -680,6 +681,24 @@ def test_compile_rejects_unreachable_reads(cc_q32):
         with_plan(cc_q32, schedule=(sched, unread))
     with pytest.raises(ValueError, match="shape"):
         with_plan(cc_q32, schedule=(sched,))
+
+
+def test_compile_takes_one_recipe_per_rebuilt_read(cc_q32):
+    # a second, wrong recipe for a target used to replace the first (or be
+    # replaced) without a word, and a recipe for a storage coordinate to be
+    # ignored
+    sched = cc_q32.plan.schedule[0]
+    target, parts = sched.recon[0]
+    wrong = (target, tuple((src, (c + 1) % cc_q32.field.q) for src, c in parts))
+    for recon in ((wrong, *sched.recon), (*sched.recon, wrong)):
+        with pytest.raises(ValueError,
+                           match=rf"^plan.schedule\[1\].recon repeats coordinate {target}$"):
+            with_plan(cc_q32, schedule=(sched, dataclasses.replace(sched, recon=recon)))
+    stored = sched.storage[0]
+    of_storage = dataclasses.replace(sched, recon=(*sched.recon, (stored, parts)))
+    with pytest.raises(ValueError,
+                       match=rf"^plan.schedule\[0\].recon rebuilds storage coordinate {stored}$"):
+        with_plan(cc_q32, schedule=(of_storage, sched))
 
 
 def test_builders_check_the_plan_against_direct_evaluation(monkeypatch):

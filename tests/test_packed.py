@@ -1,24 +1,26 @@
 """Differential tests of the field's table kernels.
 
-Membership checks, conversion and encoding sum products through the
-column-table kernel (field.ColumnSums, over the packed digits of
-FieldCtx.packed_exp); the reference here is the plain fold of
-add_enc(mul_enc(...)), one field operation per term, which the kernel
-replaced.  The test_column_sums_* tests run each word twice, so that
-both the cold path, which fills the tables, and the warm lookup are
-checked; test_fed_back_columns_match_the_fold does the same for kernels
-whose checked rows also read the values of their unchecked rows, and
+Conversion and encoding sum products through the column-table kernel
+(field.ColumnSums, over the packed digits of FieldCtx.packed_exp); the
+reference here is the plain fold of add_enc(mul_enc(...)), one field
+operation per term, which the kernel replaced.  Membership
+(LinearCode.contains) is the exact product with the parity rows, and
+test_contains_matches_the_fold holds it to the same fold.  The
+test_column_sums_* tests run each word twice, so that both the cold
+path, which fills the tables, and the warm lookup are checked;
+test_fed_back_columns_match_the_fold does the same for kernels whose
+checked rows also read the values of their unchecked rows, and
 test_fed_back_terms_count_toward_the_slot_width fills a slot to the
 bound with rows that reach it only through those terms.
 test_zero_test_at_slot_boundaries runs the kernel's zero test on every
 slot sum a row can reach, and test_execute_matches_the_reference runs
 execute's one kernel against the fold per input and the fold of the
 plan's writes; execute must fail its final parity test when the
-kernel's first written value is off by one, and run one kernel and no
-membership check per call.  ConversionPlan.generator_rows, one add_enc
-and mul_enc per term, is the reference for the whole conversion map, and
-test_execute_matches_generator_rows runs execute on every initial
-generator row against it.  Row updates in elimination go through
+kernel's first written value is off by one, and build one kernel, run
+once per call.  ConversionPlan.generator_rows, one add_table and one
+mul_table lookup per term, is the reference for the whole conversion
+map, and test_execute_matches_generator_rows runs execute on every
+initial generator row against it.  Row updates in elimination go through
 FieldCtx.row_logs and FieldCtx.sub_scaled, and polynomial evaluation
 through FieldCtx.horner; their references are sub_enc(d, mul_enc(c, s))
 per entry and Horner's rule on add_enc and mul_enc.
@@ -118,9 +120,9 @@ def random_matrix(field, rng, rows, cols, density):
     return data
 
 
-def kernel_of(field, data, cols, checked=None):
-    """The kernel of data; with checked=0, run(w)[1] is all of M * w, as
-    LinearCode.encode reads it."""
+def kernel_of(field, data, cols, checked):
+    """The kernel of data whose first `checked` rows are zero-tested; with
+    checked=0, run(w)[1] is all of M * w, as LinearCode.encode reads it."""
     return ColumnSums(field, [enumerate(row) for row in data], cols, checked)
 
 
@@ -131,7 +133,7 @@ def test_column_sums_match_the_fold(p, s, density):
     rng = random.Random(p * 1000 + s * 10 + int(density * 4))
     for rows, cols in ((1, 1), (3, 7), (6, 4), (9, 23)):
         data = random_matrix(F, rng, rows, cols, density)
-        kernel, whole = kernel_of(F, data, cols), kernel_of(F, data, cols, checked=0)
+        kernel, whole = kernel_of(F, data, cols, rows), kernel_of(F, data, cols, checked=0)
         for _ in range(8):
             encs = [rng.randrange(F.q) if rng.random() < 0.7 else 0 for _ in range(cols)]
             want = [fold(F, row, encs) for row in data]
@@ -140,9 +142,8 @@ def test_column_sums_match_the_fold(p, s, density):
             for _ in range(2):
                 assert whole.run(encs) == (-1, want)
                 assert kernel.run(encs) == (first, [])
-                assert kernel.vanishes(encs) == (not any(want))
         with pytest.raises(ValueError, match="length"):
-            kernel.vanishes(encs[:-1])
+            kernel.run(encs[:-1])
 
 
 @pytest.mark.parametrize("p,s", WIDE_FIELDS, ids=WIDE_IDS)
@@ -151,19 +152,19 @@ def test_column_sums_reject_every_single_symbol_change(p, s):
     rng = random.Random(p * 31 + s)
     n = 11
     code = LinearCode(F, parity=random_parity(F, rng, 4, n, sparse=True))
-    kernel = kernel_of(F, code.parity.data, n)
+    kernel = kernel_of(F, code.parity.data, n, code.parity.rows)
     whole = kernel_of(F, code.parity.data, n, checked=0)
     for _ in range(3):
         word = [e.enc for e in code.encode([F.element(rng.randrange(F.q))
                                             for _ in range(code.k)])]
         for _ in range(2):
-            assert kernel.vanishes(word) and not any(whole.run(word)[1])
+            assert kernel.run(word)[0] == -1 and not any(whole.run(word)[1])
         for j in range(n):
             for delta in (1, rng.randrange(1, F.q)):
                 bad = list(word)
                 bad[j] = F.add_enc(bad[j], delta)
                 assert not fold_contains(code, bad)
-                assert not kernel.vanishes(bad)
+                assert kernel.run(bad)[0] >= 0
                 assert whole.run(bad)[1] == [fold(F, row, bad) for row in code.parity.data]
 
 
@@ -193,10 +194,8 @@ def test_fed_back_columns_match_the_fold(p, s):
                 assert kernel.run(encs) == (first, values)
     with pytest.raises(ValueError, match="length"):
         kernel.run(encs + [0])
-    # vanishes has no values to feed back; a checked row may read the word
-    # and the fed-back columns, an unchecked row the word alone
-    with pytest.raises(ValueError, match="fed-back"):
-        ColumnSums(F, [[(1, 1)], [(0, 1)]], 1, checked=1).vanishes([1])
+    # a checked row may read the word and the fed-back columns, an
+    # unchecked row the word alone
     with pytest.raises(ValueError, match="^row 0 names column 2 of the 2 it may read$"):
         ColumnSums(F, [[(2, 1)], [(0, 1)]], 1, checked=1)
     with pytest.raises(ValueError, match="^row 1 names column 1 of the 1 it may read$"):
@@ -231,9 +230,8 @@ def test_longest_allowed_row_reduces_exactly(p, s):
     rows = [[(j, F.q - 1) for j in range(top)]] * 4
     kernel = ColumnSums(F, rows, top, checked=2)
     assert kernel.run([1] * top) == (-1 if want == 0 else 0, [want, want])
-    assert kernel.vanishes([1] * top) == (want == 0)
     with pytest.raises(ValueError, match="exceed"):
-        ColumnSums(F, [[(j, F.q - 1) for j in range(top + 1)]], top + 1)
+        ColumnSums(F, [[(j, F.q - 1) for j in range(top + 1)]], top + 1, checked=1)
 
 
 @pytest.mark.parametrize("p,s", FIELDS, ids=FIELD_IDS)
@@ -323,11 +321,11 @@ def check_zero_test(p, weight, totals, side=None):
                         k + 2 * m, checked=2)
     fixed = spread([most - most % p], side_mults, p)[0] + (p - 1,) * m
     words = spread(totals, mults, p, fixed)
-    got = list(map(kernel.vanishes, words))
+    got = [kernel.run(word)[0] == -1 for word in words]
     want = [total % p == 0 for total in totals]
     if got != want:
         total = next(t for t, g, v in zip(totals, got, want) if g != v)
-        raise AssertionError(f"GF({p}), weight {weight}: vanishes wrong at slot sum {total}")
+        raise AssertionError(f"GF({p}), weight {weight}: zero test wrong at slot sum {total}")
     for total, word in zip(totals, words):
         if total % p in (0, 1, p - 1):
             first = -1 if total % p == 0 else 0
@@ -520,29 +518,27 @@ def test_execute_tests_the_values_it_writes(name, monkeypatch):
 
 @pytest.mark.parametrize("name", CONVERSIONS)
 def test_execute_runs_one_kernel_and_no_membership_check(name, monkeypatch):
-    # every call, the first (which builds the kernel) and one with a bad
-    # input included, is one ColumnSums.run, with no LinearCode.checks
-    # kernel and no vanishes
+    # the first call builds the one kernel, and every call, one with a bad
+    # input included, is one ColumnSums.run: no other kernel is built
     cc = conversion(name)
     F = cc.field
     calls = []
 
     def counted(what, real):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls.append(what)
-            return real(*args)
+            return real(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(ColumnSums, "__init__", counted("build", ColumnSums.__init__))
     monkeypatch.setattr(ColumnSums, "run", counted("run", ColumnSums.run))
-    monkeypatch.setattr(ColumnSums, "vanishes", counted("vanishes", ColumnSums.vanishes))
-    monkeypatch.setattr(LinearCode, "checks", property(counted("checks", LinearCode.checks.fget)))
     zeros = [(F.zero,) * code.n for code in cc.initials]
     execute(cc, zeros)
     execute(cc, zeros)
     bad = [(F.one,) + zeros[0][1:]] + zeros[1:]
     with pytest.raises(ValueError, match="^input 0 is not a codeword of stripe 0:"):
         execute(cc, bad)
-    assert calls == ["run"] * 3
+    assert calls == ["build"] + ["run"] * 3
 
 
 def test_execute_rejects_symbols_of_another_field():
@@ -566,7 +562,7 @@ def test_contains_rejects_symbols_of_another_field():
     F23, F29 = field_create(23, 1), field_create(29, 1)
     code = LinearCode(F23, parity=MatQ(F23, [[1, 1, 1]]))
     assert code.contains([F23.element(e) for e in (1, 1, 21)])
-    # 1 + 1 + 21 vanishes mod 23, and 25 has no log in GF(23)
+    # 1 + 1 + 21 vanishes mod 23, and 25 is not an element of GF(23)
     with pytest.raises(ValueError, match=r"coordinate 0 is in FieldCtx\(GF\(29\)\), "
                                          r"not FieldCtx\(GF\(23\)\)"):
         code.contains([F29.element(e) for e in (1, 1, 21)])

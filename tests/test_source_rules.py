@@ -7,10 +7,10 @@ arithmetic methods and the kernels tested against them live.  The
 decision whether a field's addition and product tables are built tuples
 (q <= TABLE_Q) or rows made on lookup is FieldCtx.__init__'s alone: no
 other code names TABLE_Q, and no module tests a table against None.  The
-column-table kernel is built only for membership checks and encoding
-(LinearCode.checks and encode) and for execute's one conversion kernel
-(ConvertibleCode._runner); every other map, the plan's generator_rows
-included, stays on the exact field operations it is tested against.
+column-table kernel is built only for encoding (LinearCode.encode) and
+for execute's one conversion kernel (ConvertibleCode._runner); every
+other map, membership and the plan's generator_rows included, stays on
+the exact field operations it is tested against.
 Every function, method and class of the package is named somewhere in
 the package or the benchmark besides its own definition: library code
 that only its own test calls is deleted.
@@ -45,7 +45,6 @@ def test_field_tables_are_read_only_in_field_py(path):
 
 # (module, enclosing class.function) of every ColumnSums construction
 COLUMN_SUMS_BUILDERS = {
-    ("codes.py", "LinearCode.checks"),
     ("codes.py", "LinearCode.encode"),
     ("convert.py", "ConvertibleCode._runner"),
 }
