@@ -2,8 +2,8 @@
 
 All formulas are pure integer arithmetic over the merge parameters; the
 one place a non-integer can appear (the specialized locality bound with
-repair-group-aligned dimensions) uses exact fractions and refuses
-non-integral inputs rather than rounding.
+repair-group-aligned dimensions) is computed multiplied through by
+r + delta - 1 and refuses non-integral inputs rather than rounding.
 
 read_lower takes |U_i \\ R_i| as an input because the per-plan bound
 depends on the plan; total_lower composes the plan-free variant.  Both
@@ -12,13 +12,12 @@ are kept so neither statement is conflated with the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .codes import LinearCode, LocalityCertificate, singleton_lrc_bound
 from .matrix import rank_of_rows
-from .schema import as_int, as_ints, as_object
+from .schema import Record, as_int, as_ints, as_object
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -31,19 +30,21 @@ def _locality_term(k_final: int, k_i: int, r: int, delta: int) -> int:
     return (max(ceil_div(k_final - k_i, r), 1) - 1) * (delta - 1)
 
 
-@dataclass(frozen=True)
-class MergeParams:
+class MergeParams(Record):
     """Shapes of one merge conversion: t initial codes into one final code."""
 
-    k_initial: tuple[int, ...]
-    n_initial: tuple[int, ...]
-    n_final: int
-    k_final: int
-    d_final: int
-    r: int
-    delta: int
+    __slots__ = _fields = ("k_initial", "n_initial", "n_final", "k_final", "d_final", "r",
+                           "delta")
 
-    def __post_init__(self) -> None:
+    def __init__(self, k_initial: tuple[int, ...], n_initial: tuple[int, ...], n_final: int,
+                 k_final: int, d_final: int, r: int, delta: int):
+        self.k_initial = k_initial
+        self.n_initial = n_initial
+        self.n_final = n_final
+        self.k_final = k_final
+        self.d_final = d_final
+        self.r = r
+        self.delta = delta
         if len(self.k_initial) != len(self.n_initial) or not self.k_initial:
             raise ValueError("need matching nonempty k/n sequences")
         if sum(self.k_initial) != self.k_final:
@@ -86,12 +87,15 @@ class MergeParams:
         )
 
 
-@dataclass(frozen=True)
 class BoundReport:
-    min_write: int
-    min_read: int
-    per_initial: tuple[dict, ...] = dc_field(default_factory=tuple)
-    default_optimal: bool = False
+    __slots__ = ("min_write", "min_read", "per_initial", "default_optimal")
+
+    def __init__(self, min_write: int, min_read: int, per_initial: tuple[dict, ...] = (),
+                 default_optimal: bool = False):
+        self.min_write = min_write
+        self.min_read = min_read
+        self.per_initial = per_initial
+        self.default_optimal = default_optimal
 
     @property
     def min_total(self) -> int:
@@ -174,7 +178,13 @@ def total_lower(params: MergeParams) -> BoundReport:
 
 def rdel_lower(params: MergeParams) -> BoundReport:
     """Specialized floors when k_i = m_i * r and the final code is an
-    optimal (r, delta)-LRC; exact-fraction arithmetic, integrality asserted."""
+    optimal (r, delta)-LRC; integer arithmetic multiplied through by
+    r + delta - 1, integrality asserted.
+
+    Initial i subtracts k_F + r m_i - r n_F / (r + delta - 1) from the
+    read floor when that is positive and d_F <= n_i - k_i + 1, which is
+    the bound's condition -n_F / (r + delta - 1) + m_i + k_F / r > 0
+    multiplied by r."""
     r, delta = params.r, params.delta
     group = r + delta - 1
     if any(k_i % r for k_i in params.k_initial):
@@ -186,30 +196,28 @@ def rdel_lower(params: MergeParams) -> BoundReport:
             f"final code is not an optimal LRC: d = {params.d_final}, bound = {expected_d}"
         )
     min_write = params.n_final - group * sum(m)
-    nf_over_group = Fraction(params.n_final, group)
-    min_read = Fraction(params.k_final)
-    detail = []
-    for i, (m_i, n_i, k_i) in enumerate(zip(m, params.n_initial, params.k_initial)):
-        active = (-nf_over_group + m_i + Fraction(params.k_final, r) > 0) and (
-            params.d_final <= n_i - k_i + 1
-        )
-        term = Fraction(0)
-        if active:
-            term = params.k_final + r * m_i - r * nf_over_group
-            min_read -= term
-        detail.append({"m": m_i, "subtracted": term})
-    if min_read.denominator != 1:
+    # every quantity below is group times its value in the bound
+    min_read = group * params.k_final
+    subtracted = []
+    for m_i, n_i, k_i in zip(m, params.n_initial, params.k_initial):
+        term = group * (params.k_final + r * m_i) - r * params.n_final
+        if term <= 0 or params.d_final > n_i - k_i + 1:
+            term = 0
+        min_read -= term
+        # term / group in lowest terms, the integer alone when it is whole
+        common = gcd(term, group)
+        num, den = term // common, group // common
+        subtracted.append({"m": m_i, "subtracted": str(num) if den == 1 else f"{num}/{den}"})
+    if min_read % group:
         raise ValueError(
             "read floor is non-integral; the specialized bound needs "
             "(r + delta - 1) | n_F"
         )
-    read_int = int(min_read)
+    read_int = min_read // group
     return BoundReport(
         min_write=min_write,
         min_read=read_int,
-        per_initial=tuple(
-            {"m": d["m"], "subtracted": str(d["subtracted"])} for d in detail
-        ),
+        per_initial=tuple(subtracted),
         default_optimal=(read_int == params.k_final),
     )
 

@@ -17,7 +17,6 @@ nothing and hands over to the budgeted subset walk of distance_at_least.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
@@ -32,13 +31,15 @@ class InfeasibleCheck(Exception):
     """An exact verifier would exceed its work budget."""
 
 
-@dataclass(frozen=True)
 class LocalityCertificate:
     """Repair groups claimed to give (r, delta) locality."""
 
-    r: int
-    delta: int
-    groups: tuple[tuple[int, ...], ...]
+    __slots__ = ("r", "delta", "groups")
+
+    def __init__(self, r: int, delta: int, groups: tuple[tuple[int, ...], ...]):
+        self.r = r
+        self.delta = delta
+        self.groups = groups
 
     def validate(self, n: int) -> None:
         if self.delta < 2 or self.r < 1:

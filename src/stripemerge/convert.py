@@ -43,7 +43,6 @@ one.  A bundle's stored kind and params must agree with the derived ones.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field as dc_field
 from itertools import accumulate
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -71,7 +70,7 @@ from .pgl import (
     split_structure,
 )
 from .poly import Poly, poly_from_roots
-from .schema import as_int, as_ints, as_list, as_object, within
+from .schema import Record, as_int, as_ints, as_list, as_object, within
 
 
 def _keyed(value, what: str, size: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -80,13 +79,16 @@ def _keyed(value, what: str, size: int) -> tuple[int, tuple[tuple[int, ...], ...
     return as_int(key, what), tuple(as_ints(x, what, size) for x in as_list(items, what))
 
 
-@dataclass(frozen=True)
 class StripeSchedule:
     """Storage reads for one stripe plus recipes for the symbols it can
     rebuild locally: coord -> ((source coord, coefficient encoding), ...)."""
 
-    storage: tuple[int, ...]
-    recon: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    __slots__ = ("storage", "recon")
+
+    def __init__(self, storage: tuple[int, ...],
+                 recon: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]):
+        self.storage = storage
+        self.recon = recon
 
     def to_obj(self) -> dict:
         return {
@@ -106,12 +108,15 @@ class StripeSchedule:
         )
 
 
-@dataclass(frozen=True)
-class AccessReport:
-    read_cost: int
-    write_cost: int
-    per_symbol_read: int
-    unchanged_counts: tuple[int, ...]
+class AccessReport(Record):
+    __slots__ = _fields = ("read_cost", "write_cost", "per_symbol_read", "unchanged_counts")
+
+    def __init__(self, read_cost: int, write_cost: int, per_symbol_read: int,
+                 unchanged_counts: tuple[int, ...]):
+        self.read_cost = read_cost
+        self.write_cost = write_cost
+        self.per_symbol_read = per_symbol_read
+        self.unchanged_counts = unchanged_counts
 
     def to_obj(self) -> dict:
         return {
@@ -122,7 +127,6 @@ class AccessReport:
         }
 
 
-@dataclass(frozen=True)
 class ConversionPlan:
     """One merge conversion as a sparse linear map from storage reads to
     the final word.
@@ -143,24 +147,29 @@ class ConversionPlan:
     the plan's static access cost.  No coordinate may repeat in written,
     in the keys of terms, in one stripe's reads, or in its storage and
     recon targets together, nor a (stripe, coordinate) in one written
-    symbol's terms.  validate checks the plan against its codes.
+    symbol's terms, and each recon target must be one of its stripe's
+    reads.  validate checks the plan against its codes.
     """
 
-    field: FieldCtx
-    unchanged: tuple[tuple[tuple[int, int], ...], ...]
-    reads: tuple[tuple[int, ...], ...]
-    written: tuple[int, ...]
-    terms: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
-    schedule: Optional[tuple[StripeSchedule, ...]] = None
-    n: int = dc_field(init=False, repr=False, compare=False)
-    storage: tuple[tuple[int, ...], ...] = dc_field(init=False, repr=False, compare=False)
-    writes: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...] = dc_field(
-        init=False, repr=False, compare=False
-    )
-    access: AccessReport = dc_field(init=False, repr=False, compare=False)
+    __slots__ = ("field", "unchanged", "reads", "written", "terms", "schedule",
+                 "n", "storage", "writes", "access")
 
-    def __post_init__(self) -> None:
-        field, t, q = self.field, len(self.reads), self.field.q
+    def __init__(
+        self,
+        field: FieldCtx,
+        unchanged: tuple[tuple[tuple[int, int], ...], ...],
+        reads: tuple[tuple[int, ...], ...],
+        written: tuple[int, ...],
+        terms: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...],
+        schedule: Optional[tuple[StripeSchedule, ...]] = None,
+    ):
+        self.field = field
+        self.unchanged = unchanged
+        self.reads = reads
+        self.written = written
+        self.terms = terms
+        self.schedule = schedule
+        t, q = len(reads), field.q
         if self.schedule is None:
             storage = self.reads
             recipes: list[dict] = [{} for _ in range(t)]
@@ -180,6 +189,7 @@ class ConversionPlan:
                 repeated = next(c for c in coords if coords.count(c) > 1)
                 raise ValueError(f"{what} repeats coordinate {repeated}")
         known = [set(coords) for coords in storage]
+        read_sets = [set(coords) for coords in self.reads]
         for i, recipe in enumerate(recipes):
             for c in self.reads[i]:
                 if c not in known[i] and c not in recipe:
@@ -187,6 +197,11 @@ class ConversionPlan:
             for c, parts in recipe.items():
                 if c in known[i]:
                     raise ValueError(f"plan.schedule[{i}].recon rebuilds storage coordinate {c}")
+                if c not in read_sets[i]:
+                    raise ValueError(
+                        f"plan.schedule[{i}].recon rebuilds coordinate {c}, "
+                        f"which stripe {i} does not read"
+                    )
                 for src, coeff in parts:
                     if src not in known[i]:
                         raise ValueError("recipe uses an unread source")
@@ -194,7 +209,6 @@ class ConversionPlan:
                         raise ValueError(
                             f"plan.schedule.recon coefficient {coeff} is not an element of GF({q})"
                         )
-        read_sets = [set(coords) for coords in self.reads]
         writes = []
         for w, triples in self.terms:
             if len({(i, coord) for i, coord, _ in triples}) < len(triples):
@@ -213,15 +227,15 @@ class ConversionPlan:
                     key = (i, src)
                     folded[key] = field.add_enc(folded.get(key, 0), field.mul_enc(coeff, e))
             writes.append((w, tuple((i, src, e) for (i, src), e in folded.items() if e)))
-        object.__setattr__(self, "n", len(self.written) + sum(map(len, self.unchanged)))
-        object.__setattr__(self, "storage", storage)
-        object.__setattr__(self, "writes", tuple(writes))
-        object.__setattr__(self, "access", AccessReport(
+        self.n = len(self.written) + sum(map(len, self.unchanged))
+        self.storage = storage
+        self.writes = tuple(writes)
+        self.access = AccessReport(
             read_cost=sum(map(len, storage)),
             write_cost=len(self.written),
             per_symbol_read=sum(len(tr) for _, tr in self.terms),
             unchanged_counts=tuple(map(len, self.unchanged)),
-        ))
+        )
 
     def validate(self, initials: Sequence[LinearCode], final: LinearCode) -> None:
         """Check the plan against the codes it converts."""
@@ -308,22 +322,32 @@ KINDS = {
 }
 
 
-@dataclass
 class ConvertibleCode:
-    initials: tuple[LinearCode, ...]
-    final: LinearCode
-    plan: ConversionPlan
-    initial_cert: Optional[LocalityCertificate] = None
-    final_cert: Optional[LocalityCertificate] = None
-    provenance: dict = dc_field(default_factory=dict)
-    field: FieldCtx = dc_field(init=False)
-    kind: str = dc_field(init=False)
-    params: MergeParams = dc_field(init=False, repr=False, compare=False)
-    # execute's stripe lengths, kernel, input-row ends and output gather
-    _run: Optional[tuple] = dc_field(default=None, init=False, repr=False, compare=False)
+    """Initial codes, final code and the plan between them, with the
+    certificates that give the kind; each certificate is validated
+    against the codes it describes."""
 
-    def __post_init__(self) -> None:
-        certs = (self.initial_cert is not None, self.final_cert is not None)
+    __slots__ = ("initials", "final", "plan", "initial_cert", "final_cert", "provenance",
+                 "field", "kind", "params", "_run")
+
+    def __init__(
+        self,
+        initials: tuple[LinearCode, ...],
+        final: LinearCode,
+        plan: ConversionPlan,
+        initial_cert: Optional[LocalityCertificate] = None,
+        final_cert: Optional[LocalityCertificate] = None,
+        provenance: Optional[dict] = None,
+    ):
+        self.initials = initials
+        self.final = final
+        self.plan = plan
+        self.initial_cert = initial_cert
+        self.final_cert = final_cert
+        self.provenance = {} if provenance is None else provenance
+        # execute's stripe lengths, kernel, input-row ends and output gather
+        self._run: Optional[tuple] = None
+        certs = (initial_cert is not None, final_cert is not None)
         if certs not in KINDS:
             raise ValueError("an initial_cert needs a final_cert")
         self.kind = KINDS[certs]
@@ -333,6 +357,11 @@ class ConvertibleCode:
                 raise ValueError(f"initials[{i}] is over {code.field}, the final over {self.field}")
         if self.plan.field != self.field:
             raise ValueError(f"plan is over {self.plan.field}, the final over {self.field}")
+        if initial_cert is not None:
+            for code in self.initials:
+                initial_cert.validate(code.n)
+        if final_cert is not None:
+            final_cert.validate(self.final.n)
         # an MDS final is the (r, delta) = (k, 2) case of the LRC bound
         n_final, k_final = self.final.n, self.final.k
         r, delta = (self.final_cert.r, self.final_cert.delta) if self.final_cert else (k_final, 2)
@@ -1131,19 +1160,36 @@ def execute(
 # -- verification --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class VerifyReport:
-    bijective: bool
-    unchanged_ok: bool
-    membership_ok: bool
-    components_ok: Optional[bool]
-    measured: AccessReport
-    floors: BoundReport
-    reference: Optional[BoundReport]
-    bounds_applicable: bool
-    access_optimal: Optional[bool]
-    default_read: int
-    default_write: int
+    __slots__ = ("bijective", "unchanged_ok", "membership_ok", "components_ok", "measured",
+                 "floors", "reference", "bounds_applicable", "access_optimal", "default_read",
+                 "default_write")
+
+    def __init__(
+        self,
+        bijective: bool,
+        unchanged_ok: bool,
+        membership_ok: bool,
+        components_ok: Optional[bool],
+        measured: AccessReport,
+        floors: BoundReport,
+        reference: Optional[BoundReport],
+        bounds_applicable: bool,
+        access_optimal: Optional[bool],
+        default_read: int,
+        default_write: int,
+    ):
+        self.bijective = bijective
+        self.unchanged_ok = unchanged_ok
+        self.membership_ok = membership_ok
+        self.components_ok = components_ok
+        self.measured = measured
+        self.floors = floors
+        self.reference = reference
+        self.bounds_applicable = bounds_applicable
+        self.access_optimal = access_optimal
+        self.default_read = default_read
+        self.default_write = default_write
 
     @property
     def ok(self) -> bool:

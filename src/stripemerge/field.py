@@ -431,12 +431,16 @@ class FieldCtx:
             encs = [w.enc for w in word]
         return encs
 
-    def word(self, encs: Iterable[int]) -> tuple[FieldElem, ...]:
-        """The elements with these encodings, each one shared instance
-        from a table of all q elements built on first use."""
+    def _element_table(self) -> tuple[FieldElem, ...]:
+        """All q elements by encoding, built on first use; word, element,
+        zero and one hand out these shared instances."""
         if self._elements is None:
             self._elements = tuple(FieldElem(self, enc) for enc in range(self.q))
-        elements = self._elements
+        return self._elements
+
+    def word(self, encs: Iterable[int]) -> tuple[FieldElem, ...]:
+        """The elements with these encodings, each one shared instance."""
+        elements = self._elements or self._element_table()
         return tuple([elements[e] for e in encs])
 
     # -- element factory -----------------------------------------------------
@@ -445,15 +449,15 @@ class FieldCtx:
         enc = int(enc)
         if not 0 <= enc < self.q:
             raise ValueError(f"encoding {enc} out of range for GF({self.q})")
-        return FieldElem(self, enc)
+        return (self._elements or self._element_table())[enc]
 
     @property
     def zero(self) -> FieldElem:
-        return FieldElem(self, 0)
+        return (self._elements or self._element_table())[0]
 
     @property
     def one(self) -> FieldElem:
-        return FieldElem(self, 1)
+        return (self._elements or self._element_table())[1]
 
     def elements(self) -> Iterator[FieldElem]:
         for enc in range(self.q):

@@ -9,7 +9,6 @@ verify and existence is all that is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .codes import LinearCode
@@ -18,11 +17,14 @@ from .matrix import vandermonde
 from .poly import Poly, poly_from_roots
 
 
-@dataclass(frozen=True)
 class GrsSpec:
-    locators: tuple[FieldElem, ...]
-    k: int
-    multipliers: Optional[tuple[FieldElem, ...]] = None
+    __slots__ = ("locators", "k", "multipliers")
+
+    def __init__(self, locators: tuple[FieldElem, ...], k: int,
+                 multipliers: Optional[tuple[FieldElem, ...]] = None):
+        self.locators = locators
+        self.k = k
+        self.multipliers = multipliers
 
     def validate(self) -> None:
         n = len(self.locators)

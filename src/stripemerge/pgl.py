@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .field import FieldCtx, FieldElem, primitive_quadratic_check, primitive_quadratic_search
@@ -58,11 +57,21 @@ from .poly import Poly, divide_out
 from .schema import as_encs, as_int, as_list, as_object
 
 
-@dataclass(frozen=True)
 class ProjPoint:
     """A point of the projective line: a field element or infinity."""
 
-    finite: Optional[FieldElem]
+    __slots__ = ("finite",)
+
+    def __init__(self, finite: Optional[FieldElem]):
+        self.finite = finite
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ProjPoint:
+            return NotImplemented
+        return self.finite == other.finite
+
+    def __hash__(self) -> int:
+        return hash((self.finite,))
 
     @classmethod
     def of(cls, elem: FieldElem) -> ProjPoint:
@@ -721,7 +730,6 @@ def _shared_group(field: FieldCtx, key: tuple) -> GroupTable:
 # -- orbit structure ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SplitStructure:
     """Partition of the q+1 rational points into free orbits and the rest.
 
@@ -730,8 +738,12 @@ class SplitStructure:
     enumeration applied to the minimal representative.
     """
 
-    free_orbits: tuple[tuple[ProjPoint, ...], ...]
-    ramified: tuple[ProjPoint, ...]
+    __slots__ = ("free_orbits", "ramified")
+
+    def __init__(self, free_orbits: tuple[tuple[ProjPoint, ...], ...],
+                 ramified: tuple[ProjPoint, ...]):
+        self.free_orbits = free_orbits
+        self.ramified = ramified
 
 
 @_once_per_group

@@ -6,6 +6,9 @@ a validation error rather than a TypeError deep inside the arithmetic or
 a bare KeyError.
 A bool is never accepted as an integer: JSON true would otherwise read
 as 1, and a float would be truncated to one.
+
+Record is the base of the two value classes that are compared, the merge
+shape and the access report: equal when of one class with equal fields.
 """
 
 from __future__ import annotations
@@ -13,6 +16,26 @@ from __future__ import annotations
 from typing import Callable, Optional, TypeVar
 
 T = TypeVar("T")
+
+
+class Record:
+    """A value class whose instances are equal when they are of one class
+    and their fields, the names in _fields, are equal; repr shows them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> list:
+        return [getattr(self, name) for name in self._fields]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
 
 
 class _Object(dict):

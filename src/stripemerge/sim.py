@@ -11,7 +11,6 @@ and stay on their node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .convert import AccessReport, ConvertibleCode, execute
@@ -19,12 +18,14 @@ from .field import FieldElem
 from .schema import as_list, as_object
 
 
-@dataclass(frozen=True)
 class ClusterLayout:
     """Placement of every stored symbol, by coordinate label."""
 
-    nodes: tuple[str, ...]
-    placement: dict
+    __slots__ = ("nodes", "placement")
+
+    def __init__(self, nodes: tuple[str, ...], placement: dict):
+        self.nodes = nodes
+        self.placement = placement
 
     def node_of(self, label: str) -> str:
         try:
@@ -67,11 +68,13 @@ def layout_one_per_symbol(cc: ConvertibleCode) -> ClusterLayout:
     return ClusterLayout(tuple(sorted(set(placement.values()))), placement)
 
 
-@dataclass(frozen=True)
 class SimReport:
-    per_node: dict
-    totals: AccessReport
-    unchanged_in_place: bool
+    __slots__ = ("per_node", "totals", "unchanged_in_place")
+
+    def __init__(self, per_node: dict, totals: AccessReport, unchanged_in_place: bool):
+        self.per_node = per_node
+        self.totals = totals
+        self.unchanged_in_place = unchanged_in_place
 
     def to_obj(self) -> dict:
         return {

@@ -384,10 +384,15 @@ RECON_8_TWICE = edited(Q32_BUNDLE, lambda b: b["plan"]["schedule"][0]["recon"].i
     0, [8, [[6, 1], [7, 1]]]))
 RECON_OF_STORAGE_6 = edited(Q32_BUNDLE, lambda b: b["plan"]["schedule"][0]["recon"].append(
     [6, [[7, 1]]]))
+# coordinate 0 is neither read nor stored by stripe 0: a recipe for it was
+# carried unused, and verify reported ok
+RECON_OF_UNREAD_0 = edited(Q32_BUNDLE, lambda b: b["plan"]["schedule"][0]["recon"].append(
+    [0, [[6, 5]]]))
 
 # (bundle, what its error names): a plan coordinate given twice used to
 # verify ok with a per_symbol_read or read_cost that counts it twice, or
-# (written) to exit 2 with the conversion kernel's word-length message
+# (written) to exit 2 with the conversion kernel's word-length message;
+# the last row is a recipe for a coordinate that its stripe does not read
 REPEATED = [
     (repeated(Q23_BUNDLE, ["plan", "written"]), "plan.written repeats coordinate 19"),
     (repeated(Q23_BUNDLE, ["plan", "terms"]), r"plan.terms repeats coordinate \d+"),
@@ -397,6 +402,8 @@ REPEATED = [
     (split_first_term(Q23_BUNDLE), r"plan.terms of written coordinate \d+ repeats a read"),
     (RECON_8_TWICE, r"plan.schedule\[0\].recon repeats coordinate 8"),
     (RECON_OF_STORAGE_6, r"plan.schedule\[0\].recon rebuilds storage coordinate 6"),
+    (RECON_OF_UNREAD_0,
+     r"plan.schedule\[0\].recon rebuilds coordinate 0, which stripe 0 does not read"),
 ]
 
 # (bundle, the field its error names): stored n, k and params that disagree
@@ -501,6 +508,7 @@ MALFORMED = [
     *(("verify", payload) for payload, _ in REPEATED),
     ("convert", RECON_8_TWICE),
     ("convert", RECON_OF_STORAGE_6),
+    ("convert", RECON_OF_UNREAD_0),
     # a stored kind the certificates contradict used to exit 0, its own
     # checks run and the other certificate unread
     ("verify", q32_with(["kind"], "mds_to_lrc")),
@@ -518,6 +526,10 @@ MALFORMED = [
     # to convert random words
     ("convert --words", {"messages": [[1, 2, 3, 4]] * 5}),
     ("convert --words", {"random": "no"}),
+    # a malformed certificate used to be refused only by a full verify's
+    # check_locality: verify --skip-distance, convert and simulate exited 0
+    *((command, edited(Q32_BUNDLE, lambda b, cert=cert: b[cert]["groups"].append([0, 0])))
+      for cert in ("final_cert", "initial_cert") for command in ("verify", "convert", "simulate")),
 ]
 
 
@@ -544,12 +556,17 @@ MALFORMED = [
                               "params_n_initial_11", "q32_params_n_initial_14",
                               "repeated_written", "repeated_terms", "repeated_reads_0",
                               "repeated_storage_1", "split_term", "recon_8_twice",
-                              "recon_of_storage_6", "recon_8_twice_convert",
-                              "recon_of_storage_6_convert", "q32_kind_mds_to_lrc",
+                              "recon_of_storage_6", "recon_of_unread_0", "recon_8_twice_convert",
+                              "recon_of_storage_6_convert", "recon_of_unread_0_convert",
+                              "q32_kind_mds_to_lrc",
                               "vi_stray_initial_cert",
                               "str_for_evaluate_at_pole", "int_for_evaluate_at_pole",
                               "field_p_2_61_request", "field_p_2_61_bundle",
-                              "five_messages_for_four_stripes", "str_for_random"])
+                              "five_messages_for_four_stripes", "str_for_random",
+                              "final_cert_group_0_0_verify", "final_cert_group_0_0_convert",
+                              "final_cert_group_0_0_simulate", "initial_cert_group_0_0_verify",
+                              "initial_cert_group_0_0_convert",
+                              "initial_cert_group_0_0_simulate"])
 def test_cli_malformed_json_is_a_validation_error(tmp_path, capsys, command, payload):
     command, _, side_flag = command.partition(" ")
     path = write_json(tmp_path / "input.json", payload)
@@ -579,7 +596,7 @@ def test_shape_mismatch_names_the_field(payload, names):
 
 @pytest.mark.parametrize("payload, names", REPEATED,
                          ids=["written", "terms", "reads_0", "storage_1", "split_term",
-                              "recon_8_twice", "recon_of_storage_6"])
+                              "recon_8_twice", "recon_of_storage_6", "recon_of_unread_0"])
 def test_repeated_plan_coordinate_names_its_list(tmp_path, capsys, payload, names):
     path = write_json(tmp_path / "bundle.json", payload)
     assert main(["verify", "--bundle", path, "--skip-distance"]) == 2

@@ -1,5 +1,5 @@
-import dataclasses
 import functools
+import inspect
 import itertools
 import json
 import random
@@ -569,12 +569,20 @@ def test_execute_rejects_non_codeword(cc_vi):
         execute(cc_vi, [tuple(w) for w in words])
 
 
+def rebuilt(obj, **changes):
+    """obj built again from its constructor's arguments, read off its
+    attributes of the same names, with some of them replaced."""
+    names = inspect.signature(type(obj)).parameters
+    assert set(changes) <= set(names)
+    return type(obj)(**{name: changes.get(name, getattr(obj, name)) for name in names})
+
+
 def with_plan(cc, **changes):
     """The same conversion with some plan fields replaced."""
     return ConvertibleCode(
         initials=cc.initials,
         final=cc.final,
-        plan=dataclasses.replace(cc.plan, **changes),
+        plan=rebuilt(cc.plan, **changes),
         initial_cert=cc.initial_cert,
         final_cert=cc.final_cert,
     )
@@ -672,11 +680,11 @@ def test_compiled_plan_folds_the_schedule(cc_q32):
 
 def test_compile_rejects_unreachable_reads(cc_q32):
     sched = cc_q32.plan.schedule[0]
-    no_recipe = dataclasses.replace(sched, recon=sched.recon[1:])
+    no_recipe = rebuilt(sched, recon=sched.recon[1:])
     with pytest.raises(ValueError, match="unreachable"):
         with_plan(cc_q32, schedule=(no_recipe, sched))
     target, parts = sched.recon[0]
-    unread = dataclasses.replace(sched, recon=((target, parts + ((0, 1),)),) + sched.recon[1:])
+    unread = rebuilt(sched, recon=((target, parts + ((0, 1),)),) + sched.recon[1:])
     with pytest.raises(ValueError, match="unread source"):
         with_plan(cc_q32, schedule=(sched, unread))
     with pytest.raises(ValueError, match="shape"):
@@ -693,9 +701,9 @@ def test_compile_takes_one_recipe_per_rebuilt_read(cc_q32):
     for recon in ((wrong, *sched.recon), (*sched.recon, wrong)):
         with pytest.raises(ValueError,
                            match=rf"^plan.schedule\[1\].recon repeats coordinate {target}$"):
-            with_plan(cc_q32, schedule=(sched, dataclasses.replace(sched, recon=recon)))
+            with_plan(cc_q32, schedule=(sched, rebuilt(sched, recon=recon)))
     stored = sched.storage[0]
-    of_storage = dataclasses.replace(sched, recon=(*sched.recon, (stored, parts)))
+    of_storage = rebuilt(sched, recon=(*sched.recon, (stored, parts)))
     with pytest.raises(ValueError,
                        match=rf"^plan.schedule\[0\].recon rebuilds storage coordinate {stored}$"):
         with_plan(cc_q32, schedule=(of_storage, sched))
@@ -708,7 +716,7 @@ def test_builders_check_the_plan_against_direct_evaluation(monkeypatch):
     def skewed(plan, initials):
         (w, ((i, coord, coeff), *more)), *rest = plan.terms
         bad = (w, ((i, coord, coeff % (plan.field.q - 1) + 1), *more))
-        return real(dataclasses.replace(plan, terms=(bad, *rest)), initials)
+        return real(rebuilt(plan, terms=(bad, *rest)), initials)
 
     monkeypatch.setattr(ConversionPlan, "generator_rows", skewed)
     assert_evaluation_builders_fail()
@@ -822,11 +830,15 @@ def test_bundle_kind_is_derived_from_the_certificates(name):
         with pytest.raises(ValueError, match="^kind"):
             ConvertibleCode.from_obj(dict(obj, kind=other))
     if cc.kind == "mds_merge":
-        # an MDS final is a (k, 2)-LRC with one group, but such a
+        # an MDS final is a (k, n - k + 1)-LRC with one group, but such a
         # certificate makes the bundle an MDS-to-LRC conversion
-        cert = {"r": cc.final.k, "delta": 2, "groups": [list(range(cc.final.n))]}
+        n, k = cc.final.n, cc.final.k
+        cert = {"r": k, "delta": n - k + 1, "groups": [list(range(n))]}
         with pytest.raises(ValueError, match="^kind"):
             ConvertibleCode.from_obj(dict(obj, final_cert=cert))
+        # with delta = 2 the one group is too large, which is refused first
+        with pytest.raises(ValueError, match=r"^group \(0, 1,.*\) larger than"):
+            ConvertibleCode.from_obj(dict(obj, final_cert=dict(cert, delta=2)))
     F29 = field_create(29, 1)
     first = cc.initials[0]
     foreign = LinearCode(F29, generator=MatQ(F29, [[1] * first.n]), labels=first.labels)
@@ -844,7 +856,7 @@ def test_bundle_kind_is_derived_from_the_certificates(name):
         ConvertibleCode(
             initials=cc.initials,
             final=cc.final,
-            plan=dataclasses.replace(cc.plan, field=F67),
+            plan=rebuilt(cc.plan, field=F67),
             initial_cert=cc.initial_cert,
             final_cert=cc.final_cert,
         )

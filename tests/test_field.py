@@ -118,6 +118,26 @@ def test_arith_errors():
         F.element(3) + G.element(2)
 
 
+SHARED_FIELDS = [(7, 1), (2, 5), (7, 2), (257, 1)]
+
+
+@pytest.mark.parametrize("p,s", SHARED_FIELDS, ids=[f"GF({p ** s})" for p, s in SHARED_FIELDS])
+def test_element_zero_and_one_are_the_instances_word_hands_out(p, s):
+    F = field_create(p, s)
+    for e in range(F.q):
+        assert F.element(e) is F.word([e])[0]
+    assert F.zero is F.word([0])[0] and F.one is F.word([1])[0]
+    # the argument is still read through int(), and the refusals are unchanged
+    assert F.element(2.9) is F.element("2") is F.word([2])[0]
+    for bad in (-1, F.q, 2 ** 62):
+        with pytest.raises(ValueError, match=rf"^encoding {bad} out of range for GF\({F.q}\)$"):
+            F.element(bad)
+    with pytest.raises(ValueError, match="^invalid literal for int"):
+        F.element("x")
+    with pytest.raises(TypeError):
+        F.element(None)
+
+
 def test_element_order():
     F = field_create(23, 1)
     assert F.one.multiplicative_order() == 1

@@ -13,10 +13,15 @@ other map, membership and the plan's generator_rows included, stays on
 the exact field operations it is tested against.
 Every function, method and class of the package is named somewhere in
 the package or the benchmark besides its own definition: library code
-that only its own test calls is deleted.
+that only its own test calls is deleted.  No module imports dataclasses
+or fractions, which every process would pay for at start-up, and a
+fresh interpreter that imports the command line loads neither.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -206,3 +211,42 @@ def test_every_library_name_has_a_caller():
         and node.name not in used
     ]
     assert unused == [], f"defined but named nowhere else in src/ or perfbench/: {unused}"
+
+
+# modules whose import costs every process its start-up: dataclasses builds
+# each class through inspect, and fractions is needed by no bound
+HEAVY_IMPORTS = ("dataclasses", "fractions")
+
+
+def imported_modules(tree):
+    """(top-level module name, line) of every import statement."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(alias.name.partition(".")[0], node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.module.partition(".")[0], node.lineno))
+    return found
+
+
+def test_imported_modules_are_found():
+    source = "import dataclasses\nfrom fractions import Fraction\nimport os.path\nfrom . import x"
+    assert imported_modules(ast.parse(source)) == [("dataclasses", 1), ("fractions", 2),
+                                                   ("os", 3)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_module_imports_dataclasses_or_fractions(path):
+    lines = [(name, line) for name, line in imported_modules(parse(path))
+             if name in HEAVY_IMPORTS]
+    assert lines == [], f"{path.name}: imports {lines}"
+
+
+def test_cli_loads_without_dataclasses_or_fractions():
+    # a fresh interpreter without site, so that nothing but the package imports
+    code = ("import sys, stripemerge.cli; "
+            f"print(sorted(set({HEAVY_IMPORTS!r}) & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
