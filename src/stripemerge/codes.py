@@ -363,8 +363,8 @@ def _echelon(f: FieldCtx, rows: Sequence[Sequence[int]]) -> list[tuple[int, list
         if p is None:
             continue
         if row[p] != 1:
-            inv = f.inv_enc(row[p])
-            row = [f.mul_enc(inv, e) for e in row]
+            times = f.mul_table[f.inv_enc(row[p])]
+            row = [times[e] for e in row]
         out.append((p, row, f.row_logs(row)))
     return out
 

@@ -28,10 +28,15 @@ one more lookup per value, so that one sum checks a word, computes
 values from it and tests rows over both (execute checks the inputs,
 writes the symbols and tests the final word this way).  Its slots are as
 wide as its heaviest row needs, fed-back terms included, so no carry
-crosses a slot, and one multiply by p^-1 tests every slot for 0 mod p at
-once (the divisibility test of Granlund and Montgomery).  Tables fill on
-first use, and two threads that fill one entry at once store equal
-values, so codes and plans stay safe to share.
+crosses a slot, and one multiply by p^-1 tests every checked slot for
+0 mod p at once (the divisibility test of Granlund and Montgomery).  The
+values sit in byte-aligned lanes below the checked slots and are read
+in one pass for every field: a multiply by ceil(2^k / p) and a shift
+divide every lane by p at once (Granlund and Montgomery's division by
+an invariant integer), one product combines each row's digits into its
+encoding, and one cast of the integer's native-order bytes reads the
+encodings out.  Tables fill on first use, and two threads that fill one
+entry at once store equal values, so codes and plans stay safe to share.
 The kernel reads the field's own exp and log tables; add_enc and mul_enc
 remain the reference it is tested against.
 
@@ -74,6 +79,7 @@ import functools
 from array import array
 import math
 from operator import getitem
+import sys
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .schema import as_int, as_ints, as_object
@@ -81,6 +87,7 @@ from .schema import as_int, as_ints, as_object
 MAX_Q = 1 << 16
 PACK_TERMS = 1 << 16  # sets each field's max_terms, the column bound of its kernels
 TABLE_Q = 256  # the largest field that holds addition and product tables
+_WORD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # memoryview.cast format by word bits
 
 
 def _is_prime(n: int) -> bool:
@@ -174,8 +181,9 @@ def _first_irreducible(p: int, s: int) -> tuple[int, ...]:
 
 
 class _Rows(dict):
-    """The addition or product table of a field with q > TABLE_Q: row a
-    is make(a), made on its first lookup and shared by every later one."""
+    """The addition, product or element table of a field with q > TABLE_Q:
+    entry a is make(a), made on its first lookup and shared by every
+    later one."""
 
     __slots__ = ("make",)
 
@@ -184,8 +192,9 @@ class _Rows(dict):
         self.make = make
 
     def __missing__(self, a: int) -> Sequence[int]:
-        row = self[a] = self.make(a)
-        return row
+        # setdefault keeps the first entry stored, so threads that make one
+        # at once are all handed the same
+        return self.setdefault(a, self.make(a))
 
 
 class _Row:
@@ -265,21 +274,28 @@ class FieldCtx:
             self.modulus = modulus
         self._exp, self._log, self._zech = self._build_tables()
         self._log_minus_one = self._log[p - 1]
+        # word, element, zero and one hand out the shared instances of
+        # _elements: all q of them, or above TABLE_Q each made on its first
+        # lookup, so that a large field builds only the elements it hands out
+        self._elements: tuple[FieldElem, ...] | _Rows
         if q <= TABLE_Q:
             self.add_table, self.mul_table = self._arith_tables()
-        elif s == 1:
-            # row a of the sums is a view of 0, 1, ..., q - 1 twice, from a
-            cycle = memoryview(array("l", range(q)) * 2).toreadonly()
-            self.add_table = _Rows(lambda a: cycle[a:a + q])
-            self.mul_table = _Rows(functools.partial(_PrimeProducts, self))
+            self._elements = tuple(FieldElem(self, enc) for enc in range(q))
         else:
-            self.add_table = _Rows(functools.partial(_XorSums if p == 2 else _ZechSums, self))
-            self.mul_table = _Rows(functools.partial(_LogProducts, self))
+            if s == 1:
+                # row a of the sums is a view of 0, 1, ..., q - 1 twice, from a
+                cycle = memoryview(array("l", range(q)) * 2).toreadonly()
+                self.add_table = _Rows(lambda a: cycle[a:a + q])
+                self.mul_table = _Rows(functools.partial(_PrimeProducts, self))
+            else:
+                self.add_table = _Rows(functools.partial(_XorSums if p == 2 else _ZechSums, self))
+                self.mul_table = _Rows(functools.partial(_LogProducts, self))
+            self._elements = _Rows(self._new_element)
         # the column bound of every ColumnSums over this field: the most
         # terms whose digit sums fit the bits that PACK_TERMS terms need
         self.max_terms = ((1 << ((p - 1) * PACK_TERMS).bit_length()) - 1) // (p - 1)
-        self._packed: dict[int, list[int]] = {}
-        self._elements: Optional[tuple[FieldElem, ...]] = None
+        # packed_exp's tables by stride, and ColumnSums' joined ones by (stride, lane)
+        self._packed: dict[object, list[int]] = {}
 
     # -- low-level ops on integer encodings ---------------------------------
 
@@ -431,16 +447,17 @@ class FieldCtx:
             encs = [w.enc for w in word]
         return encs
 
-    def _element_table(self) -> tuple[FieldElem, ...]:
-        """All q elements by encoding, built on first use; word, element,
-        zero and one hand out these shared instances."""
-        if self._elements is None:
-            self._elements = tuple(FieldElem(self, enc) for enc in range(self.q))
-        return self._elements
+    def _new_element(self, enc: int) -> FieldElem:
+        """Element enc of a field above TABLE_Q, made once on its first
+        lookup; an encoding outside [0, q) raises IndexError, as it would
+        past the end of a smaller field's tuple, and is not stored."""
+        if not 0 <= enc < self.q:
+            raise IndexError(f"encoding {enc} out of range for GF({self.q})")
+        return FieldElem(self, enc)
 
     def word(self, encs: Iterable[int]) -> tuple[FieldElem, ...]:
         """The elements with these encodings, each one shared instance."""
-        elements = self._elements or self._element_table()
+        elements = self._elements
         return tuple([elements[e] for e in encs])
 
     # -- element factory -----------------------------------------------------
@@ -449,15 +466,15 @@ class FieldCtx:
         enc = int(enc)
         if not 0 <= enc < self.q:
             raise ValueError(f"encoding {enc} out of range for GF({self.q})")
-        return (self._elements or self._element_table())[enc]
+        return self._elements[enc]
 
     @property
     def zero(self) -> FieldElem:
-        return (self._elements or self._element_table())[0]
+        return self._elements[0]
 
     @property
     def one(self) -> FieldElem:
-        return (self._elements or self._element_table())[1]
+        return self._elements[1]
 
     def elements(self) -> Iterator[FieldElem]:
         for enc in range(self.q):
@@ -494,25 +511,36 @@ class FieldCtx:
         return _shared_field(as_int(obj["p"], "p"), s, modulus)
 
 
+def _divider(p: int, w: int) -> tuple[int, int]:
+    """(k, M) with (x * M) >> k == x // p for every 0 <= x < 2^w, odd p:
+    k = w + bits(p) and M = ceil(2^k / p), so x * M < 2^(2w + 2)
+    (tests/check_field_tables.py sweeps every odd p < 2^16 and w)."""
+    k = w + p.bit_length()
+    return k, -(-(1 << k) // p)
+
+
 class ColumnSums:
     """M * w for one fixed sparse matrix M over one field, one table lookup
     per column, and a zero test of all of M's first `checked` rows at once.
 
     rows[r] lists row r of M as (column, coefficient encoding) pairs, and
     cols is the length of a word w.  Each GF(p) digit of a row's sum has
-    its own slot of S bits in one integer, a row owning a block of s
-    adjacent slots (the unchecked rows the lowest blocks), and the table
-    of column j maps a symbol encoding e to the packed digits of the
-    products e * M[r][j] of the column's nonzeros, read off the field's
-    digit table at stride S (FieldCtx.packed_exp).
+    its own slot in one integer, a row owning a block of s adjacent
+    slots: the unchecked rows own the lowest blocks, whose slots are
+    lanes of L bits, and the checked rows the blocks above them, whose
+    slots are S bits wide.  The table of column j maps a symbol encoding
+    e to the packed digits of the products e * M[r][j] of the column's
+    nonzeros, read off the field's digit tables at strides S and L
+    (FieldCtx.packed_exp).
     M * w is then sum(table_j[w_j]): one C-level lookup and one integer
-    addition per coordinate.  run also reduces the unchecked rows, so with
-    checked = 0 run(w)[1] is all of M * w, which is how encode reads it;
-    a kernel with no checked rows skips the zero test.  Conversion and
-    encoding build it; membership is the exact product, not a kernel.
+    addition per coordinate.  run also reads out the unchecked rows'
+    values, so with checked = 0 run(w)[1] is all of M * w, which is how
+    encode reads it; a kernel with no checked rows skips the zero test.
+    Conversion and encoding build it; membership is the exact product,
+    not a kernel.
 
     A checked row may also read fed-back columns: column cols + k holds
-    the value v_k of the k-th unchecked row.  run then sums w, reduces
+    the value v_k of the k-th unchecked row.  run then sums w, reads out
     the values, adds table_{cols+k}[v_k] for each and zero-tests the
     checked rows once, so a checked row tests a sum over the word and the
     values computed from it together.  An unchecked row reads the word
@@ -528,10 +556,27 @@ class ColumnSums:
     bias 2^w - 1 - (2^w - 1) // p in each, sets bit w of exactly the
     slots that are nonzero mod p.
     No carry crosses a slot: x * p^-1 <= (2^w - 1)^2 < 2^2w, and the
-    biased value is below 2^(w+1).  In characteristic 2, S = max(w, s),
-    and a digit is zero iff its slot's low bit is clear.  More than the
-    field's max_terms columns, the fed-back ones that rows read included,
-    are refused.
+    biased value is below 2^(w+1).  In characteristic 2, S = w, and a
+    digit is zero iff its slot's low bit is clear.  More than the field's
+    max_terms columns, the fed-back ones that rows read included, are
+    refused.
+
+    The values are read out of every lane at once, one path for every
+    field (_values).  L is the least of 8, 16 and 32, or else a multiple
+    of 64, that holds q - 1 and 2w + 2 bits (w bits in characteristic 2).
+    In odd characteristic each lane's sum x < 2^w is divided by p as
+    Granlund and Montgomery divide by an invariant integer: with
+    k = w + bits(p) and M = ceil(2^k / p), (x * M) >> k = x // p, since
+    the error x * (M * p - 2^k) / (p * 2^k) < 2^(w - k) < 1/p, and
+    x * M < 2^(2w + 2) fits its lane.  So acc - ((acc * M >> k) & Q) * p,
+    where Q keeps the low L - k bits of each lane, leaves x mod p in every
+    lane; in characteristic 2 the residue is each lane's low bit.  One
+    product by sum_i p^i * 2^((s - 1 - i) * L) then leaves a row's
+    encoding sum_i c_i * p^i in lane s - 1 of its block, while every
+    other lane holds a partial sum below q, so no lane carries.  The
+    integer's bytes in the native byte order, one memoryview.cast to
+    words of min(L, 64) bits and one slice with step s * max(1, L / 64)
+    read those lanes, a lane wider than 64 bits through its low word.
 
     A table starts with only 0 in it.  A word that misses fills all its
     missing entries in one loop and is summed again, so a cold word costs
@@ -544,54 +589,84 @@ class ColumnSums:
     def __init__(self, field: FieldCtx, rows: Sequence[Iterable[tuple[int, int]]], cols: int,
                  checked: int):
         p, s = field.p, field.s
-        rows = [[(j, c) for j, c in row if c] for row in rows]
+        rows = [[pair for pair in row if pair[1]] for row in rows]
         unchecked = len(rows) - checked
         w = ((p - 1) * max([1, *map(len, rows)])).bit_length()
-        stride = max(w, s) if p == 2 else 2 * w
+        stride = w if p == 2 else 2 * w
         block = s * stride
+        # the value lanes: wide enough for x * M in odd characteristic, for
+        # x in characteristic 2, and for an encoding; 8, 16, 32 or 64k bits
+        need = max(w if p == 2 else 2 * w + 2, (field.q - 1).bit_length())
+        lane = 8 if need <= 8 else 16 if need <= 16 else 32 if need <= 32 else -(-need // 64) * 64
+        base = unchecked * s * lane  # where the checked blocks start
         self.cols = cols
-        self._p, self._s, self._block = p, s, block
-        # the unchecked rows own the lowest blocks, so that run reduces them
-        # from a short integer, acc & _values_mask
-        shifts = [i * block for i in (*range(unchecked, len(rows)), *range(unchecked))]
-        self._unchecked = tuple(shifts[checked:])
-        self._values_mask = (1 << unchecked * block) - 1
-        self._first_checked = unchecked
-        self._slot_mask = (1 << w) - 1
-        offsets = [j * stride for j in range(s)]  # of a row's digit slots in its block
-        self._top_first = offsets[::-1]
-        digit_bits = sum(1 << offset for offset in offsets)  # bit 0 of each slot of a block
-        if s > 1 and p == 2:
-            # gathers the low bits of a row's slots into s adjacent bits
-            self._top = offsets[-1]
-            self._gather = sum(1 << (self._top - offset + j) for j, offset in enumerate(offsets))
-            self._low_digits = digit_bits
-        # bit 0 of every checked slot: the checked rows own consecutive blocks,
-        # and (2^(checked * block) - 1) / (2^block - 1) has bit 0 of each set
-        block_bits = ((1 << checked * block) - 1) // ((1 << block) - 1) << unchecked * block
-        slot_bits = block_bits * digit_bits
+        self._p, self._block, self._base = p, block, base
+        # (2^(n * b) - 1) / (2^b - 1) has bit 0 of each of its n b-bit fields
+        # set: bit 0 of every value lane, of every slot of a block and, the
+        # checked rows owning consecutive blocks, of every checked slot
+        lane_bits = ((1 << base) - 1) // ((1 << lane) - 1)
+        digit_bits = ((1 << block) - 1) // ((1 << stride) - 1)
+        slot_bits = ((1 << checked * block) - 1) // ((1 << block) - 1) * digit_bits << base
         if p == 2:
-            # the same test reads acc & low: p^-1 = 1, no bias, bit 0 guards
+            # the residues are the lanes' low bits, and the zero test reads
+            # acc & low: p^-1 = 1, no bias, bit 0 guards
+            self._values_mask = lane_bits
             self._pinv, self._bias = 1, 0
             self._low = self._guard = slot_bits
         else:
+            k, self._magic = _divider(p, w)
+            self._values_mask, self._shift = (1 << base) - 1, k
+            self._quotients = ((1 << lane - k) - 1) * lane_bits
             # a slot holds its w low bits, the bias or bit w, with no overlap
+            slot_mask = (1 << w) - 1
             self._pinv = pow(p, -1, 1 << w)
-            self._low = self._slot_mask * slot_bits
-            self._bias = (self._slot_mask - self._slot_mask // p) * slot_bits
+            self._low = slot_mask * slot_bits
+            self._bias = (slot_mask - slot_mask // p) * slot_bits
             self._guard = slot_bits << w
+        combine = 0  # sum_i p^i * 2^((s - 1 - i) * lane), by Horner's rule
+        for i in range(s):
+            combine = (combine << lane) + p ** i
+        self._combine = combine
+        # the low word of lane s - 1 of each value block, after the product
+        # by _combine, in the native byte order that to_bytes writes: the
+        # product reaches s - 1 lanes past the top block
+        bits = min(lane, 64)
+        self._format = _WORD_FORMATS[bits]
+        per_lane = lane // bits
+        self._bytes = (unchecked * s + s - 1) * lane // 8
+        if sys.byteorder == "little":
+            self._lanes = slice((s - 1) * per_lane, None, s * per_lane)
+        else:
+            # the words lie top first, so the slice runs down from the first row's
+            top = self._bytes * 8 // bits - 1 - (s - 1) * per_lane
+            self._lanes = slice(top, None, -s * per_lane) if unchecked else slice(0)
         log = self._log = field._log
-        self._pexp = field.packed_exp(stride)
-        # a checked row may read every column, the fed-back ones included,
-        # an unchecked row the word's alone: it fills through a list that
-        # shares only the word columns' entries
-        entries: list[list[tuple[int, int]]] = [[] for _ in range(cols + unchecked)]
-        for reach, first, last in ((entries, 0, checked), (entries[:cols], checked, len(rows))):
+        # one digit table for both kinds of row: the stride table, then, in
+        # an extension field, where the two differ, the lane table, which an
+        # unchecked row's entries reach through logs offset past the first
+        table = field.packed_exp(stride)
+        lane_offset = 0
+        if s > 1:
+            lane_offset = len(table)
+            joined = field._packed.get((stride, lane))
+            if joined is None:
+                joined = field._packed[stride, lane] = table + field.packed_exp(lane)
+            table = joined
+        self._pexp = table
+        # column j's entries, shift then log for each of its nonzeros, in
+        # one flat list of ints, which the garbage collector does not track
+        # as it would a tuple per entry; a checked row may read every
+        # column, the fed-back ones included, an unchecked row the word's
+        # alone: it fills through a list that shares only the word columns'
+        entries: list[list[int]] = [[] for _ in range(cols + unchecked)]
+        for reach, first, last, shift0, width, offset in (
+                (entries, 0, checked, base, block, 0),
+                (entries[:cols], checked, len(rows), 0, s * lane, lane_offset)):
             for r in range(first, last):
-                shift = shifts[r]
+                shift = shift0 + (r - first) * width
                 try:
                     for j, c in rows[r]:
-                        reach[j].append((shift, log[c]))
+                        reach[j] += shift, log[c] + offset
                 except IndexError:
                     raise ValueError(
                         f"row {r} names column {j} of the {len(reach)} it may read"
@@ -616,33 +691,21 @@ class ColumnSums:
             if e not in table:
                 le = log[e]
                 v = 0
-                for shift, lc in entries:
-                    v += pexp[le + lc] << shift
+                logs = iter(entries)  # each shift is followed by its log
+                for shift in logs:
+                    v += pexp[le + next(logs)] << shift
                 table[e] = v
         return sum(map(getitem, tables, encs))
 
-    def _reduce(self, acc: int, shifts: Sequence[int]) -> list[int]:
-        """The encodings of the rows whose blocks start at shifts."""
-        p, slot_mask = self._p, self._slot_mask
-        if self._s == 1:
-            return [(acc >> shift & slot_mask) % p for shift in shifts]
-        if p == 2:
-            # the digits are the low bits of the slots; one product moves
-            # slot j's bit to bit top + j, and as the stride is >= s no two
-            # partial products meet there, so nothing carries into those s bits
-            low, gather, top = self._low_digits, self._gather, self._top
-            digits = (1 << self._s) - 1
-            return [((acc >> shift) & low) * gather >> top & digits for shift in shifts]
-        # Horner over the digits, top slot first
-        offsets = self._top_first
-        out = []
-        for shift in shifts:
-            block = acc >> shift
-            enc = 0
-            for offset in offsets:
-                enc = enc * p + (block >> offset & slot_mask) % p
-            out.append(enc)
-        return out
+    def _values(self, acc: int) -> list[int]:
+        """The encodings of the unchecked rows, read out of every value
+        lane of acc at once."""
+        r = acc & self._values_mask
+        if self._p != 2:
+            r -= (r * self._magic >> self._shift & self._quotients) * self._p
+        r *= self._combine
+        return memoryview(r.to_bytes(self._bytes, sys.byteorder)).cast(
+            self._format)[self._lanes].tolist()
 
     def run(self, encs: Sequence[int]) -> tuple[int, list[int]]:
         """(r, values) from one sum: values are the encodings of the
@@ -655,7 +718,7 @@ class ColumnSums:
             acc = sum(map(getitem, self._tables, encs))
         except KeyError:
             acc = self._fill(encs)
-        values = self._reduce(acc & self._values_mask, self._unchecked)
+        values = self._values(acc)
         if not self._guard:
             # no checked rows (encode): no zero test
             return -1, values
@@ -666,7 +729,7 @@ class ColumnSums:
                 acc += self._fill(values, self.cols)
         bad = ((acc * self._pinv & self._low) + self._bias) & self._guard
         # the lowest flagged bit lies in the block of the first failing row
-        first = ((bad & -bad).bit_length() - 1) // self._block - self._first_checked if bad else -1
+        first = ((bad & -bad).bit_length() - 1 - self._base) // self._block if bad else -1
         return first, values
 
 

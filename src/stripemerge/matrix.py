@@ -204,7 +204,9 @@ def vandermonde(
             raise ValueError("zero column multiplier")
     data = []
     powers = list(mults)
+    # column j's power step is one product table row, times alpha_j
+    times = [field.mul_table[a] for a in encs]
     for _ in range(k):
         data.append(list(powers))
-        powers = [field.mul_enc(p, a) for p, a in zip(powers, encs)]
+        powers = [row[p] for row, p in zip(times, powers)]
     return MatQ(field, data)

@@ -396,7 +396,7 @@ class RationalFunction:
         self.den = den
 
     @classmethod
-    def _reduced(cls, num: Poly, den: Poly) -> RationalFunction:
+    def _from_coprime(cls, num: Poly, den: Poly) -> RationalFunction:
         """num/den as given, for coprime num and den with den monic; a
         zero num gets the denominator 1."""
         out = object.__new__(cls)
@@ -444,15 +444,15 @@ class RationalFunction:
         a, b, c, d = self.num, self.den, other.num, other.den
         g = b.gcd(d) if b.degree > 0 and d.degree > 0 else None
         if g is None or g.degree < 1:
-            return RationalFunction._reduced(a * d + c * b, b * d)
+            return RationalFunction._from_coprime(a * d + c * b, b * d)
         b, d = b // g, d // g
         t = a * d + c * b
         if t.coeffs:
             t, g = _cancel(t, g)
-        return RationalFunction._reduced(t, b * d * g)
+        return RationalFunction._from_coprime(t, b * d * g)
 
     def __neg__(self) -> RationalFunction:
-        return RationalFunction._reduced(-self.num, self.den)
+        return RationalFunction._from_coprime(-self.num, self.den)
 
     def __sub__(self, other: RationalFunction) -> RationalFunction:
         return self + (-other)
@@ -462,7 +462,7 @@ class RationalFunction:
         cancelled crosswise is reduced, and its denominator is monic."""
         a, d = _cancel(self.num, other.den)
         c, b = _cancel(other.num, self.den)
-        return RationalFunction._reduced(a * c, b * d)
+        return RationalFunction._from_coprime(a * c, b * d)
 
     def __pow__(self, e: int) -> RationalFunction:
         """A power of a reduced fraction is reduced; no gcd is taken."""
@@ -472,7 +472,7 @@ class RationalFunction:
                 raise ZeroDivisionError("zero denominator")
             lead_inv = num.leading().inverse()
             num, den, e = den.scale(lead_inv), num.scale(lead_inv), -e
-        return RationalFunction._reduced(num ** e, den ** e)
+        return RationalFunction._from_coprime(num ** e, den ** e)
 
     def substitute(self, m: Mobius) -> RationalFunction:
         """x |-> (a x + b)/(c x + d); clears denominators to reduced form."""

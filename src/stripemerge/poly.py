@@ -109,7 +109,8 @@ class Poly:
     def scale(self, c: FieldElem) -> Poly:
         f = self.field
         _check_field(f, c.field)
-        return Poly(f, [f.mul_enc(c.enc, a) for a in self.coeffs])
+        times = f.mul_table[c.enc]
+        return Poly(f, [times[a] for a in self.coeffs])
 
     def __pow__(self, e: int) -> Poly:
         if e < 0:

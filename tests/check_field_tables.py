@@ -13,6 +13,13 @@ _raw_mul(a, x^i).  Then sub_scaled, horner (x = 0 included),
 Poly.__mul__, MatQ.__matmul__, rank_of_rows, rref and the column-table
 kernel ColumnSums, plain and with fed-back columns, must agree with the
 same computation done on the reference tables, on seeded random inputs.
+Last, the division that ColumnSums reads its value lanes with, (x * M) >> k
+for x // p with (k, M) = field._divider(p, w), is swept over every odd
+prime p < 2^16 and every slot width w a kernel over GF(p) can have, from
+bits(p - 1) to bits((p - 1) * max_terms): it must be exact, and x * M
+must fit the lane's 2w + 2 bits, at x = 2^w - 1, at the largest multiple
+of p below 2^w and at that multiple minus 1.  The readout's correctness
+rests on this fact, as the lane tests in test_packed.py do on kernels.
 It takes seconds, so it runs as its own CI step; pytest does not collect
 it, and the tier-1 tests (test_field_tables.py) run the same comparison
 on one field of each family, on every field the builders use and on
@@ -21,8 +28,10 @@ GF(257) and GF(289).  Exits 1 and lists the disagreements.
 
 import random
 import sys
+import time
 
-from stripemerge.field import ColumnSums, _digits, _factorize, field_create
+from stripemerge.field import (MAX_Q, PACK_TERMS, ColumnSums, _digits, _divider, _factorize,
+                               _is_prime, field_create)
 from stripemerge.matrix import MatQ, rank_of_rows
 from stripemerge.poly import Poly
 
@@ -200,6 +209,25 @@ def column_sums_disagreements(F, rng, ref):
     return bad
 
 
+def division_disagreements():
+    """((p, w, x) pairs swept, the ones where the lane division fails)."""
+    swept, bad = 0, []
+    for p in range(3, MAX_Q, 2):
+        if not _is_prime(p):
+            continue
+        # max_terms is the most terms whose slot sums fit the bits that
+        # PACK_TERMS terms need, so (p - 1) * max_terms has this width too
+        for w in range((p - 1).bit_length(), ((p - 1) * PACK_TERMS).bit_length() + 1):
+            k, m = _divider(p, w)
+            top = (1 << w) - 1
+            edge = top // p * p
+            for x in (top, edge, edge - 1):
+                swept += 1
+                if x * m >> k != x // p or (x * m).bit_length() > 2 * w + 2:
+                    bad.append(f"division by {p} at w = {w}: x = {x}, k = {k}, M = {m}")
+    return swept, bad
+
+
 def prime_powers(limit):
     """(p, s) for every prime power p^s <= limit, by increasing q."""
     return [next(iter(f.items())) for q in range(2, limit + 1) if len(f := _factorize(q)) == 1]
@@ -213,9 +241,13 @@ def main() -> int:
         bad += table_disagreements(F, random.Random(SEED * 1000 + F.q))
     print(f"{len(fields)} fields, every q <= 256 and {len(LARGE)} larger: tables and 7 kernels "
           f"against the reference, {CASES} seeded cases each, {len(bad)} disagree")
-    for line in bad:
+    start = time.perf_counter()
+    swept, wrong = division_disagreements()
+    print(f"lane division by every odd prime p < {MAX_Q} at every slot width: {swept} cases, "
+          f"{len(wrong)} wrong, {time.perf_counter() - start:.2f} s")
+    for line in bad + wrong:
         print(line)
-    return 1 if bad else 0
+    return 1 if bad or wrong else 0
 
 
 if __name__ == "__main__":

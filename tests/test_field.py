@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -136,6 +137,29 @@ def test_element_zero_and_one_are_the_instances_word_hands_out(p, s):
         F.element("x")
     with pytest.raises(TypeError):
         F.element(None)
+
+
+def elements_of(F):
+    """The encodings of the FieldElem objects of F that exist."""
+    return sorted(obj.enc for obj in gc.get_objects()
+                  if isinstance(obj, field.FieldElem) and obj.field is F)
+
+
+@pytest.mark.parametrize("p,s", [(65521, 1), (3, 7)], ids=["GF(65521)", "GF(2187)"])
+def test_a_large_field_makes_only_the_elements_it_hands_out(p, s):
+    # above TABLE_Q each element is made on its first lookup and kept, so
+    # the instances stay shared without all q of them being built
+    F = field_create(p, s)
+    assert F.q > field.TABLE_Q and elements_of(F) == []
+    enc = 12345 % F.q
+    one, e = F.one, F.element(enc)
+    assert elements_of(F) == [1, enc]
+    assert F.one is one and F.element(enc) is e
+    assert all(x is y for x, y in zip(F.word([enc, 1, enc]), (e, one, e), strict=True))
+    # an encoding past the field is refused, as a smaller field's tuple refuses it
+    with pytest.raises(IndexError, match=rf"^encoding {F.q} out of range for GF\({F.q}\)$"):
+        F.word([1, F.q])
+    assert elements_of(F) == [1, enc]
 
 
 def test_element_order():

@@ -12,6 +12,10 @@ test_fed_back_columns_match_the_fold does the same for kernels whose
 checked rows also read the values of their unchecked rows, and
 test_fed_back_terms_count_toward_the_slot_width fills a slot to the
 bound with rows that reach it only through those terms.
+test_value_lanes_read_their_largest_slot_sums reads value lanes filled to
+the most their rows reach, at the weights that fill each lane width
+tightest, and test_values_read_in_big_endian_byte_order reads byte lanes
+as a big-endian host would.
 test_zero_test_at_slot_boundaries runs the kernel's zero test on every
 slot sum a row can reach, and test_execute_matches_the_reference runs
 execute's one kernel against the fold per input and the fold of the
@@ -267,6 +271,67 @@ def test_fed_back_terms_count_toward_the_slot_width(p, s):
     assert ColumnSums(F, [[(0, 1)], [(0, 1)]], top, checked=1).cols == top
 
 
+def tight_weights(p, q, top):
+    """Row weights m whose slot sums (p - 1) * m fill their value lanes
+    tightest: for each lane of 8, 16, 32 or 64 bits that holds q - 1, the
+    most terms whose slot width w still has 2w + 2 (w in characteristic
+    2) fit it, and the most of width w + 1, which need the next lane; up
+    to the field's max_terms and 40,000 terms."""
+    weights = {1}
+    for lane in (8, 16, 32, 64):
+        w = lane if p == 2 else (lane - 2) // 2
+        if lane >= (q - 1).bit_length():
+            weights.update(m for m in (((1 << w) - 1) // (p - 1), ((2 << w) - 1) // (p - 1))
+                           if 1 <= m <= min(top, 40_000))
+    return sorted(weights)
+
+
+LANE_FIELDS = WIDE_FIELDS + [(257, 1), (3, 7), (65521, 1)]
+
+
+@pytest.mark.parametrize("p,s", LANE_FIELDS, ids=[f"GF({p ** s})" for p, s in LANE_FIELDS])
+def test_value_lanes_read_their_largest_slot_sums(p, s):
+    # two unchecked rows and one checked row, each of m terms 1 on one
+    # column, at the all-(q - 1) word: every term adds p - 1 to every
+    # slot, so each value lane holds (p - 1) * m, the most an m-term row
+    # reaches, with a full lane beside it and a full checked block above;
+    # in GF(65521), 40,000 terms need w = 32 and a lane over 64 bits
+    F = field_create(p, s)
+    weights = tight_weights(p, F.q, F.max_terms)
+    if F.q == 65521:
+        assert ((p - 1) * 40_000).bit_length() == 32
+        weights.append(40_000)
+    for m in weights:
+        want = fold(F, [1] * m, [F.q - 1] * m)
+        kernel = ColumnSums(F, [[(0, 1)] * m] * 3, 1, checked=1)
+        for _ in range(2):
+            assert kernel.run([F.q - 1]) == (-1 if want == 0 else 0, [want, want]), m
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (2, 3), (3, 2), (3, 3), (5, 1)],
+                         ids=["GF(2)", "GF(8)", "GF(9)", "GF(27)", "GF(5)"])
+def test_values_read_in_big_endian_byte_order(p, s, monkeypatch):
+    # on a big-endian host to_bytes writes the top lane first and the
+    # slice runs down; byte lanes read the same in either order, so the
+    # readout can run here as it would there
+    F = field_create(p, s)
+    rng = random.Random(p * 97 + s)
+    cases = []
+    for rows, cols, checked in ((1, 1, 0), (3, 4, 1), (5, 6, 2), (2, 3, 2)):
+        for _ in range(4):
+            data = [[rng.randrange(F.q) if rng.random() < 0.5 else 0 for _ in range(cols)]
+                    for _ in range(rows)]
+            data = [row if sum(map(bool, row)) * (p - 1) < 8 else row[:1] + [0] * (cols - 1)
+                    for row in data]
+            encs = [rng.randrange(F.q) for _ in range(cols)]
+            cases.append((data, cols, checked, encs, kernel_of(F, data, cols, checked).run(encs)))
+    monkeypatch.setattr("sys.byteorder", "big")
+    for data, cols, checked, encs, want in cases:
+        kernel = kernel_of(F, data, cols, checked)
+        assert kernel._format == "B"
+        assert kernel.run(encs) == want
+
+
 def multiplicities(weight, p):
     """Multiplicities with sum weight such that sum_c mult_c * e_c, over
     e_c in [0, p), reaches every total in [0, (p - 1) * weight]: each is
@@ -504,14 +569,14 @@ def test_execute_tests_the_values_it_writes(name, monkeypatch):
     words = [code.encode([F.element(rng.randrange(F.q)) for _ in range(code.k)])
              for code in cc.initials]
     final, _ = execute(cc, words)
-    real = ColumnSums._reduce
+    real = ColumnSums._values
 
-    def off_by_one(kernel, acc, shifts):
-        values = real(kernel, acc, shifts)
+    def off_by_one(kernel, acc):
+        values = real(kernel, acc)
         values[0] = (values[0] + 1) % F.q
         return values
 
-    monkeypatch.setattr(ColumnSums, "_reduce", off_by_one)
+    monkeypatch.setattr(ColumnSums, "_values", off_by_one)
     with pytest.raises(AssertionError, match="^converted word violates the final parity$"):
         execute(cc, words)
 
