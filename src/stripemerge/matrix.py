@@ -1,16 +1,20 @@
 """Dense linear algebra over GF(q).
 
 MatQ stores entries row-major as integer encodings next to the owning
-FieldCtx; everything is exact.  Elimination pivots on the first nonzero
-entry (there is no pivot magnitude in a finite field), which makes rref,
-kernels and solutions deterministic — duals and conversion plans derived
-from them are reproducible byte for byte.
+FieldCtx; everything is exact.  Every elimination is one routine,
+echelon: each row in turn is reduced against the pivots before it and,
+if still nonzero, pivots on its first nonzero entry (there is no pivot
+magnitude in a finite field).  rank_of_rows counts its pivots; rref
+sorts them by column and back-substitutes, and kernel, solve and
+invert read rref, so duals and conversion plans derived from them are
+reproducible byte for byte; the GRS certificate in codes.py takes K,
+its dual and each step's kept combinations from it.
 
 Matrices here stay small (at most a few thousand entries), so plain
 Gaussian elimination on Python lists is enough.  Every row update goes
-through FieldCtx.sub_scaled: the pivot row's logs are taken once per
-pivot (FieldCtx.row_logs), and each entry then costs one exp lookup and
-one add_table lookup.  A row that is already 0 in the pivot column is
+through FieldCtx.sub_scaled: a pivot row's logs are taken once
+(FieldCtx.row_logs), and each entry then costs one exp lookup and one
+add_table lookup.  A row that is already 0 in the pivot column is
 skipped.  Products read the field's add_table and mul_table rows.
 """
 
@@ -77,29 +81,26 @@ class MatQ:
     # -- elimination ---------------------------------------------------------
 
     def rref(self) -> tuple[MatQ, int, tuple[int, ...]]:
-        """Reduced row-echelon form; returns (R, rank, pivot columns)."""
+        """Reduced row-echelon form; returns (R, rank, pivot columns).
+
+        echelon's pivot rows, sorted by column, are a row-echelon form,
+        since each is 0 before its pivot; each pivot column is then
+        subtracted out of the rows above it and each row scaled to 1 at
+        its pivot.  The zero rows go last."""
         f = self.field
-        m = [list(row) for row in self.data]
-        pivots: list[int] = []
-        prow = 0
-        for col in range(self.cols):
-            sel = next((r for r in range(prow, self.rows) if m[r][col] != 0), None)
-            if sel is None:
-                continue
-            m[prow], m[sel] = m[sel], m[prow]
-            inv = f.inv_enc(m[prow][col])
-            if inv != 1:
-                times_inv = f.mul_table[inv]
-                m[prow] = [times_inv[e] for e in m[prow]]
-            src_logs = f.row_logs(m[prow], col)
-            for r in range(self.rows):
-                if r != prow and m[r][col]:
-                    f.sub_scaled(m[r], m[r][col], src_logs)
-            pivots.append(col)
-            prow += 1
-            if prow == self.rows:
-                break
-        return MatQ(f, m), len(pivots), tuple(pivots)
+        mul = f.mul_table
+        pivots, zero = echelon(f, [list(row) for row in self.data])
+        pivots.sort()  # by column: no two pivots share one
+        rows: list[list[int]] = []
+        for c, inv, row, logs in pivots:
+            # row is 0 left of c, so the rows above stay 0 at their own pivots
+            for above in rows:
+                if above[c]:
+                    f.sub_scaled(above, mul[inv][above[c]], logs)
+            times_inv = mul[inv]
+            rows.append(row if inv == 1 else [times_inv[e] for e in row])
+        rows += [[0] * self.cols for _ in zero]
+        return MatQ(f, rows), len(pivots), tuple(c for c, _, _, _ in pivots)
 
     def rank(self) -> int:
         return rank_of_rows(self.field, self.data)
@@ -155,31 +156,49 @@ class MatQ:
         return f"MatQ({self.rows}x{self.cols} over GF({self.field.q}))"
 
 
-def rank_of_rows(field: FieldCtx, rows: Sequence[Sequence[int]]) -> int:
-    """Rank of a list of encoding rows; in-place elimination on a copy."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        for sel in range(rank, nrows):
-            if m[sel][col]:
+def echelon(
+    field: FieldCtx, rows: Sequence[list[int]], width: Optional[int] = None
+) -> tuple[list[tuple[int, int, list[int], list[tuple[int, int]]]], list[list[int]]]:
+    """(pivots, rest): one pass of elimination, each row reduced in
+    place against the pivots before it.
+
+    A row still nonzero on its first width entries (all of them by
+    default) becomes a pivot (c, inv, row, logs): c is its first nonzero
+    entry, inv = 1 / row[c] and logs = field.row_logs(row, c).  Each
+    pivot row is 0 at every earlier pivot's column, so subtracting
+    e * inv times each pivot row in turn, e the vector's entry at the
+    pivot's column, leaves the vector 0 at every pivot: its residue
+    modulo the pivot rows.  At the default width these span the rows
+    and their columns are the span's leading columns, whatever the order
+    of the rows, so neither does that residue depend on the order.  A
+    row 0 on its first width entries adds the rest of it to rest, which
+    then spans the rest of every combination of the rows that vanishes
+    there.
+    """
+    mul, sub_scaled = field.mul_table, field.sub_scaled
+    pivots = []
+    rest = []
+    for row in rows:
+        for c, inv, _, logs in pivots:
+            if row[c]:
+                sub_scaled(row, mul[inv][row[c]], logs)
+        end = len(row) if width is None else width
+        for c in range(end):
+            if row[c]:
+                pivots.append((c, field.inv_enc(row[c]), row, field.row_logs(row, c)))
                 break
         else:
-            continue  # no pivot in this column
-        m[rank], m[sel] = m[sel], m[rank]
-        if rank + 1 == nrows:
-            return rank + 1  # no row below the last pivot left to eliminate
-        # the pivot row is not normalised: each row below subtracts
-        # (its entry / the pivot) times it
-        times_inv = field.mul_table[field.inv_enc(m[rank][col])]
-        src_logs = field.row_logs(m[rank], col)
-        for r in range(rank + 1, nrows):
-            if m[r][col]:
-                field.sub_scaled(m[r], times_inv[m[r][col]], src_logs)
-        rank += 1
-    return rank
+            rest.append(row[end:])
+    return pivots, rest
+
+
+def rank_of_rows(field: FieldCtx, rows: Sequence[Sequence[int]]) -> int:
+    """Rank of a list of encoding rows: the number of echelon's pivots on
+    a copy.  A single row, the subset walk's leaf, has rank 1 unless it
+    is 0, and takes no pivot."""
+    if len(rows) == 1:
+        return int(any(rows[0]))
+    return len(echelon(field, [list(r) for r in rows])[0])
 
 
 def vandermonde(

@@ -10,9 +10,13 @@ FieldCtx.add_table and FieldCtx.mul_table, read by index, must equal a
 reference built here without them: addition digit by digit mod p, and
 the product of a by b as the sum, over b's digits b_i, of b_i copies of
 _raw_mul(a, x^i).  Then sub_scaled, horner (x = 0 included),
-Poly.__mul__, MatQ.__matmul__, rank_of_rows, rref and the column-table
-kernel ColumnSums, plain and with fed-back columns, must agree with the
-same computation done on the reference tables, on seeded random inputs.
+Poly.__mul__, MatQ.__matmul__, the elimination routines and the
+column-table kernel ColumnSums, plain and with fed-back columns, must
+agree with the same computation done on the reference tables, on seeded
+random inputs.  The elimination routines are rank_of_rows, rref,
+echelon's rest at a random width (the same space as the reference
+RREF's rows pivoting at that width or later), kernel, solve and invert,
+all read off the reference RREF.
 Last, the division that ColumnSums reads its value lanes with, (x * M) >> k
 for x // p with (k, M) = field._divider(p, w), is swept over every odd
 prime p < 2^16 and every slot width w a kernel over GF(p) can have, from
@@ -32,7 +36,7 @@ import time
 
 from stripemerge.field import (MAX_Q, PACK_TERMS, ColumnSums, _digits, _divider, _factorize,
                                _is_prime, field_create)
-from stripemerge.matrix import MatQ, rank_of_rows
+from stripemerge.matrix import MatQ, echelon, rank_of_rows
 from stripemerge.poly import Poly
 
 SEED = 21
@@ -172,14 +176,60 @@ def table_disagreements(F, rng, cases=CASES):
         right = [[rng.randrange(q) for _ in range(cols)] for _ in range(k)]
         if (MatQ(F, left) @ MatQ(F, right)).data != ref.matmul(left, right):
             bad.append(f"GF({q}) {left} @ {right}")
-        rows = _random_rows(rng, q, rng.randrange(1, 7), rng.randrange(1, 9), ref)
-        want = ref.rref(rows)
-        R, rank, pivots = MatQ(F, rows).rref()
-        if (R.data, rank, pivots) != want:
-            bad.append(f"GF({q}) rref({rows})")
-        if rank_of_rows(F, rows) != want[1]:
-            bad.append(f"GF({q}) rank_of_rows({rows})")
+        bad += elimination_disagreements(F, rng, ref)
         bad += column_sums_disagreements(F, rng, ref)
+    return bad
+
+
+def elimination_disagreements(F, rng, ref):
+    """rref, rank_of_rows, echelon's rest at a random width, kernel,
+    solve and invert on seeded rows, against the reduced row-echelon form
+    on the reference tables."""
+    q, bad = F.q, []
+    rows = _random_rows(rng, q, rng.randrange(1, 7), rng.randrange(1, 9), ref)
+    ncols = len(rows[0])
+    A = MatQ(F, rows)
+    R, rank, pivots = want = ref.rref(rows)
+    got = A.rref()
+    if (got[0].data, *got[1:]) != want:
+        bad.append(f"GF({q}) rref({rows})")
+    if rank_of_rows(F, rows) != rank:
+        bad.append(f"GF({q}) rank_of_rows({rows})")
+    # the combinations vanishing on the first width columns are those of
+    # the rows of R pivoting at width or later: the same space in RREF
+    width = rng.randrange(ncols + 1)
+    rest = echelon(F, [list(row) for row in rows], width)[1]
+    reduced, dim, _ = ref.rref(rest)
+    if reduced[:dim] != [row[width:] for row, c in zip(R, pivots) if c >= width]:
+        bad.append(f"GF({q}) echelon({rows}, {width}) rest {rest}")
+    kernel = []
+    for free in (j for j in range(ncols) if j not in pivots):
+        vec = [int(j == free) for j in range(ncols)]
+        for row, c in zip(R, pivots):
+            vec[c] = ref.neg[row[free]]
+        kernel.append(vec)
+    if A.kernel() != kernel:
+        bad.append(f"GF({q}) kernel of {rows}")
+    b = [rng.randrange(q) for _ in rows]
+    aug, _, aug_pivots = ref.rref([row + [e] for row, e in zip(rows, b)])
+    x = None
+    if ncols not in aug_pivots:
+        x = [0] * ncols
+        for row, c in zip(aug, aug_pivots):
+            x[c] = row[ncols]
+    if A.solve(b) != x:
+        bad.append(f"GF({q}) solve({rows}, {b})")
+    n = min(len(rows), ncols)
+    square = [row[:n] for row in rows[:n]]
+    aug, full, aug_pivots = ref.rref([row + [int(i == j) for j in range(n)]
+                                      for i, row in enumerate(square)])
+    inverse = [row[n:] for row in aug] if full == n and aug_pivots[-1] < n else None
+    try:
+        got = MatQ(F, square).invert().data
+    except ValueError:
+        got = None
+    if got != inverse:
+        bad.append(f"GF({q}) invert({square})")
     return bad
 
 
@@ -239,7 +289,7 @@ def main() -> int:
     for p, s in fields:
         F = field_create(p, s)
         bad += table_disagreements(F, random.Random(SEED * 1000 + F.q))
-    print(f"{len(fields)} fields, every q <= 256 and {len(LARGE)} larger: tables and 7 kernels "
+    print(f"{len(fields)} fields, every q <= 256 and {len(LARGE)} larger: tables and 11 routines "
           f"against the reference, {CASES} seeded cases each, {len(bad)} disagree")
     start = time.perf_counter()
     swept, wrong = division_disagreements()

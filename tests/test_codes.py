@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +17,9 @@ from stripemerge.codes import (
     min_distance,
     singleton_lrc_bound,
 )
-from stripemerge.convert import build_mds_to_lrc
-from stripemerge.field import field_create
+from stripemerge.cli import _construct
+from stripemerge.convert import build_mds_to_lrc, verify_convertible
+from stripemerge.field import FieldCtx, field_create
 from stripemerge.grs import GrsSpec, grs_code
 from stripemerge.matrix import MatQ, rank_of_rows
 
@@ -258,6 +261,35 @@ def test_distance_at_least_spends_one_row_per_subset(monkeypatch):
     assert distance_at_least(code, 9)
     assert len(calls) == 495
     assert sum(calls) == 495 * 8
+
+
+REQUESTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "instances.json").read_text(
+        encoding="utf-8"
+    )
+)["requests"]
+
+# ceilings on the sub_scaled calls of one verify_convertible of each
+# flagship, components certified: the counts of the separate elimination
+# loops that matrix.echelon replaced; listing grs_certificate's places in
+# appearance order raises them to 297, 939 and 490
+FLAGSHIP_ROW_UPDATES = {"q23_mds_merge": 234, "q32_lrc_merge": 591, "q23_mds_to_lrc": 323}
+
+
+@pytest.mark.parametrize("name", FLAGSHIP_ROW_UPDATES)
+def test_flagship_verify_spends_no_more_row_updates(monkeypatch, name):
+    cc = _construct(REQUESTS[name])  # fresh: no generator or parity derived yet
+    calls = []
+    sub_scaled = FieldCtx.sub_scaled
+
+    def counting(field, dst, c, src_logs):
+        calls.append(c)
+        return sub_scaled(field, dst, c, src_logs)
+
+    monkeypatch.setattr(FieldCtx, "sub_scaled", counting)
+    report = verify_convertible(cc)
+    assert report.ok and report.components_ok
+    assert len(calls) <= FLAGSHIP_ROW_UPDATES[name]
 
 
 def random_grs(rng, F, with_infinity):

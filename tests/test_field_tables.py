@@ -2,11 +2,11 @@
 read them.
 
 Every table entry, and sub_scaled, horner, Poly.__mul__, MatQ.__matmul__,
-rank_of_rows, rref and ColumnSums (plain and with fed-back columns) on
-seeded random inputs, must equal a reference
-computed without the tables (check_field_tables.Reference), on one field
-of each family, on every field the builders use and on GF(257) and
-GF(289), whose rows compute each entry on lookup; the CI step
+rank_of_rows, rref, echelon's rest, kernel, solve, invert and ColumnSums
+(plain and with fed-back columns) on seeded random inputs, must equal a
+reference computed without the tables (check_field_tables.Reference),
+on one field of each family, on every field the builders use and on
+GF(257) and GF(289), whose rows compute each entry on lookup; the CI step
 check_field_tables.py does the same on every q <= 256 and on six larger
 fields.  Above 256 a table starts with no rows and a lookup makes one
 row that stores no entry; the kernels are checked there against integer

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from stripemerge.field import field_create
-from stripemerge.matrix import MatQ, rank_of_rows, vandermonde
+from stripemerge.matrix import MatQ, echelon, rank_of_rows, vandermonde
 
 
 def elems(F, *encs):
@@ -228,3 +228,57 @@ def test_elimination_matches_the_reference(p, s):
                 with pytest.raises(ValueError, match="singular"):
                     A.invert()
     assert shapes == {-1, 0, 1} and ranks == {False, True}
+
+
+def ref_residue(F, vec, pivots):
+    """vec minus e * inv times each pivot row in turn, e its entry at the
+    pivot's column, with one sub_enc(mul_enc(...)) per entry."""
+    for c, inv, row, _ in pivots:
+        factor = F.mul_enc(vec[c], inv)
+        vec = [F.sub_enc(e, F.mul_enc(factor, x)) for e, x in zip(vec, row)]
+    return vec
+
+
+def ref_rank(F, rows):
+    return len(ref_rref(F, rows)[1])
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (23, 1), (2, 5), (3, 2), (7, 2)],
+                         ids=["GF(2)", "GF(23)", "GF(32)", "GF(9)", "GF(49)"])
+def test_echelon_matches_the_reference(p, s):
+    F = field_create(p, s)
+    rng = random.Random(p * 37 + s)
+    dims = set()
+    for _ in range(40):
+        data = random_matrix(F, rng)
+        cols = len(data[0])
+        R, ref_pivots = ref_rref(F, data)
+        # rest spans the combinations vanishing on the first width entries:
+        # those of the rows of the RREF pivoting at width or later
+        width = rng.randrange(cols + 1)
+        pivots, rest = echelon(F, [list(row) for row in data], width)
+        tails = [row[width:] for row, c in zip(R, ref_pivots) if c >= width]
+        assert ref_rank(F, rest) == len(tails)
+        assert all(ref_rank(F, tails + [tail]) == len(tails) for tail in rest)
+        assert len(pivots) + len(rest) == len(data)
+        dims.add(len(tails))
+        for i, (c, inv, row, logs) in enumerate(pivots):
+            assert c < width and not any(row[:c]) and F.mul_enc(row[c], inv) == 1
+            assert logs == F.row_logs(row, c)
+            assert all(row[earlier] == 0 for earlier, _, _, _ in pivots[:i])
+        # at the default width the pivots are those of the RREF, and a
+        # residue is 0 at each of them, the same for any order of the rows
+        full, zero = echelon(F, [list(row) for row in data])
+        assert sorted(c for c, _, _, _ in full) == ref_pivots and zero == [[]] * len(zero)
+        shuffled = [list(row) for row in data]
+        rng.shuffle(shuffled)
+        vec = [rng.randrange(F.q) for _ in range(cols)]
+        residue = ref_residue(F, vec, full)
+        assert all(residue[c] == 0 for c in ref_pivots)
+        assert ref_residue(F, vec, echelon(F, shuffled)[0]) == residue
+        # the row kernel with echelon's logs, as the GRS certificate reads them
+        got = list(vec)
+        for c, inv, _, logs in full:
+            F.sub_scaled(got, F.mul_enc(got[c], inv), logs)
+        assert got == residue
+    assert len(dims) > 1

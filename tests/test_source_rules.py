@@ -10,7 +10,12 @@ other code names TABLE_Q, and no module tests a table against None.  The
 column-table kernel is built only for encoding (LinearCode.encode) and
 for execute's one conversion kernel (ConvertibleCode._runner); every
 other map, membership and the plan's generator_rows included, stays on
-the exact field operations it is tested against.
+the exact field operations it is tested against.  The row kernel,
+FieldCtx.row_logs and sub_scaled, is called only by matrix.echelon, the
+one elimination routine, by MatQ.rref's back-substitution over its
+pivots, by Poly.divmod, by the subset walk's prefix step in
+distance_at_least and by grs_certificate's residues: a new elimination
+loop goes through echelon instead.
 Every function, method and class of the package is named somewhere in
 the package or the benchmark besides its own definition: library code
 that only its own test calls is deleted.  No module imports dataclasses
@@ -75,23 +80,62 @@ def scoped_nodes(tree):
     return found
 
 
-def column_sums_calls(path):
-    """(module, enclosing class.function, line) of each ColumnSums(...) call."""
+def calls_of(tree, names):
+    """(enclosing class.function, line) of each call of a function or
+    method named in names."""
     found = []
-    for scope, node in scoped_nodes(parse(path)):
+    for scope, node in scoped_nodes(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "ColumnSums":
-                found.append((path.name, scope, node.lineno))
+            if name in names:
+                found.append((scope, node.lineno))
     return found
 
 
+def package_calls(names):
+    """(module, enclosing class.function, line) of each such call in the package."""
+    return [(path.name, *call) for path in SOURCES for call in calls_of(parse(path), names)]
+
+
 def test_column_sums_is_built_only_by_its_callers():
-    calls = [call for path in SOURCES for call in column_sums_calls(path)]
+    calls = package_calls(("ColumnSums",))
     stray = [call for call in calls if call[:2] not in COLUMN_SUMS_BUILDERS]
     assert stray == [], f"ColumnSums built outside its callers: {stray}"
     assert {call[:2] for call in calls} == COLUMN_SUMS_BUILDERS
+
+
+# (module, enclosing class.function) of every call of the row kernel,
+# FieldCtx.sub_scaled or row_logs: the one elimination routine, rref's
+# back-substitution, polynomial division, the subset walk's prefix step
+# and the GRS certificate's residues modulo K
+ROW_KERNEL_CALLERS = {
+    ("matrix.py", "echelon"),
+    ("matrix.py", "MatQ.rref"),
+    ("poly.py", "Poly.divmod"),
+    ("codes.py", "distance_at_least.walk"),
+    ("codes.py", "grs_certificate"),
+}
+
+
+def test_rows_are_eliminated_only_by_echelon_and_its_peers():
+    calls = package_calls(("sub_scaled", "row_logs"))
+    stray = [call for call in calls if call[:2] not in ROW_KERNEL_CALLERS]
+    assert stray == [], f"row kernel called outside its callers: {stray}"
+    assert {call[:2] for call in calls} == ROW_KERNEL_CALLERS
+
+
+def test_row_kernel_calls_are_found():
+    source = ("def _kept(f, rows):\n"
+              "    logs = f.row_logs(rows[0], 0)\n"
+              "    f.sub_scaled(rows[1], 1, logs)\n"
+              "class Elim:\n"
+              "    def loop(self, f):\n"
+              "        def step(row):\n"
+              "            sub_scaled(row, 2, [])\n"
+              "        return step\n")
+    assert calls_of(ast.parse(source), ("sub_scaled", "row_logs")) == [
+        ("_kept", 2), ("_kept", 3), ("Elim.loop.step", 7)]
 
 
 ARITH_TABLES = ("add_table", "mul_table")
