@@ -22,9 +22,9 @@ written symbol, and, with those symbols fed back, tests the final word
 against the final parity rows carried onto the input columns that the
 unchanged symbols copy.  The evaluation builders also
 evaluate each rational-function term directly at every final place,
-from the valuation and unit value that RationalFunction.local, the one
-place-local evaluator, gives for its stripe factor at the place and for
-a basis function at the Moebius-moved place, read the written-symbol
+from the valuation and unit value that FactoredFunction.local, never
+multiplying a function out, gives for its stripe factor at the place and
+for a basis function at the Moebius-moved place, read the written-symbol
 coefficients from those values, and assert that the direct values equal
 generator_rows.
 Builders give each code its evaluation places, repeats included, so that
@@ -60,6 +60,7 @@ from .field import ColumnSums, FieldCtx, FieldElem
 from .grs import grs_code, grs_dual_prescribed, GrsSpec
 from .matrix import MatQ, vandermonde
 from .pgl import (
+    FactoredFunction,
     GroupTable,
     Mobius,
     ProjPoint,
@@ -69,7 +70,6 @@ from .pgl import (
     pole_budget_error,
     split_structure,
 )
-from .poly import Poly, poly_from_roots
 from .schema import Record, as_int, as_ints, as_list, as_object, within
 
 
@@ -501,9 +501,9 @@ def _derivative(move: Mobius, pt: ProjPoint, img: ProjPoint) -> int:
 
 
 def _stripe_rows(
-    factor: RationalFunction,
+    factor: FactoredFunction,
     move: Mobius,
-    basis: Sequence[RationalFunction],
+    basis: Sequence[FactoredFunction],
     places: Sequence[ProjPoint],
     budgets: Sequence[int],
     cache: dict,
@@ -513,7 +513,7 @@ def _stripe_rows(
     A Moebius move is unramified, so f o move has f's valuation v at
     P and its unit value at move(P) times c^v, c = _derivative(move, P,
     move(P)): the term has valuation v_factor + v and unit value
-    u_factor * u * c^v, all read off RationalFunction.local.  Each f's
+    u_factor * u * c^v, all read off FactoredFunction.local.  Each f's
     local(move(P)) is kept in cache[f] by the encoding of move(P), None
     for infinity, to be shared by every stripe with that basis function.
     """
@@ -552,8 +552,8 @@ def _merge_by_evaluation(
     field: FieldCtx,
     init_codes: Sequence[LinearCode],
     moves: Sequence[Mobius],
-    factors: Sequence[RationalFunction],
-    bases: Sequence[Sequence[RationalFunction]],
+    factors: Sequence[FactoredFunction],
+    bases: Sequence[Sequence[FactoredFunction]],
     kept: Sequence[Sequence[ProjPoint]],
     written: Sequence[ProjPoint],
     read_base: Sequence[int],
@@ -572,7 +572,7 @@ def _merge_by_evaluation(
     the stored symbols on its kept places and must vanish on every other
     stripe's.  The terms are never built: _stripe_rows composes each
     term's valuation and unit value at P, on one path for every place,
-    from RationalFunction.local of factors[j] at P and of f at
+    from FactoredFunction.local of factors[j] at P and of f at
     moves[j](P).  Written place P reads stripe j at read_base[j] plus
     the index of moves[j](P) in `written`, with the coefficient read off
     the first basis function whose read value is nonzero.  The final
@@ -694,19 +694,16 @@ def build_mds_merge(
         [a_orbits[row][j] for row in range(k - dims[j], k)] for j in range(t)
     ]
 
-    one = Poly.one(field)
-    factors: list[RationalFunction] = []
+    factors: list[FactoredFunction] = []
     for j in range(t):
-        others = [p.finite for jj in range(t) if jj != j for p in a_eff[jj]]
-        h =  poly_from_roots(field, others)
         img = sigmas[j].place_action(inf)
-        g = one if img.is_infinity else Poly(field, (field.neg_enc(img.finite.enc), 1))
-        factors.append(RationalFunction.from_poly(h * g ** (dims[j] - 1)))
+        pole = [] if img.is_infinity else [img.finite.enc] * (dims[j] - 1)
+        others = [p.finite.enc for jj in range(t) if jj != j for p in a_eff[jj]]
+        factors.append(FactoredFunction(field, others + pole))
 
     # initial codes: stripe j evaluates x^a, a < dims[j], on its A-row
     # places, B and B', lifted by 1/x^(dims[j] - 1) at infinity
-    x = RationalFunction.x(field)
-    monomials = [x ** row for row in range(k)]
+    monomials = [FactoredFunction(field, [0] * row) for row in range(k)]
     bases = [monomials[:d] for d in dims]
     init_codes: list[LinearCode] = []
     for j in range(t):
@@ -821,30 +818,18 @@ def build_lrc_merge(
     for bl in b_blocks:
         block_zval(bl)
 
-    # g functions and annihilator-in-z per stripe
-    factors: list[RationalFunction] = []
-    rf_z = z
-    one_rf = RationalFunction.constant(field.one)
+    # factor j: (x - img)^(r-1) (z - z(img))^(k-1) prod (z - c), c the others' block values
+    shared: dict = {}  # z's local at each place, for every function below
+    factors: list[FactoredFunction] = []
     for j in range(t):
         img = reps[j].place_action(inf)
-        if img.is_infinity:
-            g1 = one_rf
-        else:
-            g1 = RationalFunction.from_poly(
-                Poly(field, (field.neg_enc(img.finite.enc), 1))
-            )
-        if z.valuation(img) < 0:
-            g2 = one_rf  # rep stabilizes the pole locus of z
-        else:
-            g2 = rf_z - RationalFunction.constant(z.eval_at(img, 0))
-            _check_pole_swap_divisor(subgroup, g2, reps[j])
-        hz = one_rf
-        for jj in range(t):
-            if jj == j:
-                continue
-            for i in range(k):
-                hz = hz * (rf_z - RationalFunction.constant(a_zvals[i][jj]))
-        factors.append(g1 ** (r - 1) * g2 ** (k - 1) * hz)
+        roots = [] if img.is_infinity else [img.finite.enc] * (r - 1)
+        parts = [a_zvals[i][jj].enc for jj in range(t) if jj != j for i in range(k)]
+        if z.valuation(img) >= 0:  # else rep stabilizes the pole locus of z
+            z_img = z.eval_at(img, 0)
+            _check_pole_swap_divisor(subgroup, z - RationalFunction.constant(z_img), reps[j])
+            parts += [z_img.enc] * (k - 1)
+        factors.append(FactoredFunction(field, roots, z, parts, shared))
 
     # initial evaluation blocks: A-column 1, the whole B orbit, spares
     init_blocks = [a_blocks[i][0] for i in range(k)] + b_blocks
@@ -861,11 +846,8 @@ def build_lrc_merge(
         raise ValueError("not enough spare blocks for the extra redundancy")
     init_places = [p for bl in init_blocks + spares for p in bl]
 
-    basis: list[RationalFunction] = []
-    x_rf = RationalFunction.x(field)
-    for zb in range(k):
-        for xa in range(r):
-            basis.append((x_rf ** xa) * (rf_z ** zb))
+    basis = [FactoredFunction(field, [0] * xa, z, [0] * zb, shared)
+             for zb in range(k) for xa in range(r)]
     k_init = k * r
 
     init_gen = MatQ(

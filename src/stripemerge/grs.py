@@ -2,13 +2,14 @@
 
 grs_dual_prescribed realizes the multiplier vector v that makes the
 plain power-basis Vandermonde matrix a parity check of GRS_k: v spans
-the (one-dimensional) kernel of V_{n-1}(alpha), found by a linear solve
-rather than the classical product formula — the solve is easier to
-verify and existence is all that is needed.
+the (one-dimensional) kernel of V_{n-1}(alpha), given with no solve by
+dual_multipliers, the classical product formula v_j = prod_{i != j}
+(alpha_j - alpha_i)^-1 (MacWilliams & Sloane, ch. 10).
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .codes import LinearCode
@@ -46,24 +47,31 @@ def annihilator(field: FieldCtx, points: Iterable[FieldElem]) -> Poly:
     return poly_from_roots(field, pts)
 
 
+def dual_multipliers(field: FieldCtx, locators: Sequence[int]) -> list[int]:
+    """prod_{i != j} (a_j - a_i)^-1 for each encoding a_j of distinct
+    locators: the multipliers of the GRS code whose dual is the plain
+    evaluation code on them.  Repeated locators raise ValueError."""
+    if len(set(locators)) != len(locators):
+        raise ValueError("repeated locator")
+    add, mul = field.add_table, field.mul_table
+    minus = [field.neg_enc(b) for b in locators]  # add[a][-b] is a - b
+    return [field.inv_enc(reduce(lambda acc, c: mul[acc][add[a][c]], minus[:j] + minus[j + 1:], 1))
+            for j, a in enumerate(locators)]
+
+
 def grs_dual_prescribed(field: FieldCtx, locators: Sequence[FieldElem], k: int) -> tuple[FieldElem, ...]:
     """Multipliers v such that GRS_k(locators; v) has parity check V_{n-k}(locators).
 
     The condition is sum_j v_j a_j^m = 0 for all m in [0, n-2], i.e. v spans
-    the kernel of V_{n-1}(locators).  Every v_j is nonzero; both facts are
-    asserted because a failure here means a bug, not bad input.
+    the kernel of V_{n-1}(locators), scaled to a last entry of 1; the
+    orthogonality is asserted because a failure here means a bug.
     """
     n = len(locators)
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k} n={n}")
-    big = vandermonde(field, n - 1, locators)
-    kernel = big.kernel()
-    if len(kernel) != 1:
-        raise AssertionError("Vandermonde kernel is not one-dimensional")
-    v = kernel[0]
-    if any(e == 0 for e in v):
-        raise AssertionError("prescribed dual produced a zero multiplier")
-    vt = tuple(field.element(e) for e in v)
+    v = dual_multipliers(field, [a.enc for a in locators])
+    times = field.mul_table[field.inv_enc(v[-1])]  # v_{n-1} = 1, as MatQ.kernel has it
+    vt = tuple(field.element(times[e]) for e in v)
     gen = vandermonde(field, k, locators, vt)
     par = vandermonde(field, n - k, locators)
     if not (gen @ par.transpose()).is_zero():

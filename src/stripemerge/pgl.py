@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import copy
 import functools
+from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 from .field import FieldCtx, FieldElem, primitive_quadratic_check, primitive_quadratic_search
@@ -377,6 +378,17 @@ class GroupTable:
 # -- rational functions ------------------------------------------------------
 
 
+def _value_at(f, pt: ProjPoint, pole_budget: int = 0) -> int:
+    """(pi^pole_budget f)(pt) for a nonzero f, read off (v, u) = f.local(pt):
+    0 where v + pole_budget > 0, u where it is 0, else ValueError."""
+    if pole_budget < 0:
+        raise ValueError("pole budget must be >= 0")
+    v, u = f.local(pt)
+    if v + pole_budget < 0:
+        raise pole_budget_error(-v, pt, pole_budget)
+    return 0 if v + pole_budget else u
+
+
 class RationalFunction:
     """A reduced fraction num/den in GF(q)(x) with monic denominator."""
 
@@ -402,10 +414,6 @@ class RationalFunction:
         out = object.__new__(cls)
         out.num, out.den = num, den if num.coeffs else Poly.one(num.field)
         return out
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> RationalFunction:
-        return cls(p, Poly.one(p.field))
 
     @classmethod
     def x(cls, field: FieldCtx) -> RationalFunction:
@@ -529,17 +537,8 @@ class RationalFunction:
         return FieldElem(self.field, self.eval_enc(pt, pole_budget))
 
     def eval_enc(self, pt: ProjPoint, pole_budget: int = 0) -> int:
-        """eval_at(pt, pole_budget) as an encoding, read off local(pt): 0
-        where v + pole_budget > 0, the unit value where it is 0.  A pole of
-        order above pole_budget raises ValueError."""
-        if not self.num.coeffs:
-            return 0
-        if pole_budget < 0:
-            raise ValueError("pole budget must be >= 0")
-        v, u = self.local(pt)
-        if v + pole_budget < 0:
-            raise pole_budget_error(-v, pt, pole_budget)
-        return 0 if v + pole_budget else u
+        """eval_at(pt, pole_budget) as an encoding (_value_at)."""
+        return _value_at(self, pt, pole_budget) if self.num.coeffs else 0
 
     def divisor_support(self) -> tuple[dict[ProjPoint, int], int]:
         """Valuations at every rational place, plus the degree residual
@@ -558,6 +557,57 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({list(self.num.coeffs)}/{list(self.den.coeffs)})"
+
+
+class FactoredFunction:
+    """prod (x - c) over roots c and prod (z - c) over parts c, repeats
+    allowed, of a reduced RationalFunction z, kept as {c: multiplicity}
+    and never multiplied out.  z's local is taken once per place into
+    `shared`, which one build's functions share, and a part's read off
+    it, or where z(P) = c != 0 taken for z - c once per c and place."""
+
+    __slots__ = ("field", "roots", "deg", "z", "parts", "shared")
+
+    def __init__(self, field: FieldCtx, roots: Sequence[int], z: Optional[RationalFunction] = None,
+                 parts: Sequence[int] = (), shared: Optional[dict] = None):
+        # kept negated, so that add_table[beta][c] is beta minus the root
+        neg = field.neg_enc
+        self.roots, self.parts = Counter(map(neg, roots)), Counter(map(neg, parts))
+        self.field, self.deg, self.z = field, len(roots), z
+        self.shared = {} if shared is None else shared
+
+    def local(self, pt: ProjPoint) -> tuple[int, int]:
+        """(v, u) as RationalFunction.local gives them for the product."""
+        f = self.field
+        mul, add, power = f.mul_table, f.add_table, f.pow_enc
+        v, u, key = -self.deg, 1, None  # a monic root part has unit value 1 at infinity
+        if pt.finite is not None:
+            v, key = 0, pt.finite.enc
+            row = add[key]
+            for c, m in self.roots.items():
+                d = row[c]
+                if d:
+                    u = mul[u][d if m == 1 else power(d, m)]
+                else:
+                    v += m
+        if self.parts:
+            z_local = self.shared.get(key) or self.shared.setdefault(key, self.z.local(pt))
+            vz, uz = z_local
+            row = add[0 if vz else uz]
+            for c, e in self.parts.items():
+                d = row[c]
+                if vz < 0 or vz and not d:
+                    pv, pu = z_local
+                elif d:
+                    pv, pu = 0, d
+                else:
+                    pv, pu = self.shared.get((c, key)) or self.shared.setdefault(
+                        (c, key), (self.z + RationalFunction.constant(f.element(c))).local(pt))
+                v += e * pv
+                u = mul[u][pu if e == 1 else power(pu, e)]
+        return v, u
+
+    eval_enc = _value_at
 
 
 def _cancel(p: Poly, q: Poly) -> tuple[Poly, Poly]:

@@ -27,7 +27,13 @@ the tests:
   and element orders, GroupTable's closure verdict and message, the
   orbit split and the left coset transversal by composing matrices,
   which the action tables and the signature-based group code of pgl are
-  checked against, on the groups of group_cases by group_disagreements.
+  checked against, on the groups of group_cases by group_disagreements;
+* multiplied_out: a FactoredFunction built as one RationalFunction,
+  whose local and eval_enc FactoredFunction's are checked against, on the
+  functions of factored_cases by factored_disagreements;
+* reference_dual_prescribed: the prescribed GRS dual multipliers as
+  MatQ.kernel's basis vector of V_{n-1}, which grs_dual_prescribed's
+  product formula is checked against.
 """
 
 import itertools
@@ -36,10 +42,13 @@ from collections import Counter
 
 from stripemerge.codes import LinearCode, grs_certificate
 from stripemerge.field import FieldCtx, FieldElem, _factorize, primitive_quadratic_search
-from stripemerge.matrix import MatQ, rank_of_rows
+from stripemerge.matrix import MatQ, rank_of_rows, vandermonde
 from stripemerge.pgl import (
+    FactoredFunction,
     GroupTable,
     Mobius,
+    ProjPoint,
+    RationalFunction,
     all_points,
     cyclic_subgroup_of_order,
     projective_line,
@@ -501,3 +510,95 @@ def group_disagreements(F: FieldCtx, rng, cases=None, quadratic_budget: int = 1 
                 fast = str(exc)
             check(case, f"closure of {len(elems)} elements", fast, reference_closure_error(F, elems))
     return checks, bad
+
+
+# -- factored functions, multiplied out; GRS duals, solved --------------------
+
+
+def multiplied_out(fn: FactoredFunction) -> RationalFunction:
+    """fn as one RationalFunction: its root part and parts multiplied out.
+    Both are kept negated, so x - c is x + root and z - c is z + part."""
+    F = fn.field
+    out = RationalFunction.constant(F.one)
+    for base, factors in ((RationalFunction.x(F), fn.roots), (fn.z, fn.parts)):
+        for c, m in factors.items():
+            out = out * (base + RationalFunction.constant(F.element(c))) ** m
+    return out
+
+
+def factored_cases(F: FieldCtx, rng, count: int) -> list[tuple[RationalFunction, list]]:
+    """count seeded (z, functions) pairs; a case's three functions share z
+    and one `shared` dict, as a build's do.  z is c * prod (x - a)^e over
+    one to three random places, c != 1 in most fields (non-monic), e in
+    +-1 .. +-3.  A root part has up to four random roots, 0 among them in
+    every other case, each of multiplicity 1 to 3; in two cases of three
+    the parts z - c, exponents 1 to 3, have c = 0, a value z takes at a
+    random place, and a random c."""
+    x = RationalFunction.x(F)
+    cases = []
+    for n in range(count):
+        z = RationalFunction.constant(F.element(rng.randrange(1, F.q)))
+        for a in rng.sample(range(F.q), min(rng.randrange(1, 4), F.q)):
+            z = z * (x - RationalFunction.constant(F.element(a))) ** rng.choice(
+                (-3, -2, -1, 1, 2, 3))
+        shared: dict = {}
+        fns = []
+        for _ in range(3):
+            roots = [a for a in rng.sample(range(F.q), min(rng.randrange(5), F.q))
+                     for _ in range(rng.randrange(1, 4))]
+            if n % 2 and 0 not in roots:
+                roots += [0] * rng.randrange(1, 4)
+            parts = []
+            if n % 3:
+                v, u = z.local(ProjPoint.of(F.element(rng.randrange(F.q))))
+                parts = [c for c in {0, u if v == 0 else 0, rng.randrange(F.q)}
+                         for _ in range(rng.randrange(1, 4))]
+            fns.append(FactoredFunction(F, roots, z, parts, shared))
+        cases.append((z, fns))
+    return cases
+
+
+def _outcome(f, pt, budget):
+    try:
+        return f.eval_enc(pt, budget)
+    except ValueError as exc:
+        return str(exc)
+
+
+def factored_disagreements(F: FieldCtx, rng, count: int):
+    """Compare FactoredFunction.local, and eval_enc with pole budgets 0 to
+    2 (its value or its ValueError's message), with the multiplied-out
+    function's at every place of the line, on factored_cases(F, rng,
+    count).  Returns the checks made, the kinds of place reached, and the
+    disagreements as (function, place, what, fast, reference)."""
+    checks, reached, bad = 0, set(), []
+    for z, fns in factored_cases(F, rng, count):
+        for fn in fns:
+            ref = multiplied_out(fn)
+            for pt in all_points(F):
+                vz, uz = z.local(pt)
+                if pt.is_infinity:
+                    reached.add("infinity")
+                elif F.neg_enc(pt.finite.enc) in fn.roots:
+                    reached.add("root")
+                if fn.parts:
+                    reached.add("pole of z" if vz < 0 else "zero of z" if vz > 0
+                                else "z = c" if any(F.add_enc(uz, c) == 0 for c in fn.parts)
+                                else "z finite")
+                pairs = [("local", fn.local(pt), ref.local(pt))]
+                pairs += [(f"eval_enc budget {b}", _outcome(fn, pt, b), _outcome(ref, pt, b))
+                          for b in range(3)]
+                reached |= {"raised" for _, _, want in pairs if isinstance(want, str)}
+                for what, fast, want in pairs:
+                    checks += 1
+                    if fast != want:
+                        bad.append((ref, pt, what, fast, want))
+    return checks, reached, bad
+
+
+def reference_dual_prescribed(F: FieldCtx, locators) -> list[int]:
+    """The one kernel basis vector of V_{n-1}(locators), from MatQ.kernel,
+    whose last entry is 1."""
+    kernel = vandermonde(F, len(locators) - 1, locators).kernel()
+    assert len(kernel) == 1
+    return kernel[0]

@@ -4,11 +4,12 @@ import itertools
 import json
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from stripemerge import codes, convert
+from stripemerge import codes, convert, grs, poly
 from stripemerge.cli import _construct
 from stripemerge.bounds import read_lower, total_lower, unchanged_upper
 from stripemerge.codes import LinearCode, check_locality, is_mds, is_optimal_lrc, min_distance
@@ -36,7 +37,7 @@ from stripemerge.pgl import (
     subgroup_dihedral,
 )
 
-from paper_lemmas import subfield_elements
+from paper_lemmas import multiplied_out, subfield_elements
 from test_packed import CONVERSIONS, conversion
 
 BENCH_REQUESTS = json.loads(
@@ -423,9 +424,65 @@ COMPOSED_MERGES = {
 
 
 def built_term_rows(factor, move, basis, places, budgets):
-    """The terms built as rational functions and evaluated place by place."""
+    """The terms built as rational functions, a factored function
+    multiplied out, and evaluated place by place."""
+    factor, *basis = [f if isinstance(f, RationalFunction) else multiplied_out(f)
+                      for f in (factor, *basis)]
     return [[(factor * f.substitute(move)).eval_at(p, b).enc for p, b in zip(places, budgets)]
             for f in basis]
+
+
+# RationalFunction.local calls per build of a benchmark LRC merge outside
+# the exempt checks: z's values on the blocks and at the coset images of
+# infinity, then the factored functions' z, once per place, and z - c,
+# once per c and place where z(P) = c (189, 513 and 413 while the factors
+# and basis functions were multiplied out)
+LRC_LOCAL_CALLS = {"q32_lrc_merge": 51, "q64_lrc_merge_d2": 83, "q64_lrc_merge_d3": 83}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_REQUESTS))
+def test_builders_never_multiply_a_function_out(name, monkeypatch):
+    """A benchmark build calls no poly_from_roots and no RationalFunction
+    product or power outside the group's fixed-field generator and the
+    pole-swap check, grs_dual_prescribed solves no kernel, and an MDS
+    merge evaluates no RationalFunction."""
+    calls, active = [], []
+
+    def scoped(owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            active.append(attr)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    def counted(owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append((attr, set(active)))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for attr in ("fixed_field_generator", "_check_pole_swap_divisor", "grs_dual_prescribed"):
+        scoped(convert, attr)
+    for module in (poly, grs, convert):
+        if hasattr(module, "poly_from_roots"):
+            counted(module, "poly_from_roots")
+    for attr in ("__mul__", "__pow__", "local"):
+        counted(RationalFunction, attr)
+    counted(MatQ, "kernel")
+    _construct(BENCH_REQUESTS[name])
+    counts = Counter(attr for attr, scope in calls
+                     if not scope & {"fixed_field_generator", "_check_pole_swap_divisor"})
+    assert (counts["poly_from_roots"], counts["__mul__"], counts["__pow__"]) == (0, 0, 0)
+    assert not [scope for attr, scope in calls if attr == "kernel" and "grs_dual_prescribed" in scope]
+    assert counts["local"] <= LRC_LOCAL_CALLS.get(name, 0)
 
 
 @pytest.mark.parametrize("name", sorted(COMPOSED_MERGES))

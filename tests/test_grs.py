@@ -8,7 +8,7 @@ from stripemerge.field import field_create
 from stripemerge.grs import GrsSpec, annihilator, grs_code, grs_dual_prescribed
 from stripemerge.matrix import vandermonde
 
-from paper_lemmas import enumerated_min_distance
+from paper_lemmas import enumerated_min_distance, reference_dual_prescribed
 
 
 def elems(F, *encs):
@@ -111,3 +111,33 @@ def test_dual_prescribed_orthogonality_random():
             par = vandermonde(F, n - k, locs)
             assert (gen @ par.transpose()).is_zero()
             assert all(e.enc for e in v)
+
+
+DUAL_FIELDS = [(7, 1), (2, 3), (3, 2), (23, 1), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6)]
+
+
+@pytest.mark.parametrize("p, s", DUAL_FIELDS, ids=[f"GF({p ** s})" for p, s in DUAL_FIELDS])
+def test_dual_prescribed_equals_the_kernel_solve(p, s):
+    # the product formula, scaled to a last entry of 1, is MatQ.kernel's
+    # basis vector of V_{n-1}, for every n from 2 to min(q, 12)
+    F = field_create(p, s)
+    rng = random.Random(F.q)
+    for n in range(2, min(F.q, 12) + 1):
+        for _ in range(4):
+            locs = [F.element(e) for e in rng.sample(range(F.q), n)]
+            v = grs_dual_prescribed(F, locs, rng.randrange(1, n))
+            assert [e.enc for e in v] == reference_dual_prescribed(F, locs)
+
+
+def test_dual_prescribed_refusals(monkeypatch):
+    F = field_create(7, 1)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match=f"^need 1 <= k < n, got k={k} n=3$"):
+            grs_dual_prescribed(F, elems(F, 1, 2, 3), k)
+    # a repeated locator is refused before any inverse is taken
+    inverses = []
+    inv = F.inv_enc
+    monkeypatch.setattr(F, "inv_enc", lambda a: inverses.append(a) or inv(a))
+    with pytest.raises(ValueError, match="^repeated locator$"):
+        grs_dual_prescribed(F, elems(F, 1, 2, 1, 4), 2)
+    assert inverses == []

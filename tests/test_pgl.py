@@ -24,6 +24,8 @@ from stripemerge.pgl import (
 from stripemerge.poly import Poly, poly_from_roots
 
 from paper_lemmas import (
+    factored_cases,
+    factored_disagreements,
     group_cases,
     group_disagreements,
     multiplicative_subgroup,
@@ -313,7 +315,7 @@ def test_ratfun_eval_examples():
     x = RationalFunction.x(F5)
     assert x.eval_at(pt(F5, 3), 0) == F5.element(3)
     # x^{k-1} at infinity with budget k-1 extracts the leading coefficient
-    f = RationalFunction.from_poly(Poly(F5, [0, 0, 0, 1]))
+    f = RationalFunction(Poly(F5, [0, 0, 0, 1]), Poly.one(F5))
     assert f.eval_at(INF, 3) == F5.one
     g = RationalFunction(Poly(F5, [4, 1]), Poly(F5, [3, 1]))  # (x-1)/(x-2)
     assert g.eval_at(pt(F5, 2), 1) == F5.one
@@ -402,6 +404,33 @@ def test_local_divides_on_from_the_first_horner_pass(p, s, monkeypatch):
             assert f.local(place) == want
             if not place.is_infinity:
                 assert len(passes) == abs(want[0]) + 2
+
+
+FACTORED_FIELDS = [(5, 1), (2, 3), (3, 2), (23, 1), (2, 5), (7, 2), (257, 1)]
+
+
+@pytest.mark.parametrize("p, s", FACTORED_FIELDS, ids=[f"GF({p ** s})" for p, s in FACTORED_FIELDS])
+def test_factored_local_equals_the_multiplied_out_function(p, s, monkeypatch):
+    """FactoredFunction.local and eval_enc equal the multiplied-out
+    function's at every place, infinity included, for roots of
+    multiplicity up to 3, 0 among them, non-monic parts with zeros and
+    poles, places where z takes a part's c, and budgets that raise; and
+    z's local, and that of z - c, is taken once per place for every
+    function that shares it."""
+    F = field_create(p, s)
+    checks, reached, bad = factored_disagreements(F, random.Random(29 + F.q), 12)
+    assert checks and bad == []
+    assert reached == {"infinity", "root", "pole of z", "zero of z", "z = c", "z finite", "raised"}
+    taken = []
+    local = RationalFunction.local
+    monkeypatch.setattr(RationalFunction, "local",
+                        lambda f, place: taken.append((f.to_obj(), place)) or local(f, place))
+    for _, fns in factored_cases(F, random.Random(F.q), 6):
+        taken.clear()
+        for fn in fns * 2:
+            for place in all_points(F):
+                fn.local(place)
+        assert len(taken) == len({(json.dumps(f), place) for f, place in taken})
 
 
 def test_valuation_and_divisor():
