@@ -8,7 +8,7 @@ accounting checked against the matching lower bounds.
 from .field import FieldCtx, FieldElem, field_create
 from .codes import LinearCode, LocalityCertificate, InfeasibleCheck
 from .matrix import MatQ, vandermonde
-from .pgl import GroupTable, Mobius, ProjPoint, RationalFunction, SplitStructure
+from .pgl import GroupTable, Mobius, RationalFunction, SplitStructure
 from .bounds import BoundReport, MergeParams
 from .convert import (
     AccessReport,
@@ -33,7 +33,6 @@ __all__ = [
     "vandermonde",
     "GroupTable",
     "Mobius",
-    "ProjPoint",
     "RationalFunction",
     "SplitStructure",
     "BoundReport",

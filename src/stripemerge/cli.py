@@ -28,7 +28,8 @@ from .convert import (
     verify_convertible,
 )
 from .field import FieldCtx
-from .pgl import build_group, cyclic_subgroup_of_order, split_structure, fixed_field_generator
+from .pgl import (build_group, cyclic_subgroup_of_order, fixed_field_generator, place_obj,
+                  split_structure)
 from .schema import as_int, as_ints, as_list, as_object, within
 from .sim import ClusterLayout, layout_one_per_symbol, layout_single_node, simulate
 
@@ -267,7 +268,7 @@ def _cmd_demo_q23(args) -> int:
         {9, "inf", 14, 19},
     ]
     got_orbits = [
-        {p.to_obj() for p in orbit} for orbit in split_structure(group).free_orbits
+        {place_obj(field, p) for p in orbit} for orbit in split_structure(group).free_orbits
     ]
     for want in expected_orbits:
         if want not in got_orbits:

@@ -27,9 +27,11 @@ multiplying a function out, gives for its stripe factor at the place and
 for a basis function at the Moebius-moved place, read the written-symbol
 coefficients from those values, and assert that the direct values equal
 generator_rows.
-Builders give each code its evaluation places, repeats included, so that
-grs_certificate proves every component distance; a bundle read from JSON
-has none and is walked.
+The evaluation builders hold each place as pgl does, a plain int index
+with q for infinity.  Builders give each code its evaluation places,
+repeats included, as encodings with None for infinity (_encodings), so
+that grs_certificate proves every component distance; a bundle read from
+JSON has none and is walked.
 
 A ConvertibleCode derives its kind from the locality certificates it
 carries (none: MDS merge; both: LRC merge; the final's only: MDS to LRC),
@@ -63,10 +65,10 @@ from .pgl import (
     FactoredFunction,
     GroupTable,
     Mobius,
-    ProjPoint,
     RationalFunction,
     fixed_field_divisor,
     fixed_field_generator,
+    place_obj,
     pole_budget_error,
     split_structure,
 )
@@ -459,9 +461,10 @@ class ConvertibleCode:
 # -- shared evaluation helpers ------------------------------------------------
 
 
-def _encodings(points: Sequence[ProjPoint]) -> tuple[Optional[int], ...]:
-    """Places as a LinearCode carries them: encodings, None for infinity."""
-    return tuple(None if p.is_infinity else p.finite.enc for p in points)
+def _encodings(field: FieldCtx, places: Sequence[int]) -> tuple[Optional[int], ...]:
+    """Place indices as a LinearCode carries them: encodings, None for
+    infinity."""
+    return tuple(None if p == field.q else p for p in places)
 
 
 def _consecutive_groups(r: int, delta: int, size: int, count: int) -> LocalityCertificate:
@@ -481,22 +484,22 @@ def _term_coefficient(field: FieldCtx, wvals: Sequence[int], rvals: Sequence[int
     raise AssertionError("all basis read values vanish")
 
 
-def _derivative(move: Mobius, pt: ProjPoint, img: ProjPoint) -> int:
-    """The value at pt of (pi_img o move) / pi_pt, the derivative of move
-    in the uniformizers of pt and img = move(pt), as an encoding."""
+def _derivative(move: Mobius, pt: int, img: int) -> int:
+    """The value at place pt of (pi_img o move) / pi_pt, the derivative of
+    move in the uniformizers of pt and img = move(pt), as an encoding."""
     field = move.field
-    mul = field.mul_enc
+    mul, q = field.mul_enc, field.q
     a, b, c, d = move.m
-    if pt.finite is None:
+    if pt == q:
         # c = 0: pi_img o move = d / (a x + b); else (bc - ad) / (c (c x + d))
-        if img.finite is None:
+        if img == q:
             return mul(d, field.inv_enc(a))
         return mul(field.sub_enc(mul(b, c), mul(a, d)), field.inv_enc(mul(c, c)))
-    if img.finite is None:
+    if img == q:
         # c x + d = c (x - beta): pi_img o move = c (x - beta) / (a x + b)
-        return mul(c, field.inv_enc(field.add_enc(mul(a, pt.finite.enc), b)))
+        return mul(c, field.inv_enc(field.add_enc(mul(a, pt), b)))
     # move(x) - move(beta) = det (x - beta) / ((c x + d) (c beta + d))
-    den = field.add_enc(mul(c, pt.finite.enc), d)
+    den = field.add_enc(mul(c, pt), d)
     return mul(field.sub_enc(mul(a, d), mul(b, c)), field.inv_enc(mul(den, den)))
 
 
@@ -504,7 +507,7 @@ def _stripe_rows(
     factor: FactoredFunction,
     move: Mobius,
     basis: Sequence[FactoredFunction],
-    places: Sequence[ProjPoint],
+    places: Sequence[int],
     budgets: Sequence[int],
     cache: dict,
 ) -> list[list[int]]:
@@ -514,8 +517,8 @@ def _stripe_rows(
     P and its unit value at move(P) times c^v, c = _derivative(move, P,
     move(P)): the term has valuation v_factor + v and unit value
     u_factor * u * c^v, all read off FactoredFunction.local.  Each f's
-    local(move(P)) is kept in cache[f] by the encoding of move(P), None
-    for infinity, to be shared by every stripe with that basis function.
+    local(move(P)) is kept in cache[f] by the index of move(P), to be
+    shared by every stripe with that basis function.
     """
     field = factor.field
     mul = field.mul_enc
@@ -523,19 +526,18 @@ def _stripe_rows(
     columns = []
     for pt, budget in zip(places, budgets):
         img = move.point_action(pt)
-        key = None if img.finite is None else img.finite.enc
         v_factor, u_factor = factor.local(pt)
         times_u = field.mul_table[u_factor]
         deriv = None
         column = []
         for f, table in zip(basis, tables):
-            local = table.get(key)
+            local = table.get(img)
             if local is None:
-                local = table[key] = f.local(img)
+                local = table[img] = f.local(img)
             v, u = local
             net = v_factor + v + budget
             if net < 0:
-                raise pole_budget_error(-(v_factor + v), pt, budget)
+                raise pole_budget_error(field, -(v_factor + v), pt, budget)
             if net:
                 column.append(0)
             elif v:
@@ -554,8 +556,8 @@ def _merge_by_evaluation(
     moves: Sequence[Mobius],
     factors: Sequence[FactoredFunction],
     bases: Sequence[Sequence[FactoredFunction]],
-    kept: Sequence[Sequence[ProjPoint]],
-    written: Sequence[ProjPoint],
+    kept: Sequence[Sequence[int]],
+    written: Sequence[int],
     read_base: Sequence[int],
     pole_budget: int,
     labels: Sequence[str],
@@ -583,7 +585,7 @@ def _merge_by_evaluation(
     units = [inv(f.eval_enc(p)) for f, places in zip(factors, kept) for p in places]
     kept_places = [p for places in kept for p in places]
     places = kept_places + list(written)
-    budgets = [0] * len(kept_places) + [pole_budget if p.is_infinity else 0 for p in written]
+    budgets = [0] * len(kept_places) + [pole_budget if p == field.q else 0 for p in written]
     cache: dict = {}
     direct = []  # per stripe, the terms evaluated at every final place
     for move, factor, basis in zip(moves, factors, bases):
@@ -593,12 +595,12 @@ def _merge_by_evaluation(
         direct.append(rows)
 
     base = len(kept_places)
-    index = {p.sort_key(): idx for idx, p in enumerate(written)}
+    index = {p: idx for idx, p in enumerate(written)}
     terms = []
     for w_idx, pt in enumerate(written):
         triples = []
         for j, (move, code) in enumerate(zip(moves, init_codes)):
-            src = read_base[j] + index[move.point_action(pt).sort_key()]
+            src = read_base[j] + index[move.point_action(pt)]
             coeff = _term_coefficient(
                 field,
                 [row[base + w_idx] for row in direct[j]],
@@ -624,7 +626,7 @@ def _merge_by_evaluation(
     if gen_rows != [row for rows in direct for row in rows]:
         raise AssertionError("direct evaluation disagrees with the plan's generator_rows")
     return plan, LinearCode(field, generator=MatQ(field, gen_rows), labels=labels,
-                            places=_encodings(kept_places + list(written)))
+                            places=_encodings(field, places))
 
 
 # -- MDS merge ----------------------------------------------------------------
@@ -659,9 +661,8 @@ def build_mds_merge(
         raise ValueError("not enough rational places for the initial length")
 
     split = split_structure(group)
-    inf = ProjPoint.infinity()
-    inf_orbit = next((o for o in split.free_orbits if inf in o), None)
-    plain = [o for o in split.free_orbits if inf not in o]
+    inf_orbit = next((o for o in split.free_orbits if q in o), None)
+    plain = [o for o in split.free_orbits if q not in o]
     if evaluate_at_pole and inf_orbit is not None:
         if len(plain) < k:
             raise ValueError(f"need {k} pole-free split orbits, have {len(plain)}")
@@ -676,14 +677,13 @@ def build_mds_merge(
 
     sigmas = group.elements  # canonical, identity first
     b_places = list(b_orbit)
-    used = {p.sort_key() for o in a_orbits for p in o} | {p.sort_key() for p in b_places}
-    bprime: list[ProjPoint] = []
-    for e in field.elements():
+    used = {p for o in a_orbits for p in o} | set(b_places)
+    bprime: list[int] = []
+    for e in range(q):
         if len(bprime) == lprime - el:
             break
-        pt = ProjPoint.of(e)
-        if pt.sort_key() not in used:
-            bprime.append(pt)
+        if e not in used:
+            bprime.append(e)
     if len(bprime) < lprime - el:
         raise ValueError("not enough spare finite places for the extra redundancy")
 
@@ -696,9 +696,9 @@ def build_mds_merge(
 
     factors: list[FactoredFunction] = []
     for j in range(t):
-        img = sigmas[j].place_action(inf)
-        pole = [] if img.is_infinity else [img.finite.enc] * (dims[j] - 1)
-        others = [p.finite.enc for jj in range(t) if jj != j for p in a_eff[jj]]
+        img = sigmas[j].place_action(q)
+        pole = [] if img == q else [img] * (dims[j] - 1)
+        others = [p for jj in range(t) if jj != j for p in a_eff[jj]]
         factors.append(FactoredFunction(field, others + pole))
 
     # initial codes: stripe j evaluates x^a, a < dims[j], on its A-row
@@ -711,19 +711,20 @@ def build_mds_merge(
         gen = MatQ(
             field,
             [
-                [f.eval_enc(pt, dims[j] - 1 if pt.is_infinity else 0) for pt in pts]
+                [f.eval_enc(pt, dims[j] - 1 if pt == q else 0) for pt in pts]
                 for f in bases[j]
             ],
         )
-        labels = [f"s{j + 1}:p{pt.label()}" for pt in pts]
-        init_codes.append(LinearCode(field, generator=gen, labels=labels, places=_encodings(pts)))
+        labels = [f"s{j + 1}:p{place_obj(field, pt)}" for pt in pts]
+        init_codes.append(LinearCode(field, generator=gen, labels=labels,
+                                     places=_encodings(field, pts)))
 
     # final code: unchanged segments per stripe, then the written block
     final_labels = [
-        f"s{j + 1}:p{a1_places[j][idx].label()}"
+        f"s{j + 1}:p{place_obj(field, a1_places[j][idx])}"
         for j in range(t)
         for idx in range(dims[j])
-    ] + [f"w:p{pt.label()}" for pt in b_places]
+    ] + [f"w:p{place_obj(field, pt)}" for pt in b_places]
     plan, final_code = _merge_by_evaluation(
         field,
         init_codes,
@@ -739,9 +740,9 @@ def build_mds_merge(
 
     provenance = {
         "group": group.to_obj(),
-        "written_orbit": [p.to_obj() for p in b_places],
-        "row_orbits": [[p.to_obj() for p in o] for o in a_orbits],
-        "extra_places": [p.to_obj() for p in bprime],
+        "written_orbit": [place_obj(field, p) for p in b_places],
+        "row_orbits": [[place_obj(field, p) for p in o] for o in a_orbits],
+        "extra_places": [place_obj(field, p) for p in bprime],
         "evaluate_at_pole": bool(evaluate_at_pole and inf_orbit is not None),
         "dims": list(dims),
     }
@@ -789,8 +790,8 @@ def build_lrc_merge(
     reps = group.left_coset_reps(subgroup)
     taus = subgroup.elements
     split = split_structure(group)
-    inf = ProjPoint.infinity()
-    plain = [o for o in split.free_orbits if inf not in o]
+    q = field.q
+    plain = [o for o in split.free_orbits if q not in o]
     if len(plain) < k + 1:
         raise ValueError(
             f"need {k + 1} split orbits avoiding infinity, have {len(plain)}"
@@ -798,13 +799,15 @@ def build_lrc_merge(
     b_rep = plain[0][0]
     a_reps = [plain[i + 1][0] for i in range(k)]
 
-    def block(rep: ProjPoint, j: int) -> list[ProjPoint]:
+    def block(rep: int, j: int) -> list[int]:
         return [reps[j].place_action(tau.place_action(rep)) for tau in taus]
 
     z = fixed_field_generator(subgroup)
+    shared: dict = {}  # z's local at each place, for every function below
+    z_part = FactoredFunction(field, [], z, [0], shared)  # z itself, read through shared
 
-    def block_zval(places: Sequence[ProjPoint]) -> FieldElem:
-        vals = [z.eval_at(p, 0) for p in places]
+    def block_zval(places: Sequence[int]) -> int:
+        vals = [z_part.eval_enc(p) for p in places]
         if any(v != vals[0] for v in vals):
             raise ValueError(
                 "subgroup blocks are not level sets of the fixed-field generator; "
@@ -819,22 +822,22 @@ def build_lrc_merge(
         block_zval(bl)
 
     # factor j: (x - img)^(r-1) (z - z(img))^(k-1) prod (z - c), c the others' block values
-    shared: dict = {}  # z's local at each place, for every function below
     factors: list[FactoredFunction] = []
     for j in range(t):
-        img = reps[j].place_action(inf)
-        roots = [] if img.is_infinity else [img.finite.enc] * (r - 1)
-        parts = [a_zvals[i][jj].enc for jj in range(t) if jj != j for i in range(k)]
-        if z.valuation(img) >= 0:  # else rep stabilizes the pole locus of z
-            z_img = z.eval_at(img, 0)
-            _check_pole_swap_divisor(subgroup, z - RationalFunction.constant(z_img), reps[j])
-            parts += [z_img.enc] * (k - 1)
+        img = reps[j].place_action(q)
+        roots = [] if img == q else [img] * (r - 1)
+        parts = [a_zvals[i][jj] for jj in range(t) if jj != j for i in range(k)]
+        if z_part.local(img)[0] >= 0:  # else rep stabilizes the pole locus of z
+            z_img = z_part.eval_enc(img)
+            _check_pole_swap_divisor(
+                subgroup, z - RationalFunction.constant(field.element(z_img)), reps[j])
+            parts += [z_img] * (k - 1)
         factors.append(FactoredFunction(field, roots, z, parts, shared))
 
     # initial evaluation blocks: A-column 1, the whole B orbit, spares
     init_blocks = [a_blocks[i][0] for i in range(k)] + b_blocks
     spare_needed = lprime - el
-    spares: list[list[ProjPoint]] = []
+    spares: list[list[int]] = []
     for j in range(1, el):
         for i in range(k):
             if len(spares) == spare_needed:
@@ -853,13 +856,13 @@ def build_lrc_merge(
     init_gen = MatQ(
         field, [[f.eval_enc(p) for p in init_places] for f in basis]
     )
-    init_labels_template = [f"p{p.label()}" for p in init_places]
+    init_labels_template = [f"p{place_obj(field, p)}" for p in init_places]
     init_codes = [
         LinearCode(
             field,
             generator=init_gen,
             labels=[f"s{j + 1}:{lab}" for lab in init_labels_template],
-            places=_encodings(init_places),
+            places=_encodings(field, init_places),
         )
         for j in range(t)
     ]
@@ -888,11 +891,11 @@ def build_lrc_merge(
     # final code: stripe blocks then the written orbit
     flat_b = [p for bl in b_blocks for p in bl]
     final_labels = [
-        f"s{j + 1}:p{a_blocks[i][0][s].label()}"
+        f"s{j + 1}:p{place_obj(field, a_blocks[i][0][s])}"
         for j in range(t)
         for i in range(k)
         for s in range(gs)
-    ] + [f"w:p{p.label()}" for p in flat_b]
+    ] + [f"w:p{place_obj(field, p)}" for p in flat_b]
     plan, final_code = _merge_by_evaluation(
         field,
         init_codes,
@@ -912,7 +915,7 @@ def build_lrc_merge(
         "group": group.to_obj(),
         "subgroup": subgroup.to_obj(),
         "fixed_field_generator": z.to_obj(),
-        "written_orbit": [p.to_obj() for p in flat_b],
+        "written_orbit": [place_obj(field, p) for p in flat_b],
         "degenerate_locality": r == 1,
         "delta": delta,
     }
@@ -931,15 +934,13 @@ def _check_pole_swap_divisor(
 ) -> None:
     """div(g2) must be (image of the pole locus of z) - (pole locus of z),
     for z the subgroup's fixed-field generator."""
-    g_support, _ = g2.divisor_support()
     expected: dict = {}
     for pt, v in fixed_field_divisor(subgroup):
         if v < 0:
-            expected[rep.place_action(pt).sort_key()] = -v  # zeros of g2
-            expected[pt.sort_key()] = expected.get(pt.sort_key(), 0) + v
-    actual = {pt.sort_key(): v for pt, v in g_support.items()}
+            expected[rep.place_action(pt)] = -v  # zeros of g2
+            expected[pt] = expected.get(pt, 0) + v
     expected = {kk: vv for kk, vv in expected.items() if vv}
-    if actual != expected:
+    if g2.divisor_support()[0] != expected:
         raise AssertionError("pole-swap function has the wrong divisor")
 
 

@@ -24,14 +24,16 @@ Matrices are canonicalized by scaling the first nonzero entry to 1, so
 each group element has one representation and enumeration order is
 reproducible.
 
-Both actions are read off tables.  A point's index is its encoding, and
-q for infinity; each Mobius holds, from its first use, a table of the
+A point of the line, or the place at it, is a plain int, its index: the
+encoding of a finite point, and q for infinity.  The actions, function
+evaluation and the orbit split take and return indices, and place_obj
+writes one as labels and provenance do, "inf" for q.  Both actions are
+read off tables: each Mobius holds, from its first use, a table of the
 index of the image of each point, filled one entry at a time on first
 lookup by field arithmetic (_coord), so that no lookup costs O(q) in any
-field and a table holds only the points asked for.  Every lookup
-returns the field's shared ProjPoint (projective_line).  A Mobius map
-that fixes three points is the identity, so the indices of the places
-it sends 0, 1 and infinity to determine an element: element orders, the
+field and a table holds only the points asked for.  A Mobius map that
+fixes three points is the identity, so the indices of the places it
+sends 0, 1 and infinity to determine an element: element orders, the
 closure checks of a GroupTable and its coset transversals are read off
 those triples, with no product of matrices.
 
@@ -58,86 +60,22 @@ from .poly import Poly, divide_out
 from .schema import as_encs, as_int, as_list, as_object
 
 
-class ProjPoint:
-    """A point of the projective line: a field element or infinity."""
-
-    __slots__ = ("finite",)
-
-    def __init__(self, finite: Optional[FieldElem]):
-        self.finite = finite
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ProjPoint:
-            return NotImplemented
-        return self.finite == other.finite
-
-    def __hash__(self) -> int:
-        return hash((self.finite,))
-
-    @classmethod
-    def of(cls, elem: FieldElem) -> ProjPoint:
-        return cls(elem)
-
-    @classmethod
-    def infinity(cls) -> ProjPoint:
-        return cls(None)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.finite is None
-
-    def sort_key(self) -> tuple[int, int]:
-        return (1, 0) if self.finite is None else (0, self.finite.enc)
-
-    def label(self) -> str:
-        return "inf" if self.finite is None else f"{self.finite.enc}"
-
-    def to_obj(self):
-        return "inf" if self.finite is None else self.finite.enc
-
-    def __repr__(self) -> str:
-        return f"P({self.label()})"
+def place_obj(field: FieldCtx, i: int):
+    """How labels and provenance write place i: its encoding, "inf" for
+    infinity."""
+    return "inf" if i == field.q else i
 
 
-class _Line(dict):
-    """One field's projective line: its points by index (the encoding,
-    q for infinity), each made on its first lookup and shared by every
-    later one."""
-
-    __slots__ = ("field",)
-
-    def __init__(self, field: FieldCtx):
-        super().__init__()
-        self.field = field
-
-    def __missing__(self, i: int) -> ProjPoint:
-        pt = self[i] = ProjPoint(None if i == self.field.q else FieldElem(self.field, i))
-        return pt
-
-
-@functools.lru_cache(maxsize=16)
-def projective_line(field: FieldCtx) -> _Line:
-    """The shared points of field's projective line, one _Line per field
-    while among the 16 most recently used."""
-    return _Line(field)
-
-
-def all_points(field: FieldCtx) -> list[ProjPoint]:
-    line = projective_line(field)
-    return [line[i] for i in range(field.q + 1)]
-
-
-def _coord(line: _Line, m: tuple[int, int, int, int], pt: ProjPoint) -> ProjPoint:
-    """beta |-> (a beta + b)/(c beta + d) by field arithmetic, as a point
-    of line: how the action tables fill their entries."""
+def _coord(field: FieldCtx, m: tuple[int, int, int, int], i: int) -> int:
+    """beta |-> (a beta + b)/(c beta + d) by field arithmetic, on indices:
+    how the action tables fill their entries."""
     a, b, c, d = m
-    f = line.field
-    if pt.finite is None:
-        return line[f.q] if c == 0 else line[f.mul_enc(a, f.inv_enc(c))]
-    x = pt.finite.enc
-    den = f.add_enc(f.mul_enc(c, x), d)
-    num = f.add_enc(f.mul_enc(a, x), b)
-    return line[f.q] if den == 0 else line[f.mul_enc(num, f.inv_enc(den))]
+    f, q = field, field.q
+    if i == q:
+        return q if c == 0 else f.mul_enc(a, f.inv_enc(c))
+    den = f.add_enc(f.mul_enc(c, i), d)
+    num = f.add_enc(f.mul_enc(a, i), b)
+    return q if den == 0 else f.mul_enc(num, f.inv_enc(den))
 
 
 class _Images(dict):
@@ -145,22 +83,21 @@ class _Images(dict):
     point i (infinity at index q), is filled by _coord on its first
     lookup."""
 
-    __slots__ = ("line", "m")
+    __slots__ = ("field", "m")
 
-    def __init__(self, line: _Line, m: tuple[int, int, int, int]):
+    def __init__(self, field: FieldCtx, m: tuple[int, int, int, int]):
         super().__init__()
-        self.line, self.m = line, m
+        self.field, self.m = field, m
 
     def __missing__(self, i: int) -> int:
-        img = _coord(self.line, self.m, self.line[i])
-        v = self[i] = self.line.field.q if img.finite is None else img.finite.enc
+        v = self[i] = _coord(self.field, self.m, i)
         return v
 
 
 class Mobius:
     """One element of PGL_2(q) in canonical (first-nonzero-is-1) form."""
 
-    __slots__ = ("field", "m", "_line", "_point", "_place")
+    __slots__ = ("field", "m", "_point", "_place")
 
     def __init__(self, field: FieldCtx, a: int, b: int, c: int, d: int):
         det = field.sub_enc(field.mul_enc(a, d), field.mul_enc(b, c))
@@ -174,7 +111,6 @@ class Mobius:
                 break
         self.field = field
         self.m = (a, b, c, d)
-        self._line = projective_line(field)
         self._point: Optional[_Images] = None
         self._place: Optional[_Images] = None
 
@@ -242,7 +178,7 @@ class Mobius:
     def point_table(self) -> _Images:
         """The coordinate action as an index table, made on first use."""
         if self._point is None:
-            self._point = _Images(self._line, self.m)
+            self._point = _Images(self.field, self.m)
         return self._point
 
     def place_table(self) -> _Images:
@@ -251,16 +187,16 @@ class Mobius:
         if self._place is None:
             a, b, c, d = self.m
             f = self.field
-            self._place = _Images(self._line, (d, f.neg_enc(b), f.neg_enc(c), a))
+            self._place = _Images(f, (d, f.neg_enc(b), f.neg_enc(c), a))
         return self._place
 
-    def point_action(self, pt: ProjPoint) -> ProjPoint:
+    def point_action(self, i: int) -> int:
         """Coordinate action beta |-> (a beta + b)/(c beta + d)."""
-        return self._line[self.point_table()[self.field.q if pt.finite is None else pt.finite.enc]]
+        return self.point_table()[i]
 
-    def place_action(self, pt: ProjPoint) -> ProjPoint:
-        """Image of the place at pt; adjugate coordinate action."""
-        return self._line[self.place_table()[self.field.q if pt.finite is None else pt.finite.enc]]
+    def place_action(self, i: int) -> int:
+        """Image of place i; adjugate coordinate action."""
+        return self.place_table()[i]
 
     def to_obj(self) -> list[int]:
         return list(self.m)
@@ -378,14 +314,14 @@ class GroupTable:
 # -- rational functions ------------------------------------------------------
 
 
-def _value_at(f, pt: ProjPoint, pole_budget: int = 0) -> int:
+def _value_at(f, pt: int, pole_budget: int = 0) -> int:
     """(pi^pole_budget f)(pt) for a nonzero f, read off (v, u) = f.local(pt):
     0 where v + pole_budget > 0, u where it is 0, else ValueError."""
     if pole_budget < 0:
         raise ValueError("pole budget must be >= 0")
     v, u = f.local(pt)
     if v + pole_budget < 0:
-        raise pole_budget_error(-v, pt, pole_budget)
+        raise pole_budget_error(f.field, -v, pt, pole_budget)
     return 0 if v + pole_budget else u
 
 
@@ -504,8 +440,8 @@ class RationalFunction:
 
         return RationalFunction(push(self.num), push(self.den))
 
-    def local(self, pt: ProjPoint) -> tuple[int, int]:
-        """(v, u) for a nonzero f: its valuation v at pt, and the encoding
+    def local(self, pt: int) -> tuple[int, int]:
+        """(v, u) for a nonzero f: its valuation v at place pt, and the encoding
         of the value there of pi^-v f, with pi = x - beta at finite beta
         and 1/x at infinity.  At finite beta it is two Horner passes,
         v = 0 and u = num(beta) / den(beta) when neither vanishes, as f is
@@ -514,39 +450,36 @@ class RationalFunction:
         if not self.num.coeffs:
             raise ValueError("valuation of the zero function")
         f = self.num.field
-        if pt.finite is None:
+        if pt == f.q:
             v = self.den.degree - self.num.degree
             a, b = self.num.coeffs[-1], self.den.coeffs[-1]
         else:
-            x = pt.finite.enc
-            num = f.horner(self.num.coeffs[::-1], x)
-            den = f.horner(self.den.coeffs[::-1], x)
+            num = f.horner(self.num.coeffs[::-1], pt)
+            den = f.horner(self.den.coeffs[::-1], pt)
             v, a, b = 0, num[-1], den[-1]
             if not a:
-                v, a = divide_out(f, num, x)
+                v, a = divide_out(f, num, pt)
             elif not b:
-                m, b = divide_out(f, den, x)
+                m, b = divide_out(f, den, pt)
                 v = -m
         return v, f.mul_table[a][f.inv_enc(b)]
 
-    def valuation(self, pt: ProjPoint) -> int:
-        return self.local(pt)[0]
-
-    def eval_at(self, pt: ProjPoint, pole_budget: int = 0) -> FieldElem:
+    def eval_at(self, pt: int, pole_budget: int = 0) -> FieldElem:
         """(pi^m f)(P) with pi = x - beta at finite beta and 1/x at infinity."""
         return FieldElem(self.field, self.eval_enc(pt, pole_budget))
 
-    def eval_enc(self, pt: ProjPoint, pole_budget: int = 0) -> int:
+    def eval_enc(self, pt: int, pole_budget: int = 0) -> int:
         """eval_at(pt, pole_budget) as an encoding (_value_at)."""
         return _value_at(self, pt, pole_budget) if self.num.coeffs else 0
 
-    def divisor_support(self) -> tuple[dict[ProjPoint, int], int]:
-        """Valuations at every rational place, plus the degree residual
-        carried by higher-degree places (so the principal divisor sums to 0)."""
+    def divisor_support(self) -> tuple[dict[int, int], int]:
+        """Valuations at every rational place, by index, plus the degree
+        residual carried by higher-degree places (so the principal divisor
+        sums to 0)."""
         if self.is_zero():
             raise ValueError("divisor of the zero function")
-        support: dict[ProjPoint, int] = {}
-        for pt in all_points(self.field):
+        support: dict[int, int] = {}
+        for pt in range(self.field.q + 1):
             v = self.local(pt)[0]
             if v:
                 support[pt] = v
@@ -576,14 +509,13 @@ class FactoredFunction:
         self.field, self.deg, self.z = field, len(roots), z
         self.shared = {} if shared is None else shared
 
-    def local(self, pt: ProjPoint) -> tuple[int, int]:
+    def local(self, pt: int) -> tuple[int, int]:
         """(v, u) as RationalFunction.local gives them for the product."""
         f = self.field
         mul, add, power = f.mul_table, f.add_table, f.pow_enc
-        v, u, key = -self.deg, 1, None  # a monic root part has unit value 1 at infinity
-        if pt.finite is not None:
-            v, key = 0, pt.finite.enc
-            row = add[key]
+        v, u = -self.deg, 1  # a monic root part has unit value 1 at infinity
+        if pt != f.q:
+            v, row = 0, add[pt]
             for c, m in self.roots.items():
                 d = row[c]
                 if d:
@@ -591,7 +523,7 @@ class FactoredFunction:
                 else:
                     v += m
         if self.parts:
-            z_local = self.shared.get(key) or self.shared.setdefault(key, self.z.local(pt))
+            z_local = self.shared.get(pt) or self.shared.setdefault(pt, self.z.local(pt))
             vz, uz = z_local
             row = add[0 if vz else uz]
             for c, e in self.parts.items():
@@ -601,8 +533,8 @@ class FactoredFunction:
                 elif d:
                     pv, pu = 0, d
                 else:
-                    pv, pu = self.shared.get((c, key)) or self.shared.setdefault(
-                        (c, key), (self.z + RationalFunction.constant(f.element(c))).local(pt))
+                    pv, pu = self.shared.get((c, pt)) or self.shared.setdefault(
+                        (c, pt), (self.z + RationalFunction.constant(f.element(c))).local(pt))
                 v += e * pv
                 u = mul[u][pu if e == 1 else power(pu, e)]
         return v, u
@@ -620,9 +552,10 @@ def _cancel(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     return p, q
 
 
-def pole_budget_error(order: int, pt: ProjPoint, pole_budget: int) -> ValueError:
-    """The error for evaluating a function with a pole of this order at pt."""
-    where = "infinity" if pt.is_infinity else pt.finite.enc
+def pole_budget_error(field: FieldCtx, order: int, pt: int, pole_budget: int) -> ValueError:
+    """The error for evaluating a function with a pole of this order at
+    place pt."""
+    where = "infinity" if pt == field.q else pt
     return ValueError(f"pole of order {order} at {where} exceeds budget {pole_budget}")
 
 
@@ -790,8 +723,7 @@ class SplitStructure:
 
     __slots__ = ("free_orbits", "ramified")
 
-    def __init__(self, free_orbits: tuple[tuple[ProjPoint, ...], ...],
-                 ramified: tuple[ProjPoint, ...]):
+    def __init__(self, free_orbits: tuple[tuple[int, ...], ...], ramified: tuple[int, ...]):
         self.free_orbits = free_orbits
         self.ramified = ramified
 
@@ -800,13 +732,12 @@ class SplitStructure:
 def split_structure(group: GroupTable) -> SplitStructure:
     field = group.field
     q = field.q
-    line = projective_line(field)
     tables = [g.place_table() for g in group.elements]
     placed = bytearray(q + 1)
-    free: list[tuple[ProjPoint, ...]] = []
+    free: list[tuple[int, ...]] = []
     ramified: list[int] = []
-    # the least unplaced index is the least point by sort_key, so each
-    # orbit starts at its minimal point and the free orbits come sorted
+    # scanning indices in order starts each orbit at its least place and
+    # lists the free orbits sorted
     for i in range(q + 1):
         if placed[i]:
             continue
@@ -815,14 +746,14 @@ def split_structure(group: GroupTable) -> SplitStructure:
         for j in orbit:
             placed[j] = 1
         if len(orbit) == group.order:
-            free.append(tuple(line[j] for j in images))
+            free.append(tuple(images))
         else:
             ramified.extend(orbit)
     if len(ramified) > max(2 * group.order - 2, 0):
         raise AssertionError(
             f"{len(ramified)} ramified points exceed the Hurwitz cap {2 * group.order - 2}"
         )
-    return SplitStructure(tuple(free), tuple(line[j] for j in sorted(ramified)))
+    return SplitStructure(tuple(free), tuple(sorted(ramified)))
 
 
 @_once_per_group
@@ -859,7 +790,7 @@ def fixed_field_generator(group: GroupTable) -> RationalFunction:
 
 
 @_once_per_group
-def fixed_field_divisor(group: GroupTable) -> tuple[tuple[ProjPoint, int], ...]:
-    """The (place, valuation) pairs of the rational places where the
+def fixed_field_divisor(group: GroupTable) -> tuple[tuple[int, int], ...]:
+    """The (place index, valuation) pairs of the rational places where the
     group's fixed-field generator has a zero or a pole."""
     return tuple(fixed_field_generator(group).divisor_support()[0].items())

@@ -59,8 +59,8 @@ def _stored_labels(cc: ConvertibleCode) -> list[str]:
     ]
 
 
-def layout_single_node(cc: ConvertibleCode, name: str = "node0") -> ClusterLayout:
-    return ClusterLayout((name,), {lab: name for lab in _stored_labels(cc)})
+def layout_single_node(cc: ConvertibleCode) -> ClusterLayout:
+    return ClusterLayout(("node0",), {lab: "node0" for lab in _stored_labels(cc)})
 
 
 def layout_one_per_symbol(cc: ConvertibleCode) -> ClusterLayout:

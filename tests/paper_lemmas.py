@@ -37,7 +37,6 @@ the tests:
 """
 
 import itertools
-import operator
 from collections import Counter
 
 from stripemerge.codes import LinearCode, grs_certificate
@@ -47,11 +46,8 @@ from stripemerge.pgl import (
     FactoredFunction,
     GroupTable,
     Mobius,
-    ProjPoint,
     RationalFunction,
-    all_points,
     cyclic_subgroup_of_order,
-    projective_line,
     split_structure,
     subgroup_affine,
     subgroup_cyclic_qplus1,
@@ -321,15 +317,16 @@ def reference_inverses(field: FieldCtx) -> list[int]:
 
 
 def reference_image(field: FieldCtx, m, pt, inverses):
-    """The point pt moved by the matrix m = (a, b, c, d), on homogeneous
-    coordinates: beta is (beta : 1) and infinity (1 : 0), (x : z) goes to
-    (a x + b z : c x + d z), and (u : v) is infinity at v = 0 and
-    u inverses[v] otherwise.  pgl._coord is not used."""
+    """The index of point pt moved by the matrix m = (a, b, c, d), on
+    homogeneous coordinates: beta is (beta : 1) and infinity, index q,
+    (1 : 0), (x : z) goes to (a x + b z : c x + d z), and (u : v) is
+    infinity at v = 0 and u inverses[v] otherwise.  pgl._coord is not
+    used."""
     a, b, c, d = m
     mul, add = field.mul_enc, field.add_enc
-    x, z = (1, 0) if pt.finite is None else (pt.finite.enc, 1)
+    x, z = (1, 0) if pt == field.q else (pt, 1)
     u, v = add(mul(a, x), mul(b, z)), add(mul(c, x), mul(d, z))
-    return projective_line(field)[mul(u, inverses[v]) if v else field.q]
+    return mul(u, inverses[v]) if v else field.q
 
 
 def reference_place_action(g: Mobius, pt, inverses):
@@ -370,23 +367,22 @@ def reference_closure_error(field: FieldCtx, elements):
 
 
 def reference_split(group: GroupTable):
-    """(free orbits, ramified points) of the place action, each orbit
-    listed as the group's elements move its least point, by sort_key."""
-    remaining = {pt.sort_key(): pt for pt in all_points(group.field)}
+    """(free orbits, ramified points) of the place action, as indices,
+    each orbit listed as the group's elements move its least point."""
+    remaining = set(range(group.field.q + 1))
     inverses = reference_inverses(group.field)
     free, ramified = [], []
     while remaining:
-        rep = remaining.pop(min(remaining))
+        rep = min(remaining)
         images = [reference_place_action(g, rep, inverses) for g in group.elements]
-        orbit = {pt.sort_key(): pt for pt in images}
-        for key in orbit:
-            remaining.pop(key, None)
+        orbit = set(images)
+        remaining -= orbit
         if len(orbit) == group.order:
             free.append(tuple(images))
         else:
-            ramified.extend(orbit.values())
-    free.sort(key=lambda orbit: orbit[0].sort_key())
-    return tuple(free), tuple(sorted(ramified, key=lambda pt: pt.sort_key()))
+            ramified.extend(orbit)
+    free.sort(key=lambda orbit: orbit[0])
+    return tuple(free), tuple(sorted(ramified))
 
 
 def reference_coset_reps(group: GroupTable, sub: GroupTable) -> list:
@@ -437,13 +433,13 @@ def group_disagreements(F: FieldCtx, rng, cases=None, quadratic_budget: int = 1 
     infinity, and the elements of each (name, group) of cases (by default
     group_cases(F)), all of them or 16 drawn from a larger group: the
     point and place tables against reference_image on every point, each
-    image the field's shared point, and the element orders.  On each group: the
+    image an int index in [0, q], and the element orders.  On each group: the
     orbit split; the coset reps of each cyclic subgroup of prime order;
     and the closure verdict and message of the group, of the group
     without one element and of the group with one more.  A check whose
     reference would compose more than quadratic_budget pairs is skipped.
     Returns the comparisons made and the disagreements as (case, what)."""
-    points = all_points(F)
+    points = range(F.q + 1)
     inverses = reference_inverses(F)
     bad, checks = [], 0
 
@@ -458,7 +454,7 @@ def group_disagreements(F: FieldCtx, rng, cases=None, quadratic_budget: int = 1 
         ref = ([reference_image(F, g.m, pt, inverses) for pt in points]
                + [reference_place_action(g, pt, inverses) for pt in points])
         check(case, f"actions of {g!r}", fast, ref)
-        check(case, f"shared points of {g!r}", all(map(operator.is_, fast, ref)), True)
+        check(case, f"indices of {g!r}", all(type(i) is int and 0 <= i <= F.q for i in fast), True)
 
     def random_mobius():
         while True:
@@ -550,7 +546,7 @@ def factored_cases(F: FieldCtx, rng, count: int) -> list[tuple[RationalFunction,
                 roots += [0] * rng.randrange(1, 4)
             parts = []
             if n % 3:
-                v, u = z.local(ProjPoint.of(F.element(rng.randrange(F.q))))
+                v, u = z.local(rng.randrange(F.q))
                 parts = [c for c in {0, u if v == 0 else 0, rng.randrange(F.q)}
                          for _ in range(rng.randrange(1, 4))]
             fns.append(FactoredFunction(F, roots, z, parts, shared))
@@ -575,11 +571,11 @@ def factored_disagreements(F: FieldCtx, rng, count: int):
     for z, fns in factored_cases(F, rng, count):
         for fn in fns:
             ref = multiplied_out(fn)
-            for pt in all_points(F):
+            for pt in range(F.q + 1):
                 vz, uz = z.local(pt)
-                if pt.is_infinity:
+                if pt == F.q:
                     reached.add("infinity")
-                elif F.neg_enc(pt.finite.enc) in fn.roots:
+                elif F.neg_enc(pt) in fn.roots:
                     reached.add("root")
                 if fn.parts:
                     reached.add("pole of z" if vz < 0 else "zero of z" if vz > 0

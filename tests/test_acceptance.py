@@ -35,9 +35,9 @@ from stripemerge.grs import grs_dual_prescribed
 from stripemerge.matrix import MatQ, vandermonde
 from stripemerge.pgl import (
     RationalFunction,
-    all_points,
     cyclic_subgroup_of_order,
     fixed_field_generator,
+    place_obj,
     split_structure,
     subgroup_cyclic_qplus1,
     subgroup_dihedral,
@@ -81,7 +81,7 @@ def test_criterion_1_q23_reproduction(group23):
         {"12", "3", "15", "10"},
         {"0", "8", "1", "22"},
     ]
-    got = [{p.label() for p in o} for o in split_structure(group23).free_orbits]
+    got = [{str(place_obj(F23, p)) for p in o} for o in split_structure(group23).free_orbits]
     assert len(got) == 6
     for orbit in recorded_orbits:
         assert orbit in got
@@ -215,12 +215,12 @@ def test_criterion_6_property_suites(group23):
 
     # action contract: (sigma f)(sigma P) = f(P), 100+ regular triples
     checked = 0
-    points23 = all_points(F23)
+    points23 = range(F23.q + 1)
     while checked < 120:
         f = _random_ratfun(F23, rng)
         m = _random_mobius(F23, rng)
         p = points23[rng.randrange(len(points23))]
-        if f.valuation(p) < 0:
+        if f.local(p)[0] < 0:
             continue
         assert f.substitute(m).eval_at(m.place_action(p), 0) == f.eval_at(p, 0)
         checked += 1

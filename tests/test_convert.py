@@ -28,9 +28,7 @@ from stripemerge.matrix import MatQ
 from stripemerge.poly import Poly
 from stripemerge.pgl import (
     Mobius,
-    ProjPoint,
     RationalFunction,
-    all_points,
     cyclic_subgroup_of_order,
     subgroup_affine,
     subgroup_cyclic_qplus1,
@@ -433,19 +431,22 @@ def built_term_rows(factor, move, basis, places, budgets):
 
 
 # RationalFunction.local calls per build of a benchmark LRC merge outside
-# the exempt checks: z's values on the blocks and at the coset images of
-# infinity, then the factored functions' z, once per place, and z - c,
+# the exempt checks: z, once per place, for its values on the blocks, at
+# the coset images of infinity and in the factored functions, and z - c,
 # once per c and place where z(P) = c (189, 513 and 413 while the factors
-# and basis functions were multiplied out)
-LRC_LOCAL_CALLS = {"q32_lrc_merge": 51, "q64_lrc_merge_d2": 83, "q64_lrc_merge_d3": 83}
+# and basis functions were multiplied out; 51, 83 and 83 while z's values
+# on the blocks and at the images were taken apart from the factored
+# functions' shared values)
+LRC_LOCAL_CALLS = {"q32_lrc_merge": 32, "q64_lrc_merge_d2": 52, "q64_lrc_merge_d3": 52}
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_REQUESTS))
 def test_builders_never_multiply_a_function_out(name, monkeypatch):
     """A benchmark build calls no poly_from_roots and no RationalFunction
     product or power outside the group's fixed-field generator and the
-    pole-swap check, grs_dual_prescribed solves no kernel, and an MDS
-    merge evaluates no RationalFunction."""
+    pole-swap check, grs_dual_prescribed solves no kernel, an MDS merge
+    evaluates no RationalFunction, and an LRC merge takes the local of a
+    function at a place at most once outside the exempt checks."""
     calls, active = [], []
 
     def scoped(owner, attr):
@@ -464,7 +465,7 @@ def test_builders_never_multiply_a_function_out(name, monkeypatch):
         fn = getattr(owner, attr)
 
         def wrapper(*args, **kwargs):
-            calls.append((attr, set(active)))
+            calls.append((attr, set(active), args))
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, wrapper)
@@ -478,11 +479,16 @@ def test_builders_never_multiply_a_function_out(name, monkeypatch):
         counted(RationalFunction, attr)
     counted(MatQ, "kernel")
     _construct(BENCH_REQUESTS[name])
-    counts = Counter(attr for attr, scope in calls
-                     if not scope & {"fixed_field_generator", "_check_pole_swap_divisor"})
+    counted_calls = [(attr, args) for attr, scope, args in calls
+                     if not scope & {"fixed_field_generator", "_check_pole_swap_divisor"}]
+    counts = Counter(attr for attr, _ in counted_calls)
     assert (counts["poly_from_roots"], counts["__mul__"], counts["__pow__"]) == (0, 0, 0)
-    assert not [scope for attr, scope in calls if attr == "kernel" and "grs_dual_prescribed" in scope]
+    assert not [scope for attr, scope, _ in calls
+                if attr == "kernel" and "grs_dual_prescribed" in scope]
     assert counts["local"] <= LRC_LOCAL_CALLS.get(name, 0)
+    taken = [(json.dumps(args[0].to_obj()), args[1]) for attr, args in counted_calls
+             if attr == "local"]
+    assert len(taken) == len(set(taken))
 
 
 @pytest.mark.parametrize("name", sorted(COMPOSED_MERGES))
@@ -502,8 +508,8 @@ def test_composed_values_equal_the_built_terms(name, monkeypatch):
     reached = set()
     for factor, move, basis, places, budgets, rows in calls:
         assert rows == built_term_rows(factor, move, basis, places, budgets)
-        reached |= {(p.is_infinity, move.point_action(p).is_infinity, b > 0)
-                    for p, b in zip(places, budgets)}
+        q = move.field.q
+        reached |= {(p == q, move.point_action(p) == q, b > 0) for p, b in zip(places, budgets)}
     if name.endswith("full_length"):
         # the whole projective line: infinity, with its budget, fixed by the
         # identity and moved to a finite place, and a finite place moved to
@@ -524,7 +530,7 @@ def test_composed_values_at_a_pole_of_the_factor():
     # the moved basis functions are (x - 1)^2, x - 1 and x^2 + 3: the first
     # two cancel the factor's pole at 1, the last does not
     basis = [(x - const(2)) ** 2, x - const(2), (x - const(1)) ** 2 + const(3)]
-    places = [ProjPoint.of(e) for e in F7.elements()]
+    places = list(range(F7.q))
     cache: dict = {}
     for budgets in ([0] * 7, [1] * 7):
         rows = convert._stripe_rows(factor, shift, basis[:2], places, budgets, cache)
@@ -555,7 +561,7 @@ def test_stripe_rows_at_every_place(p, s, monkeypatch):
     derivative = convert._derivative
 
     def recording(move, pt, img):
-        reached.add((pt.is_infinity, img.is_infinity))
+        reached.add((pt == F.q, img == F.q))
         return derivative(move, pt, img)
 
     monkeypatch.setattr(convert, "_derivative", recording)
@@ -575,7 +581,7 @@ def test_stripe_rows_at_every_place(p, s, monkeypatch):
         # others; the shared cache still serves every place and budget
         for f in basis:
             term = factor * f.substitute(move)  # as built_term_rows builds it
-            for pt, budget in itertools.product(all_points(F), range(3)):
+            for pt, budget in itertools.product(range(F.q + 1), range(3)):
                 rows = functools.partial(convert._stripe_rows, factor, move, [f], [pt], [budget])
                 try:
                     want = term.eval_at(pt, budget).enc

@@ -8,14 +8,12 @@ from stripemerge.field import FieldCtx, field_create
 from stripemerge.pgl import (
     GroupTable,
     Mobius,
-    ProjPoint,
     RationalFunction,
-    all_points,
     build_group,
     cyclic_subgroup_of_order,
     fixed_field_divisor,
     fixed_field_generator,
-    projective_line,
+    place_obj,
     split_structure,
     subgroup_affine,
     subgroup_cyclic_qplus1,
@@ -46,22 +44,19 @@ ORBITS23 = [
 ]
 
 
-def pt(F, enc):
-    return ProjPoint.of(F.element(enc))
-
-
-INF = ProjPoint.infinity()
+# a place is its index: the encoding, and q for infinity
+INF23 = F23.q
 
 
 def test_point_action_examples():
     eye = Mobius.identity(F23)
-    for p in all_points(F23):
+    for p in range(F23.q + 1):
         assert eye.point_action(p) == p
     swap = Mobius(F23, 0, 1, 1, 0)
-    assert swap.point_action(pt(F23, 0)) == INF
-    assert swap.point_action(INF) == pt(F23, 0)
+    assert swap.point_action(0) == INF23
+    assert swap.point_action(INF23) == 0
     m = Mobius(F23, 0, 1, 21, 5)  # x -> 1/(-2x + 5)
-    assert m.point_action(pt(F23, 9)) == pt(F23, 7)  # (18+5)^-1... = 10^-1 = 7
+    assert m.point_action(9) == 7  # (18+5)^-1... = 10^-1 = 7
 
 
 def test_place_action_round_trip():
@@ -82,8 +77,7 @@ def random_mobius(F, rng):
 
 
 def random_point(F, rng):
-    enc = rng.randrange(F.q + 1)
-    return INF if enc == F.q else pt(F, enc)
+    return rng.randrange(F.q + 1)
 
 
 def random_ratfun(F, rng, max_deg=3):
@@ -121,7 +115,7 @@ def test_action_contract():
             f = random_ratfun(F, rng)
             m = random_mobius(F, rng)
             p = random_point(F, rng)
-            if f.is_zero() or f.valuation(p) < 0:
+            if f.is_zero() or f.local(p)[0] < 0:
                 continue
             lhs = f.substitute(m).eval_at(m.place_action(p), 0)
             assert lhs == f.eval_at(p, 0)
@@ -159,7 +153,7 @@ def test_cyclic_subgroup_trivial_and_full():
 def test_cyclic_subgroup_order4_orbits():
     group = subgroup_cyclic_qplus1(F23, QUAD23, 4)
     ss = split_structure(group)
-    got = [{p.label() for p in orbit} for orbit in ss.free_orbits]
+    got = [{str(place_obj(F23, p)) for p in orbit} for orbit in ss.free_orbits]
     for want in ORBITS23:
         assert want in got
     assert len(got) == 6 and not ss.ramified
@@ -186,7 +180,7 @@ def test_split_structure_orbit_ordering():
     ss = split_structure(group)
     for orbit in ss.free_orbits:
         rep = orbit[0]
-        assert rep.sort_key() == min(p.sort_key() for p in orbit)
+        assert rep == min(orbit)
         for j, sigma in enumerate(group.elements):
             assert sigma.place_action(rep) == orbit[j]
 
@@ -200,7 +194,7 @@ def test_affine_trivial_and_translations():
     trans = subgroup_affine(F9, [F9.one], prime)
     assert trans.order == 3
     ss = split_structure(trans)
-    assert len(ss.ramified) == 1 and ss.ramified[0].is_infinity
+    assert len(ss.ramified) == 1 and ss.ramified[0] == F9.q
     assert len(ss.free_orbits) == 3  # 9 points in cosets of GF(3)
 
 
@@ -313,14 +307,14 @@ def test_fixed_field_generator_invariance_and_degree():
 def test_ratfun_eval_examples():
     F5 = field_create(5, 1)
     x = RationalFunction.x(F5)
-    assert x.eval_at(pt(F5, 3), 0) == F5.element(3)
+    assert x.eval_at(3, 0) == F5.element(3)
     # x^{k-1} at infinity with budget k-1 extracts the leading coefficient
     f = RationalFunction(Poly(F5, [0, 0, 0, 1]), Poly.one(F5))
-    assert f.eval_at(INF, 3) == F5.one
+    assert f.eval_at(F5.q, 3) == F5.one
     g = RationalFunction(Poly(F5, [4, 1]), Poly(F5, [3, 1]))  # (x-1)/(x-2)
-    assert g.eval_at(pt(F5, 2), 1) == F5.one
+    assert g.eval_at(2, 1) == F5.one
     with pytest.raises(ValueError):
-        g.eval_at(pt(F5, 2), 0)
+        g.eval_at(2, 0)
 
 
 def test_eval_at_reads_local_expansion():
@@ -334,26 +328,26 @@ def test_eval_at_reads_local_expansion():
             f = random_ratfun(F, rng)
             if f.is_zero():
                 continue
-            for p in all_points(F):
+            for p in range(F.q + 1):
                 v, u = f.local(p)
-                assert v == f.valuation(p)
-                if p.is_infinity:
+                assert v == divided_local(f, p)[0]
+                beta = None if p == F.q else F.element(p)
+                if beta is None:
                     assert u == (f.num.leading() / f.den.leading()).enc
-                elif f.den.eval(p.finite).enc:
+                elif f.den.eval(beta).enc:
                     assert v >= 0
-                    assert (f.num.eval(p.finite) / f.den.eval(p.finite)).enc == \
-                        f.eval_at(p).enc
+                    assert (f.num.eval(beta) / f.den.eval(beta)).enc == f.eval_at(p).enc
                     # at a root of num, v is its multiplicity and u the value
                     # of num / (x - beta)^v over den
-                    lin = Poly(F, (F.neg_enc(p.finite.enc), 1))
+                    lin = Poly(F, (F.neg_enc(p), 1))
                     rest, m = f.num, 0
-                    while not rest.eval(p.finite).enc:
+                    while not rest.eval(beta).enc:
                         rest, m = rest // lin, m + 1
                     assert v == m
-                    assert u == (rest.eval(p.finite) / f.den.eval(p.finite)).enc
+                    assert u == (rest.eval(beta) / f.den.eval(beta)).enc
                 for budget in range(3):
                     if v + budget < 0:
-                        where = "infinity" if p.is_infinity else p.finite.enc
+                        where = "infinity" if beta is None else p
                         with pytest.raises(ValueError, match=f"pole of order {-v} at {where} "):
                             f.eval_at(p, budget)
                         continue
@@ -365,9 +359,9 @@ def divided_local(f, p):
     """(v, u) of local(p) by long division: at finite beta, divide each of
     num and den by X - beta while the remainder, the value at beta, is 0."""
     F = f.field
-    if p.is_infinity:
+    if p == F.q:
         return f.den.degree - f.num.degree, F.mul_enc(f.num.coeffs[-1], F.inv_enc(f.den.coeffs[-1]))
-    lin = Poly(F, (F.neg_enc(p.finite.enc), 1))
+    lin = Poly(F, (F.neg_enc(p), 1))
 
     def split(poly):
         m = 0
@@ -398,11 +392,11 @@ def test_local_divides_on_from_the_first_horner_pass(p, s, monkeypatch):
         den = poly_from_roots(F, [F.element(r) for r in poles for _ in range(rng.randrange(1, 4))])
         num = num * Poly(F, [rng.randrange(1, F.q), rng.randrange(F.q)])
         f = RationalFunction(num, den)
-        for place in all_points(F):
+        for place in range(F.q + 1):
             want = divided_local(f, place)
             passes.clear()
             assert f.local(place) == want
-            if not place.is_infinity:
+            if place != F.q:
                 assert len(passes) == abs(want[0]) + 2
 
 
@@ -428,7 +422,7 @@ def test_factored_local_equals_the_multiplied_out_function(p, s, monkeypatch):
     for _, fns in factored_cases(F, random.Random(F.q), 6):
         taken.clear()
         for fn in fns * 2:
-            for place in all_points(F):
+            for place in range(F.q + 1):
                 fn.local(place)
         assert len(taken) == len({(json.dumps(f), place) for f, place in taken})
 
@@ -436,27 +430,27 @@ def test_factored_local_equals_the_multiplied_out_function(p, s, monkeypatch):
 def test_valuation_and_divisor():
     F5 = field_create(5, 1)
     x = RationalFunction.x(F5)
-    assert x.valuation(INF) == -1
-    assert x.valuation(pt(F5, 0)) == 1
+    assert x.local(F5.q)[0] == -1
+    assert x.local(0)[0] == 1
     support, residual = x.divisor_support()
-    assert support == {pt(F5, 0): 1, INF: -1} and residual == 0
+    assert support == {0: 1, F5.q: -1} and residual == 0
     rng = random.Random(10)
     for _ in range(100):
         f, g = random_ratfun(F5, rng), random_ratfun(F5, rng)
         p = random_point(F5, rng)
         if f.is_zero() or g.is_zero() or (f * g).is_zero():
             continue
-        assert (f * g).valuation(p) == f.valuation(p) + g.valuation(p)
+        assert (f * g).local(p)[0] == f.local(p)[0] + g.local(p)[0]
 
 
 def test_divisor_of_recorded_generator():
     group = subgroup_cyclic_qplus1(F23, QUAD23, 4)
     z = fixed_field_generator(group)
-    assert z.valuation(INF) == -1  # deg num = deg den + 1
+    assert z.local(INF23)[0] == -1  # deg num = deg den + 1
     support, residual = z.divisor_support()
     poles = {p for p, v in support.items() if v < 0}
-    den_roots = {pt(F23, e.enc) for e in F23.elements() if z.den.eval(e).enc == 0}
-    assert poles == den_roots | {INF}
+    den_roots = {e.enc for e in F23.elements() if z.den.eval(e).enc == 0}
+    assert poles == den_roots | {INF23}
     total = sum(support.values()) + residual
     assert total == 0
 
@@ -496,20 +490,18 @@ def test_action_tables_above_the_product_table_limit():
     checks, bad = group_disagreements(F, random.Random(257), cases=[])
     assert bad == [] and checks == 3 * 29
     for big in (field_create(23, 1), field_create(65521, 1)):
-        line = projective_line(big)
         m = Mobius(big, 1, 1, 0, 1)  # x |-> x + 1, which moves places by -1
-        assert m.place_action(line[0]) is line[big.q - 1]
-        assert m.point_action(line[0]) is line[1]
+        assert m.place_action(0) == big.q - 1
+        assert m.point_action(0) == 1
         assert len(m.place_table()) == 1 and len(m.point_table()) == 1
 
 
-def test_actions_return_the_shared_points():
-    line = projective_line(F23)
-    assert all_points(F23) == [line[i] for i in range(24)]
-    assert all(a is b for a, b in zip(all_points(F23), all_points(F23)))
+def test_actions_return_the_table_indices():
     m = Mobius(F23, 0, 1, 21, 5)
-    assert m.point_action(pt(F23, 9)) is line[7]
-    assert m.place_action(INF) is line[m.place_table()[23]]
+    assert m.point_action(9) == m.point_table()[9] == 7
+    assert m.place_action(INF23) == m.place_table()[INF23]
+    assert all(type(m.place_action(i)) is int for i in range(F23.q + 1))
+    assert [place_obj(F23, i) for i in (0, 22, INF23)] == [0, 22, "inf"]
 
 
 def test_build_group_shares_one_table_per_spec():

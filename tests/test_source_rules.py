@@ -20,7 +20,9 @@ Every function, method and class of the package is named somewhere in
 the package or the benchmark besides its own definition: library code
 that only its own test calls is deleted.  No module imports dataclasses
 or fractions, which every process would pay for at start-up, and a
-fresh interpreter that imports the command line loads neither.
+fresh interpreter that imports the command line loads neither.  A place
+is a plain int, its index, with q for infinity: no module names a point
+class ProjPoint or reads an attribute finite or is_infinity of one.
 """
 
 import ast
@@ -294,3 +296,39 @@ def test_cli_loads_without_dataclasses_or_fractions():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# a place is its index, q for infinity, so no module wraps it in a class
+PLACE_CLASS = "ProjPoint"
+PLACE_ATTRS = ("finite", "is_infinity")
+
+
+def place_wrapper_uses(tree):
+    """Lines that name the class PLACE_CLASS (a name, an attribute, an
+    import, a definition or a string such as an __all__ entry) or read an
+    attribute in PLACE_ATTRS."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and node.id == PLACE_CLASS
+                   or isinstance(node, ast.Attribute) and node.attr in (PLACE_CLASS, *PLACE_ATTRS)
+                   or isinstance(node, ast.alias) and node.name.rpartition(".")[2] == PLACE_CLASS
+                   or isinstance(node, ast.ClassDef) and node.name == PLACE_CLASS
+                   or isinstance(node, ast.Constant) and node.value == PLACE_CLASS})
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_places_are_plain_indices(path):
+    lines = place_wrapper_uses(parse(path))
+    assert lines == [], f"{path.name}: a place wrapped in a class on lines {lines}"
+
+
+def test_place_wrapper_uses_are_found():
+    source = ("from .pgl import ProjPoint\n"
+              "class ProjPoint:\n"
+              "    pass\n"
+              "inf = pgl.ProjPoint.infinity()\n"
+              "enc = pt.finite.enc\n"
+              "if pt.is_infinity:\n"
+              "    pass\n"
+              "__all__ = ['ProjPoint']\n"
+              "finite, is_infinity = 1, pt == q\n")
+    assert place_wrapper_uses(ast.parse(source)) == [1, 2, 4, 5, 6, 8]
