@@ -45,7 +45,7 @@ one.  A bundle's stored kind and params must agree with the derived ones.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -511,7 +511,7 @@ def _stripe_rows(
     budgets: Sequence[int],
     cache: dict,
 ) -> list[list[int]]:
-    """Row f, column P: (factor * (f o move)).eval_at(P, budget).enc.
+    """Row f, column P: (factor * (f o move)).eval_at(P, budget).
 
     A Moebius move is unramified, so f o move has f's valuation v at
     P and its unit value at move(P) times c^v, c = _derivative(move, P,
@@ -582,7 +582,7 @@ def _merge_by_evaluation(
     evaluation, which checks every coefficient on every basis function.
     """
     inv, mul = field.inv_enc, field.mul_table
-    units = [inv(f.eval_enc(p)) for f, places in zip(factors, kept) for p in places]
+    units = [inv(f.eval_at(p)) for f, places in zip(factors, kept) for p in places]
     kept_places = [p for places in kept for p in places]
     places = kept_places + list(written)
     budgets = [0] * len(kept_places) + [pole_budget if p == field.q else 0 for p in written]
@@ -711,7 +711,7 @@ def build_mds_merge(
         gen = MatQ(
             field,
             [
-                [f.eval_enc(pt, dims[j] - 1 if pt == q else 0) for pt in pts]
+                [f.eval_at(pt, dims[j] - 1 if pt == q else 0) for pt in pts]
                 for f in bases[j]
             ],
         )
@@ -807,7 +807,7 @@ def build_lrc_merge(
     z_part = FactoredFunction(field, [], z, [0], shared)  # z itself, read through shared
 
     def block_zval(places: Sequence[int]) -> int:
-        vals = [z_part.eval_enc(p) for p in places]
+        vals = [z_part.eval_at(p) for p in places]
         if any(v != vals[0] for v in vals):
             raise ValueError(
                 "subgroup blocks are not level sets of the fixed-field generator; "
@@ -828,9 +828,9 @@ def build_lrc_merge(
         roots = [] if img == q else [img] * (r - 1)
         parts = [a_zvals[i][jj] for jj in range(t) if jj != j for i in range(k)]
         if z_part.local(img)[0] >= 0:  # else rep stabilizes the pole locus of z
-            z_img = z_part.eval_enc(img)
+            z_img = z_part.eval_at(img)
             _check_pole_swap_divisor(
-                subgroup, z - RationalFunction.constant(field.element(z_img)), reps[j])
+                subgroup, z - RationalFunction.constant(field, z_img), reps[j])
             parts += [z_img] * (k - 1)
         factors.append(FactoredFunction(field, roots, z, parts, shared))
 
@@ -854,7 +854,7 @@ def build_lrc_merge(
     k_init = k * r
 
     init_gen = MatQ(
-        field, [[f.eval_enc(p) for p in init_places] for f in basis]
+        field, [[f.eval_at(p) for p in init_places] for f in basis]
     )
     init_labels_template = [f"p{place_obj(field, p)}" for p in init_places]
     init_codes = [
@@ -984,12 +984,12 @@ def build_mds_to_lrc(
         raise ValueError(f"initial lengths must lie in [{lo}, {field.q}]")
 
     if elements is None:
-        elems = [field.element(e) for e in range(locator_count)]
+        elems = list(range(locator_count))
     else:
-        elems = [field.element(e) for e in elements]
+        elems = [field.scalar(int(e)) for e in elements]
         if len(elems) != locator_count:
             raise ValueError(f"need exactly {locator_count} evaluation elements")
-        if len({e.enc for e in elems}) != locator_count:
+        if len(set(elems)) != locator_count:
             raise ValueError("evaluation elements must be distinct")
     alphas = [elems[i * k_init : (i + 1) * k_init] for i in range(t)]
     betas_flat = elems[t * k_init : t * k_init + a * tprime]
@@ -1001,7 +1001,7 @@ def build_mds_to_lrc(
 
     # group g holds the alphas of stripes g*s .. g*s + s - 1, then betas[g]
     # and the gammas
-    locators: list[FieldElem] = []
+    locators: list[int] = []
     labels: list[str] = []
     for g in range(tprime):
         for i in range(g * s, (g + 1) * s):
@@ -1013,7 +1013,7 @@ def build_mds_to_lrc(
     # delta - 1 local rows per group, powers 0 .. delta - 2 of its own
     # locators, then a * tprime global rows, powers delta - 1 .. d_final - 2
     # of every locator; not vandermonde, since the gammas repeat
-    powers = [[field.pow_enc(loc.enc, e) for e in range(d_final - 1)] for loc in locators]
+    powers = [[field.pow_enc(loc, e) for e in range(d_final - 1)] for loc in locators]
     local = [
         [powers[c][e] if c // group_size == g else 0 for c in range(n_final)]
         for g in range(tprime)
@@ -1031,18 +1031,13 @@ def build_mds_to_lrc(
     init_codes: list[LinearCode] = []
     terms_map: dict[int, list[tuple[int, int, int]]] = {w: [] for w in w_cols}
     for i in range(t):
-        alpha_set = {al.enc for al in alphas[i]}
-        xi = []
-        for e in field.elements():
-            if len(xi) == n_init[i] - k_init:
-                break
-            if e.enc not in alpha_set:
-                xi.append(e)
-        head = list(alphas[i]) + xi[: d_final - 1]
+        alpha_set = set(alphas[i])
+        xi = list(islice((e for e in range(field.q) if e not in alpha_set), n_init[i] - k_init))
+        head = alphas[i] + xi[: d_final - 1]
         w_i = grs_dual_prescribed(field, head, k_init)
-        mults = list(w_i) + [field.one] * (n_init[i] - len(head))
+        mults = list(w_i) + [1] * (n_init[i] - len(head))
         spec = GrsSpec(
-            locators=tuple(list(alphas[i]) + xi), k=k_init, multipliers=tuple(mults)
+            locators=tuple(alphas[i] + xi), k=k_init, multipliers=tuple(mults)
         )
         code_labels = [f"s{i + 1}:a{jj + 1}" for jj in range(k_init)] + [
             f"s{i + 1}:x{jj + 1}" for jj in range(len(xi))
@@ -1071,16 +1066,16 @@ def build_mds_to_lrc(
 
     gen_rows = plan.generator_rows(init_codes)
     final_code = LinearCode(field, generator=MatQ(field, gen_rows), parity=parity,
-                            labels=labels, places=tuple(loc.enc for loc in locators))
+                            labels=labels, places=tuple(locators))
     final_cert = _consecutive_groups(r, delta, group_size, tprime)
     provenance = {
         "s": s,
         "a": a,
         "tprime": tprime,
         "delta": delta,
-        "alphas": [[al.enc for al in row] for row in alphas],
-        "betas": [[be.enc for be in row] for row in betas],
-        "gammas": [ga.enc for ga in gammas],
+        "alphas": alphas,
+        "betas": betas,
+        "gammas": gammas,
     }
     return ConvertibleCode(
         initials=tuple(init_codes),

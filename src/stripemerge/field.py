@@ -66,11 +66,19 @@ quotient by X - x, each step acc = add_table[mul_table[x][acc]][c].
 No module but this one reads the exp, log and Zech tables; the kernels
 of poly, matrix and codes read add_table and mul_table.
 
+A scalar is a plain int, its encoding, everywhere in the library:
+polynomial coefficients, locators, multipliers and group parameters
+alike.  Each public entry that takes one from its caller refuses an int
+outside [0, q) through FieldCtx.scalar, since a negative one would index
+a table from its end.  FieldElem is only the symbol type of the word API
+(FieldCtx.word and element, LinearCode.encode and contains, execute):
+an encoding with its field and no arithmetic, so that symbols of
+different fields never mix; encodings refuses a word with a symbol of
+another field.
+
 A FieldCtx is immutable after construction and safe to share between
 threads (two threads that build a packed table, the element table or a
-table row at once build equal ones).  Elements of different contexts
-never mix: any cross-field operation raises ValueError instead of
-coercing.
+table row at once build equal ones).
 """
 
 from __future__ import annotations
@@ -80,7 +88,7 @@ from array import array
 import math
 from operator import getitem
 import sys
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .schema import as_int, as_ints, as_object
 
@@ -274,7 +282,7 @@ class FieldCtx:
             self.modulus = modulus
         self._exp, self._log, self._zech = self._build_tables()
         self._log_minus_one = self._log[p - 1]
-        # word, element, zero and one hand out the shared instances of
+        # word and element hand out the shared instances of
         # _elements: all q of them, or above TABLE_Q each made on its first
         # lookup, so that a large field builds only the elements it hands out
         self._elements: tuple[FieldElem, ...] | _Rows
@@ -392,6 +400,21 @@ class FieldCtx:
             return 0 if e else 1
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
+    def scalar(self, e: int) -> int:
+        """e, if it is an encoding in [0, q); otherwise ValueError.  The one
+        range check of every public entry that takes a scalar from its
+        caller: a negative encoding would otherwise index a table from its
+        end and wrap silently."""
+        if not 0 <= e < self.q:
+            raise ValueError(f"encoding {e} out of range for GF({self.q})")
+        return e
+
+    def order_enc(self, a: int) -> int:
+        """Least e >= 1 with a^e = 1: (q - 1) / gcd(log a, q - 1)."""
+        if a == 0:
+            raise ZeroDivisionError("zero has no multiplicative order")
+        return (self.q - 1) // math.gcd(self._log[a], self.q - 1)
+
     def row_logs(self, row: Sequence[int], start: int = 0) -> list[tuple[int, int]]:
         """(j, log row[j]) for every nonzero row[j] with j >= start: a
         source row for sub_scaled, taken once and used for many rows."""
@@ -435,6 +458,8 @@ class FieldCtx:
             table = self._packed[stride] = half + half
         return table
 
+    # -- words: the symbols of codewords ------------------------------------
+
     def encodings(self, word: Sequence[FieldElem]) -> list[int]:
         """The encodings of word's symbols.  Raises ValueError, naming the
         coordinate and both fields, for a symbol of another field; an
@@ -460,25 +485,8 @@ class FieldCtx:
         elements = self._elements
         return tuple([elements[e] for e in encs])
 
-    # -- element factory -----------------------------------------------------
-
     def element(self, enc: int) -> FieldElem:
-        enc = int(enc)
-        if not 0 <= enc < self.q:
-            raise ValueError(f"encoding {enc} out of range for GF({self.q})")
-        return self._elements[enc]
-
-    @property
-    def zero(self) -> FieldElem:
-        return self._elements[0]
-
-    @property
-    def one(self) -> FieldElem:
-        return self._elements[1]
-
-    def elements(self) -> Iterator[FieldElem]:
-        for enc in range(self.q):
-            yield FieldElem(self, enc)
+        return self._elements[self.scalar(int(enc))]
 
     # -- identity / serialization -------------------------------------------
 
@@ -734,46 +742,15 @@ class ColumnSums:
 
 
 class FieldElem:
-    """An element of a FieldCtx; immutable value type."""
+    """A symbol of a codeword: an encoding with its field, as the word API
+    (FieldCtx.word, LinearCode.encode, execute) hands symbols out.  Every
+    other scalar is a plain int encoding; FieldElem has no arithmetic."""
 
     __slots__ = ("field", "enc")
 
     def __init__(self, field: FieldCtx, enc: int):
         self.field = field
         self.enc = enc
-
-    def _check(self, other: FieldElem) -> None:
-        if not isinstance(other, FieldElem):
-            raise TypeError(f"expected FieldElem, got {type(other).__name__}")
-        if other.field != self.field:
-            raise ValueError("operands belong to different fields")
-
-    def __add__(self, other: FieldElem) -> FieldElem:
-        self._check(other)
-        return FieldElem(self.field, self.field.add_enc(self.enc, other.enc))
-
-    def __sub__(self, other: FieldElem) -> FieldElem:
-        self._check(other)
-        return FieldElem(self.field, self.field.sub_enc(self.enc, other.enc))
-
-    def __mul__(self, other: FieldElem) -> FieldElem:
-        self._check(other)
-        return FieldElem(self.field, self.field.mul_enc(self.enc, other.enc))
-
-    def __truediv__(self, other: FieldElem) -> FieldElem:
-        self._check(other)
-        return FieldElem(
-            self.field, self.field.mul_enc(self.enc, self.field.inv_enc(other.enc))
-        )
-
-    def __pow__(self, e: int) -> FieldElem:
-        return FieldElem(self.field, self.field.pow_enc(self.enc, int(e)))
-
-    def __neg__(self) -> FieldElem:
-        return FieldElem(self.field, self.field.neg_enc(self.enc))
-
-    def inverse(self) -> FieldElem:
-        return FieldElem(self.field, self.field.inv_enc(self.enc))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -784,16 +761,6 @@ class FieldElem:
 
     def __hash__(self) -> int:
         return hash((self.field.p, self.field.s, self.enc))
-
-    def __bool__(self) -> bool:
-        return self.enc != 0
-
-    def multiplicative_order(self) -> int:
-        """Least e >= 1 with self^e = 1: (q - 1) / gcd(log self, q - 1)."""
-        if self.enc == 0:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        order = self.field.q - 1
-        return order // math.gcd(self.field._log[self.enc], order)
 
     def __repr__(self) -> str:
         return f"<{self.enc} in GF({self.field.q})>"
@@ -847,9 +814,11 @@ def _x_power(field: FieldCtx, a: int, b: int, e: int) -> tuple[int, int]:
     return result
 
 
-def _is_primitive_quadratic(field: FieldCtx, a: int, b: int) -> bool:
-    """The three tests above, on encodings, cheapest first."""
+def primitive_quadratic_check(field: FieldCtx, a: int, b: int) -> bool:
+    """True iff x^2 + a x + b is irreducible over GF(q) with root of order
+    q^2 - 1: the three tests above, on encodings, cheapest first."""
     q = field.q
+    a, b = field.scalar(a), field.scalar(b)
     if not b or math.gcd(field._log[b], q - 1) != 1:
         return False
     if field.p == 2:
@@ -869,16 +838,10 @@ def _is_primitive_quadratic(field: FieldCtx, a: int, b: int) -> bool:
     return all(_x_power(field, a, b, (q + 1) // prime)[1] for prime in _factorize(q + 1))
 
 
-def primitive_quadratic_check(a: FieldElem, b: FieldElem) -> bool:
-    """True iff x^2 + a x + b is irreducible over GF(q) with root of order q^2 - 1."""
-    a._check(b)
-    return _is_primitive_quadratic(a.field, a.enc, b.enc)
-
-
-def primitive_quadratic_search(field: FieldCtx) -> tuple[FieldElem, FieldElem]:
+def primitive_quadratic_search(field: FieldCtx) -> tuple[int, int]:
     """First (a, b) in ascending-encoding scan with x^2 + a x + b primitive."""
-    for a_enc in range(field.q):
-        for b_enc in range(field.q):
-            if _is_primitive_quadratic(field, a_enc, b_enc):
-                return field.element(a_enc), field.element(b_enc)
+    for a in range(field.q):
+        for b in range(field.q):
+            if primitive_quadratic_check(field, a, b):
+                return a, b
     raise AssertionError("no primitive quadratic exists")  # unreachable for q >= 2

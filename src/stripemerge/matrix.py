@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .field import FieldCtx, FieldElem
+from .field import FieldCtx
 from .schema import as_ints, as_list
 
 
@@ -204,13 +204,14 @@ def rank_of_rows(field: FieldCtx, rows: Sequence[Sequence[int]]) -> int:
 def vandermonde(
     field: FieldCtx,
     k: int,
-    locators: Sequence[FieldElem],
-    multipliers: Optional[Sequence[FieldElem]] = None,
+    locators: Sequence[int],
+    multipliers: Optional[Sequence[int]] = None,
 ) -> MatQ:
-    """Rows i in [0,k) of v_j * alpha_j^i over pairwise distinct locators."""
+    """Rows i in [0,k) of v_j * alpha_j^i over pairwise distinct locator
+    encodings alpha_j, with multiplier encodings v_j (all 1 by default)."""
     if k < 1:
         raise ValueError("vandermonde needs at least one row")
-    encs = [a.enc for a in locators]
+    encs = [field.scalar(a) for a in locators]
     if len(set(encs)) != len(encs):
         raise ValueError("repeated locator")
     if multipliers is None:
@@ -218,7 +219,7 @@ def vandermonde(
     else:
         if len(multipliers) != len(encs):
             raise ValueError("multiplier length mismatch")
-        mults = [v.enc for v in multipliers]
+        mults = [field.scalar(v) for v in multipliers]
         if any(v == 0 for v in mults):
             raise ValueError("zero column multiplier")
     data = []

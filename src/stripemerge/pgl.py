@@ -27,7 +27,11 @@ reproducible.
 A point of the line, or the place at it, is a plain int, its index: the
 encoding of a finite point, and q for infinity.  The actions, function
 evaluation and the orbit split take and return indices, and place_obj
-writes one as labels and provenance do, "inf" for q.  Both actions are
+writes one as labels and provenance do, "inf" for q.  Every scalar is a
+plain int encoding too: a constant function, a value read at a place,
+and a subgroup's parameters (the quadratic, the affine parts, the
+dihedral rotation), which the constructors refuse outside [0, q)
+(FieldCtx.scalar).  Both actions are
 read off tables: each Mobius holds, from its first use, a table of the
 index of the image of each point, filled one entry at a time on first
 lookup by field arithmetic (_coord), so that no lookup costs O(q) in any
@@ -55,7 +59,7 @@ import functools
 from collections import Counter
 from typing import Iterable, Optional, Sequence
 
-from .field import FieldCtx, FieldElem, primitive_quadratic_check, primitive_quadratic_search
+from .field import FieldCtx, primitive_quadratic_check, primitive_quadratic_search
 from .poly import Poly, divide_out
 from .schema import as_encs, as_int, as_list, as_object
 
@@ -338,7 +342,7 @@ class RationalFunction:
         else:
             num, den = _cancel(num, den)
             if den.coeffs[-1] != 1:
-                lead_inv = den.leading().inverse()
+                lead_inv = num.field.inv_enc(den.coeffs[-1])
                 num, den = num.scale(lead_inv), den.scale(lead_inv)
         self.num = num
         self.den = den
@@ -356,8 +360,8 @@ class RationalFunction:
         return cls(Poly.x(field), Poly.one(field))
 
     @classmethod
-    def constant(cls, c: FieldElem) -> RationalFunction:
-        return cls(Poly.constant(c), Poly.one(c.field))
+    def constant(cls, field: FieldCtx, c: int) -> RationalFunction:
+        return cls(Poly.constant(field, c), Poly.one(field))
 
     @property
     def field(self) -> FieldCtx:
@@ -414,7 +418,7 @@ class RationalFunction:
         if e < 0:
             if not num.coeffs:
                 raise ZeroDivisionError("zero denominator")
-            lead_inv = num.leading().inverse()
+            lead_inv = num.field.inv_enc(num.coeffs[-1])
             num, den, e = den.scale(lead_inv), num.scale(lead_inv), -e
         return RationalFunction._from_coprime(num ** e, den ** e)
 
@@ -435,7 +439,7 @@ class RationalFunction:
             out = Poly.zero(f)
             for i, ci in enumerate(p.coeffs):
                 if ci:
-                    out = out + (pow_num[i] * pow_den[deg - i]).scale(f.element(ci))
+                    out = out + (pow_num[i] * pow_den[deg - i]).scale(ci)
             return out
 
         return RationalFunction(push(self.num), push(self.den))
@@ -464,12 +468,9 @@ class RationalFunction:
                 v = -m
         return v, f.mul_table[a][f.inv_enc(b)]
 
-    def eval_at(self, pt: int, pole_budget: int = 0) -> FieldElem:
-        """(pi^m f)(P) with pi = x - beta at finite beta and 1/x at infinity."""
-        return FieldElem(self.field, self.eval_enc(pt, pole_budget))
-
-    def eval_enc(self, pt: int, pole_budget: int = 0) -> int:
-        """eval_at(pt, pole_budget) as an encoding (_value_at)."""
+    def eval_at(self, pt: int, pole_budget: int = 0) -> int:
+        """The encoding of (pi^m f)(P), m = pole_budget, with pi = x - beta
+        at finite beta and 1/x at infinity (_value_at)."""
         return _value_at(self, pt, pole_budget) if self.num.coeffs else 0
 
     def divisor_support(self) -> tuple[dict[int, int], int]:
@@ -534,12 +535,12 @@ class FactoredFunction:
                     pv, pu = 0, d
                 else:
                     pv, pu = self.shared.get((c, pt)) or self.shared.setdefault(
-                        (c, pt), (self.z + RationalFunction.constant(f.element(c))).local(pt))
+                        (c, pt), (self.z + RationalFunction.constant(f, c)).local(pt))
                 v += e * pv
                 u = mul[u][pu if e == 1 else power(pu, e)]
         return v, u
 
-    eval_enc = _value_at
+    eval_at = _value_at
 
 
 def _cancel(p: Poly, q: Poly) -> tuple[Poly, Poly]:
@@ -562,33 +563,34 @@ def pole_budget_error(field: FieldCtx, order: int, pt: int, pole_budget: int) ->
 # -- subgroup families -------------------------------------------------------
 
 
-def _qplus1_power(field: FieldCtx, a: FieldElem, b: FieldElem, m: int) -> Mobius:
+def _qplus1_power(field: FieldCtx, a: int, b: int, m: int) -> Mobius:
     """eta^((q+1)/m) for eta(x) = 1/(-b x - a), once its order q + 1, given
     by the primitive quadratic x^2 + a x + b, is re-verified by brute force."""
-    eta = Mobius(field, 0, 1, field.neg_enc(b.enc), field.neg_enc(a.enc))
+    eta = Mobius(field, 0, 1, field.neg_enc(b), field.neg_enc(a))
     if eta.order() != field.q + 1:
         raise AssertionError("primitive quadratic did not induce an order q+1 map")
     return eta.power((field.q + 1) // m)
 
 
 def subgroup_cyclic_qplus1(
-    field: FieldCtx, quad: tuple[FieldElem, FieldElem], d: int
+    field: FieldCtx, quad: tuple[int, int], d: int
 ) -> GroupTable:
-    """The order-d subgroup of the cyclic group induced by a primitive quadratic.
+    """The order-d subgroup of the cyclic group induced by a primitive
+    quadratic, given by the encodings (a, b) of x^2 + a x + b.
 
     x^2 + a x + b primitive makes eta(x) = 1/(-b x - a) an element of order
     q + 1 acting in a single cycle on all rational places; the order is
     re-verified by brute force before powering.
     """
     a, b = quad
-    if not primitive_quadratic_check(a, b):
+    if not primitive_quadratic_check(field, a, b):
         raise ValueError("quadratic is not primitive")
     q = field.q
     if d < 1 or (q + 1) % d:
         raise ValueError(f"{d} does not divide q + 1 = {q + 1}")
     table = GroupTable.from_generators(
         field, [_qplus1_power(field, a, b, d)],
-        recipe={"kind": "cyclic_qplus1", "quad": [a.enc, b.enc], "d": d},
+        recipe={"kind": "cyclic_qplus1", "quad": [a, b], "d": d},
     )
     if table.order != d:
         raise AssertionError("cyclic subgroup has wrong order")
@@ -596,13 +598,13 @@ def subgroup_cyclic_qplus1(
 
 
 def subgroup_affine(
-    field: FieldCtx, mult_part: Sequence[FieldElem], add_part: Sequence[FieldElem]
+    field: FieldCtx, mult_part: Sequence[int], add_part: Sequence[int]
 ) -> GroupTable:
     """All maps x |-> a x + b with a in the multiplicative subgroup and b in
-    the additive one; requires the additive part to be stable under the
-    multiplicative part.  Fixes the infinite place."""
-    h = {e.enc for e in mult_part}
-    w = {e.enc for e in add_part}
+    the additive one, both given as encodings; requires the additive part
+    to be stable under the multiplicative part.  Fixes the infinite place."""
+    h = set(map(field.scalar, mult_part))
+    w = set(map(field.scalar, add_part))
     if 1 not in h or 0 in h:
         raise ValueError("multiplicative part must contain 1 and exclude 0")
     if 0 not in w:
@@ -640,13 +642,12 @@ def subgroup_dihedral(field: FieldCtx, u: int, variant: str) -> GroupTable:
             raise ValueError(f"{u} does not divide q + 1 = {q + 1}")
         a, b = primitive_quadratic_search(field)
         sigma = _qplus1_power(field, a, b, u)  # -1 = 1 here: eta(x) = 1/(b x + a)
-        tau = Mobius(field, 0, 1, b.enc, 0)
+        tau = Mobius(field, 0, 1, b, 0)
     elif variant == "q_minus":
         if u < 1 or (q - 1) % u:
             raise ValueError(f"{u} does not divide q - 1 = {q - 1}")
-        c = next(e for e in field.elements() if e.enc > 1 and e.multiplicative_order() == u) \
-            if u > 1 else field.one
-        sigma = Mobius(field, c.enc, 0, 0, 1)
+        c = next(c for c in range(2, q) if field.order_enc(c) == u) if u > 1 else 1
+        sigma = Mobius(field, c, 0, 0, 1)
         tau = Mobius(field, 0, 1, 1, 0)
     else:
         raise ValueError(f"unknown dihedral variant {variant!r}")
@@ -701,10 +702,9 @@ def _shared_group(field: FieldCtx, key: tuple) -> GroupTable:
     kind = key[0]
     if kind == "cyclic_qplus1":
         quad, d = key[1:]
-        return subgroup_cyclic_qplus1(field, tuple(map(field.element, quad)), d)
+        return subgroup_cyclic_qplus1(field, quad, d)
     if kind == "affine":
-        mult, add = key[1:]
-        return subgroup_affine(field, list(map(field.element, mult)), list(map(field.element, add)))
+        return subgroup_affine(field, *key[1:])
     if kind == "dihedral":
         return subgroup_dihedral(field, *key[1:])
     return GroupTable(field, [Mobius(field, *m) for m in key[1]])
@@ -771,11 +771,11 @@ def fixed_field_generator(group: GroupTable) -> RationalFunction:
     def candidates():
         # built one at a time, as the first one usually wins
         for power in (1, 2, 3):
-            acc = RationalFunction.constant(field.zero)
+            acc = RationalFunction.constant(field, 0)
             for img in images:
                 acc = acc + img ** power
             yield acc
-        prod = RationalFunction.constant(field.one)
+        prod = RationalFunction.constant(field, 1)
         for img in images:
             prod = prod * img
         yield prod

@@ -10,15 +10,17 @@ one that vanishes there.  divide_out is repeated synthetic division, one
 Horner pass per root divided out, and long division subtracts multiples
 of the divisor through FieldCtx.sub_scaled.  Products read the field's
 add_table and mul_table rows: each term is two index operations.
-Coefficients are exact int encodings, copied as given.
-Operands of different fields raise ValueError.
+Coefficients and every other scalar (a constant, a factor of scale, a
+point of eval, a root) are plain int encodings; a scalar from the
+caller outside [0, q) is refused (FieldCtx.scalar), and coefficients are
+copied as given.  Operands of different fields raise ValueError.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .field import FieldCtx, FieldElem
+from .field import FieldCtx
 
 
 def _check_field(f: FieldCtx, other: FieldCtx) -> None:
@@ -49,8 +51,8 @@ class Poly:
         return cls(field, (0, 1))
 
     @classmethod
-    def constant(cls, c: FieldElem) -> Poly:
-        return cls(c.field, (c.enc,))
+    def constant(cls, field: FieldCtx, c: int) -> Poly:
+        return cls(field, (field.scalar(c),))
 
     @property
     def degree(self) -> int:
@@ -58,11 +60,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading(self) -> FieldElem:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.field.element(self.coeffs[-1])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -106,10 +103,9 @@ class Poly:
                     out[j] = add[out[j]][times_a[b]]
         return Poly(f, out)
 
-    def scale(self, c: FieldElem) -> Poly:
+    def scale(self, c: int) -> Poly:
         f = self.field
-        _check_field(f, c.field)
-        times = f.mul_table[c.enc]
+        times = f.mul_table[f.scalar(c)]
         return Poly(f, [times[a] for a in self.coeffs])
 
     def __pow__(self, e: int) -> Poly:
@@ -161,13 +157,12 @@ class Poly:
     def monic(self) -> Poly:
         if self.is_zero():
             raise ValueError("zero polynomial cannot be made monic")
-        return self.scale(self.field.element(self.field.inv_enc(self.coeffs[-1])))
+        return self.scale(self.field.inv_enc(self.coeffs[-1]))
 
-    def eval(self, x: FieldElem) -> FieldElem:
+    def eval(self, x: int) -> int:
         f = self.field
-        _check_field(f, x.field)
-        partial = f.horner(self.coeffs[::-1], x.enc)
-        return FieldElem(f, partial[-1] if partial else 0)
+        partial = f.horner(self.coeffs[::-1], f.scalar(x))
+        return partial[-1] if partial else 0
 
     def to_obj(self) -> list[int]:
         return list(self.coeffs)
@@ -191,9 +186,9 @@ def divide_out(field: FieldCtx, partial: list[int], x: int) -> tuple[int, int]:
     return m, partial[-1]
 
 
-def poly_from_roots(field: FieldCtx, roots: Iterable[FieldElem]) -> Poly:
-    """Monic product of (x - r) over the given roots."""
+def poly_from_roots(field: FieldCtx, roots: Iterable[int]) -> Poly:
+    """Monic product of (x - r) over the given root encodings."""
     out = Poly.one(field)
     for r in roots:
-        out = out * Poly(field, (field.neg_enc(r.enc), 1))
+        out = out * Poly(field, (field.neg_enc(field.scalar(r)), 1))
     return out

@@ -5,7 +5,7 @@
 For each prime power q <= 256, and GF(257) and GF(289) (whose addition
 and product table rows are made on lookup),
 paper_lemmas.factored_disagreements compares FactoredFunction.local,
-and eval_enc with pole budgets 0 to 2, with those of the function
+and eval_at with pole budgets 0 to 2, with those of the function
 multiplied out as one RationalFunction at every place of the projective
 line, on 20 seeded cases of three functions sharing one z: roots of
 multiplicity up to 3, 0 among them, and parts z - c of a non-monic z

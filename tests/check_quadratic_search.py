@@ -32,8 +32,8 @@ def main() -> int:
         F = field_create(p, s)
         fast, ref = primitive_quadratic_search(F), reference_quadratic_search(F)
         if fast != ref:
-            bad.append(f"GF({F.q}): search gives {[e.enc for e in fast]}, "
-                       f"the reference {[e.enc for e in ref]}")
+            bad.append(f"GF({F.q}): search gives {list(fast)}, "
+                       f"the reference {list(ref)}")
     print(f"{len(fields)} fields with q <= {LIMIT}, {len(bad)} disagree")
     for line in bad:
         print(line)

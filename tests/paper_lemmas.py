@@ -7,7 +7,7 @@ the tests:
 * reference_quadratic_check and reference_quadratic_search: x^2 + a x + b
   is primitive iff no field element is a root and the class of X in
   GF(q)[x]/(x^2 + a x + b) has multiplicative order q^2 - 1, found by
-  raising X to (q^2 - 1)/l for each prime l | q^2 - 1 on FieldElem pairs;
+  raising X to (q^2 - 1)/l for each prime l | q^2 - 1 on encoding pairs;
 * multiplicative_subgroup and subfield_elements: the order-u subgroup of
   GF(q)* and the subfield GF(p^v), by scanning the field;
 * enumerated_min_distance: the least weight of m * G over every nonzero
@@ -29,7 +29,7 @@ the tests:
   which the action tables and the signature-based group code of pgl are
   checked against, on the groups of group_cases by group_disagreements;
 * multiplied_out: a FactoredFunction built as one RationalFunction,
-  whose local and eval_enc FactoredFunction's are checked against, on the
+  whose local and eval_at FactoredFunction's are checked against, on the
   functions of factored_cases by factored_disagreements;
 * reference_dual_prescribed: the prescribed GRS dual multipliers as
   MatQ.kernel's basis vector of V_{n-1}, which grs_dual_prescribed's
@@ -40,7 +40,7 @@ import itertools
 from collections import Counter
 
 from stripemerge.codes import LinearCode, grs_certificate
-from stripemerge.field import FieldCtx, FieldElem, _factorize, primitive_quadratic_search
+from stripemerge.field import FieldCtx, _factorize, primitive_quadratic_search
 from stripemerge.matrix import MatQ, rank_of_rows, vandermonde
 from stripemerge.pgl import (
     FactoredFunction,
@@ -55,60 +55,61 @@ from stripemerge.pgl import (
 )
 
 
-def _quad_mul(x, y, a: FieldElem, b: FieldElem):
+def _quad_mul(field: FieldCtx, x, y, a: int, b: int):
+    """(u1 + v1 X)(u2 + v2 X) mod X^2 + a X + b, on encoding pairs."""
+    add, sub, mul = field.add_enc, field.sub_enc, field.mul_enc
     u1, v1 = x
     u2, v2 = y
-    vv = v1 * v2
-    return (u1 * u2 - b * vv, u1 * v2 + u2 * v1 - a * vv)
+    vv = mul(v1, v2)
+    return (sub(mul(u1, u2), mul(b, vv)), sub(add(mul(u1, v2), mul(u2, v1)), mul(a, vv)))
 
 
-def _quad_pow(x, e: int, a: FieldElem, b: FieldElem, field: FieldCtx):
-    result = (field.one, field.zero)
+def _quad_pow(field: FieldCtx, x, e: int, a: int, b: int):
+    result = (1, 0)
     while e:
         if e & 1:
-            result = _quad_mul(result, x, a, b)
-        x = _quad_mul(x, x, a, b)
+            result = _quad_mul(field, result, x, a, b)
+        x = _quad_mul(field, x, x, a, b)
         e >>= 1
     return result
 
 
-def reference_quadratic_check(a: FieldElem, b: FieldElem) -> bool:
+def reference_quadratic_check(field: FieldCtx, a: int, b: int) -> bool:
     """True iff x^2 + a x + b has no root in GF(q) and X has order q^2 - 1."""
-    field = a.field
-    for beta in field.elements():
-        if beta * beta + a * beta + b == field.zero:
+    add, mul = field.add_enc, field.mul_enc
+    for beta in range(field.q):
+        if add(add(mul(beta, beta), mul(a, beta)), b) == 0:
             return False
-    root = (field.zero, field.one)
-    one = (field.one, field.zero)
     order = field.q ** 2 - 1
     for prime in _factorize(order):
-        if _quad_pow(root, order // prime, a, b, field) == one:
+        if _quad_pow(field, (0, 1), order // prime, a, b) == (1, 0):
             return False
     return True
 
 
-def reference_quadratic_search(field: FieldCtx) -> tuple[FieldElem, FieldElem]:
+def reference_quadratic_search(field: FieldCtx) -> tuple[int, int]:
     """First (a, b) in ascending-encoding scan that reference_quadratic_check accepts."""
-    for a in field.elements():
-        for b in field.elements():
-            if reference_quadratic_check(a, b):
+    for a in range(field.q):
+        for b in range(field.q):
+            if reference_quadratic_check(field, a, b):
                 return (a, b)
     raise AssertionError("no primitive quadratic exists")
 
 
-def multiplicative_subgroup(field: FieldCtx, u: int) -> list[FieldElem]:
-    """The unique order-u subgroup of GF(q)*, ascending encodings."""
+def multiplicative_subgroup(field: FieldCtx, u: int) -> list[int]:
+    """The encodings of the unique order-u subgroup of GF(q)*, ascending."""
     if u < 1 or (field.q - 1) % u:
         raise ValueError(f"{u} does not divide q - 1 = {field.q - 1}")
-    return [e for e in field.elements() if e.enc and e ** u == field.one]
+    return [e for e in range(1, field.q) if field.pow_enc(e, u) == 1]
 
 
-def subfield_elements(field: FieldCtx, v: int) -> list[FieldElem]:
-    """GF(p^v) inside GF(p^s): fixed points of the v-fold Frobenius."""
+def subfield_elements(field: FieldCtx, v: int) -> list[int]:
+    """GF(p^v) inside GF(p^s): fixed points of the v-fold Frobenius, as
+    ascending encodings."""
     if v < 1 or field.s % v:
         raise ValueError(f"GF({field.p}^{v}) is not a subfield of GF({field.q})")
     size = field.p ** v
-    return [e for e in field.elements() if e ** size == e]
+    return [e for e in range(field.q) if field.pow_enc(e, size) == e]
 
 
 def enumerated_min_distance(code: LinearCode) -> int:
@@ -415,12 +416,12 @@ def group_cases(F: FieldCtx) -> list:
             for u in (u for u in range(1, size + 1) if size % u == 0):
                 cases.append((f"dihedral {variant} u={u}", subgroup_dihedral(F, u, variant)))
     for u in (u for u in range(1, q) if (q - 1) % u == 0):
-        cases.append((f"affine u={u}", subgroup_affine(F, multiplicative_subgroup(F, u), [F.zero])))
-    prime_field = [F.element(e) for e in range(F.p)] if F.s == 1 else subfield_elements(F, 1)
-    cases.append(("affine translations", subgroup_affine(F, [F.one], prime_field)))
+        cases.append((f"affine u={u}", subgroup_affine(F, multiplicative_subgroup(F, u), [0])))
+    prime_field = list(range(F.p)) if F.s == 1 else subfield_elements(F, 1)
+    cases.append(("affine translations", subgroup_affine(F, [1], prime_field)))
     if q > 2:
         # every element fixes 0 and 1, so only infinity tells cosets apart
-        lam = next(e.enc for e in F.elements() if e.enc > 1 and e.multiplicative_order() == q - 1)
+        lam = next(e for e in range(2, q) if F.order_enc(e) == q - 1)
         fixing = Mobius(F, lam, 0, F.sub_enc(lam, 1), 1)
         cases.append(("explicit fixing 0 and 1", GroupTable.from_generators(F, [fixing])))
     return cases
@@ -515,10 +516,10 @@ def multiplied_out(fn: FactoredFunction) -> RationalFunction:
     """fn as one RationalFunction: its root part and parts multiplied out.
     Both are kept negated, so x - c is x + root and z - c is z + part."""
     F = fn.field
-    out = RationalFunction.constant(F.one)
+    out = RationalFunction.constant(F, 1)
     for base, factors in ((RationalFunction.x(F), fn.roots), (fn.z, fn.parts)):
         for c, m in factors.items():
-            out = out * (base + RationalFunction.constant(F.element(c))) ** m
+            out = out * (base + RationalFunction.constant(F, c)) ** m
     return out
 
 
@@ -533,9 +534,9 @@ def factored_cases(F: FieldCtx, rng, count: int) -> list[tuple[RationalFunction,
     x = RationalFunction.x(F)
     cases = []
     for n in range(count):
-        z = RationalFunction.constant(F.element(rng.randrange(1, F.q)))
+        z = RationalFunction.constant(F, rng.randrange(1, F.q))
         for a in rng.sample(range(F.q), min(rng.randrange(1, 4), F.q)):
-            z = z * (x - RationalFunction.constant(F.element(a))) ** rng.choice(
+            z = z * (x - RationalFunction.constant(F, a)) ** rng.choice(
                 (-3, -2, -1, 1, 2, 3))
         shared: dict = {}
         fns = []
@@ -556,13 +557,13 @@ def factored_cases(F: FieldCtx, rng, count: int) -> list[tuple[RationalFunction,
 
 def _outcome(f, pt, budget):
     try:
-        return f.eval_enc(pt, budget)
+        return f.eval_at(pt, budget)
     except ValueError as exc:
         return str(exc)
 
 
 def factored_disagreements(F: FieldCtx, rng, count: int):
-    """Compare FactoredFunction.local, and eval_enc with pole budgets 0 to
+    """Compare FactoredFunction.local, and eval_at with pole budgets 0 to
     2 (its value or its ValueError's message), with the multiplied-out
     function's at every place of the line, on factored_cases(F, rng,
     count).  Returns the checks made, the kinds of place reached, and the
@@ -582,7 +583,7 @@ def factored_disagreements(F: FieldCtx, rng, count: int):
                                 else "z = c" if any(F.add_enc(uz, c) == 0 for c in fn.parts)
                                 else "z finite")
                 pairs = [("local", fn.local(pt), ref.local(pt))]
-                pairs += [(f"eval_enc budget {b}", _outcome(fn, pt, b), _outcome(ref, pt, b))
+                pairs += [(f"eval_at budget {b}", _outcome(fn, pt, b), _outcome(ref, pt, b))
                           for b in range(3)]
                 reached |= {"raised" for _, _, want in pairs if isinstance(want, str)}
                 for what, fast, want in pairs:

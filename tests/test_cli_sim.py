@@ -66,7 +66,7 @@ def write_json(path, obj):
 @pytest.fixture(scope="module")
 def cc_q23():
     F = field_create(23, 1)
-    group = subgroup_cyclic_qplus1(F, (F.element(21), F.element(5)), 4)
+    group = subgroup_cyclic_qplus1(F, (21, 5), 4)
     return build_mds_merge(F, group, k=5, t=4, lprime=4,
                            evaluate_at_pole=True, per_initial_dims=(5, 5, 5, 4))
 
@@ -257,6 +257,17 @@ def test_cli_construct_validation_error(tmp_path, capsys):
         assert err["error"]["message"] == "need 1 <= t <= 4"
 
 
+@pytest.mark.parametrize("bad", [-1, 23])
+def test_cli_construct_refuses_an_element_outside_the_field(tmp_path, capsys, bad):
+    # VI_REQUEST is the benchmark's q23_mds_to_lrc request, which takes 19
+    # evaluation elements; a negative one would index a table from its end
+    elements = [bad] + list(range(1, 19))
+    request = dict(VI_REQUEST, params=dict(VI_REQUEST["params"], elements=elements))
+    assert main(["construct", "--request", write_json(tmp_path / "r.json", request)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["message"] == f"encoding {bad} out of range for GF(23)"
+
+
 def test_cli_verify_detects_corruption(tmp_path, capsys):
     req = write_json(tmp_path / "req.json", VI_REQUEST)
     bundle_path = tmp_path / "bundle.json"
@@ -317,7 +328,7 @@ def _bundles():
     q32 = build_lrc_merge(F32, dihedral, cyclic_subgroup_of_order(dihedral, 3),
                           k=2, t=2, lprime=2)
     vi = build_mds_to_lrc(F23, s=2, a=1, tprime=2, delta=2, k_init=4, n_init=(9, 9, 9, 9))
-    q23 = build_mds_merge(F23, subgroup_cyclic_qplus1(F23, (F23.element(21), F23.element(5)), 4),
+    q23 = build_mds_merge(F23, subgroup_cyclic_qplus1(F23, (21, 5), 4),
                           k=5, t=4, lprime=4, evaluate_at_pole=True, per_initial_dims=(5, 5, 5, 4))
     return q32.to_obj(), vi.to_obj(), q23.to_obj()
 

@@ -49,7 +49,7 @@ def test_encode_identity_generator():
 
 def test_generator_parity_orthogonal():
     F = field_create(5, 1)
-    code = grs_code(F, GrsSpec(locators=tuple(elems(F, 0, 1, 2, 3, 4)), k=2))
+    code = grs_code(F, GrsSpec(locators=(0, 1, 2, 3, 4), k=2))
     assert (code.generator @ code.parity.transpose()).is_zero()
     # explicit both-matrices constructor validates orthogonality
     LinearCode(F, generator=code.generator, parity=code.parity)
@@ -59,7 +59,7 @@ def test_generator_parity_orthogonal():
 
 def test_dual_involution():
     F = field_create(5, 1)
-    code = grs_code(F, GrsSpec(locators=tuple(elems(F, 0, 1, 2, 3, 4)), k=2))
+    code = grs_code(F, GrsSpec(locators=(0, 1, 2, 3, 4), k=2))
     dual = LinearCode(F, generator=code.parity)
     double = LinearCode(F, generator=dual.parity)
     # same codeword set: generators row-reduce identically
@@ -68,7 +68,7 @@ def test_dual_involution():
 
 def test_min_distance_enumerate_grs():
     F = field_create(5, 1)
-    code = grs_code(F, GrsSpec(locators=tuple(elems(F, 0, 1, 2, 3, 4)), k=2))
+    code = grs_code(F, GrsSpec(locators=(0, 1, 2, 3, 4), k=2))
     assert enumerated_min_distance(code) == 4
     assert min_distance(code) == 4
 
@@ -113,7 +113,7 @@ def test_is_mds():
     F = field_create(23, 1)
     for k in (1, 2, 3, 5):
         for n in (6, 9, 12):
-            code = grs_code(F, GrsSpec(locators=tuple(elems(F, *range(n))), k=k))
+            code = grs_code(F, GrsSpec(locators=tuple(range(n)), k=k))
             assert is_mds(code)
     # repeated generator column kills the Singleton equality
     bad = LinearCode(F, generator=MatQ(F, [[1, 1, 0], [0, 0, 1]]))
@@ -157,7 +157,7 @@ def test_check_locality_single_parity_groups():
 
 def test_check_locality_mds_full_group():
     F = field_create(23, 1)
-    code = grs_code(F, GrsSpec(locators=tuple(elems(F, *range(6))), k=3))
+    code = grs_code(F, GrsSpec(locators=tuple(range(6)), k=3))
     # r = k, one group of all coordinates: allowed only when n <= r + 1
     good = LocalityCertificate(r=5, delta=2, groups=(tuple(range(6)),))
     assert check_locality(code, good)
@@ -200,7 +200,7 @@ def test_locality_group_may_not_repeat_a_coordinate():
 
 def test_restricted_dim_basics():
     F = field_create(5, 1)
-    code = grs_code(F, GrsSpec(locators=tuple(elems(F, 0, 1, 2, 3)), k=2))
+    code = grs_code(F, GrsSpec(locators=(0, 1, 2, 3), k=2))
     assert restricted_dim(code, range(4)) == 2
     assert restricted_dim(code, [2]) == 1
 
@@ -240,7 +240,7 @@ def test_distance_at_least_checks_only_the_widest_subsets():
     # budget although C(24, 3) = 2024 do not, and 23 columns of 22-row
     # parity are always dependent
     F = field_create(5, 2)
-    code = grs_code(F, GrsSpec(locators=tuple(elems(F, *range(24))), k=2))
+    code = grs_code(F, GrsSpec(locators=tuple(range(24)), k=2))
     assert distance_at_least(code, 23, budget=1000)
     assert not distance_at_least(code, 24, budget=1000)
 
@@ -250,7 +250,7 @@ def test_distance_at_least_spends_one_row_per_subset(monkeypatch):
     # of the 8-row parity matrix: one rank check each, on the residue of
     # the subset's last column alone (8 cells), not on all 8 columns
     F = field_create(13, 1)
-    code = grs_code(F, GrsSpec(locators=tuple(elems(F, *range(12))), k=4))
+    code = grs_code(F, GrsSpec(locators=tuple(range(12)), k=4))
     calls = []
 
     def counting(field, rows):
@@ -465,7 +465,7 @@ def test_folded_certificate_on_mds_to_lrc_finals():
 def test_is_mds_falls_through_to_the_walk(monkeypatch):
     F = field_create(13, 1)
     places = list(range(12))
-    code = grs_code(F, GrsSpec(locators=tuple(elems(F, *places)), k=4))
+    code = grs_code(F, GrsSpec(locators=tuple(places), k=4))
     walks = []
     real = codes.distance_at_least
 

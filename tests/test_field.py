@@ -11,6 +11,10 @@ from stripemerge.field import (
     primitive_quadratic_check,
     primitive_quadratic_search,
 )
+from stripemerge.grs import GrsSpec, annihilator, grs_code, grs_dual_prescribed
+from stripemerge.matrix import vandermonde
+from stripemerge.pgl import RationalFunction, subgroup_affine, subgroup_cyclic_qplus1
+from stripemerge.poly import Poly
 
 from paper_lemmas import reference_quadratic_check, reference_quadratic_search
 
@@ -48,14 +52,14 @@ def brute_first_irreducible_gf2(degree):
 def test_prime_field_creation():
     F = field_create(23, 1)
     assert F.q == 23
-    assert (F.element(15) * F.element(17)).enc == (15 * 17) % 23 == 2
+    assert F.mul_enc(15, 17) == (15 * 17) % 23 == 2
 
 
 def test_gf4_unique_modulus():
     F = field_create(2, 2, modulus=[1, 1, 1])
     assert F.q == 4
-    a = F.element(2)  # the class of x
-    assert (a * a).enc == (a + F.one).enc  # x^2 = x + 1
+    a = 2  # the class of x
+    assert F.mul_enc(a, a) == F.add_enc(a, 1)  # x^2 = x + 1
 
 
 def test_gf32_default_modulus_matches_scan_oracle():
@@ -97,26 +101,26 @@ def test_field_size_is_bounded_before_the_primality_test(monkeypatch):
 
 def test_arith_examples():
     F = field_create(23, 1)
-    assert (F.element(15) * F.element(17)) == F.element(2)
-    assert F.element(2).inverse() == F.element(12)
-    assert F.element(2) * F.element(12) == F.one
-    for enc in (0, 5, 22):
-        a = F.element(enc)
-        assert a + F.zero == a
-    assert F.element(7) - F.element(9) == F.element(21)
-    assert F.element(2) ** -1 == F.element(12)
-    assert F.element(3) ** 0 == F.one
+    assert F.mul_enc(15, 17) == 2
+    assert F.inv_enc(2) == 12
+    assert F.mul_enc(2, 12) == 1
+    for a in (0, 5, 22):
+        assert F.add_enc(a, 0) == a
+    assert F.sub_enc(7, 9) == 21
+    assert F.pow_enc(2, -1) == 12
+    assert F.pow_enc(3, 0) == 1
 
 
 def test_arith_errors():
     F = field_create(23, 1)
     G = field_create(5, 1)
     with pytest.raises(ZeroDivisionError):
-        F.element(3) / F.zero
+        F.mul_enc(3, F.inv_enc(0))
     with pytest.raises(ZeroDivisionError):
-        F.zero.inverse()
-    with pytest.raises(ValueError):
-        F.element(3) + G.element(2)
+        F.inv_enc(0)
+    # symbols of two fields never mix: a word refuses the other field's symbol
+    with pytest.raises(ValueError, match="^coordinate 1 is in FieldCtx"):
+        F.encodings([F.element(3), G.element(2)])
 
 
 SHARED_FIELDS = [(7, 1), (2, 5), (7, 2), (257, 1)]
@@ -127,7 +131,7 @@ def test_element_zero_and_one_are_the_instances_word_hands_out(p, s):
     F = field_create(p, s)
     for e in range(F.q):
         assert F.element(e) is F.word([e])[0]
-    assert F.zero is F.word([0])[0] and F.one is F.word([1])[0]
+    assert F.element(0) is F.word([0])[0] and F.element(1) is F.word([1])[0]
     # the argument is still read through int(), and the refusals are unchanged
     assert F.element(2.9) is F.element("2") is F.word([2])[0]
     for bad in (-1, F.q, 2 ** 62):
@@ -137,6 +141,37 @@ def test_element_zero_and_one_are_the_instances_word_hands_out(p, s):
         F.element("x")
     with pytest.raises(TypeError):
         F.element(None)
+
+
+F23 = field_create(23, 1)
+
+# every public entry that takes a scalar from its caller, as a function of
+# one bad encoding: x^2 - 2x + 5 (21, 5) is primitive over GF(23)
+SCALAR_ENTRIES = {
+    "vandermonde locator": lambda e: vandermonde(F23, 2, [1, e]),
+    "vandermonde multiplier": lambda e: vandermonde(F23, 2, [1, 2], [1, e]),
+    "grs_code locator": lambda e: grs_code(F23, GrsSpec((1, 2, e), 2)),
+    "grs_code multiplier": lambda e: grs_code(F23, GrsSpec((1, 2, 3), 2, (1, 1, e))),
+    "grs_dual_prescribed": lambda e: grs_dual_prescribed(F23, [1, 2, e], 1),
+    "annihilator": lambda e: annihilator(F23, [1, e]),
+    "subgroup_affine mult": lambda e: subgroup_affine(F23, [1, e], [0]),
+    "subgroup_affine add": lambda e: subgroup_affine(F23, [1], [0, e]),
+    "subgroup_cyclic_qplus1 a": lambda e: subgroup_cyclic_qplus1(F23, (e, 5), 4),
+    "subgroup_cyclic_qplus1 b": lambda e: subgroup_cyclic_qplus1(F23, (21, e), 4),
+    "primitive_quadratic_check a": lambda e: primitive_quadratic_check(F23, e, 5),
+    "primitive_quadratic_check b": lambda e: primitive_quadratic_check(F23, 21, e),
+    "Poly.constant": lambda e: Poly.constant(F23, e),
+    "Poly.scale": lambda e: Poly(F23, (3, 1)).scale(e),
+    "Poly.eval": lambda e: Poly(F23, (3, 1)).eval(e),
+    "RationalFunction.constant": lambda e: RationalFunction.constant(F23, e),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 23])
+@pytest.mark.parametrize("entry", SCALAR_ENTRIES)
+def test_every_scalar_entry_refuses_an_encoding_outside_the_field(entry, bad):
+    with pytest.raises(ValueError, match=rf"^encoding {bad} out of range for GF\(23\)$"):
+        SCALAR_ENTRIES[entry](bad)
 
 
 def elements_of(F):
@@ -152,9 +187,9 @@ def test_a_large_field_makes_only_the_elements_it_hands_out(p, s):
     F = field_create(p, s)
     assert F.q > field.TABLE_Q and elements_of(F) == []
     enc = 12345 % F.q
-    one, e = F.one, F.element(enc)
+    one, e = F.element(1), F.element(enc)
     assert elements_of(F) == [1, enc]
-    assert F.one is one and F.element(enc) is e
+    assert F.element(1) is one and F.element(enc) is e
     assert all(x is y for x, y in zip(F.word([enc, 1, enc]), (e, one, e), strict=True))
     # an encoding past the field is refused, as a smaller field's tuple refuses it
     with pytest.raises(IndexError, match=rf"^encoding {F.q} out of range for GF\({F.q}\)$"):
@@ -164,12 +199,12 @@ def test_a_large_field_makes_only_the_elements_it_hands_out(p, s):
 
 def test_element_order():
     F = field_create(23, 1)
-    assert F.one.multiplicative_order() == 1
-    assert F.element(22).multiplicative_order() == 2
+    assert F.order_enc(1) == 1
+    assert F.order_enc(22) == 2
     G = field_create(5, 1)
-    assert G.element(2).multiplicative_order() == 4  # powers 2, 4, 3, 1
+    assert G.order_enc(2) == 4  # powers 2, 4, 3, 1
     with pytest.raises(ZeroDivisionError):
-        F.zero.multiplicative_order()
+        F.order_enc(0)
 
 
 ORDER_FIELDS = [(2, 1), (3, 2), (23, 1), (2, 5), (7, 2), (5, 3), (2, 6)]
@@ -182,12 +217,12 @@ def test_element_order_matches_brute_force_powers(p, s):
         power, order = a, 1
         while power != 1:
             power, order = F.mul_enc(power, a), order + 1
-        assert F.element(a).multiplicative_order() == order
+        assert F.order_enc(a) == order
 
 
 def companion_order(F, a, b):
     """Independent oracle: order of the root of x^2 + a x + b via 2x2 powers."""
-    m = [[0, 1], [F.neg_enc(b.enc), F.neg_enc(a.enc)]]
+    m = [[0, 1], [F.neg_enc(b), F.neg_enc(a)]]
     cur = [[1, 0], [0, 1]]
 
     def mul(x, y):
@@ -212,12 +247,12 @@ def companion_order(F, a, b):
 def test_primitive_quadratic_paper_instance():
     F = field_create(23, 1)
     # x^2 - 2x + 5
-    assert primitive_quadratic_check(F.element(21), F.element(5))
+    assert primitive_quadratic_check(F, 21, 5)
 
 
 def test_primitive_quadratic_gf2():
     F = field_create(2, 1)
-    assert primitive_quadratic_check(F.one, F.one)  # x^2 + x + 1, root order 3
+    assert primitive_quadratic_check(F, 1, 1)  # x^2 + x + 1, root order 3
 
 
 def test_primitive_quadratic_search_gf3():
@@ -229,18 +264,18 @@ def test_primitive_quadratic_search_gf3():
 def test_primitive_quadratic_rejects_reducible_and_low_order():
     F = field_create(5, 1)
     # x^2 - 1 = (x-1)(x+1)
-    assert not primitive_quadratic_check(F.zero, F.element(4))
+    assert not primitive_quadratic_check(F, 0, 4)
     # x^2 + 1 is irreducible over GF(5) but its root has order 4, not 24
-    assert not primitive_quadratic_check(F.zero, F.one)
+    assert not primitive_quadratic_check(F, 0, 1)
 
 
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
 def test_primitive_quadratic_check_matches_the_reference(p, s):
     # the norm and trace criterion against the root scan and order test
     F = field_create(p, s)
-    for a in F.elements():
-        for b in F.elements():
-            assert primitive_quadratic_check(a, b) == reference_quadratic_check(a, b), (a, b)
+    for a in range(F.q):
+        for b in range(F.q):
+            assert primitive_quadratic_check(F, a, b) == reference_quadratic_check(F, a, b), (a, b)
 
 
 # every field the builders see in the tests and the benchmark; all 70 fields
@@ -262,11 +297,12 @@ def test_field_axioms_random(p, s, modulus):
     F = field_create(p, s, modulus)
     rng = random.Random(1234 + F.q)
     for _ in range(250):  # 4 fields x 250 = 1000 triples
-        a, b, c = (F.element(rng.randrange(F.q)) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-        if a.enc:
-            assert a * a.inverse() == F.one
+        a, b, c = (rng.randrange(F.q) for _ in range(3))
+        add, mul = F.add_enc, F.mul_enc
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        if a:
+            assert mul(a, F.inv_enc(a)) == 1
 
 
 def test_fermat_all_small_fields():
@@ -274,9 +310,8 @@ def test_fermat_all_small_fields():
                  (23, 1), (5, 2), (3, 3), (2, 5), (7, 2), (61, 1), (2, 6)]:
         F = field_create(p, s)
         assert F.q <= 64
-        for a in F.elements():
-            if a.enc:
-                assert a ** (F.q - 1) == F.one
+        for a in range(1, F.q):
+            assert F.pow_enc(a, F.q - 1) == 1
 
 
 def test_field_create_deterministic():

@@ -7,10 +7,6 @@ from stripemerge.field import field_create
 from stripemerge.matrix import MatQ, echelon, rank_of_rows, vandermonde
 
 
-def elems(F, *encs):
-    return [F.element(e) for e in encs]
-
-
 def identity(F, n):
     return MatQ(F, [[int(i == j) for j in range(n)] for i in range(n)])
 
@@ -39,7 +35,7 @@ def test_entries_must_be_int_encodings():
 
 def test_rref_vandermonde_rank():
     F = field_create(5, 1)
-    V = vandermonde(F, 2, elems(F, 1, 2, 3))
+    V = vandermonde(F, 2, [1, 2, 3])
     assert V.rank() == 2
 
 
@@ -63,7 +59,7 @@ def test_kernel_examples():
     F2 = field_create(2, 1)
     assert MatQ(F2, [[1, 1]]).kernel() == [[1, 1]]
     F5 = field_create(5, 1)
-    V = vandermonde(F5, 2, elems(F5, 1, 2, 3))
+    V = vandermonde(F5, 2, [1, 2, 3])
     assert V.kernel() == [[1, 3, 1]]  # v1 + v2 + v3 = 0, v1 + 2v2 + 3v3 = 0
 
 
@@ -93,23 +89,23 @@ def test_solve():
 
 def test_vandermonde_entries():
     F = field_create(5, 1)
-    V = vandermonde(F, 2, elems(F, 1, 2), elems(F, 2, 3))
+    V = vandermonde(F, 2, [1, 2], [2, 3])
     assert V.to_obj() == [[2, 3], [2, 1]]  # row i: v_j * a_j^i
-    ones = vandermonde(F, 1, elems(F, 0, 1, 2, 3))
+    ones = vandermonde(F, 1, [0, 1, 2, 3])
     assert ones.to_obj() == [[1, 1, 1, 1]]
     F7 = field_create(7, 1)
-    V3 = vandermonde(F7, 3, elems(F7, 1, 2, 3))
+    V3 = vandermonde(F7, 3, [1, 2, 3])
     assert V3.rank() == 3
 
 
 def test_vandermonde_errors():
     F = field_create(5, 1)
     with pytest.raises(ValueError):
-        vandermonde(F, 2, elems(F, 1, 1))
+        vandermonde(F, 2, [1, 1])
     with pytest.raises(ValueError):
-        vandermonde(F, 2, elems(F, 1, 2), elems(F, 0, 3))
+        vandermonde(F, 2, [1, 2], [0, 3])
     with pytest.raises(ValueError):
-        vandermonde(F, 0, elems(F, 1))
+        vandermonde(F, 0, [1])
 
 
 def test_vandermonde_rank_property():
@@ -119,7 +115,7 @@ def test_vandermonde_rank_property():
         for k in range(1, 7):
             for n in range(1, min(9, q + 1)):
                 locs = rng.sample(range(q), n)
-                V = vandermonde(F, k, elems(F, *locs))
+                V = vandermonde(F, k, list(locs))
                 assert V.rank() == min(k, n)
 
 

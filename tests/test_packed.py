@@ -104,7 +104,7 @@ def test_contains_matches_the_fold(p, s, sparse):
             assert code.contains(word) and fold_contains(code, [e.enc for e in word])
             for j in range(n):
                 bad = list(word)
-                bad[j] = bad[j] + F.element(rng.randrange(1, F.q))
+                bad[j] = F.element(F.add_enc(bad[j].enc, rng.randrange(1, F.q)))
                 assert not code.contains(bad)
                 assert not fold_contains(code, [e.enc for e in bad])
 
@@ -516,7 +516,8 @@ def test_execute_matches_the_reference(name):
         for i, word in enumerate(words):
             for j in range(len(word)):
                 bad = list(words)
-                bad[i] = word[:j] + (word[j] + F.element(rng.randrange(1, F.q)),) + word[j + 1:]
+                moved = F.element(F.add_enc(word[j].enc, rng.randrange(1, F.q)))
+                bad[i] = word[:j] + (moved,) + word[j + 1:]
                 with pytest.raises(ValueError, match=f"^input {i} is not a codeword of stripe {i}:"):
                     execute(cc, bad)
         short = list(words)
@@ -549,7 +550,7 @@ def test_execute_matches_generator_rows(name):
     cc = conversion(name)
     F = cc.field
     rows = iter(cc.plan.generator_rows(cc.initials))
-    zeros = [(F.zero,) * code.n for code in cc.initials]
+    zeros = [(F.element(0),) * code.n for code in cc.initials]
     for i, code in enumerate(cc.initials):
         for g in code.generator.data:
             words = zeros[:i] + [F.word(g)] + zeros[i + 1:]
@@ -597,10 +598,10 @@ def test_execute_runs_one_kernel_and_no_membership_check(name, monkeypatch):
 
     monkeypatch.setattr(ColumnSums, "__init__", counted("build", ColumnSums.__init__))
     monkeypatch.setattr(ColumnSums, "run", counted("run", ColumnSums.run))
-    zeros = [(F.zero,) * code.n for code in cc.initials]
+    zeros = [(F.element(0),) * code.n for code in cc.initials]
     execute(cc, zeros)
     execute(cc, zeros)
-    bad = [(F.one,) + zeros[0][1:]] + zeros[1:]
+    bad = [(F.element(1),) + zeros[0][1:]] + zeros[1:]
     with pytest.raises(ValueError, match="^input 0 is not a codeword of stripe 0:"):
         execute(cc, bad)
     assert calls == ["build"] + ["run"] * 3
@@ -609,7 +610,7 @@ def test_execute_runs_one_kernel_and_no_membership_check(name, monkeypatch):
 def test_execute_rejects_symbols_of_another_field():
     cc = _construct(REQUESTS["q23_mds_to_lrc"])
     F29 = field_create(29, 1)
-    words = [[cc.field.zero] * code.n for code in cc.initials]
+    words = [[cc.field.element(0)] * code.n for code in cc.initials]
     words[2][5] = F29.element(25)
     with pytest.raises(ValueError, match="input 2 coordinate 5 is in FieldCtx\\(GF\\(29\\)\\)"):
         execute(cc, words)
@@ -618,7 +619,7 @@ def test_execute_rejects_symbols_of_another_field():
         execute(cc, words)
     # an equal field that is another object is the same field
     twin = FieldCtx(23, 1)
-    words[2] = [twin.zero] * cc.initials[2].n
+    words[2] = [twin.element(0)] * cc.initials[2].n
     final, _ = execute(cc, words)
     assert all(e.enc == 0 for e in final)
 
@@ -632,7 +633,7 @@ def test_contains_rejects_symbols_of_another_field():
                                          r"not FieldCtx\(GF\(23\)\)"):
         code.contains([F29.element(e) for e in (1, 1, 21)])
     with pytest.raises(ValueError, match=r"coordinate 2 is in FieldCtx\(GF\(29\)\)"):
-        code.contains([F23.one, F23.one, F29.element(25)])
+        code.contains([F23.element(1), F23.element(1), F29.element(25)])
     assert code.contains([FieldCtx(23, 1).element(e) for e in (1, 1, 21)])
 
 
@@ -655,7 +656,7 @@ def test_encode_rejects_symbols_of_another_field():
 
 def test_execute_returns_one_access_report():
     cc = _construct(REQUESTS["q49_mds_to_lrc"])
-    words = [[cc.field.zero] * code.n for code in cc.initials]
+    words = [[cc.field.element(0)] * code.n for code in cc.initials]
     _, first = execute(cc, words)
     _, second = execute(cc, words)
     assert first is second is cc.static_access()

@@ -22,7 +22,11 @@ that only its own test calls is deleted.  No module imports dataclasses
 or fractions, which every process would pay for at start-up, and a
 fresh interpreter that imports the command line loads neither.  A place
 is a plain int, its index, with q for infinity: no module names a point
-class ProjPoint or reads an attribute finite or is_infinity of one.
+class ProjPoint or reads an attribute finite or is_infinity of one.  A
+scalar is a plain int, its encoding: poly.py, matrix.py, grs.py, pgl.py
+and bounds.py name no FieldElem and call no word-API method (element,
+word, encodings), and codes.py and convert.py do so only in encode,
+contains, execute and verify_convertible.
 """
 
 import ast
@@ -332,3 +336,59 @@ def test_place_wrapper_uses_are_found():
               "__all__ = ['ProjPoint']\n"
               "finite, is_infinity = 1, pt == q\n")
     assert place_wrapper_uses(ast.parse(source)) == [1, 2, 4, 5, 6, 8]
+
+
+# a scalar is its encoding: FieldElem is only the symbol type of the word
+# API, so the modules of scalars name it nowhere and call no word-API
+# method, and codes.py and convert.py do so only in the word API itself
+SYMBOL_CLASS = "FieldElem"
+WORD_METHODS = ("element", "word", "encodings")
+SCALAR_MODULES = ("poly.py", "matrix.py", "grs.py", "pgl.py", "bounds.py")
+WORD_API = {"codes.py": ("LinearCode.encode", "LinearCode.contains"),
+            "convert.py": ("execute", "verify_convertible")}
+
+
+def symbol_uses(tree, imports=True):
+    """(enclosing class.function, line) of each line that names the class
+    SYMBOL_CLASS (a name, an attribute, a definition, a string such as an
+    __all__ entry, or, with imports, an import) or calls a method in
+    WORD_METHODS."""
+    # scoped_nodes opens a class's scope without listing the class itself
+    found = {("", node.lineno) for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) and node.name == SYMBOL_CLASS}
+    for scope, node in scoped_nodes(tree):
+        if (isinstance(node, ast.Name) and node.id == SYMBOL_CLASS
+                or isinstance(node, ast.Attribute) and node.attr == SYMBOL_CLASS
+                or isinstance(node, ast.Constant) and node.value == SYMBOL_CLASS
+                or imports and isinstance(node, ast.alias)
+                and node.name.rpartition(".")[2] == SYMBOL_CLASS
+                or isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) in WORD_METHODS):
+            found.add((scope, node.lineno))
+    return sorted(found, key=lambda use: use[1])
+
+
+@pytest.mark.parametrize("name", SCALAR_MODULES + tuple(WORD_API))
+def test_scalars_are_plain_ints(name):
+    path = ROOT / "src" / "stripemerge" / name
+    allowed = WORD_API.get(name, ())
+    # codes.py and convert.py import the class for the word API's annotations
+    stray = [(scope, line) for scope, line in symbol_uses(parse(path), imports=not allowed)
+             if not any(scope == api or scope.startswith(api + ".") for api in allowed)]
+    assert stray == [], f"{name}: a scalar wrapped as a symbol at {stray}"
+
+
+def test_symbol_uses_are_found():
+    source = ("from .field import FieldCtx, FieldElem\n"
+              "class FieldElem:\n"
+              "    pass\n"
+              "def f(c: FieldElem) -> int:\n"
+              "    return field.FieldElem(field, c).enc\n"
+              "def g(field):\n"
+              "    return field.element(3), field.word([1]), field.encodings(w)\n"
+              "__all__ = ['FieldElem']\n"
+              "def h(field):\n"
+              "    return field.scalar(3), field.elements, word(w)\n")
+    tree = ast.parse(source)
+    assert symbol_uses(tree) == [("", 1), ("", 2), ("f", 4), ("f", 5), ("g", 7), ("", 8)]
+    assert symbol_uses(tree, imports=False) == [("", 2), ("f", 4), ("f", 5), ("g", 7), ("", 8)]
